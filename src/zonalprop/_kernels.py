@@ -1,8 +1,16 @@
-"""Scalar kernels for the analytic zonal theory.
+"""Kernels of the analytic zonal theory, one source for floats and arrays.
 
-Everything here is plain float math so the functions can be compiled with
-numba (see ``_jit``) or run as-is.  Angle-valued outputs follow one rule:
-the true and eccentric anomalies are kept on matching branches so the
+Each forward kernel (the mean-to-osculating chain) runs on Python floats
+through ``math`` and on NumPy arrays through the matching ufuncs: it takes
+its functions from ``_NUMPY`` when its first argument is an ndarray and
+from this module (``_MATH``) otherwise.  That test is written out in each
+kernel because a helper call would cost more than the test on floats.
+Branches on data are written as ``where``, ``maximum`` and ``minimum``, so
+a lane of an array gets the value a float would.  Quantities that are
+constant along one mean trajectory (e, a, sin I, |c| and the long-period
+coefficients) are computed from the scalar arguments and stay scalars, so
+on arrays they are computed once per call.  Angle-valued outputs follow one
+rule: the true and eccentric anomalies are kept on matching branches so the
 equation of the center never jumps by 2*pi.
 
 The periodic-correction kernels evaluate the first-order generating-function
@@ -11,68 +19,106 @@ correction agree identically (same generating function, chain-rule mapping),
 which the test suite enforces against finite-difference Poisson brackets.
 """
 
-from math import atan2, cos, floor, hypot, pi, sin, sqrt
+import sys
+from math import atan2, ceil, cos, hypot, pi, sin, sqrt
+from types import SimpleNamespace
 
-from ._jit import kernel
+import numpy as np
+from numpy import ndarray
 
 TWO_PI = 2.0 * pi
 
+#: Kepler residual [rad] below which a lane counts as converged
+KEPLER_TOL = 5e-15
+#: below this eccentricity the orbit is treated as exactly circular
+CIRCULAR_ECC = 1e-12
 
-@kernel
+#: grids with at least this many epochs are evaluated on arrays; below it the
+#: fixed cost of the NumPy calls (about 0.3 ms per block) outweighs the gain
+ARRAY_MIN_EPOCHS = 32
+#: epochs per array block: keeps the temporaries to a few MB on long grids
+EPOCH_BLOCK = 4096
+
+# Float twins of the NumPy functions the kernels use.  Together with the math
+# imports above they make this module the namespace for float inputs, so
+# rebinding ``sin`` etc. here (call counting) reaches every float evaluation.
+maximum = max
+minimum = min
+any_lane = bool
+
+
+def where(cond, a, b):
+    """Float twin of ``numpy.where``."""
+    return a if cond else b
+
+
+_MATH = sys.modules[__name__]
+_NUMPY = SimpleNamespace(sin=np.sin, cos=np.cos, atan2=np.arctan2, sqrt=np.sqrt,
+                         hypot=np.hypot, ceil=np.ceil, maximum=np.maximum,
+                         minimum=np.minimum, where=np.where, any_lane=np.any)
+
+
 def wrap_pi(x):
     """Reduce an angle to (-pi, pi]."""
-    y = x - TWO_PI * floor((x + pi) / TWO_PI)
-    if y <= -pi:
-        y = pi
-    return y
+    m = _NUMPY if type(x) is ndarray else _MATH
+    return x - TWO_PI * m.ceil((x - pi) / TWO_PI)
 
 
-@kernel
-def kepler_u(ell, e):
-    """Solve u - e*sin(u) = ell for the eccentric anomaly.
-
-    Newton from u0 = ell + e*sin(ell); bisection fallback keeps the residual
-    below 5e-15 rad for any e < 1.  ``ell`` is reduced to (-pi, pi] first and
-    the returned u stays on the same branch (|u - ell| <= e).
-    """
-    ell = wrap_pi(ell)
-    u = ell + e * sin(ell)
-    converged = False
-    for _ in range(25):
-        f = u - e * sin(u) - ell
-        if abs(f) < 5e-15:
-            converged = True
-            break
-        u -= f / (1.0 - e * cos(u))
-    if not converged and abs(u - e * sin(u) - ell) >= 5e-15:
-        lo = ell - e
-        hi = ell + e
-        for _ in range(110):
-            mid = 0.5 * (lo + hi)
-            if mid - e * sin(mid) - ell > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        u = 0.5 * (lo + hi)
-        for _ in range(2):
-            u -= (u - e * sin(u) - ell) / (1.0 - e * cos(u))
+def _kepler_bisect(ell, e):
+    """Bisection on [ell - e, ell + e] plus two Newton polish steps."""
+    m = _NUMPY if type(ell) is ndarray else _MATH
+    lo = ell - e
+    hi = ell + e
+    for _ in range(110):
+        mid = 0.5 * (lo + hi)
+        above = mid - e * m.sin(mid) - ell > 0.0
+        hi = m.where(above, mid, hi)
+        lo = m.where(above, lo, mid)
+    u = 0.5 * (lo + hi)
+    for _ in range(2):
+        u = u - (u - e * m.sin(u) - ell) / (1.0 - e * m.cos(u))
     return u
 
 
-@kernel
+def kepler_u(ell, e):
+    """Solve u - e*sin(u) = ell for the eccentric anomaly.
+
+    Newton from u0 = ell + e*sin(ell); a lane stops updating once its
+    residual is below KEPLER_TOL, and lanes still above it after 25 steps
+    fall back to bisection, which keeps the residual below 5e-15 rad for any
+    scalar e < 1.  ``ell`` is reduced to (-pi, pi] first and the returned u
+    stays on the same branch (|u - ell| <= e).
+    """
+    m = _NUMPY if type(ell) is ndarray else _MATH
+    ell = wrap_pi(ell)
+    u = ell + e * m.sin(ell)
+    for _ in range(25):
+        res = u - e * m.sin(u) - ell
+        live = abs(res) >= KEPLER_TOL
+        if not m.any_lane(live):
+            return u
+        u = m.where(live, u - res / (1.0 - e * m.cos(u)), u)
+    failed = abs(u - e * m.sin(u) - ell) >= KEPLER_TOL
+    if m.any_lane(failed):
+        u = m.where(failed, _kepler_bisect(ell, e), u)
+    return u
+
+
 def anomaly_block(kappa, sigma):
     """(e, eta, f, u, ell, phi) from the eccentricity-vector projections.
 
     f and u share a branch in (-pi, pi]; phi = f - ell is the equation of
-    the center.  Below e = 1e-12 the orbit is treated as exactly circular.
+    the center.  Below e = CIRCULAR_ECC the orbit is treated as exactly
+    circular: e, f, u, ell and phi are 0 and eta is 1.
     """
-    e = hypot(kappa, sigma)
-    if e < 1e-12:
-        return 0.0, 1.0, 0.0, 0.0, 0.0, 0.0
-    eta = sqrt(1.0 - e * e)
-    f = atan2(sigma, kappa)
-    u = 2.0 * atan2(sqrt(1.0 - e) * sin(0.5 * f), sqrt(1.0 + e) * cos(0.5 * f))
-    su = sin(u)
+    m = _NUMPY if type(kappa) is ndarray else _MATH
+    e = m.hypot(kappa, sigma)
+    circular = e < CIRCULAR_ECC
+    e = m.where(circular, 0.0, e)
+    eta = m.sqrt(1.0 - e * e)
+    f = m.where(circular, 0.0, m.atan2(sigma, kappa))
+    u = 2.0 * m.atan2(m.sqrt(1.0 - e) * m.sin(0.5 * f), m.sqrt(1.0 + e) * m.cos(0.5 * f))
+    su = m.sin(u)
     ell = u - e * su
     phi = (f - u) + e * su
     return e, eta, f, u, ell, phi
@@ -82,9 +128,9 @@ def anomaly_block(kappa, sigma):
 # short-period corrections (J2 generating function)
 # ---------------------------------------------------------------------------
 
-@kernel
 def short_polar(r, theta, R, Theta, N, mu, alpha, c20):
     """Polar-nodal short-period deltas (dr, dtheta, dnu, dR, dTheta, dN)."""
+    m = _NUMPY if type(r) is ndarray else _MATH
     p = Theta * Theta / mu
     eps2 = 0.25 * c20 * (alpha / p) * (alpha / p)
     kappa = p / r - 1.0
@@ -92,8 +138,8 @@ def short_polar(r, theta, R, Theta, N, mu, alpha, c20):
     e, eta, f, u, ell, phi = anomaly_block(kappa, sigma)
     c = N / Theta
     s2 = 1.0 - c * c
-    c2t = cos(2.0 * theta)
-    s2t = sin(2.0 * theta)
+    c2t = m.cos(2.0 * theta)
+    s2t = m.sin(2.0 * theta)
     opk = 1.0 + kappa
     ope = 1.0 + eta
     dr = eps2 * p * ((2.0 - 3.0 * s2) * (kappa / ope + 2.0 * eta / opk + 1.0) - s2 * c2t)
@@ -109,20 +155,20 @@ def short_polar(r, theta, R, Theta, N, mu, alpha, c20):
     return dr, dth, dnu, dR, dTh, 0.0
 
 
-@kernel
 def short_ns(xi, chi, r, R, Theta, mu, alpha, c20):
     """Nonsingular short-period deltas (dpsi, dxi, dchi, dr, dR, dTheta).
 
     c is recovered as +sqrt(1 - xi^2 - chi^2); in the retrograde chart the
     state components are already the mirrored (|c|) ones.
     """
+    m = _NUMPY if type(xi) is ndarray else _MATH
     p = Theta * Theta / mu
     eps2 = 0.25 * c20 * (alpha / p) * (alpha / p)
     kappa = p / r - 1.0
     sigma = p * R / Theta
     e, eta, f, u, ell, phi = anomaly_block(kappa, sigma)
     s2 = xi * xi + chi * chi
-    c = sqrt(max(0.0, 1.0 - s2))
+    c = m.sqrt(m.maximum(0.0, 1.0 - s2))
     c2 = c * c
     opk = 1.0 + kappa
     ope = 1.0 + eta
@@ -145,7 +191,6 @@ def short_ns(xi, chi, r, R, Theta, mu, alpha, c20):
     return dpsi, dxi, dchi, dr, dR, dTh
 
 
-@kernel
 def short_ns_low(xi, chi, r, R, Theta, mu, alpha, c20):
     """Low-inclination limit of the nonsingular short-period deltas."""
     p = Theta * Theta / mu
@@ -168,10 +213,10 @@ def short_ns_low(xi, chi, r, R, Theta, mu, alpha, c20):
 # long-period corrections (J2^2 / J3 generating function)
 # ---------------------------------------------------------------------------
 
-@kernel
 def long_polar(r, theta, R, Theta, N, mu, alpha, c20, c30):
     """Polar-nodal long-period deltas; requires sin(I) > 0 and a non-critical
     inclination (both enforced by the caller)."""
+    m = _NUMPY if type(r) is ndarray else _MATH
     p = Theta * Theta / mu
     eps2 = 0.25 * c20 * (alpha / p) * (alpha / p)
     eps3 = 0.0 if c30 == 0.0 else 0.5 * (alpha / p) * (c30 / c20)
@@ -180,7 +225,7 @@ def long_polar(r, theta, R, Theta, N, mu, alpha, c20, c30):
     c = N / Theta
     c2 = c * c
     s2 = 1.0 - c2
-    s = sqrt(s2)
+    s = m.sqrt(s2)
     g = 1.0 - 5.0 * c2
     q0 = (1.0 - 15.0 * c2) * g
     q1 = 0.25 * (1.0 - 43.0 * c2 + 155.0 * c2 * c2 - 225.0 * c2 * c2 * c2)
@@ -189,10 +234,10 @@ def long_polar(r, theta, R, Theta, N, mu, alpha, c20, c30):
     q5 = c2 * (11.0 - 30.0 * c2 + 75.0 * c2 * c2)
     q6 = c * (11.0 - 30.0 * c2 + 75.0 * c2 * c2)
     w = (1.0 - 15.0 * c2) / (4.0 * g)
-    c2t = cos(2.0 * theta)
-    s2t = sin(2.0 * theta)
-    ct = cos(theta)
-    st = sin(theta)
+    c2t = m.cos(2.0 * theta)
+    s2t = m.sin(2.0 * theta)
+    ct = m.cos(theta)
+    st = m.sin(theta)
     opk = 1.0 + kappa
     dr = p * (eps2 * s2 * w * (kappa * c2t + sigma * s2t) + eps3 * s * st)
     dth = (eps2 / (2.0 * g * g) * ((q2 + q5 * kappa) * sigma * c2t
@@ -208,20 +253,26 @@ def long_polar(r, theta, R, Theta, N, mu, alpha, c20, c30):
     return dr, dth, dnu, dR, dTh, 0.0
 
 
-@kernel
-def long_ns(xi, chi, r, R, Theta, mu, alpha, c20, c30):
+def long_ns(xi, chi, r, R, Theta, mu, alpha, c20, c30, c=None):
     """Nonsingular long-period deltas (dpsi, dxi, dchi, dr, dR, dTheta).
 
     Regular down to the equator; the only exclusion is the critical
-    inclination (enforced by the caller).
+    inclination (enforced by the caller).  ``c`` = |cos I| is recovered as
+    +sqrt(1 - xi^2 - chi^2) unless given; at a mean state it is |H|/G, and
+    with ``c`` and ``Theta`` scalars every inclination coefficient below is
+    a scalar too.
     """
+    m = _NUMPY if type(xi) is ndarray else _MATH
     p = Theta * Theta / mu
     eps2 = 0.25 * c20 * (alpha / p) * (alpha / p)
     eps3 = 0.0 if c30 == 0.0 else 0.5 * (alpha / p) * (c30 / c20)
     kappa = p / r - 1.0
     sigma = p * R / Theta
-    s2 = xi * xi + chi * chi
-    c = sqrt(max(0.0, 1.0 - s2))
+    if c is None:
+        s2 = xi * xi + chi * chi
+        c = m.sqrt(m.maximum(0.0, 1.0 - s2))
+    else:
+        s2 = 1.0 - c * c
     c2 = c * c
     g = 1.0 - 5.0 * c2
     g2 = g * g
@@ -266,7 +317,6 @@ def long_ns(xi, chi, r, R, Theta, mu, alpha, c20, c30):
     return dpsi, dxi, dchi, dr, dR, dTh
 
 
-@kernel
 def long_ns_low(xi, chi, r, R, Theta, mu, alpha, c20, c30):
     """Low-inclination limit of the nonsingular long-period deltas."""
     p = Theta * Theta / mu
@@ -289,7 +339,6 @@ def long_ns_low(xi, chi, r, R, Theta, mu, alpha, c20, c30):
 # state transformations
 # ---------------------------------------------------------------------------
 
-@kernel
 def ns_to_cart(psi, xi, chi, r, R, Theta, N, retro):
     """Nonsingular state to Cartesian; c = N/Theta per the carried integral.
 
@@ -297,23 +346,22 @@ def ns_to_cart(psi, xi, chi, r, R, Theta, N, retro):
     of the result change sign.  States coming out of the periodic corrections
     can sit off the xi^2 + chi^2 = 1 - c^2 shell by a second-order amount;
     (xi, chi) are projected back onto the shell of the carried N, which keeps
-    the output's polar angular momentum exactly equal to the integral.
+    the output's polar angular momentum exactly equal to the integral.  A
+    state with xi = chi = 0 stays there.
     """
-    cabs = abs(N) / Theta
-    if cabs > 1.0:
-        cabs = 1.0
+    m = _NUMPY if type(psi) is ndarray else _MATH
+    cabs = m.minimum(abs(N) / Theta, 1.0)
     s2_shell = 1.0 - cabs * cabs
     s2_state = xi * xi + chi * chi
-    if s2_state > 0.0:
-        scale = sqrt(s2_shell / s2_state)
-        xi = xi * scale
-        chi = chi * scale
+    scale = m.sqrt(s2_shell / m.where(s2_state > 0.0, s2_state, 1.0))
+    xi = xi * scale
+    chi = chi * scale
     opc = 1.0 + cabs
     t = 1.0 - xi * xi / opc
     tau = 1.0 - chi * chi / opc
     q = xi * chi / opc
-    cp = cos(psi)
-    sp = sin(psi)
+    cp = m.cos(psi)
+    sp = m.sin(psi)
     x = r * (t * cp + q * sp)
     y = r * (t * sp - q * cp)
     z = r * xi
@@ -326,12 +374,12 @@ def ns_to_cart(psi, xi, chi, r, R, Theta, N, retro):
     return x, y, z, vx, vy, vz
 
 
-@kernel
 def cart_to_ns(x, y, z, vx, vy, vz):
     """Cartesian to nonsingular; returns (psi, xi, chi, r, R, Theta, N, retro).
 
     The chart is picked by the sign of N: prograde for N >= 0, otherwise the
-    retrograde (psi* = theta - nu) chart, realised by mirroring y.
+    retrograde (psi* = theta - nu) chart, realised by mirroring y.  Floats
+    only: the osculating-to-mean direction converts one state at a time.
     """
     r = sqrt(x * x + y * y + z * z)
     R = (x * vx + y * vy + z * vz) / r
@@ -366,7 +414,6 @@ FORM_LOW_INCLINATION = 1
 FORM_POLAR_NODAL = 2
 
 
-@kernel
 def reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
                             formulation, with_long, with_short):
     """Mean Delaunay elements -> osculating Cartesian state.
@@ -374,23 +421,26 @@ def reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
     Kepler solve, direct long-period correction at the double-prime state,
     direct short-period correction at the prime state, then the rotation-free
     Cartesian map.  ``retro`` selects the psi* chart (it matches sign(H)).
+    The angles (ell, g, h) may be arrays over epochs of one mean trajectory;
+    everything computed from (L, G, H) alone stays a scalar.
     """
+    m = _NUMPY if type(ell) is ndarray else _MATH
     eta = G / L
     e2 = 1.0 - eta * eta
-    e = sqrt(e2) if e2 > 0.0 else 0.0
+    e = m.sqrt(e2) if e2 > 0.0 else 0.0
     a = L * L / mu
     u = kepler_u(ell, e)
-    su = sin(u)
-    cu = cos(u)
+    su = m.sin(u)
+    cu = m.cos(u)
     ome = 1.0 - e * cu
     r0 = a * ome
     R0 = L * e * su / r0
-    f = 2.0 * atan2(sqrt(1.0 + e) * sin(0.5 * u), sqrt(1.0 - e) * cos(0.5 * u))
+    f = 2.0 * m.atan2(m.sqrt(1.0 + e) * m.sin(0.5 * u), m.sqrt(1.0 - e) * m.cos(0.5 * u))
     theta0 = f + g
     psi0 = theta0 - h if retro else theta0 + h
     cth = H / G
     sm2 = 1.0 - cth * cth
-    sm = sqrt(sm2) if sm2 > 0.0 else 0.0
+    sm = m.sqrt(sm2) if sm2 > 0.0 else 0.0
     Th0 = G
 
     if formulation == FORM_POLAR_NODAL:
@@ -412,15 +462,14 @@ def reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
             R2 = R1 + dR
             Th2 = Th1 + dTh
         c2q = H / Th2
-        s2q = 1.0 - c2q * c2q
-        sosc = sqrt(s2q) if s2q > 0.0 else 0.0
-        xi2 = sosc * sin(th2)
-        chi2 = sosc * cos(th2)
+        sosc = m.sqrt(m.maximum(0.0, 1.0 - c2q * c2q))
+        xi2 = sosc * m.sin(th2)
+        chi2 = sosc * m.cos(th2)
         psi2 = th2 - nu2 if retro else th2 + nu2
         return ns_to_cart(psi2, xi2, chi2, r2, R2, Th2, H, retro)
 
-    xi0 = sm * sin(theta0)
-    chi0 = sm * cos(theta0)
+    xi0 = sm * m.sin(theta0)
+    chi0 = sm * m.cos(theta0)
     psi1, xi1, chi1, r1, R1, Th1 = psi0, xi0, chi0, r0, R0, Th0
     if with_long:
         if formulation == FORM_LOW_INCLINATION:
@@ -428,7 +477,7 @@ def reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
                                                        mu, alpha, c20, c30)
         else:
             dpsi, dxi, dchi, dr, dR, dTh = long_ns(xi0, chi0, r0, R0, Th0,
-                                                   mu, alpha, c20, c30)
+                                                   mu, alpha, c20, c30, abs(cth))
         psi1 = psi0 + dpsi
         xi1 = xi0 + dxi
         chi1 = chi0 + dchi
@@ -452,25 +501,29 @@ def reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
     return ns_to_cart(psi2, xi2, chi2, r2, R2, Th2, H, retro)
 
 
-@kernel
 def ephemeris_batch(ts, t0, ell0, g0, h0, L, G, H, ldot, gdot, hdot, retro,
                     mu, alpha, c20, c30, formulation, with_long, with_short, out):
-    """Fill ``out[i, :]`` with the osculating Cartesian state at ``ts[i]``."""
+    """Fill ``out[i, :]`` with the osculating Cartesian state at ``ts[i]``.
+
+    A grid of ARRAY_MIN_EPOCHS epochs or more runs through the kernels on
+    arrays of up to EPOCH_BLOCK epochs; a shorter one runs epoch by epoch on
+    floats.  Either way each row depends on its own epoch only.
+    """
     n = ts.shape[0]
-    for i in range(n):
-        dt = ts[i] - t0
+    if n >= ARRAY_MIN_EPOCHS:
+        chunks = ((slice(i, i + EPOCH_BLOCK), ts[i:i + EPOCH_BLOCK])
+                  for i in range(0, n, EPOCH_BLOCK))
+    else:
+        chunks = enumerate(ts.tolist())
+    for rows, t in chunks:
+        dt = t - t0
         ell = wrap_pi(ell0 + ldot * dt)
         g = wrap_pi(g0 + gdot * dt)
         h = wrap_pi(h0 + hdot * dt)
-        x, y, z, vx, vy, vz = reconstruct_and_correct(
-            ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
-            formulation, with_long, with_short)
-        out[i, 0] = x
-        out[i, 1] = y
-        out[i, 2] = z
-        out[i, 3] = vx
-        out[i, 4] = vy
-        out[i, 5] = vz
+        state = reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
+                                        formulation, with_long, with_short)
+        for k in range(6):
+            out[rows, k] = state[k]
     return out
 
 
@@ -478,7 +531,6 @@ def ephemeris_batch(ts, t0, ell0, g0, h0, L, G, H, ldot, gdot, hdot, retro,
 # classic Delaunay-variable correction series (benchmark / oracle baseline)
 # ---------------------------------------------------------------------------
 
-@kernel
 def delaunay_short_series(ell, g, L, G, H, mu, alpha, c20):
     """First-order short-period corrections to the Delaunay elements.
 
@@ -562,7 +614,6 @@ def delaunay_short_series(ell, g, L, G, H, mu, alpha, c20):
     return dl, dg, dh, dLL, dGG, 0.0
 
 
-@kernel
 def delaunay_long_series(g, L, G, H, mu, alpha, c20, c30):
     """First-order long-period corrections to the Delaunay elements."""
     eta = G / L

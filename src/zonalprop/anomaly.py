@@ -12,7 +12,7 @@ from . import _kernels
 from .errors import NonEllipticStateError, ZonalPropError
 
 #: below this eccentricity the orbit is treated as exactly circular
-CIRCULAR_ECC = 1e-12
+CIRCULAR_ECC = _kernels.CIRCULAR_ECC
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,12 @@ def projections(r: float, R: float, Theta: float, mu: float) -> OrbitProjections
     return OrbitProjections(kappa=kappa, sigma=sigma, eta=math.sqrt(1.0 - e * e), e=e, p=p)
 
 
-def solve_kepler(ell: float, e: float) -> float:
+def solve_kepler(ell, e: float):
     """Eccentric anomaly u with |u - e sin(u) - ell| < 1e-14 rad.
 
     Newton iteration from u0 = ell + e sin(ell) with a bisection fallback,
-    after reducing ell to (-pi, pi].
+    after reducing ell to (-pi, pi].  ``ell`` may be a float or an array of
+    mean anomalies sharing one eccentricity.
     """
     if not (0.0 <= e < 1.0):
         raise ZonalPropError(f"eccentricity must be in [0, 1), got {e}")

@@ -3,17 +3,18 @@
 Compares the nonsingular correction path against the classic Delaunay
 Fourier-series path on two axes:
 
-* transcendental-function calls per evaluation, measured by running the
-  pure-Python kernel twin with counting wrappers around its math bindings
-  (deterministic and independent of whether numba is active), and
-* wall time per evaluation, for the active kernels and for the pure twin
-  (when numba is active this contrasts the compiled and fallback paths).
+* transcendental-function calls per evaluation, measured by rebinding the
+  kernel module's math functions to counting wrappers for one float
+  evaluation (deterministic), and
+* wall time per evaluation on floats.
 
-One "evaluation" is a full periodic-correction pass for one state: the
-long-period then short-period stage, including each path's own anomaly
-handling (the nonsingular path evaluates the equation of the center in
-closed form; the Delaunay path must solve the Kepler equation for every
-series evaluation).
+One "evaluation" is a full periodic-correction pass for one state, as the
+pipeline runs it at one epoch: the long-period then short-period stage,
+including each path's own anomaly handling (the nonsingular path evaluates
+the equation of the center in closed form; the Delaunay path must solve the
+Kepler equation for every series evaluation).  The nonsingular pass takes
+|cos I| = |H|/G as given, like the pipeline, where it is constant along the
+mean trajectory.
 """
 
 import math
@@ -21,7 +22,6 @@ import time
 from dataclasses import dataclass
 
 from . import _kernels
-from ._jit import jit_active, load_pure_kernels
 from .gravity import GravityField
 from .states import DelaunayState
 
@@ -47,57 +47,54 @@ def _counting(fn, counter, kind):
     return wrapped
 
 
-def _with_counters(pure, fn, *args):
-    """Run ``fn(*args)`` with the twin module's math bindings instrumented."""
+def _with_counters(fn, *args):
+    """Run ``fn(*args)`` with the kernel module's math bindings instrumented."""
     counter = _Counter()
     saved = {}
     for name in TRIG_NAMES:
-        saved[name] = getattr(pure, name)
-        setattr(pure, name, _counting(saved[name], counter, "trig"))
+        saved[name] = getattr(_kernels, name)
+        setattr(_kernels, name, _counting(saved[name], counter, "trig"))
     for name in SQRT_NAMES:
-        saved[name] = getattr(pure, name)
-        setattr(pure, name, _counting(saved[name], counter, "sqrt"))
+        saved[name] = getattr(_kernels, name)
+        setattr(_kernels, name, _counting(saved[name], counter, "sqrt"))
     try:
         fn(*args)
     finally:
         for name, orig in saved.items():
-            setattr(pure, name, orig)
+            setattr(_kernels, name, orig)
     return counter
 
 
-def _ns_path(mod, xi, chi, r, R, Theta, mu, alpha, c20, c30):
-    dl = mod.long_ns(xi, chi, r, R, Theta, mu, alpha, c20, c30)
+def _ns_path(xi, chi, r, R, Theta, c, mu, alpha, c20, c30):
+    dl = _kernels.long_ns(xi, chi, r, R, Theta, mu, alpha, c20, c30, c)
     xi1, chi1 = xi + dl[1], chi + dl[2]
     r1, R1, Th1 = r + dl[3], R + dl[4], Theta + dl[5]
-    return mod.short_ns(xi1, chi1, r1, R1, Th1, mu, alpha, c20)
+    return _kernels.short_ns(xi1, chi1, r1, R1, Th1, mu, alpha, c20)
 
 
-def _delaunay_path(mod, ell, g, L, G, H, mu, alpha, c20, c30):
-    dl = mod.delaunay_long_series(g, L, G, H, mu, alpha, c20, c30)
+def _delaunay_path(ell, g, L, G, H, mu, alpha, c20, c30):
+    dl = _kernels.delaunay_long_series(g, L, G, H, mu, alpha, c20, c30)
     ell1, g1 = ell + dl[0], g + dl[1]
     L1, G1 = L + dl[3], G + dl[4]
     H1 = H + dl[5]
-    return mod.delaunay_short_series(ell1, g1, L1, G1, H1, mu, alpha, c20)
+    return _kernels.delaunay_short_series(ell1, g1, L1, G1, H1, mu, alpha, c20)
 
 
 @dataclass(frozen=True)
 class BenchmarkReport:
     iterations: int
-    jit_enabled: bool
     nonsingular_trig: int
     nonsingular_sqrt: int
     delaunay_trig: int
     delaunay_sqrt: int
-    nonsingular_time_active: float
-    delaunay_time_active: float
-    nonsingular_time_pure: float
-    delaunay_time_pure: float
+    nonsingular_time: float
+    delaunay_time: float
 
 
 def _time_loop(fn, args, iterations):
     if iterations <= 0:
         return 0.0
-    fn(*args)  # warm-up (and jit compile on the active path)
+    fn(*args)  # warm-up
     t0 = time.perf_counter()
     for _ in range(iterations):
         fn(*args)
@@ -124,29 +121,20 @@ def run_benchmark(d: DelaunayState, field: GravityField,
     xi = s * math.sin(theta)
     chi = s * math.cos(theta)
 
-    pure = load_pure_kernels()
-    ns_args = (xi, chi, r, R, d.G, mu, alpha, c20, c30)
+    ns_args = (xi, chi, r, R, d.G, abs(cinc), mu, alpha, c20, c30)
     del_args = (d.ell, d.g, d.L, d.G, d.H, mu, alpha, c20, c30)
 
-    c_ns = _with_counters(pure, _ns_path, pure, *ns_args)
-    c_del = _with_counters(pure, _delaunay_path, pure, *del_args)
-
-    t_ns_active = _time_loop(_ns_path, (_kernels,) + ns_args, iterations)
-    t_del_active = _time_loop(_delaunay_path, (_kernels,) + del_args, iterations)
-    t_ns_pure = _time_loop(_ns_path, (pure,) + ns_args, iterations)
-    t_del_pure = _time_loop(_delaunay_path, (pure,) + del_args, iterations)
+    c_ns = _with_counters(_ns_path, *ns_args)
+    c_del = _with_counters(_delaunay_path, *del_args)
 
     return BenchmarkReport(
         iterations=iterations,
-        jit_enabled=jit_active(),
         nonsingular_trig=c_ns.trig,
         nonsingular_sqrt=c_ns.sqrt,
         delaunay_trig=c_del.trig,
         delaunay_sqrt=c_del.sqrt,
-        nonsingular_time_active=t_ns_active,
-        delaunay_time_active=t_del_active,
-        nonsingular_time_pure=t_ns_pure,
-        delaunay_time_pure=t_del_pure,
+        nonsingular_time=_time_loop(_ns_path, ns_args, iterations),
+        delaunay_time=_time_loop(_delaunay_path, del_args, iterations),
     )
 
 
@@ -155,7 +143,6 @@ def format_report(report: BenchmarkReport) -> str:
     lines = [
         "# correction-evaluation benchmark",
         f"iterations = {report.iterations}",
-        f"jit_enabled = {str(report.jit_enabled).lower()}",
         "",
         "[transcendental calls per evaluation]",
         f"nonsingular_trig = {report.nonsingular_trig}",
@@ -167,9 +154,7 @@ def format_report(report: BenchmarkReport) -> str:
         lines += [
             "",
             "[seconds per evaluation]",
-            f"nonsingular_active = {report.nonsingular_time_active:.3e}",
-            f"delaunay_active = {report.delaunay_time_active:.3e}",
-            f"nonsingular_pure = {report.nonsingular_time_pure:.3e}",
-            f"delaunay_pure = {report.delaunay_time_pure:.3e}",
+            f"nonsingular = {report.nonsingular_time:.3e}",
+            f"delaunay = {report.delaunay_time:.3e}",
         ]
     return "\n".join(lines) + "\n"

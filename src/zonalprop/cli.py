@@ -19,7 +19,6 @@ from .gravity import EARTH, GravityField
 from .longperiod import CRITICAL_TOL
 from .propagator import (LOW_INC_S2, PropagatorConfig, ephemeris_array,
                          mean_elements_series, osculating_to_mean)
-from .oracle import integrate_grid
 from .secular import orbital_period
 from .states import CartesianState
 
@@ -139,6 +138,7 @@ def _cmd_propagate(cp, args) -> int:
 def _slope_table(state, epoch, field, config, tol, multipliers):
     """RMS analytic-vs-numerical position error over one period per J2
     multiplier (odd zonal off, so the residual is the pure J2^2 one)."""
+    from .oracle import integrate_grid
     rows = []
     for lam in multipliers:
         f_lam = GravityField(mu=field.mu, alpha=field.alpha,
@@ -157,6 +157,9 @@ def _slope_table(state, epoch, field, config, tol, multipliers):
 
 
 def _cmd_compare(cp, args) -> int:
+    # the reference integrator needs SciPy: imported here so that the other
+    # subcommands start without it
+    from .oracle import integrate_grid
     field = _build_field(cp, args)
     state = _build_state(cp, args)
     epoch, duration, step, model, config, tol = _build_run(cp, args)

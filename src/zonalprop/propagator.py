@@ -198,12 +198,19 @@ def ephemeris(cart0: CartesianState, t0: float, ts, field: GravityField,
 
 def ephemeris_array(cart0: CartesianState, t0: float, ts, field: GravityField,
                     config: PropagatorConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Same as ephemeris, returning an (n, 6) float array."""
+    """Same as ephemeris, returning an (n, 6) float array.
+
+    Grids of ``_kernels.ARRAY_MIN_EPOCHS`` epochs or more are evaluated in
+    NumPy blocks, shorter ones epoch by epoch on floats; the two agree to
+    about 1e-10 km in position.
+    """
     ts = np.ascontiguousarray(ts, dtype=float)
     if ts.ndim != 1:
         raise ZonalPropError("time grid must be one-dimensional")
     if not np.all(np.isfinite(ts)):
         raise ZonalPropError("time grid must be finite")
+    if not math.isfinite(t0):
+        raise ZonalPropError(f"epoch t0 must be finite, got {t0}")
     mean = osculating_to_mean(cart0, field, config)
     d = mean.delaunay
     rates = _rates_for(d, field, config)
@@ -226,16 +233,12 @@ def _rates_for(d: DelaunayState, field: GravityField,
 def mean_elements_series(mean: MeanElements, t0: float, ts, field: GravityField,
                          config: PropagatorConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Mean Delaunay elements at the grid times, as an (n, 6) array."""
-    ts = np.asarray(ts, dtype=float)
+    dt = np.asarray(ts, dtype=float) - t0
     d = mean.delaunay
     rates = _rates_for(d, field, config)
-    out = np.empty((ts.shape[0], 6), dtype=float)
-    for i, t in enumerate(ts):
-        dt = t - t0
-        out[i, 0] = _kernels.wrap_pi(d.ell + rates.ell_dot * dt)
-        out[i, 1] = _kernels.wrap_pi(d.g + rates.g_dot * dt)
-        out[i, 2] = _kernels.wrap_pi(d.h + rates.h_dot * dt)
-        out[i, 3] = d.L
-        out[i, 4] = d.G
-        out[i, 5] = d.H
+    out = np.empty((dt.shape[0], 6), dtype=float)
+    out[:, 0] = _kernels.wrap_pi(d.ell + rates.ell_dot * dt)
+    out[:, 1] = _kernels.wrap_pi(d.g + rates.g_dot * dt)
+    out[:, 2] = _kernels.wrap_pi(d.h + rates.h_dot * dt)
+    out[:, 3:] = (d.L, d.G, d.H)
     return out

@@ -57,7 +57,8 @@ def loglog_slope(xs, ys) -> float:
 
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
-    """Trigger any jit compilation once, outside timed sections."""
+    """Evaluate the kernels once before any test, so first-call costs stay
+    out of timed sections."""
     from zonalprop import _kernels
     from zonalprop.propagator import ephemeris_array
     cart = elements_to_cartesian(7000.0, 0.05, math.radians(30.0), 0.3, 0.7, 1.1)

@@ -1,0 +1,176 @@
+"""The blocked NumPy evaluation of the kernels against the float evaluation.
+
+Grids of ``ARRAY_MIN_EPOCHS`` epochs or more run through the kernels on
+arrays; the reference is the same grid asked for one epoch at a time, which
+runs the kernels on floats.  The two differ only by the last-bit rounding
+of NumPy's ufuncs against ``math``; the tolerances below are fixed before
+measuring and sit far above that.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zonalprop import (EARTH, CartesianState, PropagatorConfig, ephemeris_array,
+                       solve_kepler)
+from zonalprop import _kernels
+from zonalprop.propagator import FORMULATIONS
+from conftest import elements_to_cartesian
+
+POS_TOL_KM = 1e-9
+VEL_TOL_KM_S = 1e-12
+RE = EARTH.alpha
+GEO_A = 42164.0
+
+#: the six orbits of the benchmark's orbit-set-dense workload
+#: (a, e, inclination, mean anomaly, argument of perigee, node; angles in deg)
+ORBITS = {
+    "sso": (RE + 700.0, 0.001, 98.2, 50.0, 40.0, 30.0),
+    "gto": (0.5 * (RE + 250.0 + GEO_A), (GEO_A - RE - 250.0) / (GEO_A + RE + 250.0),
+            27.0, 10.0, 178.0, 60.0),
+    "geo": (GEO_A, 2e-4, 0.05, 100.0, 20.0, 75.0),
+    "near-eq": (RE + 600.0, 0.01, 1.0, 200.0, 80.0, 120.0),
+    "retro": (RE + 900.0, 0.02, 140.0, 30.0, 300.0, 200.0),
+}
+LEO_STATE = CartesianState(-2862.029705903647, 5299.0314424744465, 2860.3560741894516,
+                           -6.269006983824957, -4.356570481122381, 2.0847319694826436)
+
+
+def _cart(a, e, inc_deg, ell_deg, g_deg, h_deg):
+    rad = math.radians
+    return elements_to_cartesian(a, e, rad(inc_deg), rad(ell_deg), rad(g_deg), rad(h_deg))
+
+
+def _grid(n=3 * _kernels.ARRAY_MIN_EPOCHS, step=173.0):
+    return step * np.arange(n)
+
+
+def _epoch_by_epoch(cart, t0, ts, config=PropagatorConfig()):
+    """Reference: every epoch on its own, which runs the kernels on floats."""
+    rows = [ephemeris_array(cart, t0, [t], EARTH, config)[0] for t in ts]
+    return np.array(rows).reshape(-1, 6)
+
+
+def _assert_agree(cart, t0, ts, config=PropagatorConfig()):
+    assert len(ts) >= _kernels.ARRAY_MIN_EPOCHS
+    batch = ephemeris_array(cart, t0, ts, EARTH, config)
+    ref = _epoch_by_epoch(cart, t0, ts, config)
+    assert np.all(np.isfinite(batch))
+    assert np.max(np.abs(batch[:, :3] - ref[:, :3])) <= POS_TOL_KM
+    assert np.max(np.abs(batch[:, 3:] - ref[:, 3:])) <= VEL_TOL_KM_S
+
+
+@pytest.mark.parametrize("name", sorted(ORBITS) + ["leo"])
+def test_benchmark_orbits(name):
+    cart = LEO_STATE if name == "leo" else _cart(*ORBITS[name])
+    _assert_agree(cart, 0.0, _grid())
+
+
+@pytest.mark.parametrize("cos_i", [1.0, 0.5, -1.0])
+def test_exactly_circular_and_equatorial(cos_i):
+    """e = 0 exactly, at i = 0, 60 and 180 deg exactly."""
+    Theta = math.sqrt(EARTH.mu * 7000.0)
+    r = Theta * Theta / EARTH.mu
+    v = Theta / r
+    cart = CartesianState(r, 0.0, 0.0, 0.0, cos_i * v, math.sqrt(1.0 - cos_i * cos_i) * v)
+    _assert_agree(cart, 0.0, _grid())
+
+
+@pytest.mark.parametrize("H_sign", [1.0, -1.0, 0.5])
+def test_exact_mean_states_through_the_kernel(H_sign):
+    """e = 0 exactly (G = L), and i = 0 or 180 deg exactly (H = +-G)."""
+    L = math.sqrt(EARTH.mu * 7000.0)
+    G = L
+    H = H_sign * G
+    ell = np.linspace(-math.pi, math.pi, 50)
+    g = 0.3 + 0.01 * ell
+    h = 1.1 - 0.02 * ell
+    args = (L, G, H, H < 0.0, EARTH.mu, EARTH.alpha, EARTH.c20, EARTH.c30,
+            _kernels.FORM_NONSINGULAR, True, True)
+    batch = np.array(_kernels.reconstruct_and_correct(ell, g, h, *args)).T
+    ref = np.array([_kernels.reconstruct_and_correct(a, b, c, *args)
+                    for a, b, c in zip(ell.tolist(), g.tolist(), h.tolist())])
+    assert np.max(np.abs(batch[:, :3] - ref[:, :3])) <= POS_TOL_KM
+    assert np.max(np.abs(batch[:, 3:] - ref[:, 3:])) <= VEL_TOL_KM_S
+
+
+def test_high_eccentricity():
+    cart = _cart(150000.0, 0.95, 50.0, 5.0, 30.0, 40.0)
+    _assert_agree(cart, 0.0, _grid(step=997.0))
+
+
+def test_bisection_fallback_lanes_match_floats(monkeypatch):
+    # Newton never stalls up to e = 0.99 on a dense ell grid; at e = 0.999
+    # some lanes need the bisection fallback
+    calls = []
+    bisect = _kernels._kepler_bisect
+
+    def counted(ell, e):
+        calls.append(np.size(ell))
+        return bisect(ell, e)
+
+    monkeypatch.setattr(_kernels, "_kepler_bisect", counted)
+    e = 0.999
+    ell = np.linspace(-math.pi, math.pi, 20001)
+    batch = _kernels.kepler_u(ell, e)
+    assert calls == [ell.size]
+    ref = np.array([_kernels.kepler_u(x, e) for x in ell.tolist()])
+    assert len(calls) > 1  # some float lanes fell back too
+    assert np.max(np.abs(batch - ref)) < 1e-14
+    assert np.max(np.abs(batch - e * np.sin(batch) - _kernels.wrap_pi(ell))) < 5e-15
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_every_formulation(formulation):
+    cart = _cart(7400.0, 0.2, 45.0, 70.0, 50.0, 80.0)
+    _assert_agree(cart, 0.0, _grid(), PropagatorConfig(formulation=formulation))
+
+
+@pytest.mark.parametrize("off", ["long_period", "short_period", "secular"])
+def test_each_stage_switched_off(off):
+    cart = _cart(7400.0, 0.2, 45.0, 70.0, 50.0, 80.0)
+    _assert_agree(cart, 0.0, _grid(), PropagatorConfig(**{off: False}))
+
+
+def test_empty_grid():
+    out = ephemeris_array(LEO_STATE, 0.0, [], EARTH)
+    assert out.shape == (0, 6)
+
+
+def test_grid_order_independence_across_blocks():
+    n = 2 * _kernels.EPOCH_BLOCK + 37
+    ts = np.linspace(-3000.0, 86400.0, n)
+    perm = np.random.default_rng(5).permutation(n)
+    a = ephemeris_array(LEO_STATE, 0.0, ts, EARTH)
+    b = ephemeris_array(LEO_STATE, 0.0, ts[perm], EARTH)
+    assert np.array_equal(a[perm], b)
+    # every block boundary sees the same rows as a grid of one block
+    c = ephemeris_array(LEO_STATE, 0.0, ts[_kernels.EPOCH_BLOCK - 5:_kernels.EPOCH_BLOCK + 5],
+                        EARTH)
+    assert np.array_equal(a[_kernels.EPOCH_BLOCK - 5:_kernels.EPOCH_BLOCK + 5], c)
+
+
+def test_kepler_residuals_on_array_input():
+    """Acceptance criterion 12's bound, with all mean anomalies in one array."""
+    ell = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
+    ell_w = np.arctan2(np.sin(ell), np.cos(ell))
+    worst = 0.0
+    for e in np.linspace(0.0, 0.99, 25):
+        u = solve_kepler(ell, float(e))
+        res = u - e * np.sin(u) - ell_w
+        worst = max(worst, float(np.max(np.abs(np.arctan2(np.sin(res), np.cos(res))))))
+    assert worst < 1e-14
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.floats(6800.0, 30000.0), e=st.floats(0.0, 0.6),
+       inc_deg=st.floats(0.0, 180.0).filter(lambda i: abs(1.0 - 5.0 * math.cos(
+           math.radians(i)) ** 2) > 0.05),
+       ell=st.floats(-180.0, 180.0), g=st.floats(-180.0, 180.0), h=st.floats(-180.0, 180.0),
+       step=st.floats(1.0, 2000.0), t0=st.floats(-1e5, 1e5))
+def test_batch_equals_epoch_by_epoch(a, e, inc_deg, ell, g, h, step, t0):
+    cart = _cart(a, e, inc_deg, ell, g, h)
+    _assert_agree(cart, t0, t0 + _grid(_kernels.ARRAY_MIN_EPOCHS + 7, step))

@@ -31,7 +31,7 @@ class TestBenchmark:
 
     def test_zero_iterations_empty_timing(self):
         report = run_benchmark(_mean_state(), EARTH, iterations=0)
-        assert report.nonsingular_time_active == 0.0
+        assert report.nonsingular_time == 0.0
         text = format_report(report)
         assert "transcendental calls" in text
         assert "seconds per evaluation" not in text
@@ -40,5 +40,5 @@ class TestBenchmark:
         report = run_benchmark(_mean_state(), EARTH, iterations=50)
         text = format_report(report)
         assert "seconds per evaluation" in text
-        assert report.nonsingular_time_pure > 0.0
-        assert report.delaunay_time_pure > 0.0
+        assert report.nonsingular_time > 0.0
+        assert report.delaunay_time > 0.0

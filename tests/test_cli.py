@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -181,3 +184,15 @@ class TestBenchmarkCommand:
                    "--iterations", "0"])
         assert rc == 0
         assert "seconds per evaluation" not in report.read_text()
+
+
+def test_cli_import_leaves_scipy_out():
+    # only compare needs the reference integrator; propagate starts without SciPy
+    import zonalprop
+    src = os.path.dirname(os.path.dirname(zonalprop.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = "import sys, zonalprop.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -202,6 +202,34 @@ class TestEphemeris:
         with pytest.raises(ZonalPropError):
             ephemeris_array(cart, 0.0, [math.nan], EARTH)
 
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n", [1, 100])
+    def test_non_finite_epoch_rejected(self, t0, n):
+        cart = elements_to_cartesian(7000.0, 0.05, 0.5, 0.3, 0.7, 1.1)
+        with pytest.raises(ZonalPropError, match="t0"):
+            ephemeris_array(cart, t0, np.arange(float(n)), EARTH)
+
+    def test_mean_elements_series_matches_the_epoch_loop(self):
+        from zonalprop import _kernels
+        from zonalprop.propagator import _rates_for, mean_elements_series
+        cart = elements_to_cartesian(7000.0, 0.05, math.radians(30.0), 0.3, 0.7, 1.1)
+        mean = osculating_to_mean(cart, EARTH)
+        ts = np.linspace(-50000.0, 90000.0, 1001)
+        t0 = 123.5
+        # the per-epoch loop mean_elements_series ran before it took arrays
+        d = mean.delaunay
+        rates = _rates_for(d, EARTH, PropagatorConfig())
+        ref = np.empty((ts.shape[0], 6), dtype=float)
+        for i, t in enumerate(ts):
+            dt = t - t0
+            ref[i, 0] = _kernels.wrap_pi(d.ell + rates.ell_dot * dt)
+            ref[i, 1] = _kernels.wrap_pi(d.g + rates.g_dot * dt)
+            ref[i, 2] = _kernels.wrap_pi(d.h + rates.h_dot * dt)
+            ref[i, 3] = d.L
+            ref[i, 4] = d.G
+            ref[i, 5] = d.H
+        assert np.array_equal(mean_elements_series(mean, t0, ts, EARTH), ref)
+
 
 class TestDegenerateOrbits:
     """Inclination/eccentricity corner cases through the full pipeline.
