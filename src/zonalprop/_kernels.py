@@ -17,6 +17,9 @@ The periodic-correction kernels evaluate the first-order generating-function
 brackets in closed form; the polar-nodal and nonsingular variants of the same
 correction agree identically (same generating function, chain-rule mapping),
 which the test suite enforces against finite-difference Poisson brackets.
+The pipeline (``reconstruct_and_correct``) evaluates only the full
+nonsingular forms; the polar-nodal and low-inclination kernels are kept as
+the references the tests compare them against.
 """
 
 import sys
@@ -213,6 +216,36 @@ def short_ns_low(xi, chi, r, R, Theta, mu, alpha, c20):
 # long-period corrections (J2^2 / J3 generating function)
 # ---------------------------------------------------------------------------
 
+def q_polynomials(c):
+    """The inclination polynomials (q0, q1, q2, q3, q5, q6, ..., q15) at c = cos I.
+
+    The one source of these coefficients for every long-period form.  Plain
+    arithmetic, so c may be a float or an array.  The numbering has no q4;
+    q6 is the deflated c (11 - 30 c^2 + 75 c^4), so q5 = c q6 and polar
+    orbits (c = 0) stay regular.
+    """
+    c2 = c * c
+    c4 = c2 * c2
+    c6 = c4 * c2
+    q0 = (1.0 - 15.0 * c2) * (1.0 - 5.0 * c2)
+    t56 = 11.0 - 30.0 * c2 + 75.0 * c4
+    return (q0,
+            0.25 * (1.0 - 43.0 * c2 + 155.0 * c4 - 225.0 * c6),
+            (1.0 - c2) * q0,
+            0.25 * (1.0 + c2 + 35.0 * c4 + 75.0 * c6),
+            c2 * t56,
+            c * t56,
+            0.25 * (1.0 + 3.0 * c2 - 5.0 * c4 + 225.0 * c6),
+            0.25 * (1.0 - 45.0 * c2 + 195.0 * c4 - 375.0 * c6),
+            0.25 * (1.0 + 75.0 * c4),
+            0.25 * (1.0 - 40.0 * c2 + 75.0 * c4),
+            2.0 * c2 * (6.0 - 25.0 * c2 + 75.0 * c4),
+            10.0 * c2,
+            q0 * (1.0 + c),
+            0.25 * (1.0 - c) * (1.0 - 20.0 * c - 40.0 * c2 + 75.0 * c4),
+            0.25 * (1.0 + 23.0 * c - 20.0 * c2 - 80.0 * c * c2 + 75.0 * c4 + 225.0 * c * c4))
+
+
 def long_polar(r, theta, R, Theta, N, mu, alpha, c20, c30):
     """Polar-nodal long-period deltas; requires sin(I) > 0 and a non-critical
     inclination (both enforced by the caller)."""
@@ -227,12 +260,7 @@ def long_polar(r, theta, R, Theta, N, mu, alpha, c20, c30):
     s2 = 1.0 - c2
     s = m.sqrt(s2)
     g = 1.0 - 5.0 * c2
-    q0 = (1.0 - 15.0 * c2) * g
-    q1 = 0.25 * (1.0 - 43.0 * c2 + 155.0 * c2 * c2 - 225.0 * c2 * c2 * c2)
-    q2 = s2 * q0
-    q3 = 0.25 * (1.0 + c2 + 35.0 * c2 * c2 + 75.0 * c2 * c2 * c2)
-    q5 = c2 * (11.0 - 30.0 * c2 + 75.0 * c2 * c2)
-    q6 = c * (11.0 - 30.0 * c2 + 75.0 * c2 * c2)
+    q0, q1, q2, q3, q5, q6 = q_polynomials(c)[:6]
     w = (1.0 - 15.0 * c2) / (4.0 * g)
     c2t = m.cos(2.0 * theta)
     s2t = m.sin(2.0 * theta)
@@ -276,19 +304,7 @@ def long_ns(xi, chi, r, R, Theta, mu, alpha, c20, c30, c=None):
     c2 = c * c
     g = 1.0 - 5.0 * c2
     g2 = g * g
-    q0 = (1.0 - 15.0 * c2) * g
-    q2 = s2 * q0
-    q6 = c * (11.0 - 30.0 * c2 + 75.0 * c2 * c2)
-    q7 = 0.25 * (1.0 + 3.0 * c2 - 5.0 * c2 * c2 + 225.0 * c2 * c2 * c2)
-    q8 = 0.25 * (1.0 - 45.0 * c2 + 195.0 * c2 * c2 - 375.0 * c2 * c2 * c2)
-    q9 = 0.25 * (1.0 + 75.0 * c2 * c2)
-    q10 = 0.25 * (1.0 - 40.0 * c2 + 75.0 * c2 * c2)
-    q11 = 2.0 * c2 * (6.0 - 25.0 * c2 + 75.0 * c2 * c2)
-    q12 = 10.0 * c2
-    q13 = q0 * (1.0 + c)
-    q14 = 0.25 * (1.0 - c) * (1.0 - 20.0 * c - 40.0 * c2 + 75.0 * c2 * c2)
-    q15 = 0.25 * (1.0 + 23.0 * c - 20.0 * c2 - 80.0 * c * c2
-                  + 75.0 * c2 * c2 + 225.0 * c * c2 * c2)
+    q0, _, q2, _, _, q6, q7, q8, q9, q10, q11, q12, q13, q14, q15 = q_polynomials(c)
     p1 = q2 * kappa + q7 * kappa * kappa + q8 * sigma * sigma
     p2 = q0 * kappa + q9 * kappa * kappa + q10 * sigma * sigma
     p3 = q2 + q11 * kappa
@@ -345,12 +361,14 @@ def ns_to_cart(psi, xi, chi, r, R, Theta, N, retro):
     In the retrograde chart the rotation factors use |c| and the y components
     of the result change sign.  States coming out of the periodic corrections
     can sit off the xi^2 + chi^2 = 1 - c^2 shell by a second-order amount;
-    (xi, chi) are projected back onto the shell of the carried N, which keeps
-    the output's polar angular momentum exactly equal to the integral.  A
-    state with xi = chi = 0 stays there.
+    (xi, chi) are projected back onto the shell of the carried N, and a
+    Theta below |N| (near the equator) is raised to |N|, which keeps the
+    output's polar angular momentum exactly equal to the integral.  A state
+    with xi = chi = 0 stays there.
     """
     m = _NUMPY if type(psi) is ndarray else _MATH
-    cabs = m.minimum(abs(N) / Theta, 1.0)
+    Theta = m.maximum(Theta, abs(N))
+    cabs = abs(N) / Theta
     s2_shell = 1.0 - cabs * cabs
     s2_state = xi * xi + chi * chi
     scale = m.sqrt(s2_shell / m.where(s2_state > 0.0, s2_state, 1.0))
@@ -409,20 +427,16 @@ def cart_to_ns(x, y, z, vx, vy, vz):
 # mean-to-osculating pipeline
 # ---------------------------------------------------------------------------
 
-FORM_NONSINGULAR = 0
-FORM_LOW_INCLINATION = 1
-FORM_POLAR_NODAL = 2
-
-
 def reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
-                            formulation, with_long, with_short):
+                            with_long, with_short):
     """Mean Delaunay elements -> osculating Cartesian state.
 
     Kepler solve, direct long-period correction at the double-prime state,
-    direct short-period correction at the prime state, then the rotation-free
-    Cartesian map.  ``retro`` selects the psi* chart (it matches sign(H)).
-    The angles (ell, g, h) may be arrays over epochs of one mean trajectory;
-    everything computed from (L, G, H) alone stays a scalar.
+    direct short-period correction at the prime state, both in the full
+    nonsingular forms, then the rotation-free Cartesian map.  ``retro``
+    selects the psi* chart (it matches sign(H)).  The angles (ell, g, h) may
+    be arrays over epochs of one mean trajectory; everything computed from
+    (L, G, H) alone stays a scalar.
     """
     m = _NUMPY if type(ell) is ndarray else _MATH
     eta = G / L
@@ -443,41 +457,12 @@ def reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
     sm = m.sqrt(sm2) if sm2 > 0.0 else 0.0
     Th0 = G
 
-    if formulation == FORM_POLAR_NODAL:
-        nu0 = h
-        r1, th1, nu1, R1, Th1 = r0, theta0, nu0, R0, Th0
-        if with_long:
-            dr, dth, dnu, dR, dTh, dN = long_polar(r0, theta0, R0, Th0, H, mu, alpha, c20, c30)
-            r1 = r0 + dr
-            th1 = theta0 + dth
-            nu1 = nu0 + dnu
-            R1 = R0 + dR
-            Th1 = Th0 + dTh
-        r2, th2, nu2, R2, Th2 = r1, th1, nu1, R1, Th1
-        if with_short:
-            dr, dth, dnu, dR, dTh, dN = short_polar(r1, th1, R1, Th1, H, mu, alpha, c20)
-            r2 = r1 + dr
-            th2 = th1 + dth
-            nu2 = nu1 + dnu
-            R2 = R1 + dR
-            Th2 = Th1 + dTh
-        c2q = H / Th2
-        sosc = m.sqrt(m.maximum(0.0, 1.0 - c2q * c2q))
-        xi2 = sosc * m.sin(th2)
-        chi2 = sosc * m.cos(th2)
-        psi2 = th2 - nu2 if retro else th2 + nu2
-        return ns_to_cart(psi2, xi2, chi2, r2, R2, Th2, H, retro)
-
     xi0 = sm * m.sin(theta0)
     chi0 = sm * m.cos(theta0)
     psi1, xi1, chi1, r1, R1, Th1 = psi0, xi0, chi0, r0, R0, Th0
     if with_long:
-        if formulation == FORM_LOW_INCLINATION:
-            dpsi, dxi, dchi, dr, dR, dTh = long_ns_low(xi0, chi0, r0, R0, Th0,
-                                                       mu, alpha, c20, c30)
-        else:
-            dpsi, dxi, dchi, dr, dR, dTh = long_ns(xi0, chi0, r0, R0, Th0,
-                                                   mu, alpha, c20, c30, abs(cth))
+        dpsi, dxi, dchi, dr, dR, dTh = long_ns(xi0, chi0, r0, R0, Th0,
+                                               mu, alpha, c20, c30, abs(cth))
         psi1 = psi0 + dpsi
         xi1 = xi0 + dxi
         chi1 = chi0 + dchi
@@ -486,12 +471,7 @@ def reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
         Th1 = Th0 + dTh
     psi2, xi2, chi2, r2, R2, Th2 = psi1, xi1, chi1, r1, R1, Th1
     if with_short:
-        if formulation == FORM_LOW_INCLINATION:
-            dpsi, dxi, dchi, dr, dR, dTh = short_ns_low(xi1, chi1, r1, R1, Th1,
-                                                        mu, alpha, c20)
-        else:
-            dpsi, dxi, dchi, dr, dR, dTh = short_ns(xi1, chi1, r1, R1, Th1,
-                                                    mu, alpha, c20)
+        dpsi, dxi, dchi, dr, dR, dTh = short_ns(xi1, chi1, r1, R1, Th1, mu, alpha, c20)
         psi2 = psi1 + dpsi
         xi2 = xi1 + dxi
         chi2 = chi1 + dchi
@@ -502,7 +482,7 @@ def reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
 
 
 def ephemeris_batch(ts, t0, ell0, g0, h0, L, G, H, ldot, gdot, hdot, retro,
-                    mu, alpha, c20, c30, formulation, with_long, with_short, out):
+                    mu, alpha, c20, c30, with_long, with_short, out):
     """Fill ``out[i, :]`` with the osculating Cartesian state at ``ts[i]``.
 
     A grid of ARRAY_MIN_EPOCHS epochs or more runs through the kernels on
@@ -521,7 +501,7 @@ def ephemeris_batch(ts, t0, ell0, g0, h0, L, G, H, ldot, gdot, hdot, retro,
         g = wrap_pi(g0 + gdot * dt)
         h = wrap_pi(h0 + hdot * dt)
         state = reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
-                                        formulation, with_long, with_short)
+                                        with_long, with_short)
         for k in range(6):
             out[rows, k] = state[k]
     return out
@@ -628,8 +608,7 @@ def delaunay_long_series(g, L, G, H, mu, alpha, c20, c30):
     eps3 = 0.0 if c30 == 0.0 else 0.5 * (alpha / p) * (c30 / c20)
     gc = 1.0 - 5.0 * c2
     w = (1.0 - 15.0 * c2) / gc
-    q1 = 0.25 * (1.0 - 43.0 * c2 + 155.0 * c2 * c2 - 225.0 * c2 * c2 * c2)
-    q6 = c * (11.0 - 30.0 * c2 + 75.0 * c2 * c2)
+    _, q1, _, _, _, q6 = q_polynomials(c)[:6]
     qg = 375.0 * c2 * c2 * c2 - 345.0 * c2 * c2 + 85.0 * c2 - 3.0
     sg = sin(g)
     cg = cos(g)

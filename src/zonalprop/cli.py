@@ -3,7 +3,8 @@ comparison reports, and the correction-evaluation benchmark.
 
 Configuration comes from an INI file (key = value sections); any flag given
 on the command line overrides the file value.  Exit status is 0 on success,
-2 when the critical-inclination guard rejects the orbit, 1 on other errors.
+2 when the critical-inclination guard rejects the orbit, 1 on other errors,
+usage errors and unknown configuration sections or keys included.
 """
 
 import argparse
@@ -17,12 +18,24 @@ from .benchmark import format_report, run_benchmark
 from .errors import ConfigError, CriticalInclinationError, ZonalPropError
 from .gravity import EARTH, GravityField
 from .longperiod import CRITICAL_TOL
-from .propagator import (LOW_INC_S2, PropagatorConfig, ephemeris_array,
-                         mean_elements_series, osculating_to_mean)
+from .propagator import (PropagatorConfig, ephemeris_array, mean_elements_series,
+                         osculating_to_mean)
 from .secular import orbital_period
 from .states import CartesianState
 
 MODELS = ("two-body", "j2", "j2j3")
+
+#: the sections and keys the INI file may hold; any other is rejected, so a
+#: misspelt key fails instead of silently leaving its default in force
+CONFIG_KEYS = {
+    "gravity": ("mu", "alpha", "c20", "c30"),
+    "state": ("x", "y", "z", "vx", "vy", "vz", "epoch"),
+    "run": ("duration", "step", "model", "short-period", "long-period", "secular",
+            "critical-tol", "integrator-tol"),
+    "compare": ("j2-multipliers",),
+    "benchmark": ("iterations",),
+    "output": ("ephemeris", "report", "mean-elements"),
+}
 
 
 def _fmt(x: float) -> str:
@@ -36,9 +49,21 @@ def _fmt(x: float) -> str:
 def _read_config(path: str | None) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if path is not None:
-        read = cp.read(path)
+        try:
+            read = cp.read(path)
+        except configparser.Error as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
         if not read:
             raise ConfigError(f"cannot read config file {path!r}")
+    # a non-empty [DEFAULT] is checked first: its keys show up in every section
+    for section in ([cp.default_section] if cp.defaults() else []) + cp.sections():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(f"{path}: unknown section [{section}]; "
+                              f"expected one of {', '.join(CONFIG_KEYS)}")
+        unknown = [key for key in cp[section] if key not in CONFIG_KEYS[section]]
+        if unknown:
+            raise ConfigError(f"{path}: unknown key(s) {', '.join(unknown)} in "
+                              f"[{section}]; expected {', '.join(CONFIG_KEYS[section])}")
     return cp
 
 
@@ -83,10 +108,7 @@ def _build_run(cp, args):
         short_period=_get(cp, "run", "short-period", args.short_period, True, cast=bool),
         long_period=_get(cp, "run", "long-period", args.long_period, True, cast=bool),
         secular=_get(cp, "run", "secular", args.secular, True, cast=bool),
-        formulation=_get(cp, "run", "formulation", args.formulation, "auto", cast=str),
         critical_tol=_get(cp, "run", "critical-tol", args.critical_tol, CRITICAL_TOL),
-        low_inc_threshold=_get(cp, "run", "low-inc-threshold", args.low_inc_threshold,
-                               LOW_INC_S2),
     )
     tol = _get(cp, "run", "integrator-tol", args.integrator_tol, 1e-12)
     return epoch, duration, step, model, config, tol
@@ -231,13 +253,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     r.add_argument("--duration", type=float)
     r.add_argument("--step", type=float)
     r.add_argument("--model", choices=MODELS)
-    r.add_argument("--formulation",
-                   choices=("auto", "nonsingular", "low-inclination", "polar-nodal"))
     r.add_argument("--short-period", action=argparse.BooleanOptionalAction, default=None)
     r.add_argument("--long-period", action=argparse.BooleanOptionalAction, default=None)
     r.add_argument("--secular", action=argparse.BooleanOptionalAction, default=None)
     r.add_argument("--critical-tol", type=float)
-    r.add_argument("--low-inc-threshold", type=float)
     r.add_argument("--integrator-tol", type=float)
     o = p.add_argument_group("output")
     o.add_argument("--ephemeris")
@@ -245,8 +264,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     o.add_argument("--mean-elements")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with status 1: status 2 means the critical-inclination
+    guard rejected the orbit.  Subcommand parsers inherit this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="zonalprop",
         description="Analytic J2+J3 zonal propagation with nonsingular "
                     "periodic corrections")

@@ -1,9 +1,11 @@
 """Gravity-field constants, perturbation small parameters, and the
-inclination-polynomial tables shared by the periodic-correction formulas."""
+inclination-polynomial tables shared by the periodic-correction formulas
+(computed by ``_kernels.q_polynomials``, the one source of the q_j)."""
 
 import math
 from dataclasses import dataclass, replace
 
+from . import _kernels
 from .errors import ZonalPropError
 
 
@@ -117,28 +119,7 @@ class InclinationPolynomials:
 
 def q_polynomials(c: float) -> InclinationPolynomials:
     """Evaluate the inclination polynomials at c = cos(I), c in [-1, 1]."""
-    c2 = c * c
-    c4 = c2 * c2
-    c6 = c4 * c2
-    s2 = 1.0 - c2
-    q0 = (1.0 - 15.0 * c2) * (1.0 - 5.0 * c2)
-    return InclinationPolynomials(
-        q0=q0,
-        q1=0.25 * (1.0 - 43.0 * c2 + 155.0 * c4 - 225.0 * c6),
-        q2=s2 * q0,
-        q3=0.25 * (1.0 + c2 + 35.0 * c4 + 75.0 * c6),
-        q5=c2 * (11.0 - 30.0 * c2 + 75.0 * c4),
-        q6=c * (11.0 - 30.0 * c2 + 75.0 * c4),
-        q7=0.25 * (1.0 + 3.0 * c2 - 5.0 * c4 + 225.0 * c6),
-        q8=0.25 * (1.0 - 45.0 * c2 + 195.0 * c4 - 375.0 * c6),
-        q9=0.25 * (1.0 + 75.0 * c4),
-        q10=0.25 * (1.0 - 40.0 * c2 + 75.0 * c4),
-        q11=2.0 * c2 * (6.0 - 25.0 * c2 + 75.0 * c4),
-        q12=10.0 * c2,
-        q13=q0 * (1.0 + c),
-        q14=0.25 * (1.0 - c) * (1.0 - 20.0 * c - 40.0 * c2 + 75.0 * c4),
-        q15=0.25 * (1.0 + 23.0 * c - 20.0 * c2 - 80.0 * c * c2 + 75.0 * c4 + 225.0 * c * c4),
-    )
+    return InclinationPolynomials(*_kernels.q_polynomials(c))
 
 
 @dataclass(frozen=True)

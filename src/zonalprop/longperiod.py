@@ -72,7 +72,7 @@ def long_corrections_polar(pn: PolarNodalState, field: GravityField,
     if pn.sin_inclination <= s_tol:
         raise EquatorialDecompositionError(
             "polar-nodal long-period corrections carry 1/sin(I) terms; "
-            "use the nonsingular formulation for near-equatorial orbits")
+            "use the nonsingular forms for near-equatorial orbits")
     small_params(pn.Theta, field)
     projections(pn.r, pn.R, pn.Theta, field.mu)
     deltas = _kernels.long_polar(pn.r, pn.theta, pn.R, pn.Theta, pn.N,

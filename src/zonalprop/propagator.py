@@ -4,10 +4,10 @@ osculating_to_mean:  Cartesian -> nonsingular -> inverse short-period
 (evaluated at the osculating state) -> inverse long-period (evaluated at the
 prime state) -> double-prime mean elements.
 
-mean_to_osculating:  Kepler solve -> double-prime polar-nodal/nonsingular ->
+mean_to_osculating:  Kepler solve -> double-prime nonsingular state ->
 direct long-period -> direct short-period -> Cartesian.
 
-The default path works in the nonsingular variables throughout, so circular
+Every stage uses the full nonsingular forms of the corrections, so circular
 and equatorial orbits need no special-casing; when the mean state is exactly
 equatorial or circular the Delaunay angle split below is conventional
 (f = 0 at e = 0, theta = 0 at s = 0) but every reconstructed output depends
@@ -21,24 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import EquatorialDecompositionError, NonEllipticStateError, ZonalPropError
+from .errors import NonEllipticStateError, ZonalPropError
 from .gravity import GravityField
 from .gravity import small_params
 from .longperiod import CRITICAL_TOL, critical_inclination_guard
 from .secular import SecularRates, secular_rates
-from .states import (CartesianState, DelaunayState, cartesian_to_nonsingular,
-                     nonsingular_to_polar)
-
-FORMULATIONS = ("auto", "nonsingular", "low-inclination", "polar-nodal")
-
-#: default neglect threshold on sin^2 I for the low-inclination forms
-#: (of the order of J2, i.e. roughly sin^2 of 2 degrees)
-LOW_INC_S2 = math.sin(math.radians(2.0)) ** 2
+from .states import CartesianState, DelaunayState, cartesian_to_nonsingular
 
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """Pipeline switches and tolerances.
+    """Pipeline switches and the critical-inclination tolerance.
 
     The periodic-correction stages and the perturbed secular terms can be
     toggled individually for diagnosis; with everything off the pipeline is
@@ -48,15 +41,7 @@ class PropagatorConfig:
     short_period: bool = True
     long_period: bool = True
     secular: bool = True
-    formulation: str = "auto"
     critical_tol: float = CRITICAL_TOL
-    low_inc_threshold: float = LOW_INC_S2
-    polar_s_tol: float = 1e-3
-
-    def __post_init__(self):
-        if self.formulation not in FORMULATIONS:
-            raise ZonalPropError(f"formulation must be one of {FORMULATIONS}, "
-                                 f"got {self.formulation!r}")
 
 
 DEFAULT_CONFIG = PropagatorConfig()
@@ -68,21 +53,8 @@ class MeanElements:
 
     delaunay: DelaunayState
     retrograde: bool          # psi* chart was used
-    formulation: str          # correction formulation actually evaluated
+    formulation: str          # correction formulation evaluated: always "nonsingular"
     conventional_split: bool  # equatorial/circular angle split was conventional
-
-
-def _resolve_formulation(s2: float, config: PropagatorConfig) -> str:
-    if config.formulation == "auto":
-        return "low-inclination" if s2 < config.low_inc_threshold else "nonsingular"
-    return config.formulation
-
-
-_FORM_CODE = {
-    "nonsingular": _kernels.FORM_NONSINGULAR,
-    "low-inclination": _kernels.FORM_LOW_INCLINATION,
-    "polar-nodal": _kernels.FORM_POLAR_NODAL,
-}
 
 
 def _elements_from_mean_state(r, R, Theta, N, theta_ang, psi, retro, mu):
@@ -115,45 +87,15 @@ def osculating_to_mean(cart: CartesianState, field: GravityField,
     """Strip the periodic corrections off an osculating Cartesian state."""
     ns = cartesian_to_nonsingular(cart)
     small_params(ns.Theta, field)  # validates the coefficient combination
-    formulation = _resolve_formulation(ns.s2, config)
     if config.long_period:
         critical_inclination_guard(ns.cos_inclination_abs, config.critical_tol)
     mu, alpha, c20, c30 = field.mu, field.alpha, field.c20, field.c30
-
-    if formulation == "polar-nodal":
-        s = math.sqrt(ns.s2)
-        if s <= config.polar_s_tol:
-            raise EquatorialDecompositionError(
-                "polar-nodal corrections are singular near the equator; "
-                "use the nonsingular formulation")
-        pn = nonsingular_to_polar(ns)
-        st = [pn.r, pn.theta, pn.nu, pn.R, pn.Theta, pn.N]
-        if config.short_period:
-            d = _kernels.short_polar(st[0], st[1], st[3], st[4], st[5], mu, alpha, c20)
-            st = [st[i] - d[i] for i in range(6)]
-        if config.long_period:
-            d = _kernels.long_polar(st[0], st[1], st[3], st[4], st[5], mu, alpha, c20, c30)
-            st = [st[i] - d[i] for i in range(6)]
-        theta_m = st[1]
-        psi_m = theta_m - st[2] if ns.retrograde else theta_m + st[2]
-        delaunay, conventional = _elements_from_mean_state(
-            st[0], st[3], st[4], st[5], theta_m, psi_m, ns.retrograde, mu)
-        return MeanElements(delaunay=delaunay, retrograde=ns.retrograde,
-                            formulation=formulation, conventional_split=conventional)
-
     st = [ns.psi, ns.xi, ns.chi, ns.r, ns.R, ns.Theta]
-    low = formulation == "low-inclination"
     if config.short_period:
-        if low:
-            d = _kernels.short_ns_low(st[1], st[2], st[3], st[4], st[5], mu, alpha, c20)
-        else:
-            d = _kernels.short_ns(st[1], st[2], st[3], st[4], st[5], mu, alpha, c20)
+        d = _kernels.short_ns(st[1], st[2], st[3], st[4], st[5], mu, alpha, c20)
         st = [st[i] - d[i] for i in range(6)]
     if config.long_period:
-        if low:
-            d = _kernels.long_ns_low(st[1], st[2], st[3], st[4], st[5], mu, alpha, c20, c30)
-        else:
-            d = _kernels.long_ns(st[1], st[2], st[3], st[4], st[5], mu, alpha, c20, c30)
+        d = _kernels.long_ns(st[1], st[2], st[3], st[4], st[5], mu, alpha, c20, c30)
         st = [st[i] - d[i] for i in range(6)]
     psi, xi, chi, r, R, Theta = st
     s = math.hypot(xi, chi)
@@ -162,7 +104,7 @@ def osculating_to_mean(cart: CartesianState, field: GravityField,
         r, R, Theta, ns.N, theta_ang, psi, ns.retrograde, mu)
     conventional = conventional or s <= 1e-12
     return MeanElements(delaunay=delaunay, retrograde=ns.retrograde,
-                        formulation=formulation, conventional_split=conventional)
+                        formulation="nonsingular", conventional_split=conventional)
 
 
 def mean_to_osculating(d: DelaunayState, field: GravityField,
@@ -170,18 +112,12 @@ def mean_to_osculating(d: DelaunayState, field: GravityField,
     """Rebuild the osculating Cartesian state from double-prime elements."""
     retro = d.H < 0.0
     small_params(d.G, field)  # validates the coefficient combination
-    s2 = 1.0 - (d.H / d.G) ** 2
-    formulation = _resolve_formulation(s2, config)
-    if formulation == "polar-nodal" and math.sqrt(s2) <= config.polar_s_tol:
-        raise EquatorialDecompositionError(
-            "polar-nodal corrections are singular near the equator; "
-            "use the nonsingular formulation")
     if config.long_period:
-        critical_inclination_guard(math.sqrt(max(0.0, 1.0 - s2)), config.critical_tol)
+        critical_inclination_guard(abs(d.H / d.G), config.critical_tol)
     out = _kernels.reconstruct_and_correct(
         d.ell, d.g, d.h, d.L, d.G, d.H, retro,
         field.mu, field.alpha, field.c20, field.c30,
-        _FORM_CODE[formulation], config.long_period, config.short_period)
+        config.long_period, config.short_period)
     return CartesianState(*out)
 
 
@@ -218,8 +154,8 @@ def ephemeris_array(cart0: CartesianState, t0: float, ts, field: GravityField,
     _kernels.ephemeris_batch(ts, t0, d.ell, d.g, d.h, d.L, d.G, d.H,
                              rates.ell_dot, rates.g_dot, rates.h_dot,
                              mean.retrograde, field.mu, field.alpha,
-                             field.c20, field.c30, _FORM_CODE[mean.formulation],
-                             config.long_period, config.short_period, out)
+                             field.c20, field.c30, config.long_period,
+                             config.short_period, out)
     return out
 
 

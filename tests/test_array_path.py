@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from zonalprop import (EARTH, CartesianState, PropagatorConfig, ephemeris_array,
                        solve_kepler)
 from zonalprop import _kernels
-from zonalprop.propagator import FORMULATIONS
 from conftest import elements_to_cartesian
 
 POS_TOL_KM = 1e-9
@@ -88,8 +87,7 @@ def test_exact_mean_states_through_the_kernel(H_sign):
     ell = np.linspace(-math.pi, math.pi, 50)
     g = 0.3 + 0.01 * ell
     h = 1.1 - 0.02 * ell
-    args = (L, G, H, H < 0.0, EARTH.mu, EARTH.alpha, EARTH.c20, EARTH.c30,
-            _kernels.FORM_NONSINGULAR, True, True)
+    args = (L, G, H, H < 0.0, EARTH.mu, EARTH.alpha, EARTH.c20, EARTH.c30, True, True)
     batch = np.array(_kernels.reconstruct_and_correct(ell, g, h, *args)).T
     ref = np.array([_kernels.reconstruct_and_correct(a, b, c, *args)
                     for a, b, c in zip(ell.tolist(), g.tolist(), h.tolist())])
@@ -123,10 +121,10 @@ def test_bisection_fallback_lanes_match_floats(monkeypatch):
     assert np.max(np.abs(batch - e * np.sin(batch) - _kernels.wrap_pi(ell))) < 5e-15
 
 
-@pytest.mark.parametrize("formulation", FORMULATIONS)
-def test_every_formulation(formulation):
+def test_every_formulation():
+    """The pipeline has one formulation, the default configuration's."""
     cart = _cart(7400.0, 0.2, 45.0, 70.0, 50.0, 80.0)
-    _assert_agree(cart, 0.0, _grid(), PropagatorConfig(formulation=formulation))
+    _assert_agree(cart, 0.0, _grid(), PropagatorConfig())
 
 
 @pytest.mark.parametrize("off", ["long_period", "short_period", "secular"])

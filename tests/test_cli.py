@@ -9,7 +9,7 @@ from zonalprop.cli import main
 from conftest import elements_to_cartesian
 
 
-def _write_config(path, inc_deg=30.0, duration=1800.0, step=600.0, model="j2j3"):
+def _write_config(path, inc_deg=30.0, duration=1800.0, step=600.0, model="j2j3", extra=""):
     cart = elements_to_cartesian(7000.0, 0.05, math.radians(inc_deg), 0.3, 0.7, 1.1)
     path.write_text(f"""
 [gravity]
@@ -31,7 +31,7 @@ epoch = 0.0
 duration = {duration}
 step = {step}
 model = {model}
-""")
+{extra}""")
     return path
 
 
@@ -94,12 +94,14 @@ class TestPropagate:
     @pytest.mark.parametrize("formulation", ["nonsingular", "low-inclination",
                                              "polar-nodal"])
     def test_formulation_selection(self, tmp_path, formulation):
+        """The pipeline has one formulation: ``--formulation`` is rejected."""
         cfg = _write_config(tmp_path / "run.ini", duration=600.0, step=300.0)
         out = tmp_path / f"{formulation}.csv"
-        rc = main(["propagate", "--config", str(cfg), "--ephemeris", str(out),
-                   "--formulation", formulation])
-        assert rc == 0
-        assert len(out.read_text().splitlines()) == 4
+        with pytest.raises(SystemExit) as exc:
+            main(["propagate", "--config", str(cfg), "--ephemeris", str(out),
+                  "--formulation", formulation])
+        assert exc.value.code == 1
+        assert not out.exists()
 
     def test_golden_row(self, tmp_path):
         # frozen from the oracle-checked pipeline (criterion-5 verified build)
@@ -141,6 +143,38 @@ class TestExitCodes:
         rc = main(["propagate", "--config", str(cfg),
                    "--ephemeris", str(tmp_path / "x.csv")])
         assert rc == 1
+
+    def test_unknown_flag_exit_1(self, tmp_path, capsys):
+        # exit status 2 is reserved for the critical-inclination guard
+        cfg = _write_config(tmp_path / "run.ini")
+        with pytest.raises(SystemExit) as exc:
+            main(["propagate", "--config", str(cfg), "--no-such-flag"])
+        assert exc.value.code == 1
+        assert "--no-such-flag" in capsys.readouterr().err
+
+    def test_help_exit_0(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["propagate", "--help"])
+        assert exc.value.code == 0
+
+    @pytest.mark.parametrize("extra, name", [
+        ("short_period = false\n", "short_period"),     # misspelt short-period
+        ("formulation = nonsingular\n", "formulation"),  # removed options
+        ("low-inc-threshold = 1e-3\n", "low-inc-threshold"),
+        ("[output]\nephemris = x.csv\n", "ephemris"),
+        ("[runs]\nduration = 60\n", "[runs]"),
+    ], ids=["short_period", "formulation", "low-inc-threshold", "ephemris", "runs"])
+    def test_unknown_config_key_exit_1(self, tmp_path, capsys, extra, name):
+        cfg = _write_config(tmp_path / "run.ini", extra=extra)
+        out = tmp_path / "x.csv"
+        rc = main(["propagate", "--config", str(cfg), "--ephemeris", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert name in capsys.readouterr().err
+
+    def test_malformed_config_exit_1(self, tmp_path):
+        cfg = _write_config(tmp_path / "run.ini", extra="[run]\nstep = 60\n")
+        assert main(["propagate", "--config", str(cfg)]) == 1
 
 
 class TestCompare:

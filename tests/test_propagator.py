@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from zonalprop import (EARTH, CriticalInclinationError, DelaunayState,
-                       EquatorialDecompositionError, PropagatorConfig,
-                       ZonalPropError, ephemeris, ephemeris_array,
-                       mean_to_osculating, osculating_to_mean,
-                       polar_to_delaunay)
+                       PropagatorConfig, ZonalPropError, apply_correction,
+                       cartesian_to_nonsingular, delaunay_to_polar, ephemeris,
+                       ephemeris_array, long_corrections_polar, mean_to_osculating,
+                       nonsingular_to_cartesian, nonsingular_to_polar,
+                       osculating_to_mean, polar_to_delaunay, polar_to_nonsingular,
+                       propagate_mean, secular_rates, short_corrections_polar)
+from zonalprop.corrections import INVERSE
 from zonalprop.oracle import integrate_grid
 from zonalprop.secular import orbital_period
 from conftest import (angle_diff, cart_distance, elements_to_cartesian,
@@ -44,7 +47,7 @@ class TestOsculatingToMean:
     def test_near_equatorial_processes(self):
         cart = elements_to_cartesian(7000.0, 0.05, math.radians(0.01), 0.3, 0.7, 1.1)
         mean = osculating_to_mean(cart, EARTH)
-        assert mean.formulation == "low-inclination"
+        assert mean.formulation == "nonsingular"
         back = mean_to_osculating(mean.delaunay, EARTH)
         # second-order residual; the odd-zonal terms carry eps3 = O(J3/J2),
         # so the budget here is ~a*eps3^2, tens of meters
@@ -64,12 +67,6 @@ class TestOsculatingToMean:
                                          0.3, 0.7, 1.1)
             with pytest.raises(CriticalInclinationError):
                 osculating_to_mean(cart, EARTH)
-
-    def test_polar_formulation_near_equator_rejected(self):
-        cart = elements_to_cartesian(7000.0, 0.05, math.radians(0.01), 0.3, 0.7, 1.1)
-        cfg = PropagatorConfig(formulation="polar-nodal")
-        with pytest.raises(EquatorialDecompositionError):
-            osculating_to_mean(cart, EARTH, cfg)
 
 
 class TestMeanToOsculating:
@@ -186,10 +183,8 @@ class TestEphemeris:
     def test_formulations_agree(self):
         cart = elements_to_cartesian(7400.0, 0.2, math.radians(45.0), 0.4, 0.9, 1.3)
         ts = np.linspace(0.0, 6000.0, 7)
-        ns = ephemeris_array(cart, 0.0, ts, EARTH,
-                             PropagatorConfig(formulation="nonsingular"))
-        pl = ephemeris_array(cart, 0.0, ts, EARTH,
-                             PropagatorConfig(formulation="polar-nodal"))
+        ns = ephemeris_array(cart, 0.0, ts, EARTH)
+        pl = _polar_nodal_ephemeris(cart, ts, EARTH)
         # same first-order theory in different variables: O(eps2^2) apart
         err = np.sqrt(np.sum((ns[:, :3] - pl[:, :3]) ** 2, axis=1))
         assert err.max() < 5e-3
@@ -231,6 +226,68 @@ class TestEphemeris:
         assert np.array_equal(mean_elements_series(mean, t0, ts, EARTH), ref)
 
 
+def _polar_nodal_ephemeris(cart, ts, field):
+    """The pipeline rebuilt from the per-stage polar-nodal corrections.
+
+    Inverse short-period then inverse long-period correction, secular
+    propagation of the mean Delaunay elements, then direct long-period and
+    direct short-period correction: the same first-order theory as the
+    pipeline, in the variables the chain-rule oracle maps from.
+    """
+    pn = nonsingular_to_polar(cartesian_to_nonsingular(cart))
+    pn = apply_correction(pn, short_corrections_polar(pn, field, INVERSE))
+    pn = apply_correction(pn, long_corrections_polar(pn, field, INVERSE))
+    mean = polar_to_delaunay(pn, field.mu)
+    rates = secular_rates(mean.L, mean.G, mean.H, field)
+    rows = []
+    for t in ts:
+        pt = delaunay_to_polar(propagate_mean(mean, rates, t), field.mu)
+        pt = apply_correction(pt, long_corrections_polar(pt, field))
+        pt = apply_correction(pt, short_corrections_polar(pt, field))
+        c = nonsingular_to_cartesian(polar_to_nonsingular(pt))
+        rows.append((c.x, c.y, c.z, c.vx, c.vy, c.vz))
+    return np.array(rows)
+
+
+class TestOneFormulation:
+    """The full nonsingular forms hold at every inclination, the equator
+    included, so the pipeline never switches to a truncated form."""
+
+    def test_continuous_across_two_degrees(self):
+        # an O(sin^2 I) low-inclination truncation below 2 deg moved this
+        # position by 62.6 m for a 2e-7 deg change of input inclination
+        inc = math.asin(math.sqrt(math.sin(math.radians(2.0)) ** 2))
+        pos = [ephemeris_array(elements_to_cartesian(7000.0, 0.01, inc + math.radians(d),
+                                                     0.3, 0.7, 1.1),
+                               0.0, [3000.0], EARTH)[0, :3]
+               for d in (-1e-7, 1e-7)]
+        assert np.linalg.norm(pos[1] - pos[0]) < 1e-3
+
+    @pytest.mark.parametrize("inc", [0.0, math.pi], ids=["prograde", "retrograde"])
+    def test_equatorial_eccentric_conserves_n(self, inc):
+        # the corrected Theta can fall below |N| on the equator; the Cartesian
+        # map must still return the carried N, not Theta
+        ts = np.linspace(0.0, 86400.0, 5)
+        worst = 0.0
+        for a, e in ((9000.0, 0.25), (14000.0, 0.5)):
+            for ell in np.linspace(-3.0, 3.0, 7):
+                for g in (0.0, 1.0):
+                    cart = elements_to_cartesian(a, e, inc, ell, g, 0.3)
+                    n0 = cart.x * cart.vy - cart.y * cart.vx
+                    out = ephemeris_array(cart, 0.0, ts, EARTH)
+                    n = out[:, 0] * out[:, 4] - out[:, 1] * out[:, 3]
+                    worst = max(worst, float(np.max(np.abs(n - n0))) / abs(n0))
+        assert worst < 1e-13
+
+    def test_low_inclination_geo_accuracy(self):
+        # the low-inclination truncation missed this orbit by 37 m over a day
+        cart = elements_to_cartesian(42164.0, 0.01, math.radians(1.99), 0.3, 0.7, 1.1)
+        ts = np.arange(0.0, 86400.0 + 1.0, 60.0)
+        ana = ephemeris_array(cart, 0.0, ts, EARTH)
+        num = integrate_grid(cart, 0.0, ts, EARTH, tol=1e-12)
+        assert np.max(np.linalg.norm(ana[:, :3] - num[:, :3], axis=1)) < 5e-3
+
+
 class TestDegenerateOrbits:
     """Inclination/eccentricity corner cases through the full pipeline.
 
@@ -245,7 +302,7 @@ class TestDegenerateOrbits:
         r = Theta * Theta / MU
         cart = CartesianState(r, 0.0, 0.0, 0.0, Theta / r, 0.0)
         mean = osculating_to_mean(cart, EARTH)
-        assert mean.formulation == "low-inclination"
+        assert mean.formulation == "nonsingular"
         assert cart_distance(mean_to_osculating(mean.delaunay, EARTH), cart) < 0.05
         ts = np.linspace(0.0, 6000.0, 7)
         ana = ephemeris_array(cart, 0.0, ts, EARTH)
