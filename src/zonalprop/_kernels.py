@@ -20,6 +20,12 @@ which the test suite enforces against finite-difference Poisson brackets.
 The pipeline (``reconstruct_and_correct``) evaluates only the full
 nonsingular forms; the polar-nodal and low-inclination kernels are kept as
 the references the tests compare them against.
+
+Formulas that other layers need too (the small parameters, the P
+coefficients, the rotation factors, the point on the Kepler ellipse and the
+mean-angle advance) are defined here once and called from ``gravity``,
+``states``, ``secular`` and ``benchmark``, so the helpers the tests check
+compute what the pipeline computes.
 """
 
 import sys
@@ -35,6 +41,9 @@ TWO_PI = 2.0 * pi
 KEPLER_TOL = 5e-15
 #: below this eccentricity the orbit is treated as exactly circular
 CIRCULAR_ECC = 1e-12
+#: at or below this sin(I) the orbit counts as equatorial: the node and the
+#: argument of latitude are undefined and their split is conventional
+EQUATORIAL_SIN = 1e-12
 
 #: grids with at least this many epochs are evaluated on arrays; below it the
 #: fixed cost of the NumPy calls (about 0.3 ms per block) outweighs the gain
@@ -107,6 +116,41 @@ def kepler_u(ell, e):
     return u
 
 
+def delaunay_orbit(ell, L, G, mu):
+    """(r, R, f) on the Kepler ellipse of the actions (L, G) at mean anomaly ell.
+
+    L and G are scalars; ell may be a float or an array.  The true anomaly f
+    is on the branch of the eccentric anomaly (|f - ell| < pi).
+    """
+    m = _NUMPY if type(ell) is ndarray else _MATH
+    eta = G / L
+    e2 = 1.0 - eta * eta
+    e = m.sqrt(e2) if e2 > 0.0 else 0.0
+    u = kepler_u(ell, e)
+    r = (L * L / mu) * (1.0 - e * m.cos(u))
+    R = L * e * m.sin(u) / r
+    f = 2.0 * m.atan2(m.sqrt(1.0 + e) * m.sin(0.5 * u), m.sqrt(1.0 - e) * m.cos(0.5 * u))
+    return r, R, f
+
+
+def mean_angles(ell, g, h, ell_dot, g_dot, h_dot, dt):
+    """The mean angles advanced by dt at the secular rates, each in (-pi, pi]."""
+    return wrap_pi(ell + ell_dot * dt), wrap_pi(g + g_dot * dt), wrap_pi(h + h_dot * dt)
+
+
+def small_params(Theta, mu, alpha, c20, c30=0.0):
+    """(p, eps2, eps3) for angular momentum Theta.
+
+    p = Theta^2/mu, eps2 = C20 (alpha/p)^2 / 4 and eps3 = (alpha/p)(C30/C20) / 2,
+    which is 0 when C30 is (the caller rejects C20 = 0 with C30 != 0).  Plain
+    arithmetic, so Theta may be a float or an array.
+    """
+    p = Theta * Theta / mu
+    eps2 = 0.25 * c20 * (alpha / p) * (alpha / p)
+    eps3 = 0.0 if c30 == 0.0 else 0.5 * (alpha / p) * (c30 / c20)
+    return p, eps2, eps3
+
+
 def anomaly_block(kappa, sigma):
     """(e, eta, f, u, ell, phi) from the eccentricity-vector projections.
 
@@ -134,8 +178,7 @@ def anomaly_block(kappa, sigma):
 def short_polar(r, theta, R, Theta, N, mu, alpha, c20):
     """Polar-nodal short-period deltas (dr, dtheta, dnu, dR, dTheta, dN)."""
     m = _NUMPY if type(r) is ndarray else _MATH
-    p = Theta * Theta / mu
-    eps2 = 0.25 * c20 * (alpha / p) * (alpha / p)
+    p, eps2, _ = small_params(Theta, mu, alpha, c20)
     kappa = p / r - 1.0
     sigma = p * R / Theta
     e, eta, f, u, ell, phi = anomaly_block(kappa, sigma)
@@ -165,8 +208,7 @@ def short_ns(xi, chi, r, R, Theta, mu, alpha, c20):
     state components are already the mirrored (|c|) ones.
     """
     m = _NUMPY if type(xi) is ndarray else _MATH
-    p = Theta * Theta / mu
-    eps2 = 0.25 * c20 * (alpha / p) * (alpha / p)
+    p, eps2, _ = small_params(Theta, mu, alpha, c20)
     kappa = p / r - 1.0
     sigma = p * R / Theta
     e, eta, f, u, ell, phi = anomaly_block(kappa, sigma)
@@ -196,8 +238,7 @@ def short_ns(xi, chi, r, R, Theta, mu, alpha, c20):
 
 def short_ns_low(xi, chi, r, R, Theta, mu, alpha, c20):
     """Low-inclination limit of the nonsingular short-period deltas."""
-    p = Theta * Theta / mu
-    eps2 = 0.25 * c20 * (alpha / p) * (alpha / p)
+    p, eps2, _ = small_params(Theta, mu, alpha, c20)
     kappa = p / r - 1.0
     sigma = p * R / Theta
     e, eta, f, u, ell, phi = anomaly_block(kappa, sigma)
@@ -246,13 +287,21 @@ def q_polynomials(c):
             0.25 * (1.0 + 23.0 * c - 20.0 * c2 - 80.0 * c * c2 + 75.0 * c4 + 225.0 * c * c4))
 
 
+def p_coefficients(kappa, sigma, q):
+    """The P coefficients (p1, p2, p3, p4) of the nonsingular long-period
+    corrections, from the tuple ``q`` returned by ``q_polynomials``."""
+    q0, _, q2, _, _, _, q7, q8, q9, q10, q11, q12, _, _, _ = q
+    return (q2 * kappa + q7 * kappa * kappa + q8 * sigma * sigma,
+            q0 * kappa + q9 * kappa * kappa + q10 * sigma * sigma,
+            q2 + q11 * kappa,
+            q0 + q12 * kappa)
+
+
 def long_polar(r, theta, R, Theta, N, mu, alpha, c20, c30):
     """Polar-nodal long-period deltas; requires sin(I) > 0 and a non-critical
     inclination (both enforced by the caller)."""
     m = _NUMPY if type(r) is ndarray else _MATH
-    p = Theta * Theta / mu
-    eps2 = 0.25 * c20 * (alpha / p) * (alpha / p)
-    eps3 = 0.0 if c30 == 0.0 else 0.5 * (alpha / p) * (c30 / c20)
+    p, eps2, eps3 = small_params(Theta, mu, alpha, c20, c30)
     kappa = p / r - 1.0
     sigma = p * R / Theta
     c = N / Theta
@@ -291,9 +340,7 @@ def long_ns(xi, chi, r, R, Theta, mu, alpha, c20, c30, c=None):
     a scalar too.
     """
     m = _NUMPY if type(xi) is ndarray else _MATH
-    p = Theta * Theta / mu
-    eps2 = 0.25 * c20 * (alpha / p) * (alpha / p)
-    eps3 = 0.0 if c30 == 0.0 else 0.5 * (alpha / p) * (c30 / c20)
+    p, eps2, eps3 = small_params(Theta, mu, alpha, c20, c30)
     kappa = p / r - 1.0
     sigma = p * R / Theta
     if c is None:
@@ -304,11 +351,9 @@ def long_ns(xi, chi, r, R, Theta, mu, alpha, c20, c30, c=None):
     c2 = c * c
     g = 1.0 - 5.0 * c2
     g2 = g * g
-    q0, _, q2, _, _, q6, q7, q8, q9, q10, q11, q12, q13, q14, q15 = q_polynomials(c)
-    p1 = q2 * kappa + q7 * kappa * kappa + q8 * sigma * sigma
-    p2 = q0 * kappa + q9 * kappa * kappa + q10 * sigma * sigma
-    p3 = q2 + q11 * kappa
-    p4 = q0 + q12 * kappa
+    q = q_polynomials(c)
+    q6, q13, q14, q15 = q[5], q[12], q[13], q[14]
+    p1, p2, p3, p4 = p_coefficients(kappa, sigma, q)
     w = (1.0 - 15.0 * c2) / (4.0 * g)
     xi2 = xi * xi
     chi2 = chi * chi
@@ -335,9 +380,7 @@ def long_ns(xi, chi, r, R, Theta, mu, alpha, c20, c30, c=None):
 
 def long_ns_low(xi, chi, r, R, Theta, mu, alpha, c20, c30):
     """Low-inclination limit of the nonsingular long-period deltas."""
-    p = Theta * Theta / mu
-    eps2 = 0.25 * c20 * (alpha / p) * (alpha / p)
-    eps3 = 0.0 if c30 == 0.0 else 0.5 * (alpha / p) * (c30 / c20)
+    p, eps2, eps3 = small_params(Theta, mu, alpha, c20, c30)
     kappa = p / r - 1.0
     sigma = p * R / Theta
     k2s2 = kappa * kappa - sigma * sigma
@@ -354,6 +397,13 @@ def long_ns_low(xi, chi, r, R, Theta, mu, alpha, c20, c30):
 # ---------------------------------------------------------------------------
 # state transformations
 # ---------------------------------------------------------------------------
+
+def rotation_factors(xi, chi, c):
+    """Rotation factors (t, tau, q) of the nonsingular <-> Cartesian map at
+    |cos I| = c; regular for every c > -1, floats or arrays."""
+    opc = 1.0 + c
+    return 1.0 - xi * xi / opc, 1.0 - chi * chi / opc, xi * chi / opc
+
 
 def ns_to_cart(psi, xi, chi, r, R, Theta, N, retro):
     """Nonsingular state to Cartesian; c = N/Theta per the carried integral.
@@ -374,10 +424,7 @@ def ns_to_cart(psi, xi, chi, r, R, Theta, N, retro):
     scale = m.sqrt(s2_shell / m.where(s2_state > 0.0, s2_state, 1.0))
     xi = xi * scale
     chi = chi * scale
-    opc = 1.0 + cabs
-    t = 1.0 - xi * xi / opc
-    tau = 1.0 - chi * chi / opc
-    q = xi * chi / opc
+    t, tau, q = rotation_factors(xi, chi, cabs)
     cp = m.cos(psi)
     sp = m.sin(psi)
     x = r * (t * cp + q * sp)
@@ -412,10 +459,7 @@ def cart_to_ns(x, y, z, vx, vy, vz):
     cabs = abs(N) / Theta
     if cabs > 1.0:
         cabs = 1.0
-    opc = 1.0 + cabs
-    t = 1.0 - xi * xi / opc
-    tau = 1.0 - chi * chi / opc
-    q = xi * chi / opc
+    t, tau, q = rotation_factors(xi, chi, cabs)
     den = (t * t + q * q) * r
     sp = (x * q + ym * t) / den
     cp = (x * t - ym * q) / den
@@ -439,17 +483,7 @@ def reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
     (L, G, H) alone stays a scalar.
     """
     m = _NUMPY if type(ell) is ndarray else _MATH
-    eta = G / L
-    e2 = 1.0 - eta * eta
-    e = m.sqrt(e2) if e2 > 0.0 else 0.0
-    a = L * L / mu
-    u = kepler_u(ell, e)
-    su = m.sin(u)
-    cu = m.cos(u)
-    ome = 1.0 - e * cu
-    r0 = a * ome
-    R0 = L * e * su / r0
-    f = 2.0 * m.atan2(m.sqrt(1.0 + e) * m.sin(0.5 * u), m.sqrt(1.0 - e) * m.cos(0.5 * u))
+    r0, R0, f = delaunay_orbit(ell, L, G, mu)
     theta0 = f + g
     psi0 = theta0 - h if retro else theta0 + h
     cth = H / G
@@ -496,10 +530,7 @@ def ephemeris_batch(ts, t0, ell0, g0, h0, L, G, H, ldot, gdot, hdot, retro,
     else:
         chunks = enumerate(ts.tolist())
     for rows, t in chunks:
-        dt = t - t0
-        ell = wrap_pi(ell0 + ldot * dt)
-        g = wrap_pi(g0 + gdot * dt)
-        h = wrap_pi(h0 + hdot * dt)
+        ell, g, h = mean_angles(ell0, g0, h0, ldot, gdot, hdot, t - t0)
         state = reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
                                         with_long, with_short)
         for k in range(6):
@@ -525,8 +556,7 @@ def delaunay_short_series(ell, g, L, G, H, mu, alpha, c20):
     c = H / G
     c2 = c * c
     s2 = 1.0 - c2
-    p = G * G / mu
-    eps2 = 0.25 * c20 * (alpha / p) * (alpha / p)
+    _, eps2, _ = small_params(G, mu, alpha, c20)
     u = kepler_u(ell, e)
     f = 2.0 * atan2(sqrt(1.0 + e) * sin(0.5 * u), sqrt(1.0 - e) * cos(0.5 * u))
     phi = (f - u) + e * sin(u)
@@ -603,9 +633,7 @@ def delaunay_long_series(g, L, G, H, mu, alpha, c20, c30):
     c2 = c * c
     s2 = 1.0 - c2
     s = sqrt(s2)
-    p = G * G / mu
-    eps2 = 0.25 * c20 * (alpha / p) * (alpha / p)
-    eps3 = 0.0 if c30 == 0.0 else 0.5 * (alpha / p) * (c30 / c20)
+    _, eps2, eps3 = small_params(G, mu, alpha, c20, c30)
     gc = 1.0 - 5.0 * c2
     w = (1.0 - 15.0 * c2) / gc
     _, q1, _, _, _, q6 = q_polynomials(c)[:6]

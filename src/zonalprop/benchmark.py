@@ -107,14 +107,7 @@ def run_benchmark(d: DelaunayState, field: GravityField,
     from .longperiod import critical_inclination_guard
     critical_inclination_guard(d.H / d.G)
     mu, alpha, c20, c30 = field.mu, field.alpha, field.c20, field.c30
-    eta = d.G / d.L
-    e = math.sqrt(max(0.0, 1.0 - eta * eta))
-    u = _kernels.kepler_u(d.ell, e)
-    f = 2.0 * math.atan2(math.sqrt(1.0 + e) * math.sin(0.5 * u),
-                         math.sqrt(1.0 - e) * math.cos(0.5 * u))
-    a = d.L * d.L / mu
-    r = a * (1.0 - e * math.cos(u))
-    R = d.L * e * math.sin(u) / r
+    r, R, f = _kernels.delaunay_orbit(d.ell, d.L, d.G, mu)
     theta = f + d.g
     cinc = d.H / d.G
     s = math.sqrt(max(0.0, 1.0 - cinc * cinc))

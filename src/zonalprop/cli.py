@@ -121,17 +121,13 @@ def _time_grid(epoch: float, duration: float, step: float) -> np.ndarray:
     return epoch + step * np.arange(n)
 
 
-def _write_ephemeris(path: str, ts: np.ndarray, states: np.ndarray) -> None:
+def _write_ephemeris(path: str, ts: np.ndarray, rows: np.ndarray,
+                     header: str = "t,x,y,z,X,Y,Z") -> None:
+    """CSV of the rows against time: Cartesian states by default, or mean
+    elements with the header ``t,ell,g,h,L,G,H``."""
     with open(path, "w") as fh:
-        fh.write("t,x,y,z,X,Y,Z\n")
-        for t, row in zip(ts, states):
-            fh.write(",".join([_fmt(t)] + [_fmt(v) for v in row]) + "\n")
-
-
-def _write_mean_elements(path: str, ts: np.ndarray, elements: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,ell,g,h,L,G,H\n")
-        for t, row in zip(ts, elements):
+        fh.write(header + "\n")
+        for t, row in zip(ts, rows):
             fh.write(",".join([_fmt(t)] + [_fmt(v) for v in row]) + "\n")
 
 
@@ -151,8 +147,8 @@ def _cmd_propagate(cp, args) -> int:
     mean_path = _get(cp, "output", "mean-elements", args.mean_elements, None, cast=str)
     if mean_path:
         mean = osculating_to_mean(state, field, config)
-        _write_mean_elements(mean_path, ts,
-                             mean_elements_series(mean, epoch, ts, field, config))
+        _write_ephemeris(mean_path, ts, mean_elements_series(mean, epoch, ts, field, config),
+                         header="t,ell,g,h,L,G,H")
     print(f"wrote {len(ts)} ephemeris rows to {out}")
     return 0
 

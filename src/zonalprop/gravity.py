@@ -3,7 +3,7 @@ inclination-polynomial tables shared by the periodic-correction formulas
 (computed by ``_kernels.q_polynomials``, the one source of the q_j)."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 from . import _kernels
 from .errors import ZonalPropError
@@ -80,14 +80,9 @@ def small_params(Theta: float, field: GravityField) -> SmallParams:
     """Small parameters of the zonal perturbation for angular momentum Theta."""
     if not (Theta > 0.0 and math.isfinite(Theta)):
         raise ZonalPropError(f"Theta must be positive and finite, got {Theta}")
-    p = Theta * Theta / field.mu
-    eps2 = 0.25 * field.c20 * (field.alpha / p) ** 2
-    if field.c20 == 0.0:
-        if field.c30 != 0.0:
-            raise ZonalPropError("eps3 is undefined for c20 = 0 with c30 != 0")
-        eps3 = 0.0
-    else:
-        eps3 = 0.5 * (field.alpha / p) * (field.c30 / field.c20)
+    if field.c20 == 0.0 and field.c30 != 0.0:
+        raise ZonalPropError("eps3 is undefined for c20 = 0 with c30 != 0")
+    p, eps2, eps3 = _kernels.small_params(Theta, field.mu, field.alpha, field.c20, field.c30)
     return SmallParams(eps2=eps2, eps3=eps3, p=p)
 
 
@@ -134,11 +129,4 @@ class PCoefficients:
 
 def p_coefficients(kappa: float, sigma: float, q: InclinationPolynomials) -> PCoefficients:
     """P coefficients entering the nonsingular long-period corrections."""
-    k2 = kappa * kappa
-    s2 = sigma * sigma
-    return PCoefficients(
-        p1=q.q2 * kappa + q.q7 * k2 + q.q8 * s2,
-        p2=q.q0 * kappa + q.q9 * k2 + q.q10 * s2,
-        p3=q.q2 + q.q11 * kappa,
-        p4=q.q0 + q.q12 * kappa,
-    )
+    return PCoefficients(*_kernels.p_coefficients(kappa, sigma, astuple(q)))

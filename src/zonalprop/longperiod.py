@@ -63,13 +63,10 @@ def y1(pn: PolarNodalState, field: GravityField) -> float:
 
 
 def long_corrections_polar(pn: PolarNodalState, field: GravityField,
-                           orientation: str = DIRECT,
-                           critical_tol: float = CRITICAL_TOL,
-                           s_tol: float = POLAR_S_TOL) -> CorrectionSet:
+                           orientation: str = DIRECT) -> CorrectionSet:
     """Polar-nodal long-period deltas (dr, dtheta, dnu, dR, dTheta, 0)."""
-    c = pn.cos_inclination
-    critical_inclination_guard(c, critical_tol)
-    if pn.sin_inclination <= s_tol:
+    critical_inclination_guard(pn.cos_inclination)
+    if pn.sin_inclination <= POLAR_S_TOL:
         raise EquatorialDecompositionError(
             "polar-nodal long-period corrections carry 1/sin(I) terms; "
             "use the nonsingular forms for near-equatorial orbits")
@@ -81,10 +78,9 @@ def long_corrections_polar(pn: PolarNodalState, field: GravityField,
 
 
 def long_corrections_nonsingular(ns: NonsingularState, field: GravityField,
-                                 orientation: str = DIRECT,
-                                 critical_tol: float = CRITICAL_TOL) -> CorrectionSet:
+                                 orientation: str = DIRECT) -> CorrectionSet:
     """Full nonsingular long-period deltas; regular down to the equator."""
-    critical_inclination_guard(ns.cos_inclination_abs, critical_tol)
+    critical_inclination_guard(ns.cos_inclination_abs)
     small_params(ns.Theta, field)
     projections(ns.r, ns.R, ns.Theta, field.mu)
     deltas = _kernels.long_ns(ns.xi, ns.chi, ns.r, ns.R, ns.Theta,

@@ -21,12 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import NonEllipticStateError, ZonalPropError
+from .errors import ZonalPropError
 from .gravity import GravityField
 from .gravity import small_params
 from .longperiod import CRITICAL_TOL, critical_inclination_guard
-from .secular import SecularRates, secular_rates
-from .states import CartesianState, DelaunayState, cartesian_to_nonsingular
+from .secular import SecularRates, mean_motion, secular_rates
+from .states import (CartesianState, DelaunayState, cartesian_to_nonsingular,
+                     ellipse_to_delaunay)
 
 
 @dataclass(frozen=True)
@@ -57,31 +58,6 @@ class MeanElements:
     conventional_split: bool  # equatorial/circular angle split was conventional
 
 
-def _elements_from_mean_state(r, R, Theta, N, theta_ang, psi, retro, mu):
-    """Assemble double-prime Delaunay elements from a corrected mean state."""
-    v2 = R * R + (Theta / r) ** 2
-    ainv = 2.0 / r - v2 / mu
-    if ainv <= 0.0:
-        raise NonEllipticStateError("mean state is not elliptic")
-    a = 1.0 / ainv
-    p = Theta * Theta / mu
-    kappa = p / r - 1.0
-    sigma = p * R / Theta
-    e, eta, f, u, ell, phi = _kernels.anomaly_block(kappa, sigma)
-    if e >= 1.0:
-        raise NonEllipticStateError("mean state is not elliptic")
-    g = _kernels.wrap_pi(theta_ang - f)
-    h = _kernels.wrap_pi(theta_ang - psi if retro else psi - theta_ang)
-    L = math.sqrt(mu * a)
-    G = Theta
-    # the corrected Theta and the carried N can disagree at O(eps2^2) for
-    # near-polar states; N stays the exact integral, G the mean momentum
-    H = math.copysign(G, N) if abs(N) > G else N
-    conventional = e < 1e-12
-    return DelaunayState(ell=_kernels.wrap_pi(ell), g=g, h=h,
-                         L=max(L, G), G=G, H=H), conventional
-
-
 def osculating_to_mean(cart: CartesianState, field: GravityField,
                        config: PropagatorConfig = DEFAULT_CONFIG) -> MeanElements:
     """Strip the periodic corrections off an osculating Cartesian state."""
@@ -98,13 +74,12 @@ def osculating_to_mean(cart: CartesianState, field: GravityField,
         d = _kernels.long_ns(st[1], st[2], st[3], st[4], st[5], mu, alpha, c20, c30)
         st = [st[i] - d[i] for i in range(6)]
     psi, xi, chi, r, R, Theta = st
-    s = math.hypot(xi, chi)
-    theta_ang = math.atan2(xi, chi) if s > 1e-12 else 0.0
-    delaunay, conventional = _elements_from_mean_state(
-        r, R, Theta, ns.N, theta_ang, psi, ns.retrograde, mu)
-    conventional = conventional or s <= 1e-12
+    equatorial = math.hypot(xi, chi) <= _kernels.EQUATORIAL_SIN
+    theta = 0.0 if equatorial else math.atan2(xi, chi)
+    h = theta - psi if ns.retrograde else psi - theta
+    delaunay, circular = ellipse_to_delaunay(r, theta, h, R, Theta, ns.N, mu)
     return MeanElements(delaunay=delaunay, retrograde=ns.retrograde,
-                        formulation="nonsingular", conventional_split=conventional)
+                        formulation="nonsingular", conventional_split=circular or equatorial)
 
 
 def mean_to_osculating(d: DelaunayState, field: GravityField,
@@ -163,7 +138,7 @@ def _rates_for(d: DelaunayState, field: GravityField,
                config: PropagatorConfig) -> SecularRates:
     if config.secular:
         return secular_rates(d.L, d.G, d.H, field)
-    return SecularRates(ell_dot=field.mu ** 2 / d.L ** 3, g_dot=0.0, h_dot=0.0)
+    return SecularRates(ell_dot=mean_motion(d.L, field), g_dot=0.0, h_dot=0.0)
 
 
 def mean_elements_series(mean: MeanElements, t0: float, ts, field: GravityField,
@@ -173,8 +148,7 @@ def mean_elements_series(mean: MeanElements, t0: float, ts, field: GravityField,
     d = mean.delaunay
     rates = _rates_for(d, field, config)
     out = np.empty((dt.shape[0], 6), dtype=float)
-    out[:, 0] = _kernels.wrap_pi(d.ell + rates.ell_dot * dt)
-    out[:, 1] = _kernels.wrap_pi(d.g + rates.g_dot * dt)
-    out[:, 2] = _kernels.wrap_pi(d.h + rates.h_dot * dt)
+    out[:, 0], out[:, 1], out[:, 2] = _kernels.mean_angles(
+        d.ell, d.g, d.h, rates.ell_dot, rates.g_dot, rates.h_dot, dt)
     out[:, 3:] = (d.L, d.G, d.H)
     return out

@@ -44,21 +44,19 @@ def mean_hamiltonian(L: float, G: float, H: float, field: GravityField) -> float
     amp = field.mu * field.mu / (2.0 * L * L)
     eta = G / L
     s2 = 1.0 - (H / G) ** 2
-    p = G * G / field.mu
-    eps2 = 0.25 * field.c20 * (field.alpha / p) ** 2
+    _, eps2, _ = _kernels.small_params(G, field.mu, field.alpha, field.c20)
     b, _, _ = _bracket_terms(eta, s2)
     return -amp * (1.0 - eps2 * eta * (4.0 - 6.0 * s2) + 0.75 * eps2 * eps2 * eta * b)
 
 
 def secular_rates(L: float, G: float, H: float, field: GravityField) -> SecularRates:
     """Analytic partials of the mean Hamiltonian wrt (L, G, H)."""
-    n = field.mu * field.mu / L ** 3
+    n = mean_motion(L, field)
     eta = G / L
     c = H / G
     c2 = c * c
     s2 = 1.0 - c2
-    p = G * G / field.mu
-    eps2 = 0.25 * field.c20 * (field.alpha / p) ** 2
+    _, eps2, _ = _kernels.small_params(G, field.mu, field.alpha, field.c20)
     b, b_eta, b_s2 = _bracket_terms(eta, s2)
     ell_dot = n * (1.0 - 1.5 * eps2 * eta * (4.0 - 6.0 * s2)
                    + 0.375 * eps2 * eps2 * eta * (3.0 * b + eta * b_eta))
@@ -70,12 +68,9 @@ def secular_rates(L: float, G: float, H: float, field: GravityField) -> SecularR
 
 def propagate_mean(d: DelaunayState, rates: SecularRates, dt: float) -> DelaunayState:
     """Advance the mean angles by rate*dt (mod 2 pi); actions unchanged."""
-    return DelaunayState(
-        ell=_kernels.wrap_pi(d.ell + rates.ell_dot * dt),
-        g=_kernels.wrap_pi(d.g + rates.g_dot * dt),
-        h=_kernels.wrap_pi(d.h + rates.h_dot * dt),
-        L=d.L, G=d.G, H=d.H,
-    )
+    ell, g, h = _kernels.mean_angles(d.ell, d.g, d.h,
+                                     rates.ell_dot, rates.g_dot, rates.h_dot, dt)
+    return DelaunayState(ell=ell, g=g, h=h, L=d.L, G=d.G, H=d.H)
 
 
 def mean_motion(L: float, field: GravityField) -> float:

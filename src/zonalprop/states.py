@@ -125,8 +125,7 @@ class RotationAux:
 
 def rotation_aux(xi: float, chi: float, c_abs: float) -> RotationAux:
     """t, tau, q for |cos I| = c_abs; regular as long as c_abs > -1."""
-    opc = 1.0 + c_abs
-    return RotationAux(t=1.0 - xi * xi / opc, tau=1.0 - chi * chi / opc, q=xi * chi / opc)
+    return RotationAux(*_kernels.rotation_factors(xi, chi, c_abs))
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +146,11 @@ def polar_to_nonsingular(pn: PolarNodalState) -> NonsingularState:
     )
 
 
-def nonsingular_to_polar(ns: NonsingularState, s_tol: float = 1e-12) -> PolarNodalState:
-    """Inverse map; fails when sin(I) <= s_tol (theta, nu undefined there)."""
+def nonsingular_to_polar(ns: NonsingularState) -> PolarNodalState:
+    """Inverse map; fails when sin(I) <= ``_kernels.EQUATORIAL_SIN`` (theta,
+    nu undefined there)."""
     s = math.hypot(ns.xi, ns.chi)
-    if s <= s_tol:
+    if s <= _kernels.EQUATORIAL_SIN:
         raise EquatorialDecompositionError(
             "node and argument of latitude are undefined for an equatorial "
             "orbit; convert through Cartesian coordinates instead")
@@ -180,13 +180,17 @@ def nonsingular_to_cartesian(ns: NonsingularState) -> CartesianState:
     return CartesianState(x, y, z, vx, vy, vz)
 
 
-def cartesian_to_nonsingular(cart: CartesianState, mu: float | None = None) -> NonsingularState:
-    """Inverse map; purely geometric (mu is accepted for interface symmetry).
+def cartesian_to_nonsingular(cart: CartesianState) -> NonsingularState:
+    """Inverse map; purely geometric.
 
-    Raises for rectilinear states (vanishing angular momentum).  The chart is
-    selected by the sign of N, so equatorial retrograde states convert
-    without trouble.
+    Raises for non-finite components and for rectilinear states (vanishing
+    angular momentum).  The chart is selected by the sign of N, so
+    equatorial retrograde states convert without trouble.
     """
+    for name in ("x", "y", "z", "vx", "vy", "vz"):
+        value = getattr(cart, name)
+        if not math.isfinite(value):
+            raise ZonalPropError(f"state component {name} must be finite, got {value}")
     rnorm = math.sqrt(cart.x ** 2 + cart.y ** 2 + cart.z ** 2)
     if rnorm <= 0.0:
         raise ZonalPropError("position norm must be positive")
@@ -207,16 +211,7 @@ def cartesian_to_nonsingular(cart: CartesianState, mu: float | None = None) -> N
 
 def delaunay_to_polar(d: DelaunayState, mu: float) -> PolarNodalState:
     """Kepler solve for u, then r, R, theta = f + g, nu = h."""
-    eta = d.G / d.L
-    e = math.sqrt(max(0.0, 1.0 - eta * eta))
-    a = d.L * d.L / mu
-    u = _kernels.kepler_u(d.ell, e)
-    su, cu = math.sin(u), math.cos(u)
-    ome = 1.0 - e * cu
-    r = a * ome
-    R = d.L * e * su / r
-    f = 2.0 * math.atan2(math.sqrt(1.0 + e) * math.sin(0.5 * u),
-                         math.sqrt(1.0 - e) * math.cos(0.5 * u))
+    r, R, f = _kernels.delaunay_orbit(d.ell, d.L, d.G, mu)
     return PolarNodalState(r=r, theta=_kernels.wrap_pi(f + d.g), nu=_kernels.wrap_pi(d.h),
                            R=R, Theta=d.G, N=d.H)
 
@@ -228,16 +223,32 @@ def polar_to_delaunay(pn: PolarNodalState, mu: float) -> DelaunayState:
     standard convention f = 0 (h = nu), leaving the sums f + g and g + h
     well defined.
     """
-    v2 = pn.R * pn.R + (pn.Theta / pn.r) ** 2
-    ainv = 2.0 / pn.r - v2 / mu
+    return ellipse_to_delaunay(pn.r, pn.theta, pn.nu, pn.R, pn.Theta, pn.N, mu)[0]
+
+
+def ellipse_to_delaunay(r: float, theta: float, h: float, R: float, Theta: float,
+                        N: float, mu: float) -> tuple[DelaunayState, bool]:
+    """Delaunay elements of the osculating ellipse through (r, R, Theta) with
+    argument of latitude theta, node h and polar momentum N, and whether the
+    ellipse counts as circular (e < ``_kernels.CIRCULAR_ECC``: the split
+    f = 0 is then conventional).
+
+    H = N exactly, and G = max(Theta, |N|): a corrected Theta that fell below
+    |N| near the equator is raised instead of changing the integral N.
+    Raises NonEllipticStateError for non-negative energy or e >= 1.
+    """
+    v2 = R * R + (Theta / r) ** 2
+    ainv = 2.0 / r - v2 / mu
     if ainv <= 0.0:
         raise NonEllipticStateError("state is not elliptic (non-negative energy)")
     a = 1.0 / ainv
-    p = pn.Theta * pn.Theta / mu
-    kappa = p / pn.r - 1.0
-    sigma = p * pn.R / pn.Theta
+    p = Theta * Theta / mu
+    kappa = p / r - 1.0
+    sigma = p * R / Theta
     e, eta, f, u, ell, phi = _kernels.anomaly_block(kappa, sigma)
     if e >= 1.0:
         raise NonEllipticStateError(f"state is not elliptic (e = {e})")
-    return DelaunayState(ell=_kernels.wrap_pi(ell), g=_kernels.wrap_pi(pn.theta - f),
-                         h=_kernels.wrap_pi(pn.nu), L=math.sqrt(mu * a), G=pn.Theta, H=pn.N)
+    G = max(Theta, abs(N))
+    d = DelaunayState(ell=_kernels.wrap_pi(ell), g=_kernels.wrap_pi(theta - f),
+                      h=_kernels.wrap_pi(h), L=max(math.sqrt(mu * a), G), G=G, H=N)
+    return d, e < _kernels.CIRCULAR_ECC

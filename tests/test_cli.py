@@ -152,6 +152,14 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert "--no-such-flag" in capsys.readouterr().err
 
+    def test_non_finite_state_exit_1(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "run.ini")
+        out = tmp_path / "x.csv"
+        rc = main(["propagate", "--config", str(cfg), "--ephemeris", str(out), "--vz", "nan"])
+        assert rc == 1
+        assert "state component vz must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_exit_0(self):
         with pytest.raises(SystemExit) as exc:
             main(["propagate", "--help"])

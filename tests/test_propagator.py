@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zonalprop import (EARTH, CriticalInclinationError, DelaunayState,
+from zonalprop import (EARTH, CartesianState, CriticalInclinationError, DelaunayState,
                        PropagatorConfig, ZonalPropError, apply_correction,
                        cartesian_to_nonsingular, delaunay_to_polar, ephemeris,
                        ephemeris_array, long_corrections_polar, mean_to_osculating,
@@ -278,6 +280,39 @@ class TestOneFormulation:
                     n = out[:, 0] * out[:, 4] - out[:, 1] * out[:, 3]
                     worst = max(worst, float(np.max(np.abs(n - n0))) / abs(n0))
         assert worst < 1e-13
+
+    def test_mean_theta_below_n_keeps_n(self):
+        # near-equatorial state whose mean Theta falls below |N|: G must be
+        # raised to |N| so that H = N stays the carried integral
+        t0 = -54999.84456919045
+        cart = CartesianState(-29917.50760288284, -1181.4926607214777, 14.91437742607696,
+                              2.6668337209813124, -2.1972850221803615,
+                              -0.0023788330217136616)
+        n0 = cart.x * cart.vy - cart.y * cart.vx
+        mean = osculating_to_mean(cart, EARTH).delaunay
+        assert mean.H == n0
+        assert mean.G >= abs(n0)
+        out = ephemeris_array(cart, t0, [0.0, t0], EARTH)
+        n = out[:, 0] * out[:, 4] - out[:, 1] * out[:, 3]
+        assert np.max(np.abs(n - n0)) / abs(n0) < 1e-11
+
+    # the inclination is log-uniform in 0.001-2 deg: the mean Theta falls
+    # below |N| mostly under 0.05 deg, at e above about 0.08
+    @settings(max_examples=60, deadline=None)
+    @given(perigee_alt=st.floats(300.0, 2000.0), e=st.floats(0.0, 0.75),
+           log_inc_deg=st.floats(-3.0, math.log10(2.0), exclude_max=True),
+           retro=st.booleans(), ell=st.floats(-math.pi, math.pi),
+           g=st.floats(-math.pi, math.pi), h=st.floats(-math.pi, math.pi),
+           t0=st.floats(-86400.0, 0.0))
+    def test_near_equatorial_keeps_n(self, perigee_alt, e, log_inc_deg, retro, ell, g, h, t0):
+        inc_deg = 10.0 ** log_inc_deg
+        inc = math.radians(180.0 - inc_deg if retro else inc_deg)
+        cart = elements_to_cartesian((EARTH.alpha + perigee_alt) / (1.0 - e), e, inc,
+                                     ell, g, h)
+        n0 = cart.x * cart.vy - cart.y * cart.vx
+        out = ephemeris_array(cart, t0, [0.0, t0], EARTH)
+        n = out[:, 0] * out[:, 4] - out[:, 1] * out[:, 3]
+        assert np.max(np.abs(n - n0)) / abs(n0) < 1e-11
 
     def test_low_inclination_geo_accuracy(self):
         # the low-inclination truncation missed this orbit by 37 m over a day

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,8 @@ from zonalprop import (EARTH, CartesianState, ChartError, DelaunayState,
                        PolarNodalState, ZonalPropError,
                        cartesian_to_nonsingular, delaunay_to_polar,
                        nonsingular_to_cartesian, nonsingular_to_polar,
-                       polar_to_delaunay, polar_to_nonsingular, rotation_aux)
+                       osculating_to_mean, polar_to_delaunay, polar_to_nonsingular,
+                       rotation_aux)
 from conftest import angle_diff
 
 MU = EARTH.mu
@@ -132,7 +134,7 @@ class TestNonsingularCartesian:
 
     def test_inverse_example(self):
         cart = CartesianState(1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
-        ns = cartesian_to_nonsingular(cart, 1.0)
+        ns = cartesian_to_nonsingular(cart)
         assert ns.psi == pytest.approx(0.0, abs=1e-15)
         assert ns.xi == 0.0 and ns.chi == 0.0
         assert ns.r == 1.0 and ns.R == 0.0
@@ -183,6 +185,16 @@ class TestNonsingularCartesian:
         cart = CartesianState(7000.0, 0.0, 0.0, 1.0, 0.0, 0.0)
         with pytest.raises(ZonalPropError):
             cartesian_to_nonsingular(cart)
+
+    @pytest.mark.parametrize("name", ["y", "vz"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_component_named(self, name, value):
+        # the bad component is named before a NaN reaches r or Theta
+        cart = replace(CartesianState(7000.0, 10.0, 20.0, 0.1, 7.5, 0.2), **{name: value})
+        for convert in (cartesian_to_nonsingular,
+                        lambda c: osculating_to_mean(c, EARTH)):
+            with pytest.raises(ZonalPropError, match=f"state component {name} must be finite"):
+                convert(cart)
 
 
 class TestDelaunayPolar:
