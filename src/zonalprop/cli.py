@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from ._kernels import EPOCH_BLOCK
 from .benchmark import format_report, run_benchmark
 from .errors import ConfigError, CriticalInclinationError, ZonalPropError
 from .gravity import EARTH, GravityField
@@ -115,10 +116,26 @@ def _build_run(cp, args):
 
 
 def _time_grid(epoch: float, duration: float, step: float) -> np.ndarray:
+    for name, value in (("epoch", epoch), ("duration", duration), ("step", step)):
+        if not math.isfinite(value):
+            raise ConfigError(f"run setting {name} must be finite, got {value}")
     if duration < 0.0 or step <= 0.0:
         raise ConfigError("duration must be >= 0 and step > 0")
     n = int(math.floor(duration / step + 1e-9)) + 1
     return epoch + step * np.arange(n)
+
+
+def _write_table(fh, columns, sep: str) -> None:
+    """Write the columns (1-D or 2-D arrays of one length) side by side, one
+    line per row, each value as ``%.17g``: the bytes of ``_fmt`` per value.
+
+    Formats ``EPOCH_BLOCK`` rows per write, so memory stays bounded.
+    """
+    n = len(columns[0])
+    for i in range(0, n, EPOCH_BLOCK):
+        block = np.column_stack([c[i:i + EPOCH_BLOCK] for c in columns])
+        row = sep.join(["%.17g"] * block.shape[1]) + "\n"
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_ephemeris(path: str, ts: np.ndarray, rows: np.ndarray,
@@ -127,8 +144,7 @@ def _write_ephemeris(path: str, ts: np.ndarray, rows: np.ndarray,
     elements with the header ``t,ell,g,h,L,G,H``."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for t, row in zip(ts, rows):
-            fh.write(",".join([_fmt(t)] + [_fmt(v) for v in row]) + "\n")
+        _write_table(fh, (ts, rows), ",")
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +215,14 @@ def _cmd_compare(cp, args) -> int:
         fh.write(f"model = {model}\n")
         fh.write(f"integrator_tol = {_fmt(tol)}\n")
         fh.write("columns: t position_error velocity_error\n")
-        for t, pe, ve in zip(ts, pos_err, vel_err):
-            fh.write(f"{_fmt(t)} {_fmt(pe)} {_fmt(ve)}\n")
+        _write_table(fh, (ts, pos_err, vel_err), " ")
         fh.write(f"rms_position_error = {_fmt(float(np.sqrt(np.mean(pos_err ** 2))))}\n")
         fh.write(f"max_position_error = {_fmt(float(pos_err.max()))}\n")
         fh.write(f"rms_velocity_error = {_fmt(float(np.sqrt(np.mean(vel_err ** 2))))}\n")
         fh.write(f"max_velocity_error = {_fmt(float(vel_err.max()))}\n")
         fh.write("# J2-inflation scaling (odd zonal off, one orbital period)\n")
         fh.write("columns: lambda rms_position_error\n")
-        for lam, err in slope_rows:
-            fh.write(f"{_fmt(lam)} {_fmt(err)}\n")
+        _write_table(fh, (np.array(slope_rows),), " ")
         fh.write(f"slope = {slope:.3f}\n")
     print(f"wrote comparison report to {out} (scaling slope {slope:.3f})")
     return 0

@@ -60,7 +60,12 @@ class MeanElements:
 
 def osculating_to_mean(cart: CartesianState, field: GravityField,
                        config: PropagatorConfig = DEFAULT_CONFIG) -> MeanElements:
-    """Strip the periodic corrections off an osculating Cartesian state."""
+    """Strip the periodic corrections off an osculating Cartesian state.
+
+    With the long-period stage on, raises CriticalInclinationError when the
+    osculating or the mean inclination lies inside the critical band: the
+    mean one is the ratio mean_to_osculating checks.
+    """
     ns = cartesian_to_nonsingular(cart)
     small_params(ns.Theta, field)  # validates the coefficient combination
     if config.long_period:
@@ -78,6 +83,8 @@ def osculating_to_mean(cart: CartesianState, field: GravityField,
     theta = 0.0 if equatorial else math.atan2(xi, chi)
     h = theta - psi if ns.retrograde else psi - theta
     delaunay, circular = ellipse_to_delaunay(r, theta, h, R, Theta, ns.N, mu)
+    if config.long_period:
+        critical_inclination_guard(abs(delaunay.H / delaunay.G), config.critical_tol)
     return MeanElements(delaunay=delaunay, retrograde=ns.retrograde,
                         formulation="nonsingular", conventional_split=circular or equatorial)
 

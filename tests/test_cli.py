@@ -1,12 +1,22 @@
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zonalprop.cli import main
+from zonalprop import EARTH, _kernels
+from zonalprop._kernels import EPOCH_BLOCK
+from zonalprop.cli import _write_ephemeris, _write_table, main
 from conftest import elements_to_cartesian
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "example-config.ini"
 
 
 def _write_config(path, inc_deg=30.0, duration=1800.0, step=600.0, model="j2j3", extra=""):
@@ -115,6 +125,73 @@ class TestPropagate:
         assert row == pytest.approx(golden, rel=1e-12, abs=1e-12)
 
 
+def _old_row(values, sep=","):
+    """The per-row form the writer replaced: one ``{:.17g}`` per value."""
+    return sep.join(f"{v:.17g}" for v in values) + "\n"
+
+
+#: every finite double, with the extremes drawn explicitly as well
+_doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7e308, -1.7e308, 1.7976931348623157e308]))
+_times = st.one_of(_doubles, st.integers(-2 ** 53, 2 ** 53).map(float))
+
+
+class TestWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_times, st.lists(_doubles, min_size=6, max_size=6)),
+                    min_size=1, max_size=20))
+    def test_rows_match_per_value_format(self, table):
+        ts = np.array([t for t, _ in table])
+        rows = np.array([row for _, row in table])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "e.csv")
+            _write_ephemeris(path, ts, rows)
+            with open(path) as fh:
+                text = fh.read()
+        expected = "t,x,y,z,X,Y,Z\n" + "".join(
+            _old_row([t] + list(row)) for t, row in zip(ts, rows))
+        assert text == expected
+
+    def test_block_edges_round_trip(self, tmp_path):
+        n = 2 * EPOCH_BLOCK + 1
+        rng = np.random.default_rng(5)
+        ts = 0.1 * np.arange(n) - 7.0
+        rows = rng.standard_normal((n, 6)) * 10.0 ** rng.integers(-300, 300, (n, 6))
+        path = tmp_path / "e.csv"
+        _write_ephemeris(str(path), ts, rows)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + n
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(back[:, 0], ts)  # row order kept across blocks
+        assert np.array_equal(back[:, 1:], rows)
+
+    def test_example_config_golden_line(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert main(["propagate", "--config", str(EXAMPLE_CONFIG),
+                     "--ephemeris", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == (
+            "0,-2862.0317444048746,5299.0263777681184,2860.3606014313359,"
+            "-6.2690101816080341,-4.3565725512140947,2.0847309218156367")
+
+    def test_compare_table_matches_per_row_form(self):
+        # the compare report's t / position / velocity error table, over one
+        # block edge
+        n = EPOCH_BLOCK + 3
+        ts = 60.0 * np.arange(n) - 1800.0
+        pos_err = np.abs(np.sin(ts)) * 1e-3 + 1e-9
+        vel_err = pos_err * 1.1e-3
+        fh = io.StringIO()
+        _write_table(fh, (ts, pos_err, vel_err), " ")
+        got = fh.getvalue().splitlines(keepends=True)
+        want = [_old_row(r, " ") for r in zip(ts, pos_err, vel_err)]
+        assert len(got) == n
+        # first differing line only: a diff of the whole table is slow to print
+        bad = next((i for i in range(n) if got[i] != want[i]), None)
+        assert bad is None, (bad, got[bad], want[bad])
+
+
 class TestExitCodes:
     def test_critical_inclination_exit_2(self, tmp_path):
         cfg = _write_config(tmp_path / "run.ini", inc_deg=63.435)
@@ -158,6 +235,38 @@ class TestExitCodes:
         rc = main(["propagate", "--config", str(cfg), "--ephemeris", str(out), "--vz", "nan"])
         assert rc == 1
         assert "state component vz must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")  # no NumPy RuntimeWarning on the way
+    @pytest.mark.parametrize("setting, value", [
+        ("epoch", "inf"), ("epoch", "nan"),
+        ("duration", "inf"), ("duration", "nan"),
+        ("step", "inf"), ("step", "nan"),
+    ])
+    def test_non_finite_run_setting_exit_1(self, tmp_path, capsys, setting, value):
+        cfg = _write_config(tmp_path / "run.ini")
+        out = tmp_path / "x.csv"
+        rc = main(["propagate", "--config", str(cfg), "--ephemeris", str(out),
+                   f"--{setting}", value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"run setting {setting} must be finite, got {value}" in err
+        assert not out.exists()
+
+    def test_mean_critical_inclination_exit_2(self, tmp_path):
+        # mean |1 - 5c^2| = 8e-4 inside the band, osculating one outside it
+        mu = EARTH.mu
+        L = math.sqrt(mu * 7000.0)
+        G = L * math.sqrt(1.0 - 0.05 ** 2)
+        H = G * math.sqrt((1.0 - 8e-4) / 5.0)
+        state = _kernels.reconstruct_and_correct(0.0, 0.0, 0.0, L, G, H, False, mu,
+                                                 EARTH.alpha, EARTH.c20, EARTH.c30,
+                                                 False, True)
+        cfg = _write_config(tmp_path / "run.ini")
+        out = tmp_path / "x.csv"
+        flags = [f"--{k}={v!r}" for k, v in zip(("x", "y", "z", "vx", "vy", "vz"), state)]
+        rc = main(["propagate", "--config", str(cfg), "--ephemeris", str(out), *flags])
+        assert rc == 2
         assert not out.exists()
 
     def test_help_exit_0(self):

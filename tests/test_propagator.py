@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zonalprop import _kernels
 from zonalprop import (EARTH, CartesianState, CriticalInclinationError, DelaunayState,
                        PropagatorConfig, ZonalPropError, apply_correction,
                        cartesian_to_nonsingular, delaunay_to_polar, ephemeris,
@@ -69,6 +70,34 @@ class TestOsculatingToMean:
                                          0.3, 0.7, 1.1)
             with pytest.raises(CriticalInclinationError):
                 osculating_to_mean(cart, EARTH)
+
+    @pytest.mark.parametrize("side, angles", [
+        (1.0, (0.0, 0.0, 0.0)), (1.0, (2.0, 0.4, 1.1)), (-1.0, (0.3, 0.7, 1.1)),
+    ])
+    @pytest.mark.parametrize("retro", [False, True], ids=["direct", "retrograde"])
+    def test_mean_inclination_guarded(self, side, angles, retro):
+        """The guard also checks the mean inclination, which can sit inside
+        the band while the osculating one is outside it."""
+        # mean |1 - 5c^2| = 8e-4 inside the 1e-3 band; osculating state from
+        # the short-period correction alone
+        c = math.sqrt((1.0 - side * 8e-4) / 5.0)
+        L = math.sqrt(MU * 7000.0)
+        G = L * math.sqrt(1.0 - 0.05 ** 2)
+        H = -G * c if retro else G * c
+        cart = CartesianState(*_kernels.reconstruct_and_correct(
+            *angles, L, G, H, retro, MU, EARTH.alpha, EARTH.c20, EARTH.c30, False, True))
+        osc_c = cartesian_to_nonsingular(cart).cos_inclination_abs
+        assert abs(1.0 - 5.0 * osc_c * osc_c) >= 1e-3  # the osculating check passes
+        with pytest.raises(CriticalInclinationError):
+            ephemeris_array(cart, 0.0, [0.0, 600.0], EARTH)
+        # the mean elements a narrower band admits are the ones
+        # mean_to_osculating rejects at the default band
+        mean = osculating_to_mean(cart, EARTH, PropagatorConfig(critical_tol=1e-4))
+        with pytest.raises(CriticalInclinationError):
+            mean_to_osculating(mean.delaunay, EARTH)
+        # without the long-period stage the band does not apply
+        assert np.all(np.isfinite(ephemeris_array(
+            cart, 0.0, [0.0], EARTH, PropagatorConfig(long_period=False))))
 
 
 class TestMeanToOsculating:
