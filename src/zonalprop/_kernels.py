@@ -120,16 +120,21 @@ def delaunay_orbit(ell, L, G, mu):
     """(r, R, f) on the Kepler ellipse of the actions (L, G) at mean anomaly ell.
 
     L and G are scalars; ell may be a float or an array.  The true anomaly f
-    is on the branch of the eccentric anomaly (|f - ell| < pi).
+    is on the branch of the eccentric anomaly (|f - ell| < pi):
+    f = u + 2 atan2(beta sin u, 1 - beta cos u) with beta = e / (1 + eta),
+    where 1 - beta cos u > 0, so sin u and cos u are the only other trig.
     """
     m = _NUMPY if type(ell) is ndarray else _MATH
     eta = G / L
     e2 = 1.0 - eta * eta
     e = m.sqrt(e2) if e2 > 0.0 else 0.0
     u = kepler_u(ell, e)
-    r = (L * L / mu) * (1.0 - e * m.cos(u))
-    R = L * e * m.sin(u) / r
-    f = 2.0 * m.atan2(m.sqrt(1.0 + e) * m.sin(0.5 * u), m.sqrt(1.0 - e) * m.cos(0.5 * u))
+    su = m.sin(u)
+    cu = m.cos(u)
+    r = (L * L / mu) * (1.0 - e * cu)
+    R = L * e * su / r
+    beta = e / (1.0 + eta)
+    f = u + 2.0 * m.atan2(beta * su, 1.0 - beta * cu)
     return r, R, f
 
 
@@ -157,18 +162,26 @@ def anomaly_block(kappa, sigma):
     f and u share a branch in (-pi, pi]; phi = f - ell is the equation of
     the center.  Below e = CIRCULAR_ECC the orbit is treated as exactly
     circular: e, f, u, ell and phi are 0 and eta is 1.
+
+    Closed forms in kappa = e cos f and sigma = e sin f, with two atan2 and
+    no other trig: f - u = 2 atan2(sigma, 1 + eta + kappa) and
+    e sin u = eta sigma / (1 + kappa).  As 1 + kappa >= 1 - e > 0, u = f - (f - u)
+    stays on f's branch, and circular lanes (kappa, sigma zeroed) give exact
+    zeros.  eta^2 = (1 - kappa)(1 + kappa) - sigma^2 keeps its digits as
+    e -> 1, where 1 - e^2 would cancel.
     """
     m = _NUMPY if type(kappa) is ndarray else _MATH
     e = m.hypot(kappa, sigma)
     circular = e < CIRCULAR_ECC
     e = m.where(circular, 0.0, e)
-    eta = m.sqrt(1.0 - e * e)
-    f = m.where(circular, 0.0, m.atan2(sigma, kappa))
-    u = 2.0 * m.atan2(m.sqrt(1.0 - e) * m.sin(0.5 * f), m.sqrt(1.0 + e) * m.cos(0.5 * f))
-    su = m.sin(u)
-    ell = u - e * su
-    phi = (f - u) + e * su
-    return e, eta, f, u, ell, phi
+    kappa = m.where(circular, 0.0, kappa)
+    sigma = m.where(circular, 0.0, sigma)
+    eta = m.sqrt((1.0 - kappa) * (1.0 + kappa) - sigma * sigma)
+    f = m.atan2(sigma, kappa)
+    f_u = 2.0 * m.atan2(sigma, 1.0 + eta + kappa)
+    esu = eta * sigma / (1.0 + kappa)
+    u = f - f_u
+    return e, eta, f, u, u - esu, f_u + esu
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +537,15 @@ def ephemeris_batch(ts, t0, ell0, g0, h0, L, G, H, ldot, gdot, hdot, retro,
     floats.  Either way each row depends on its own epoch only.
     """
     n = ts.shape[0]
-    if n >= ARRAY_MIN_EPOCHS:
-        chunks = ((slice(i, i + EPOCH_BLOCK), ts[i:i + EPOCH_BLOCK])
-                  for i in range(0, n, EPOCH_BLOCK))
-    else:
-        chunks = enumerate(ts.tolist())
-    for rows, t in chunks:
-        ell, g, h = mean_angles(ell0, g0, h0, ldot, gdot, hdot, t - t0)
+    if n < ARRAY_MIN_EPOCHS:
+        for i, t in enumerate(ts.tolist()):
+            ell, g, h = mean_angles(ell0, g0, h0, ldot, gdot, hdot, t - t0)
+            out[i] = reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
+                                             with_long, with_short)
+        return out
+    for i in range(0, n, EPOCH_BLOCK):
+        rows = slice(i, i + EPOCH_BLOCK)
+        ell, g, h = mean_angles(ell0, g0, h0, ldot, gdot, hdot, ts[rows] - t0)
         state = reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
                                         with_long, with_short)
         for k in range(6):

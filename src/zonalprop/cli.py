@@ -26,6 +26,12 @@ from .states import CartesianState
 
 MODELS = ("two-body", "j2", "j2j3")
 
+#: most epochs one run may ask for: ten million, 116 days at a 1 s step and
+#: over a hundred times a one-day 1 s ephemeris.  The whole (n, 6) float
+#: ephemeris is held in memory before it is written, so this is about 0.5 GB
+#: of states and 1.5 GB of CSV; a longer span is split over several runs.
+MAX_GRID_EPOCHS = 10_000_000
+
 #: the sections and keys the INI file may hold; any other is rejected, so a
 #: misspelt key fails instead of silently leaving its default in force
 CONFIG_KEYS = {
@@ -121,8 +127,11 @@ def _time_grid(epoch: float, duration: float, step: float) -> np.ndarray:
             raise ConfigError(f"run setting {name} must be finite, got {value}")
     if duration < 0.0 or step <= 0.0:
         raise ConfigError("duration must be >= 0 and step > 0")
-    n = int(math.floor(duration / step + 1e-9)) + 1
-    return epoch + step * np.arange(n)
+    span = duration / step + 1e-9
+    if not span < MAX_GRID_EPOCHS:  # false for an overflowing ratio too
+        raise ConfigError(f"duration / step = {duration / step:.6g} asks for more than "
+                          f"{MAX_GRID_EPOCHS} epochs; split the run")
+    return epoch + step * np.arange(int(math.floor(span)) + 1)
 
 
 def _write_table(fh, columns, sep: str) -> None:

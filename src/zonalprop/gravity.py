@@ -76,12 +76,18 @@ class SmallParams:
     p: float
 
 
-def small_params(Theta: float, field: GravityField) -> SmallParams:
-    """Small parameters of the zonal perturbation for angular momentum Theta."""
+def check_small_params(Theta: float, field: GravityField) -> None:
+    """Raise ZonalPropError unless the small parameters exist for Theta in
+    ``field``: Theta positive and finite, and not c20 = 0 with c30 != 0."""
     if not (Theta > 0.0 and math.isfinite(Theta)):
         raise ZonalPropError(f"Theta must be positive and finite, got {Theta}")
     if field.c20 == 0.0 and field.c30 != 0.0:
         raise ZonalPropError("eps3 is undefined for c20 = 0 with c30 != 0")
+
+
+def small_params(Theta: float, field: GravityField) -> SmallParams:
+    """Small parameters of the zonal perturbation for angular momentum Theta."""
+    check_small_params(Theta, field)
     p, eps2, eps3 = _kernels.small_params(Theta, field.mu, field.alpha, field.c20, field.c30)
     return SmallParams(eps2=eps2, eps3=eps3, p=p)
 

@@ -22,7 +22,7 @@ from . import _kernels
 from .anomaly import projections
 from .corrections import DIRECT, NONSINGULAR_LAYOUT, POLAR_LAYOUT, CorrectionSet
 from .errors import CriticalInclinationError, EquatorialDecompositionError
-from .gravity import GravityField, small_params
+from .gravity import GravityField, check_small_params, small_params
 from .states import NonsingularState, PolarNodalState
 
 #: default half-width of the excluded band in |1 - 5 cos^2 I|
@@ -70,7 +70,7 @@ def long_corrections_polar(pn: PolarNodalState, field: GravityField,
         raise EquatorialDecompositionError(
             "polar-nodal long-period corrections carry 1/sin(I) terms; "
             "use the nonsingular forms for near-equatorial orbits")
-    small_params(pn.Theta, field)
+    check_small_params(pn.Theta, field)
     projections(pn.r, pn.R, pn.Theta, field.mu)
     deltas = _kernels.long_polar(pn.r, pn.theta, pn.R, pn.Theta, pn.N,
                                  field.mu, field.alpha, field.c20, field.c30)
@@ -81,7 +81,7 @@ def long_corrections_nonsingular(ns: NonsingularState, field: GravityField,
                                  orientation: str = DIRECT) -> CorrectionSet:
     """Full nonsingular long-period deltas; regular down to the equator."""
     critical_inclination_guard(ns.cos_inclination_abs)
-    small_params(ns.Theta, field)
+    check_small_params(ns.Theta, field)
     projections(ns.r, ns.R, ns.Theta, field.mu)
     deltas = _kernels.long_ns(ns.xi, ns.chi, ns.r, ns.R, ns.Theta,
                               field.mu, field.alpha, field.c20, field.c30)
@@ -92,7 +92,7 @@ def long_corrections_low_inclination(ns: NonsingularState, field: GravityField,
                                      orientation: str = DIRECT) -> CorrectionSet:
     """Low-inclination long-period deltas (total function; the caller decides
     applicability).  Differ from the full forms by O(sin^2 I)."""
-    small_params(ns.Theta, field)
+    check_small_params(ns.Theta, field)
     projections(ns.r, ns.R, ns.Theta, field.mu)
     deltas = _kernels.long_ns_low(ns.xi, ns.chi, ns.r, ns.R, ns.Theta,
                                   field.mu, field.alpha, field.c20, field.c30)

@@ -22,12 +22,10 @@ import numpy as np
 
 from . import _kernels
 from .errors import ZonalPropError
-from .gravity import GravityField
-from .gravity import small_params
+from .gravity import GravityField, check_small_params
 from .longperiod import CRITICAL_TOL, critical_inclination_guard
-from .secular import SecularRates, mean_motion, secular_rates
-from .states import (CartesianState, DelaunayState, cartesian_to_nonsingular,
-                     ellipse_to_delaunay)
+from .secular import mean_angle_rates, mean_motion
+from .states import CartesianState, DelaunayState, cart_to_ns_checked, ellipse_elements
 
 
 @dataclass(frozen=True)
@@ -66,34 +64,42 @@ def osculating_to_mean(cart: CartesianState, field: GravityField,
     osculating or the mean inclination lies inside the critical band: the
     mean one is the ratio mean_to_osculating checks.
     """
-    ns = cartesian_to_nonsingular(cart)
-    small_params(ns.Theta, field)  # validates the coefficient combination
-    if config.long_period:
-        critical_inclination_guard(ns.cos_inclination_abs, config.critical_tol)
+    ell, g, h, L, G, H, retro, conventional = _mean_state(cart, field, config)
+    return MeanElements(delaunay=DelaunayState(ell=ell, g=g, h=h, L=L, G=G, H=H),
+                        retrograde=bool(retro), formulation="nonsingular",
+                        conventional_split=conventional)
+
+
+def _mean_state(cart: CartesianState, field: GravityField, config: PropagatorConfig):
+    """osculating_to_mean on floats: (ell, g, h, L, G, H, retro, conventional_split)."""
+    psi, xi, chi, r, R, Theta, N, retro = cart_to_ns_checked(cart)
+    check_small_params(Theta, field)
+    with_long = config.long_period
+    if with_long:
+        critical_inclination_guard(math.sqrt(max(0.0, 1.0 - (xi * xi + chi * chi))),
+                                   config.critical_tol)
     mu, alpha, c20, c30 = field.mu, field.alpha, field.c20, field.c30
-    st = [ns.psi, ns.xi, ns.chi, ns.r, ns.R, ns.Theta]
     if config.short_period:
-        d = _kernels.short_ns(st[1], st[2], st[3], st[4], st[5], mu, alpha, c20)
-        st = [st[i] - d[i] for i in range(6)]
-    if config.long_period:
-        d = _kernels.long_ns(st[1], st[2], st[3], st[4], st[5], mu, alpha, c20, c30)
-        st = [st[i] - d[i] for i in range(6)]
-    psi, xi, chi, r, R, Theta = st
+        dpsi, dxi, dchi, dr, dR, dTh = _kernels.short_ns(xi, chi, r, R, Theta, mu, alpha, c20)
+        psi, xi, chi, r, R, Theta = psi - dpsi, xi - dxi, chi - dchi, r - dr, R - dR, Theta - dTh
+    if with_long:
+        dpsi, dxi, dchi, dr, dR, dTh = _kernels.long_ns(xi, chi, r, R, Theta,
+                                                        mu, alpha, c20, c30)
+        psi, xi, chi, r, R, Theta = psi - dpsi, xi - dxi, chi - dchi, r - dr, R - dR, Theta - dTh
     equatorial = math.hypot(xi, chi) <= _kernels.EQUATORIAL_SIN
     theta = 0.0 if equatorial else math.atan2(xi, chi)
-    h = theta - psi if ns.retrograde else psi - theta
-    delaunay, circular = ellipse_to_delaunay(r, theta, h, R, Theta, ns.N, mu)
-    if config.long_period:
-        critical_inclination_guard(abs(delaunay.H / delaunay.G), config.critical_tol)
-    return MeanElements(delaunay=delaunay, retrograde=ns.retrograde,
-                        formulation="nonsingular", conventional_split=circular or equatorial)
+    h = theta - psi if retro else psi - theta
+    ell, g, h, L, G, H, circular = ellipse_elements(r, theta, h, R, Theta, N, mu)
+    if with_long:
+        critical_inclination_guard(abs(H / G), config.critical_tol)
+    return ell, g, h, L, G, H, retro, circular or equatorial
 
 
 def mean_to_osculating(d: DelaunayState, field: GravityField,
                        config: PropagatorConfig = DEFAULT_CONFIG) -> CartesianState:
     """Rebuild the osculating Cartesian state from double-prime elements."""
     retro = d.H < 0.0
-    small_params(d.G, field)  # validates the coefficient combination
+    check_small_params(d.G, field)
     if config.long_period:
         critical_inclination_guard(abs(d.H / d.G), config.critical_tol)
     out = _kernels.reconstruct_and_correct(
@@ -125,27 +131,18 @@ def ephemeris_array(cart0: CartesianState, t0: float, ts, field: GravityField,
     ts = np.ascontiguousarray(ts, dtype=float)
     if ts.ndim != 1:
         raise ZonalPropError("time grid must be one-dimensional")
-    if not np.all(np.isfinite(ts)):
+    if not np.isfinite(ts).all():
         raise ZonalPropError("time grid must be finite")
     if not math.isfinite(t0):
         raise ZonalPropError(f"epoch t0 must be finite, got {t0}")
-    mean = osculating_to_mean(cart0, field, config)
-    d = mean.delaunay
-    rates = _rates_for(d, field, config)
+    ell, g, h, L, G, H, retro, _ = _mean_state(cart0, field, config)
+    ldot, gdot, hdot = (mean_angle_rates(L, G, H, field) if config.secular
+                        else (mean_motion(L, field), 0.0, 0.0))
     out = np.empty((ts.shape[0], 6), dtype=float)
-    _kernels.ephemeris_batch(ts, t0, d.ell, d.g, d.h, d.L, d.G, d.H,
-                             rates.ell_dot, rates.g_dot, rates.h_dot,
-                             mean.retrograde, field.mu, field.alpha,
-                             field.c20, field.c30, config.long_period,
-                             config.short_period, out)
+    _kernels.ephemeris_batch(ts, t0, ell, g, h, L, G, H, ldot, gdot, hdot, retro,
+                             field.mu, field.alpha, field.c20, field.c30,
+                             config.long_period, config.short_period, out)
     return out
-
-
-def _rates_for(d: DelaunayState, field: GravityField,
-               config: PropagatorConfig) -> SecularRates:
-    if config.secular:
-        return secular_rates(d.L, d.G, d.H, field)
-    return SecularRates(ell_dot=mean_motion(d.L, field), g_dot=0.0, h_dot=0.0)
 
 
 def mean_elements_series(mean: MeanElements, t0: float, ts, field: GravityField,
@@ -153,9 +150,10 @@ def mean_elements_series(mean: MeanElements, t0: float, ts, field: GravityField,
     """Mean Delaunay elements at the grid times, as an (n, 6) array."""
     dt = np.asarray(ts, dtype=float) - t0
     d = mean.delaunay
-    rates = _rates_for(d, field, config)
+    ldot, gdot, hdot = (mean_angle_rates(d.L, d.G, d.H, field) if config.secular
+                        else (mean_motion(d.L, field), 0.0, 0.0))
     out = np.empty((dt.shape[0], 6), dtype=float)
-    out[:, 0], out[:, 1], out[:, 2] = _kernels.mean_angles(
-        d.ell, d.g, d.h, rates.ell_dot, rates.g_dot, rates.h_dot, dt)
+    out[:, 0], out[:, 1], out[:, 2] = _kernels.mean_angles(d.ell, d.g, d.h,
+                                                           ldot, gdot, hdot, dt)
     out[:, 3:] = (d.L, d.G, d.H)
     return out

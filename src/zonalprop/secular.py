@@ -51,6 +51,13 @@ def mean_hamiltonian(L: float, G: float, H: float, field: GravityField) -> float
 
 def secular_rates(L: float, G: float, H: float, field: GravityField) -> SecularRates:
     """Analytic partials of the mean Hamiltonian wrt (L, G, H)."""
+    ell_dot, g_dot, h_dot = mean_angle_rates(L, G, H, field)
+    return SecularRates(ell_dot=ell_dot, g_dot=g_dot, h_dot=h_dot)
+
+
+def mean_angle_rates(L: float, G: float, H: float,
+                     field: GravityField) -> tuple[float, float, float]:
+    """(ell_dot, g_dot, h_dot): the secular_rates formula, as a tuple."""
     n = mean_motion(L, field)
     eta = G / L
     c = H / G
@@ -63,7 +70,7 @@ def secular_rates(L: float, G: float, H: float, field: GravityField) -> SecularR
     g_dot = (-3.0 * n * eps2 * (4.0 - 5.0 * s2)
              - 0.375 * n * eps2 * eps2 * (-7.0 * b + eta * b_eta + 2.0 * c2 * b_s2))
     h_dot = n * c * (6.0 * eps2 + 0.75 * eps2 * eps2 * b_s2)
-    return SecularRates(ell_dot=ell_dot, g_dot=g_dot, h_dot=h_dot)
+    return ell_dot, g_dot, h_dot
 
 
 def propagate_mean(d: DelaunayState, rates: SecularRates, dt: float) -> DelaunayState:

@@ -81,10 +81,7 @@ class NonsingularState:
     retrograde: bool = False
 
     def __post_init__(self):
-        if not (self.r > 0.0 and self.Theta > 0.0):
-            raise ZonalPropError(f"need r > 0 and Theta > 0, got r={self.r}, Theta={self.Theta}")
-        if self.xi * self.xi + self.chi * self.chi > 1.0 + _SLACK:
-            raise ZonalPropError("xi^2 + chi^2 must not exceed 1")
+        _check_nonsingular(self.xi, self.chi, self.r, self.Theta)
 
     @property
     def s2(self) -> float:
@@ -108,10 +105,23 @@ class DelaunayState:
     H: float
 
     def __post_init__(self):
-        if not (0.0 < self.G <= self.L * (1.0 + _SLACK)):
-            raise ZonalPropError(f"need 0 < G <= L, got G={self.G}, L={self.L}")
-        if abs(self.H) > self.G * (1.0 + _SLACK):
-            raise ZonalPropError(f"|H| = {abs(self.H)} exceeds G = {self.G}")
+        _check_delaunay(self.L, self.G, self.H)
+
+
+def _check_nonsingular(xi, chi, r, Theta) -> None:
+    """The invariants of a NonsingularState."""
+    if not (r > 0.0 and Theta > 0.0):
+        raise ZonalPropError(f"need r > 0 and Theta > 0, got r={r}, Theta={Theta}")
+    if xi * xi + chi * chi > 1.0 + _SLACK:
+        raise ZonalPropError("xi^2 + chi^2 must not exceed 1")
+
+
+def _check_delaunay(L, G, H) -> None:
+    """The invariants of a DelaunayState."""
+    if not (0.0 < G <= L * (1.0 + _SLACK)):
+        raise ZonalPropError(f"need 0 < G <= L, got G={G}, L={L}")
+    if abs(H) > G * (1.0 + _SLACK):
+        raise ZonalPropError(f"|H| = {abs(H)} exceeds G = {G}")
 
 
 @dataclass(frozen=True)
@@ -180,6 +190,35 @@ def nonsingular_to_cartesian(ns: NonsingularState) -> CartesianState:
     return CartesianState(x, y, z, vx, vy, vz)
 
 
+def cart_to_ns_checked(cart: CartesianState):
+    """``_kernels.cart_to_ns`` of a checked Cartesian state: the tuple
+    (psi, xi, chi, r, R, Theta, N, retro) that cartesian_to_nonsingular
+    wraps, with the same checks and errors.
+
+    Raises for non-finite components, a zero position, rectilinear states
+    (vanishing angular momentum) and results that break the NonsingularState
+    invariants.
+    """
+    x, y, z, vx, vy, vz = cart.x, cart.y, cart.z, cart.vx, cart.vy, cart.vz
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
+            and math.isfinite(vx) and math.isfinite(vy) and math.isfinite(vz)):
+        name, value = next((name, value) for name, value in
+                           zip(("x", "y", "z", "vx", "vy", "vz"), (x, y, z, vx, vy, vz))
+                           if not math.isfinite(value))
+        raise ZonalPropError(f"state component {name} must be finite, got {value}")
+    # ``**`` and not ``*``: a float power that overflows raises OverflowError
+    if x ** 2 + y ** 2 + z ** 2 <= 0.0:
+        raise ZonalPropError("position norm must be positive")
+    hx = y * vz - z * vy
+    hy = z * vx - x * vz
+    hz = x * vy - y * vx
+    if hx * hx + hy * hy + hz * hz <= 0.0:
+        raise NonEllipticStateError("rectilinear orbit: angular momentum vanishes")
+    ns = _kernels.cart_to_ns(x, y, z, vx, vy, vz)
+    _check_nonsingular(ns[1], ns[2], ns[3], ns[5])
+    return ns
+
+
 def cartesian_to_nonsingular(cart: CartesianState) -> NonsingularState:
     """Inverse map; purely geometric.
 
@@ -187,20 +226,7 @@ def cartesian_to_nonsingular(cart: CartesianState) -> NonsingularState:
     angular momentum).  The chart is selected by the sign of N, so
     equatorial retrograde states convert without trouble.
     """
-    for name in ("x", "y", "z", "vx", "vy", "vz"):
-        value = getattr(cart, name)
-        if not math.isfinite(value):
-            raise ZonalPropError(f"state component {name} must be finite, got {value}")
-    rnorm = math.sqrt(cart.x ** 2 + cart.y ** 2 + cart.z ** 2)
-    if rnorm <= 0.0:
-        raise ZonalPropError("position norm must be positive")
-    hx = cart.y * cart.vz - cart.z * cart.vy
-    hy = cart.z * cart.vx - cart.x * cart.vz
-    hz = cart.x * cart.vy - cart.y * cart.vx
-    if hx * hx + hy * hy + hz * hz <= 0.0:
-        raise NonEllipticStateError("rectilinear orbit: angular momentum vanishes")
-    psi, xi, chi, r, R, Theta, N, retro = _kernels.cart_to_ns(
-        cart.x, cart.y, cart.z, cart.vx, cart.vy, cart.vz)
+    psi, xi, chi, r, R, Theta, N, retro = cart_to_ns_checked(cart)
     return NonsingularState(psi=psi, xi=xi, chi=chi, r=r, R=R, Theta=Theta,
                             N=N, retrograde=bool(retro))
 
@@ -228,14 +254,23 @@ def polar_to_delaunay(pn: PolarNodalState, mu: float) -> DelaunayState:
 
 def ellipse_to_delaunay(r: float, theta: float, h: float, R: float, Theta: float,
                         N: float, mu: float) -> tuple[DelaunayState, bool]:
-    """Delaunay elements of the osculating ellipse through (r, R, Theta) with
-    argument of latitude theta, node h and polar momentum N, and whether the
-    ellipse counts as circular (e < ``_kernels.CIRCULAR_ECC``: the split
-    f = 0 is then conventional).
+    """Delaunay elements of the osculating ellipse as a DelaunayState, and
+    whether it counts as circular; see ``ellipse_elements``."""
+    ell, g, h, L, G, H, circular = ellipse_elements(r, theta, h, R, Theta, N, mu)
+    return DelaunayState(ell=ell, g=g, h=h, L=L, G=G, H=H), circular
+
+
+def ellipse_elements(r: float, theta: float, h: float, R: float, Theta: float,
+                     N: float, mu: float):
+    """(ell, g, h, L, G, H, circular): the Delaunay elements of the osculating
+    ellipse through (r, R, Theta) with argument of latitude theta, node h and
+    polar momentum N, and whether the ellipse counts as circular
+    (e < ``_kernels.CIRCULAR_ECC``: the split f = 0 is then conventional).
 
     H = N exactly, and G = max(Theta, |N|): a corrected Theta that fell below
     |N| near the equator is raised instead of changing the integral N.
-    Raises NonEllipticStateError for non-negative energy or e >= 1.
+    Raises NonEllipticStateError for non-negative energy or e >= 1, and
+    ZonalPropError where the elements break the DelaunayState invariants.
     """
     v2 = R * R + (Theta / r) ** 2
     ainv = 2.0 / r - v2 / mu
@@ -249,6 +284,8 @@ def ellipse_to_delaunay(r: float, theta: float, h: float, R: float, Theta: float
     if e >= 1.0:
         raise NonEllipticStateError(f"state is not elliptic (e = {e})")
     G = max(Theta, abs(N))
-    d = DelaunayState(ell=_kernels.wrap_pi(ell), g=_kernels.wrap_pi(theta - f),
-                      h=_kernels.wrap_pi(h), L=max(math.sqrt(mu * a), G), G=G, H=N)
-    return d, e < _kernels.CIRCULAR_ECC
+    wrap_pi = _kernels.wrap_pi
+    ell, g, h = wrap_pi(ell), wrap_pi(theta - f), wrap_pi(h)
+    L = max(math.sqrt(mu * a), G)
+    _check_delaunay(L, G, N)
+    return ell, g, h, L, G, N, e < _kernels.CIRCULAR_ECC

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from zonalprop import _kernels
 from zonalprop import (EARTH, NonEllipticStateError, ZonalPropError,
                        anomalies, equation_of_center, phi_partials,
                        projections, solve_kepler, true_from_projections)
@@ -247,3 +248,69 @@ class TestPhiPartials:
         assert d_m[1] * (Theta * k * k) / (r * k) == pytest.approx(
             d_km[1] * Theta / r, rel=1e-12)
         assert d_m[2] * (Theta * k * k) == pytest.approx(d_km[2] * Theta, rel=1e-12)
+
+
+class TestClosedFormAnomalies:
+    """``anomaly_block`` and ``delaunay_orbit`` against the half-angle forms
+    they replaced, u = 2 atan2(sqrt(1 - e) sin(f/2), sqrt(1 + e) cos(f/2)) and
+    its inverse.  The reference runs in long double: in doubles the
+    half-angle forms themselves are off by 3e-14 rad at e = 0.999 near
+    apoapsis."""
+
+    TOL = 1e-14  # rad, on f, u, ell and phi
+    ECCS = [0.0, 0.5e-12, 0.9e-12, 1e-12, 1.1e-12, 2e-12, 1e-9, 1e-6, 1e-3,
+            0.05, 0.3, 0.6, 0.9, 0.99, 0.999]
+    ANGLES = np.concatenate([np.linspace(-math.pi, math.pi, 721),
+                             [math.pi - 1e-15, -math.pi + 1e-15, 1e-15, -1e-15]])
+
+    @staticmethod
+    def _half_angle_block(kappa, sigma):
+        if math.hypot(kappa, sigma) < _kernels.CIRCULAR_ECC:
+            return 0.0, 0.0, 0.0, 0.0
+        k, s = np.longdouble(kappa), np.longdouble(sigma)
+        e = np.hypot(k, s)
+        f = np.arctan2(s, k)
+        u = 2 * np.arctan2(np.sqrt(1 - e) * np.sin(f / 2), np.sqrt(1 + e) * np.cos(f / 2))
+        esu = e * np.sin(u)
+        return f, u, u - esu, (f - u) + esu
+
+    def test_anomaly_block_matches_the_half_angle_forms(self):
+        assert np.finfo(np.longdouble).eps < 1e-18  # the reference needs the extra digits
+        kappas, sigmas, refs = [], [], []
+        for e in self.ECCS:
+            for f in self.ANGLES:
+                kappa, sigma = e * math.cos(f), e * math.sin(f)
+                kappas.append(kappa)
+                sigmas.append(sigma)
+                refs.append([float(v) for v in self._half_angle_block(kappa, sigma)])
+        refs = np.array(refs)
+        worst = 0.0
+        for kappa, sigma, ref in zip(kappas, sigmas, refs):
+            e, eta, f, u, ell, phi = _kernels.anomaly_block(kappa, sigma)
+            assert abs(u) <= math.pi and u * f >= 0.0  # u on f's branch
+            if e == 0.0:
+                assert (f, u, ell, phi, eta) == (0.0, 0.0, 0.0, 0.0, 1.0)
+            worst = max(worst, float(np.max(np.abs(np.array([f, u, ell, phi]) - ref))))
+        assert worst <= self.TOL
+        # the same source on arrays
+        e, eta, *angles = _kernels.anomaly_block(np.array(kappas), np.array(sigmas))
+        assert np.all((e > 0.0) | (np.column_stack(angles) == 0.0).all(axis=1))
+        assert np.max(np.abs(np.column_stack(angles) - refs)) <= self.TOL
+
+    def test_delaunay_orbit_matches_the_half_angle_form(self):
+        L = math.sqrt(MU * 9000.0)
+        worst = 0.0
+        for e in self.ECCS:
+            G = L * math.sqrt(1.0 - e * e)
+            for ell in self.ANGLES:
+                r, R, f = _kernels.delaunay_orbit(ell, L, G, MU)
+                eta = G / L
+                e_used = math.sqrt(1.0 - eta * eta) if eta < 1.0 else 0.0
+                u = _kernels.kepler_u(ell, e_used)
+                assert r == (L * L / MU) * (1.0 - e_used * math.cos(u))
+                assert R == L * e_used * math.sin(u) / r
+                ld = np.longdouble
+                ref = 2 * np.arctan2(np.sqrt(1 + ld(e_used)) * np.sin(ld(u) / 2),
+                                     np.sqrt(1 - ld(e_used)) * np.cos(ld(u) / 2))
+                worst = max(worst, abs(f - float(ref)))
+        assert worst <= self.TOL

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonalprop import EARTH, _kernels
+from zonalprop import EARTH, ConfigError, _kernels, cli
 from zonalprop._kernels import EPOCH_BLOCK
 from zonalprop.cli import _write_ephemeris, _write_table, main
 from conftest import elements_to_cartesian
@@ -252,6 +252,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"run setting {setting} must be finite, got {value}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("duration, step", [
+        ("1e300", "1e-300"),                      # the ratio overflows to inf
+        (str(float(cli.MAX_GRID_EPOCHS)), "1"),   # one epoch over the limit
+    ])
+    def test_oversized_grid_exit_1_without_allocating(self, tmp_path, capsys, monkeypatch,
+                                                      duration, step):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+        monkeypatch.setattr(np, "arange", no_grid)
+        cfg = _write_config(tmp_path / "run.ini")
+        out = tmp_path / "x.csv"
+        rc = main(["propagate", "--config", str(cfg), "--ephemeris", str(out),
+                   "--duration", duration, "--step", step])
+        assert rc == 1
+        assert f"more than {cli.MAX_GRID_EPOCHS} epochs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_EPOCHS", 100)
+        assert len(cli._time_grid(5.0, 99.0, 1.0)) == 100
+        with pytest.raises(ConfigError, match="more than 100 epochs"):
+            cli._time_grid(5.0, 100.0, 1.0)
 
     def test_mean_critical_inclination_exit_2(self, tmp_path):
         # mean |1 - 5c^2| = 8e-4 inside the band, osculating one outside it

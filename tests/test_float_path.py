@@ -1,0 +1,147 @@
+"""The single-state (float) path of ``ephemeris_array``.
+
+A request for a few epochs runs from the Cartesian state to the output rows
+on plain floats, without building the public dataclasses.  These tests pin
+that it computes exactly what the public functions compose to, that it
+raises what they raise, that it stays lean in Python calls, and two
+symmetries of the theory it must keep.
+"""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from zonalprop import (EARTH, CartesianState, GravityField, _kernels, ephemeris_array,
+                       mean_to_osculating, osculating_to_mean, propagate_mean,
+                       secular_rates)
+from test_array_path import LEO_STATE
+from conftest import elements_to_cartesian
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+#: most Python-level calls one single-epoch request may make (sys.setprofile
+#: "call" events).  A change that puts per-call wrappers back on the float
+#: path fails here; raising the budget is a change to log.
+CALL_BUDGET = 57
+
+
+def _catalog(seed, size):
+    """The benchmark's synthetic catalogue: (states (n, 6), epochs (n,))."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.catalog(seed, size=size)
+
+
+def _mirror(rows):
+    """The state(s) mirrored in the x-z plane: y and vy change sign."""
+    out = np.array(rows, dtype=float)
+    out[..., 1] *= -1.0
+    out[..., 4] *= -1.0
+    return out
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_one_epoch_equals_the_public_composition():
+    states, epochs = _catalog(1, 2000)
+    t = 0.0
+    mismatches = 0
+    for state, t0 in zip(states.tolist(), epochs.tolist()):
+        cart = CartesianState(*state)
+        row = ephemeris_array(cart, t0, [t], EARTH)[0]
+        d = osculating_to_mean(cart, EARTH).delaunay
+        moved = propagate_mean(d, secular_rates(d.L, d.G, d.H, EARTH), t - t0)
+        osc = mean_to_osculating(moved, EARTH)
+        mismatches += tuple(row.tolist()) != (osc.x, osc.y, osc.z, osc.vx, osc.vy, osc.vz)
+    assert mismatches == 0
+
+
+def _mean_critical_state():
+    # mean |1 - 5c^2| = 8e-4 inside the band, the osculating one outside it
+    L = math.sqrt(EARTH.mu * 7000.0)
+    G = L * math.sqrt(1.0 - 0.05 ** 2)
+    H = G * math.sqrt((1.0 - 8e-4) / 5.0)
+    return CartesianState(*_kernels.reconstruct_and_correct(
+        0.0, 0.0, 0.0, L, G, H, False, EARTH.mu, EARTH.alpha, EARTH.c20, EARTH.c30,
+        False, True))
+
+
+LEO = (7000.0, 0.0, 0.0, 0.0, 6.0, 4.5)
+REJECTED = {
+    "non-finite component": (CartesianState(7000.0, math.nan, 0.0, 0.0, 7.5, 0.0), EARTH),
+    "zero position": (CartesianState(0.0, 0.0, 0.0, 1.0, 2.0, 3.0), EARTH),
+    "overflowing position": (CartesianState(1e200, 0.0, 0.0, 0.0, 7.5, 0.0), EARTH),
+    "non-finite angular momentum": (CartesianState(1e150, 1e150, 1e150, 1e300, 1e300, 1e300),
+                                    EARTH),
+    "rectilinear": (CartesianState(7000.0, 0.0, 0.0, 3.0, 0.0, 0.0), EARTH),
+    "hyperbolic": (CartesianState(7000.0, 0.0, 0.0, 0.0, 9.6, 7.2), EARTH),
+    "osculating critical band": (
+        elements_to_cartesian(7000.0, 0.05, math.acos(math.sqrt(0.2)), 0.3, 0.7, 1.1), EARTH),
+    "mean critical band": (_mean_critical_state(), EARTH),
+    "c20 = 0 with c30 != 0": (CartesianState(*LEO), GravityField(EARTH.mu, EARTH.alpha,
+                                                                  0.0, 1e-6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_rejections_match_osculating_to_mean(case):
+    cart, field = REJECTED[case]
+    expected = _raised(osculating_to_mean, cart, field)
+    assert _raised(ephemeris_array, cart, 0.0, [0.0], field) == expected
+    assert _raised(ephemeris_array, cart, 0.0, np.arange(64.0), field) == expected
+
+
+def test_single_state_call_budget():
+    ephemeris_array(LEO_STATE, -3600.0, [0.0], EARTH)  # warm-up
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        ephemeris_array(LEO_STATE, -3600.0, [0.0], EARTH)
+    finally:
+        sys.setprofile(None)
+    assert calls <= CALL_BUDGET
+
+
+@pytest.mark.parametrize("ts", [[0.0], -43200.0 + 1350.0 * np.arange(64)],
+                         ids=["float-path", "array-path"])
+def test_y_mirror_symmetry(ts):
+    # mirroring y swaps the prograde and retrograde charts, and the
+    # retrograde chart is realised by mirroring y: bit for bit the same
+    states, epochs = _catalog(3, 300)
+    mismatches = 0
+    for state, t0 in zip(states, epochs.tolist()):
+        direct = ephemeris_array(CartesianState(*state.tolist()), t0, ts, EARTH)
+        mirrored = ephemeris_array(CartesianState(*_mirror(state).tolist()), t0, ts, EARTH)
+        mismatches += not np.array_equal(mirrored, _mirror(direct))
+    assert mismatches == 0
+
+
+@pytest.mark.parametrize("a, inc_deg", [(7000.0, 45.0), (7078.0, 98.2), (7300.0, 140.0),
+                                        (42164.0, 0.0), (42164.0, 10.0)])
+def test_continuity_across_the_circular_threshold(a, inc_deg):
+    # osculating e straddling CIRCULAR_ECC, made by a radial velocity
+    # e |v| on a circular state (sigma = e, kappa = 0)
+    cart = elements_to_cartesian(a, 0.0, math.radians(inc_deg), 0.4, 1.3, 2.2)
+    r = np.array(cart.position())
+    v = np.array(cart.velocity())
+    grid = np.arange(0.0, 86400.0 + 1.0, 300.0)
+    runs = []
+    for factor in (0.0, 0.5, 0.9, 1.1, 2.0):
+        w = v + factor * _kernels.CIRCULAR_ECC * np.linalg.norm(v) * r / np.linalg.norm(r)
+        runs.append(ephemeris_array(CartesianState(*r, *w), 0.0, grid, EARTH))
+    worst = max(np.max(np.linalg.norm(run[:, :3] - runs[0][:, :3], axis=1)) for run in runs)
+    assert worst <= 1e-6  # km over one day

@@ -237,14 +237,14 @@ class TestEphemeris:
 
     def test_mean_elements_series_matches_the_epoch_loop(self):
         from zonalprop import _kernels
-        from zonalprop.propagator import _rates_for, mean_elements_series
+        from zonalprop.propagator import mean_elements_series
         cart = elements_to_cartesian(7000.0, 0.05, math.radians(30.0), 0.3, 0.7, 1.1)
         mean = osculating_to_mean(cart, EARTH)
         ts = np.linspace(-50000.0, 90000.0, 1001)
         t0 = 123.5
         # the per-epoch loop mean_elements_series ran before it took arrays
         d = mean.delaunay
-        rates = _rates_for(d, EARTH, PropagatorConfig())
+        rates = secular_rates(d.L, d.G, d.H, EARTH)
         ref = np.empty((ts.shape[0], 6), dtype=float)
         for i, t in enumerate(ts):
             dt = t - t0
