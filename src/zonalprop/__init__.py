@@ -4,31 +4,34 @@ Mean-element (double-prime) secular propagation with first-order short- and
 long-period corrections evaluated in nonsingular variables derived from the
 polar-nodal set, valid for any eccentricity below one and any inclination
 outside the critical band.
+
+The names below are the propagator's API.  The building blocks live in their
+submodules (``gravity``, ``anomaly``, ``states``, ``secular``), the
+verification machinery in ``oracle`` and ``reference``.
 """
 
-from .corrections import CorrectionSet, apply_correction
 from .errors import (ChartError, ConfigError, CriticalInclinationError,
                      EquatorialDecompositionError, NonEllipticStateError,
                      ZonalPropError)
-from .gravity import (EARTH, GravityField, InclinationPolynomials, PCoefficients,
-                      SmallParams, p_coefficients, q_polynomials, small_params)
-from .anomaly import (AnomalyTriple, OrbitProjections, anomalies,
-                      equation_of_center, phi_partials, projections,
-                      solve_kepler, true_from_projections)
-from .longperiod import (critical_inclination_guard, long_corrections_low_inclination,
-                         long_corrections_nonsingular, long_corrections_polar, y1)
+from .gravity import EARTH, GravityField
+from .longperiod import critical_inclination_guard
 from .propagator import (MeanElements, PropagatorConfig, ephemeris,
                          ephemeris_array, mean_to_osculating, osculating_to_mean)
-from .secular import (SecularRates, mean_hamiltonian, mean_motion,
-                      orbital_period, propagate_mean, secular_rates)
-from .shortperiod import (short_corrections_low_inclination,
-                          short_corrections_nonsingular, short_corrections_polar, v1)
+from .secular import (SecularRates, mean_motion, orbital_period, propagate_mean,
+                      secular_rates)
 from .states import (CartesianState, DelaunayState, NonsingularState,
-                     PolarNodalState, RotationAux, cartesian_to_nonsingular,
-                     delaunay_to_polar, nonsingular_to_cartesian,
-                     nonsingular_to_polar, polar_to_delaunay,
-                     polar_to_nonsingular, rotation_aux)
+                     cartesian_to_nonsingular, nonsingular_to_cartesian)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ChartError", "ConfigError", "CriticalInclinationError",
+    "EquatorialDecompositionError", "NonEllipticStateError", "ZonalPropError",
+    "EARTH", "GravityField",
+    "CartesianState", "DelaunayState", "NonsingularState",
+    "cartesian_to_nonsingular", "nonsingular_to_cartesian",
+    "MeanElements", "PropagatorConfig", "ephemeris", "ephemeris_array",
+    "mean_to_osculating", "osculating_to_mean",
+    "SecularRates", "mean_motion", "orbital_period", "propagate_mean", "secular_rates",
+    "critical_inclination_guard",
+]

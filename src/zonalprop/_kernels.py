@@ -19,7 +19,7 @@ correction agree identically (same generating function, chain-rule mapping),
 which the test suite enforces against finite-difference Poisson brackets.
 The pipeline (``reconstruct_and_correct``) evaluates only the full
 nonsingular forms; the polar-nodal and low-inclination kernels are kept as
-the references the tests compare them against.
+the references the tests compare them against (through ``reference``).
 
 Formulas that other layers need too (the small parameters, the P
 coefficients, the rotation factors, the point on the Kepler ellipse and the

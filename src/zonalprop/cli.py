@@ -82,7 +82,11 @@ def _get(cp, section, key, override, default=None, cast=float):
         if raw == "":
             return default
         if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
+            states = configparser.ConfigParser.BOOLEAN_STATES
+            if raw.lower() not in states:
+                raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean; "
+                                  f"use one of {', '.join(states)}")
+            return states[raw.lower()]
         return cast(raw)
     return default
 

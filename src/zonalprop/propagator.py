@@ -17,11 +17,13 @@ The only excluded regime is the critical-inclination band.
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import _kernels
-from .errors import ZonalPropError
+from .anomaly import elliptic_projections
+from .errors import ConfigError, ZonalPropError
 from .gravity import GravityField, check_small_params
 from .longperiod import CRITICAL_TOL, critical_inclination_guard
 from .secular import mean_angle_rates, mean_motion
@@ -34,13 +36,18 @@ class PropagatorConfig:
 
     The periodic-correction stages and the perturbed secular terms can be
     toggled individually for diagnosis; with everything off the pipeline is
-    an exact two-body propagator.
+    an exact two-body propagator.  critical_tol must be finite and positive:
+    0, a negative number or NaN would switch the guard off.
     """
 
     short_period: bool = True
     long_period: bool = True
     secular: bool = True
     critical_tol: float = CRITICAL_TOL
+
+    def __post_init__(self):
+        if not (math.isfinite(self.critical_tol) and self.critical_tol > 0.0):
+            raise ConfigError(f"critical_tol must be finite and > 0, got {self.critical_tol}")
 
 
 DEFAULT_CONFIG = PropagatorConfig()
@@ -52,33 +59,37 @@ class MeanElements:
 
     delaunay: DelaunayState
     retrograde: bool          # psi* chart was used
-    formulation: str          # correction formulation evaluated: always "nonsingular"
     conventional_split: bool  # equatorial/circular angle split was conventional
+    #: the one correction formulation the pipeline evaluates: a constant, not
+    #: a field, kept readable because perfbench/run.py prints it per orbit
+    formulation: ClassVar[str] = "nonsingular"
 
 
 def osculating_to_mean(cart: CartesianState, field: GravityField,
                        config: PropagatorConfig = DEFAULT_CONFIG) -> MeanElements:
     """Strip the periodic corrections off an osculating Cartesian state.
 
-    With the long-period stage on, raises CriticalInclinationError when the
-    osculating or the mean inclination lies inside the critical band: the
-    mean one is the ratio mean_to_osculating checks.
+    Raises NonEllipticStateError for a state with non-negative energy or
+    e >= 1, before any correction runs.  With the long-period stage on,
+    raises CriticalInclinationError when the osculating or the mean
+    inclination lies inside the critical band: the mean one is the ratio
+    mean_to_osculating checks.
     """
     ell, g, h, L, G, H, retro, conventional = _mean_state(cart, field, config)
     return MeanElements(delaunay=DelaunayState(ell=ell, g=g, h=h, L=L, G=G, H=H),
-                        retrograde=bool(retro), formulation="nonsingular",
-                        conventional_split=conventional)
+                        retrograde=bool(retro), conventional_split=conventional)
 
 
 def _mean_state(cart: CartesianState, field: GravityField, config: PropagatorConfig):
     """osculating_to_mean on floats: (ell, g, h, L, G, H, retro, conventional_split)."""
     psi, xi, chi, r, R, Theta, N, retro = cart_to_ns_checked(cart)
+    mu, alpha, c20, c30 = field.mu, field.alpha, field.c20, field.c30
+    elliptic_projections(r, R, Theta, mu)
     check_small_params(Theta, field)
     with_long = config.long_period
     if with_long:
         critical_inclination_guard(math.sqrt(max(0.0, 1.0 - (xi * xi + chi * chi))),
                                    config.critical_tol)
-    mu, alpha, c20, c30 = field.mu, field.alpha, field.c20, field.c30
     if config.short_period:
         dpsi, dxi, dchi, dr, dR, dTh = _kernels.short_ns(xi, chi, r, R, Theta, mu, alpha, c20)
         psi, xi, chi, r, R, Theta = psi - dpsi, xi - dxi, chi - dchi, r - dr, R - dR, Theta - dTh

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
+from .anomaly import elliptic_projections
 from .errors import (ChartError, EquatorialDecompositionError,
                      NonEllipticStateError, ZonalPropError)
 
@@ -122,20 +123,6 @@ def _check_delaunay(L, G, H) -> None:
         raise ZonalPropError(f"need 0 < G <= L, got G={G}, L={L}")
     if abs(H) > G * (1.0 + _SLACK):
         raise ZonalPropError(f"|H| = {abs(H)} exceeds G = {G}")
-
-
-@dataclass(frozen=True)
-class RotationAux:
-    """Rotation factors t, tau, q of the nonsingular <-> Cartesian map."""
-
-    t: float
-    tau: float
-    q: float
-
-
-def rotation_aux(xi: float, chi: float, c_abs: float) -> RotationAux:
-    """t, tau, q for |cos I| = c_abs; regular as long as c_abs > -1."""
-    return RotationAux(*_kernels.rotation_factors(xi, chi, c_abs))
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +256,13 @@ def ellipse_elements(r: float, theta: float, h: float, R: float, Theta: float,
 
     H = N exactly, and G = max(Theta, |N|): a corrected Theta that fell below
     |N| near the equator is raised instead of changing the integral N.
-    Raises NonEllipticStateError for non-negative energy or e >= 1, and
-    ZonalPropError where the elements break the DelaunayState invariants.
+    Raises NonEllipticStateError for non-negative energy or e >= 1 (see
+    ``anomaly.elliptic_projections``), and ZonalPropError where the elements
+    break the DelaunayState invariants.
     """
-    v2 = R * R + (Theta / r) ** 2
-    ainv = 2.0 / r - v2 / mu
-    if ainv <= 0.0:
-        raise NonEllipticStateError("state is not elliptic (non-negative energy)")
+    ainv, kappa, sigma, _ = elliptic_projections(r, R, Theta, mu)
     a = 1.0 / ainv
-    p = Theta * Theta / mu
-    kappa = p / r - 1.0
-    sigma = p * R / Theta
     e, eta, f, u, ell, phi = _kernels.anomaly_block(kappa, sigma)
-    if e >= 1.0:
-        raise NonEllipticStateError(f"state is not elliptic (e = {e})")
     G = max(Theta, abs(N))
     wrap_pi = _kernels.wrap_pi
     ell, g, h = wrap_pi(ell), wrap_pi(theta - f), wrap_pi(h)

@@ -1,15 +1,19 @@
 """Shared fixtures and state generators for the test suite."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from zonalprop import (EARTH, CartesianState, DelaunayState, PolarNodalState,
-                       delaunay_to_polar, nonsingular_to_cartesian,
-                       polar_to_nonsingular)
+from zonalprop import EARTH, CartesianState, DelaunayState, nonsingular_to_cartesian
+from zonalprop.states import PolarNodalState, delaunay_to_polar, polar_to_nonsingular
 
 MU = EARTH.mu
+
+#: the state fields a correction stage's six deltas apply to, in kernel order
+POLAR_FIELDS = ("r", "theta", "nu", "R", "Theta", "N")
+NONSINGULAR_FIELDS = ("psi", "xi", "chi", "r", "R", "Theta")
 
 
 def elements_to_polar(a, e, inc, ell, g, h, mu=MU) -> PolarNodalState:
@@ -40,6 +44,31 @@ def random_polar_states(n, rng, e_range=(0.01, 0.7), i_range_deg=(5.0, 175.0),
         h = rng.uniform(-math.pi, math.pi)
         out.append(elements_to_polar(a, e, inc, ell, g, h, mu))
     return out
+
+
+def add_deltas(state, deltas, sign=1.0):
+    """``state`` with one correction stage's deltas added (sign +1: the direct
+    map, deltas evaluated at the mean state) or subtracted (sign -1: the
+    inverse map, deltas evaluated at the osculating state).
+
+    Polar-nodal deltas are (dr, dtheta, dnu, dR, dTheta, dN); nonsingular ones
+    (dpsi, dxi, dchi, dr, dR, dTheta) have no N slot, so N is carried.
+    """
+    fields = POLAR_FIELDS if isinstance(state, PolarNodalState) else NONSINGULAR_FIELDS
+    return replace(state, **{name: getattr(state, name) + sign * d
+                             for name, d in zip(fields, deltas)})
+
+
+def chain_to_nonsingular(pn, deltas):
+    """Exact chain-rule image of polar-nodal deltas in the nonsingular set."""
+    dr, dth, dnu, dR, dTh, dN = deltas
+    c = pn.N / pn.Theta
+    s = math.sqrt(1.0 - c * c)
+    sign = -1.0 if pn.N < 0 else 1.0
+    dpsi = dth + sign * dnu
+    dxi = (dTh / s) * (c * c / pn.Theta) * math.sin(pn.theta) + s * dth * math.cos(pn.theta)
+    dchi = (dTh / s) * (c * c / pn.Theta) * math.cos(pn.theta) - s * dth * math.sin(pn.theta)
+    return dpsi, dxi, dchi, dr, dR, dTh
 
 
 def angle_diff(a, b):

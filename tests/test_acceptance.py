@@ -7,24 +7,25 @@ import time
 
 import numpy as np
 
-from zonalprop import (EARTH, CriticalInclinationError, DelaunayState,
-                       NonsingularState,
-                       cartesian_to_nonsingular, delaunay_to_polar,
-                       long_corrections_low_inclination,
-                       long_corrections_nonsingular, long_corrections_polar,
-                       mean_to_osculating, nonsingular_to_cartesian,
-                       osculating_to_mean, polar_to_delaunay,
-                       polar_to_nonsingular, secular_rates,
-                       short_corrections_low_inclination,
-                       short_corrections_nonsingular, short_corrections_polar,
-                       small_params, solve_kepler, v1, y1)
+from zonalprop import (EARTH, CriticalInclinationError, DelaunayState, NonsingularState,
+                       cartesian_to_nonsingular, mean_to_osculating,
+                       nonsingular_to_cartesian, osculating_to_mean, secular_rates)
+from zonalprop.anomaly import solve_kepler
 from zonalprop.benchmark import format_report, run_benchmark
+from zonalprop.gravity import small_params
 from zonalprop.oracle import (integrate_grid, poisson_bracket_fd, u1_delaunay,
                               x1_delaunay)
 from zonalprop.propagator import ephemeris_array
+from zonalprop.reference import (long_corrections_low_inclination,
+                                 long_corrections_nonsingular, long_corrections_polar,
+                                 short_corrections_low_inclination,
+                                 short_corrections_nonsingular, short_corrections_polar,
+                                 v1, y1)
 from zonalprop.secular import orbital_period
-from conftest import (angle_diff, cart_distance, elements_to_cartesian,
-                      elements_to_polar, loglog_slope, random_polar_states)
+from zonalprop.states import delaunay_to_polar, polar_to_delaunay, polar_to_nonsingular
+from conftest import (angle_diff, cart_distance, chain_to_nonsingular,
+                      elements_to_cartesian, elements_to_polar, loglog_slope,
+                      random_polar_states)
 
 MU = EARTH.mu
 LEO = dict(a=7000.0, e=0.05, inc=math.radians(30.0))
@@ -40,17 +41,6 @@ def _report(num, name, failures):
 def _check(failures, cond, msg):
     if not cond:
         failures.append(msg)
-
-
-def _chain_to_nonsingular(pn, deltas):
-    dr, dth, dnu, dR, dTh, dN = deltas
-    c = pn.N / pn.Theta
-    s = math.sqrt(1.0 - c * c)
-    sign = -1.0 if pn.N < 0 else 1.0
-    dpsi = dth + sign * dnu
-    dxi = (dTh / s) * (c * c / pn.Theta) * math.sin(pn.theta) + s * dth * math.cos(pn.theta)
-    dchi = (dTh / s) * (c * c / pn.Theta) * math.cos(pn.theta) - s * dth * math.sin(pn.theta)
-    return dpsi, dxi, dchi, dr, dR, dTh
 
 
 def test_criterion_01_round_trips():
@@ -104,7 +94,7 @@ def test_criterion_02_generating_function_oracle():
     gen_y = lambda st: y1(st, EARTH)
     t0 = time.perf_counter()
     for pn in states:
-        deltas = short_corrections_polar(pn, EARTH).deltas
+        deltas = short_corrections_polar(pn, EARTH)
         ref = max(abs(x) for x in deltas)
         for i, name in enumerate(COORDS):
             fd = poisson_bracket_fd(gen_v, name, pn)
@@ -112,7 +102,7 @@ def test_criterion_02_generating_function_oracle():
             _check(failures, abs(fd - deltas[i]) <= 1e-6 * scale,
                    f"short {name}: fd={fd} closed={deltas[i]}")
     for pn in long_states:
-        deltas = long_corrections_polar(pn, EARTH).deltas
+        deltas = long_corrections_polar(pn, EARTH)
         ref = max(abs(x) for x in deltas)
         for i, name in enumerate(COORDS):
             fd = poisson_bracket_fd(gen_y, name, pn)
@@ -157,8 +147,8 @@ def test_criterion_04_chain_rule_consistency():
         for polar_fn, ns_fn, tag in (
                 (short_corrections_polar, short_corrections_nonsingular, "short"),
                 (long_corrections_polar, long_corrections_nonsingular, "long")):
-            mapped = _chain_to_nonsingular(pn, polar_fn(pn, EARTH).deltas)
-            direct = ns_fn(ns, EARTH).deltas
+            mapped = chain_to_nonsingular(pn, polar_fn(pn, EARTH))
+            direct = ns_fn(ns, EARTH)
             ref = max(abs(x) for x in direct)
             for a, b in zip(mapped, direct):
                 _check(failures, abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1e-10 * ref),
@@ -221,8 +211,8 @@ def test_criterion_07_low_inclination_limits():
                                        rng.uniform(-3.0, 3.0),
                                        rng.uniform(-3.0, 3.0))
                 ns = polar_to_nonsingular(pn)
-                full = full_fn(ns, EARTH).deltas
-                low = low_fn(ns, EARTH).deltas
+                full = full_fn(ns, EARTH)
+                low = low_fn(ns, EARTH)
                 scales = (1.0, 1.0, 1.0, ns.r, ns.Theta / ns.r, ns.Theta)
                 acc += max(abs(a - b) / s for a, b, s in zip(full, low, scales))
             diffs.append(acc / 20.0)
@@ -246,7 +236,7 @@ def test_criterion_07_low_inclination_limits():
         ns = NonsingularState(psi=0.8, xi=s * math.sin(1.3), chi=s * math.cos(1.3),
                               r=r, R=R, Theta=Theta,
                               N=Theta * math.sqrt(1.0 - s * s))
-        d = long_corrections_nonsingular(ns, EARTH).deltas
+        d = long_corrections_nonsingular(ns, EARTH)
         _check(failures, abs(d[1] - sp.eps3 * kappa) <= 1e-6 * abs(sp.eps3 * kappa),
                f"equatorial dxi {d[1]} != eps3*kappa {sp.eps3 * kappa}")
         _check(failures, abs(d[2] + sp.eps3 * sigma) <= 1e-6 * abs(sp.eps3 * sigma),
@@ -258,14 +248,14 @@ def test_criterion_08_exact_zeros():
     failures = []
     rng = random.Random(1008)
     for pn in random_polar_states(50, rng, i_range_deg=(10.0, 60.0)):
-        _check(failures, short_corrections_polar(pn, EARTH).deltas[5] == 0.0,
+        _check(failures, short_corrections_polar(pn, EARTH)[5] == 0.0,
                "short dN != 0")
-        _check(failures, long_corrections_polar(pn, EARTH).deltas[5] == 0.0,
+        _check(failures, long_corrections_polar(pn, EARTH)[5] == 0.0,
                "long dN != 0")
     ns = NonsingularState(psi=0.4, xi=0.0, chi=0.0, r=7050.0, R=0.3,
                           Theta=math.sqrt(MU * 7100.0),
                           N=math.sqrt(MU * 7100.0))
-    d = short_corrections_nonsingular(ns, EARTH).deltas
+    d = short_corrections_nonsingular(ns, EARTH)
     _check(failures, d[1] == 0.0 and d[2] == 0.0, "equatorial dxi/dchi != 0")
     _report(8, "exact zeros", failures)
 

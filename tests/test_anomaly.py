@@ -4,12 +4,17 @@ import random
 import numpy as np
 import pytest
 
-from zonalprop import _kernels
-from zonalprop import (EARTH, NonEllipticStateError, ZonalPropError,
-                       anomalies, equation_of_center, phi_partials,
-                       projections, solve_kepler, true_from_projections)
+from zonalprop import EARTH, NonEllipticStateError, ZonalPropError, _kernels
+from zonalprop.anomaly import equation_of_center, projections, solve_kepler
 
 MU = EARTH.mu
+
+
+def _anomalies(r, R, Theta):
+    """(f, u, ell) of the state, from ``_kernels.anomaly_block``."""
+    proj = projections(r, R, Theta, MU)
+    e, eta, f, u, ell, phi = _kernels.anomaly_block(proj.kappa, proj.sigma)
+    return f, u, ell
 
 
 def _bisect_kepler(ell, e, iters=200):
@@ -50,7 +55,7 @@ class TestProjections:
         energy = 0.5 * v2 - MU / r
         e_energy = math.sqrt(1.0 + 2.0 * energy * Theta * Theta / MU ** 2)
         assert proj.e == pytest.approx(e_energy, rel=1e-12)
-        f = true_from_projections(proj)
+        f = _anomalies(r, R, Theta)[0]
         # conic equation at that true anomaly reproduces the radius
         assert proj.p / (1.0 + proj.e * math.cos(f)) == pytest.approx(r, rel=1e-12)
 
@@ -98,13 +103,11 @@ class TestAnomalies:
         p = 7000.0
         Theta = math.sqrt(MU * p)
         e = 0.3
-        proj_peri = projections(p / (1.0 + e), 0.0, Theta, MU)
-        assert true_from_projections(proj_peri) == 0.0
+        assert _anomalies(p / (1.0 + e), 0.0, Theta)[0] == 0.0
         # kappa = 0, sigma = e -> f = pi/2
         r = p
         R = e * Theta / p
-        assert true_from_projections(projections(r, R, Theta, MU)) == pytest.approx(
-            math.pi / 2, rel=1e-14)
+        assert _anomalies(r, R, Theta)[0] == pytest.approx(math.pi / 2, rel=1e-14)
 
     def test_apoapsis_branch_continuity(self):
         p, e = 7000.0, 0.2
@@ -112,14 +115,8 @@ class TestAnomalies:
         r_apo = p / (1.0 - e)
         for sgn in (1.0, -1.0):
             R = sgn * -1e-9
-            f = true_from_projections(projections(r_apo, R, Theta, MU))
+            f = _anomalies(r_apo, R, Theta)[0]
             assert abs(f) == pytest.approx(math.pi, abs=1e-6)
-
-    def test_circular_raises(self):
-        p = 7000.0
-        Theta = math.sqrt(MU * p)
-        with pytest.raises(ZonalPropError):
-            true_from_projections(projections(p, 0.0, Theta, MU))
 
     def test_round_trip_f_u_ell(self):
         rng = random.Random(4)
@@ -130,10 +127,10 @@ class TestAnomalies:
             f = rng.uniform(-math.pi, math.pi)
             r = p / (1.0 + e * math.cos(f))
             R = (Theta / p) * e * math.sin(f)
-            tri = anomalies(projections(r, R, Theta, MU))
-            assert tri.ell == pytest.approx(tri.u - e * math.sin(tri.u), abs=1e-13)
-            u2 = solve_kepler(tri.ell, e)
-            assert u2 == pytest.approx(tri.u, abs=1e-12)
+            _, u, ell = _anomalies(r, R, Theta)
+            assert ell == pytest.approx(u - e * math.sin(u), abs=1e-13)
+            u2 = solve_kepler(ell, e)
+            assert u2 == pytest.approx(u, abs=1e-12)
             f2 = 2.0 * math.atan2(math.sqrt(1.0 + e) * math.sin(0.5 * u2),
                                   math.sqrt(1.0 - e) * math.cos(0.5 * u2))
             if e > 1e-12:
@@ -190,64 +187,6 @@ class TestEquationOfCenter:
             r = p / (1.0 + e * math.cos(f))
             R = (Theta / p) * e * math.sin(f)
             assert abs(equation_of_center(projections(r, R, Theta, MU))) < math.pi
-
-
-class TestPhiPartials:
-    def _fd(self, r, R, Theta, h_rel=1e-6):
-        def phi(rr, RR, TT):
-            return equation_of_center(projections(rr, RR, TT, MU))
-        hr = h_rel * r
-        hR = h_rel * Theta / r
-        hT = h_rel * Theta
-        return ((phi(r + hr, R, Theta) - phi(r - hr, R, Theta)) / (2 * hr),
-                (phi(r, R + hR, Theta) - phi(r, R - hR, Theta)) / (2 * hR),
-                (phi(r, R, Theta + hT) - phi(r, R, Theta - hT)) / (2 * hT))
-
-    def test_matches_finite_differences(self):
-        rng = random.Random(21)
-        for _ in range(100):
-            p = rng.uniform(7000.0, 20000.0)
-            e = rng.uniform(0.01, 0.9)
-            f = rng.uniform(-math.pi, math.pi)
-            # keep away from the branch point at f = pi for the FD stencil
-            if abs(abs(f) - math.pi) < 0.05:
-                continue
-            Theta = math.sqrt(MU * p)
-            r = p / (1.0 + e * math.cos(f))
-            R = (Theta / p) * e * math.sin(f)
-            exact = phi_partials(r, R, Theta, MU)
-            fd = self._fd(r, R, Theta)
-            for a, b in zip(exact, fd):
-                assert a == pytest.approx(b, rel=1e-6, abs=1e-12)
-
-    def test_circular_limit(self):
-        p = 7000.0
-        Theta = math.sqrt(MU * p)
-        # along the sigma = 0 direction the radial partial vanishes identically
-        for e in (1e-2, 1e-3, 1e-4):
-            assert phi_partials(p / (1.0 + e), 0.0, Theta, MU)[0] == 0.0
-        # off that direction it shrinks linearly with e
-        prev = None
-        for e in (1e-2, 1e-3, 1e-4):
-            val = abs(phi_partials(p, e * Theta / p, Theta, MU)[0])
-            if prev is not None:
-                assert val < 0.2 * prev
-            prev = val
-        # exactly circular: dphi/dr = 0, dphi/dR = 2 p / Theta
-        d = phi_partials(p, 0.0, Theta, MU)
-        assert d[0] == 0.0
-        assert d[1] == pytest.approx(2.0 * p / Theta, rel=1e-14)
-
-    def test_dimensional_homogeneity(self):
-        # same state in km and in m: nondimensionalised partials must agree
-        r, R, Theta = 7200.0, 0.4, 53000.0
-        d_km = phi_partials(r, R, Theta, MU)
-        k = 1000.0
-        d_m = phi_partials(r * k, R * k, Theta * k * k, MU * k ** 3)
-        assert d_m[0] * (r * k) == pytest.approx(d_km[0] * r, rel=1e-12)
-        assert d_m[1] * (Theta * k * k) / (r * k) == pytest.approx(
-            d_km[1] * Theta / r, rel=1e-12)
-        assert d_m[2] * (Theta * k * k) == pytest.approx(d_km[2] * Theta, rel=1e-12)
 
 
 class TestClosedFormAnomalies:

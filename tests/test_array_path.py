@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonalprop import (EARTH, CartesianState, PropagatorConfig, ephemeris_array,
-                       solve_kepler)
-from zonalprop import _kernels
+from zonalprop import EARTH, CartesianState, PropagatorConfig, _kernels, ephemeris_array
+from zonalprop.anomaly import solve_kepler
 from conftest import elements_to_cartesian
 
 POS_TOL_KM = 1e-9

@@ -237,6 +237,30 @@ class TestExitCodes:
         assert "state component vz must be finite, got nan" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("speed", [12.0, 1.0001 * math.sqrt(2.0 * EARTH.mu / 7000.0)],
+                             ids=["12 km/s", "1.0001 escape speed"])
+    def test_non_elliptic_state_exit_1(self, tmp_path, capsys, speed):
+        cfg = _write_config(tmp_path / "run.ini")
+        out = tmp_path / "x.csv"
+        state = dict(zip(("x", "y", "z", "vx", "vy", "vz"),
+                         (7000.0, 0.0, 0.0, 0.0, 0.8 * speed, 0.6 * speed)))
+        rc = main(["propagate", "--config", str(cfg), "--ephemeris", str(out),
+                   *[f"--{k}={v!r}" for k, v in state.items()]])
+        assert rc == 1
+        assert "error: state is not elliptic" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    def test_invalid_critical_tol_exit_1(self, tmp_path, capsys, value):
+        # each of these used to switch the guard off: the critical orbit ran
+        cfg = _write_config(tmp_path / "run.ini", inc_deg=63.435)
+        out = tmp_path / "x.csv"
+        rc = main(["propagate", "--config", str(cfg), "--ephemeris", str(out),
+                   f"--critical-tol={value}"])
+        assert rc == 1
+        assert "critical_tol must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")  # no NumPy RuntimeWarning on the way
     @pytest.mark.parametrize("setting, value", [
         ("epoch", "inf"), ("epoch", "nan"),
@@ -303,7 +327,11 @@ class TestExitCodes:
         ("low-inc-threshold = 1e-3\n", "low-inc-threshold"),
         ("[output]\nephemris = x.csv\n", "ephemris"),
         ("[runs]\nduration = 60\n", "[runs]"),
-    ], ids=["short_period", "formulation", "low-inc-threshold", "ephemris", "runs"])
+        ("short-period = ture\n", "[run] short-period = 'ture'"),  # not a boolean
+        ("long-period = 2\n", "[run] long-period = '2'"),
+        ("secular = enabled\n", "[run] secular = 'enabled'"),
+    ], ids=["short_period", "formulation", "low-inc-threshold", "ephemris", "runs",
+            "boolean-ture", "boolean-2", "boolean-enabled"])
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, extra, name):
         cfg = _write_config(tmp_path / "run.ini", extra=extra)
         out = tmp_path / "x.csv"
@@ -311,6 +339,15 @@ class TestExitCodes:
         assert rc == 1
         assert not out.exists()
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, expected", [
+        ("off", False), ("no", False), ("0", False), ("On", True), ("YES", True),
+    ])
+    def test_config_booleans(self, tmp_path, raw, expected):
+        cfg = _write_config(tmp_path / "run.ini", extra=f"short-period = {raw}\n")
+        args = cli._parser().parse_args(["propagate", "--config", str(cfg)])
+        config = cli._build_run(cli._read_config(args.config), args)[4]
+        assert config.short_period is expected
 
     def test_malformed_config_exit_1(self, tmp_path):
         cfg = _write_config(tmp_path / "run.ini", extra="[run]\nstep = 60\n")
@@ -360,13 +397,30 @@ class TestBenchmarkCommand:
         assert "seconds per evaluation" not in report.read_text()
 
 
+#: the propagator's API: everything else is imported from its submodule
+API = ("ChartError", "ConfigError", "CriticalInclinationError",
+       "EquatorialDecompositionError", "NonEllipticStateError", "ZonalPropError",
+       "GravityField", "EARTH",
+       "CartesianState", "DelaunayState", "NonsingularState",
+       "cartesian_to_nonsingular", "nonsingular_to_cartesian",
+       "PropagatorConfig", "MeanElements", "osculating_to_mean", "mean_to_osculating",
+       "ephemeris", "ephemeris_array",
+       "SecularRates", "secular_rates", "propagate_mean", "mean_motion", "orbital_period",
+       "critical_inclination_guard")
+
+
 def test_cli_import_leaves_scipy_out():
-    # only compare needs the reference integrator; propagate starts without SciPy
+    # only compare needs the reference integrator, and no command runs the
+    # reference formulations: the CLI starts without either
     import zonalprop
     src = os.path.dirname(os.path.dirname(zonalprop.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    probe = "import sys, zonalprop.cli; print('scipy.integrate' in sys.modules)"
+    probe = ("import sys, zonalprop.cli; print([m for m in ('scipy.integrate', "
+             "'zonalprop.reference') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+    assert len(API) == 25
+    assert sorted(zonalprop.__all__) == sorted(API)
+    assert all(hasattr(zonalprop, name) for name in API)

@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zonalprop import (EARTH, CartesianState, GravityField, _kernels, ephemeris_array,
-                       mean_to_osculating, osculating_to_mean, propagate_mean,
-                       secular_rates)
+from zonalprop import (EARTH, CartesianState, GravityField, NonEllipticStateError,
+                       PropagatorConfig, _kernels, ephemeris_array, mean_to_osculating,
+                       osculating_to_mean, propagate_mean, secular_rates)
 from test_array_path import LEO_STATE
 from conftest import elements_to_cartesian
 
@@ -25,8 +25,10 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 
 #: most Python-level calls one single-epoch request may make (sys.setprofile
 #: "call" events).  A change that puts per-call wrappers back on the float
-#: path fails here; raising the budget is a change to log.
-CALL_BUDGET = 57
+#: path fails here; raising the budget is a change to log.  59 = 57 + the two
+#: calls of the shared ellipticity check (before the inverse corrections and
+#: in ``ellipse_elements``).
+CALL_BUDGET = 59
 
 
 def _catalog(seed, size):
@@ -98,6 +100,30 @@ def test_rejections_match_osculating_to_mean(case):
     expected = _raised(osculating_to_mean, cart, field)
     assert _raised(ephemeris_array, cart, 0.0, [0.0], field) == expected
     assert _raised(ephemeris_array, cart, 0.0, np.arange(64.0), field) == expected
+
+
+_ESCAPE = math.sqrt(2.0 * EARTH.mu / 7000.0)  # km/s at r = 7000 km
+NON_ELLIPTIC = {
+    "12 km/s": CartesianState(7000.0, 0.0, 0.0, 0.0, 9.6, 7.2),
+    "1.0001 escape speed": CartesianState(7000.0, 0.0, 0.0, 0.0, 0.8 * 1.0001 * _ESCAPE,
+                                          0.6 * 1.0001 * _ESCAPE),
+}
+STAGES = {"both stages": PropagatorConfig(),
+          "short period only": PropagatorConfig(long_period=False),
+          "long period only": PropagatorConfig(short_period=False),
+          "no stage": PropagatorConfig(short_period=False, long_period=False)}
+
+
+@pytest.mark.parametrize("stages", sorted(STAGES))
+@pytest.mark.parametrize("case", sorted(NON_ELLIPTIC))
+def test_non_elliptic_state_rejected_before_the_corrections(case, stages):
+    # the inverse kernels take sqrt(1 - e^2): the check has to come first
+    cart, config = NON_ELLIPTIC[case], STAGES[stages]
+    for fn, args in ((osculating_to_mean, (cart, EARTH, config)),
+                     (ephemeris_array, (cart, 0.0, [0.0], EARTH, config)),
+                     (ephemeris_array, (cart, 0.0, np.arange(64.0), EARTH, config))):
+        with pytest.raises(NonEllipticStateError, match="not elliptic"):
+            fn(*args)
 
 
 def test_single_state_call_budget():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from zonalprop import (EARTH, GravityField, ZonalPropError, p_coefficients,
-                       q_polynomials, small_params)
+from zonalprop import EARTH, GravityField, ZonalPropError
+from zonalprop.gravity import p_coefficients, q_polynomials, small_params
 
 MU = EARTH.mu
 

@@ -3,29 +3,19 @@ import random
 
 import pytest
 
-from zonalprop import (EARTH, CriticalInclinationError,
-                       EquatorialDecompositionError, NonsingularState,
-                       PolarNodalState, critical_inclination_guard,
-                       long_corrections_low_inclination,
-                       long_corrections_nonsingular, long_corrections_polar,
-                       polar_to_delaunay, polar_to_nonsingular, small_params, y1)
+from zonalprop import (EARTH, CriticalInclinationError, EquatorialDecompositionError,
+                       NonsingularState, critical_inclination_guard)
+from zonalprop.gravity import small_params
 from zonalprop.oracle import poisson_bracket_fd, x1_delaunay
-from conftest import elements_to_polar, loglog_slope, random_polar_states
+from zonalprop.reference import (long_corrections_low_inclination,
+                                 long_corrections_nonsingular, long_corrections_polar, y1)
+from zonalprop.states import PolarNodalState, polar_to_delaunay, polar_to_nonsingular
+from conftest import (add_deltas, chain_to_nonsingular, elements_to_polar, loglog_slope,
+                      random_polar_states)
 
 MU = EARTH.mu
 FIELD = EARTH
 COORDS = ("r", "theta", "nu", "R", "Theta", "N")
-
-
-def _chain_to_nonsingular(pn, deltas):
-    dr, dth, dnu, dR, dTh, dN = deltas
-    c = pn.N / pn.Theta
-    s = math.sqrt(1.0 - c * c)
-    sign = -1.0 if pn.N < 0 else 1.0
-    dpsi = dth + sign * dnu
-    dxi = (dTh / s) * (c * c / pn.Theta) * math.sin(pn.theta) + s * dth * math.cos(pn.theta)
-    dchi = (dTh / s) * (c * c / pn.Theta) * math.cos(pn.theta) - s * dth * math.sin(pn.theta)
-    return dpsi, dxi, dchi, dr, dR, dTh
 
 
 class TestGuard:
@@ -75,7 +65,7 @@ class TestLongPolar:
     def test_delta_n_exactly_zero(self):
         rng = random.Random(42)
         for pn in random_polar_states(20, rng, i_range_deg=(10.0, 60.0)):
-            assert long_corrections_polar(pn, FIELD).deltas[5] == 0.0
+            assert long_corrections_polar(pn, FIELD)[5] == 0.0
 
     def test_circular_dr(self):
         p, inc = 7000.0, math.radians(50.0)
@@ -85,14 +75,14 @@ class TestLongPolar:
                              Theta=Theta, N=Theta * math.cos(inc))
         sp = small_params(Theta, FIELD)
         expected = p * sp.eps3 * math.sin(inc) * math.sin(theta)
-        dr = long_corrections_polar(pn, FIELD).deltas[0]
+        dr = long_corrections_polar(pn, FIELD)[0]
         assert dr == pytest.approx(expected, rel=1e-9)
 
     def test_poisson_bracket_oracle(self):
         rng = random.Random(43)
         gen = lambda st: y1(st, FIELD)
         for pn in random_polar_states(100, rng, i_range_deg=(10.0, 60.0)):
-            deltas = long_corrections_polar(pn, FIELD).deltas
+            deltas = long_corrections_polar(pn, FIELD)
             scale_ref = max(abs(d) for d in deltas)
             for i, name in enumerate(COORDS):
                 fd = poisson_bracket_fd(gen, name, pn)
@@ -125,7 +115,7 @@ class TestLongNonsingular:
             sigma = p * R / Theta
             ns = NonsingularState(psi=0.8, xi=0.0, chi=0.0, r=r, R=R,
                                   Theta=Theta, N=Theta)
-            d = long_corrections_nonsingular(ns, FIELD).deltas
+            d = long_corrections_nonsingular(ns, FIELD)
             sp = small_params(Theta, FIELD)
             assert d[1] == pytest.approx(sp.eps3 * kappa, rel=1e-12)
             assert d[2] == pytest.approx(-sp.eps3 * sigma, rel=1e-12)
@@ -136,7 +126,7 @@ class TestLongNonsingular:
         pn = elements_to_polar(7400.0, 0.0, inc, 0.9, 0.0, 0.3)
         ns = polar_to_nonsingular(pn)
         sp = small_params(ns.Theta, FIELD)
-        d = long_corrections_nonsingular(ns, FIELD).deltas
+        d = long_corrections_nonsingular(ns, FIELD)
         assert d[3] == pytest.approx(sp.eps3 * ns.xi * sp.p, rel=1e-6)
 
     def test_chain_rule_agreement(self):
@@ -144,10 +134,10 @@ class TestLongNonsingular:
         states = (random_polar_states(50, rng, i_range_deg=(5.0, 60.0))
                   + random_polar_states(50, rng, i_range_deg=(120.0, 175.0)))
         for pn in states:
-            polar = long_corrections_polar(pn, FIELD).deltas
-            mapped = _chain_to_nonsingular(pn, polar)
+            polar = long_corrections_polar(pn, FIELD)
+            mapped = chain_to_nonsingular(pn, polar)
             ns = polar_to_nonsingular(pn)
-            direct = long_corrections_nonsingular(ns, FIELD).deltas
+            direct = long_corrections_nonsingular(ns, FIELD)
             for a, b in zip(mapped, direct):
                 assert a == pytest.approx(b, rel=1e-10, abs=1e-14)
 
@@ -161,11 +151,11 @@ class TestLongNonsingular:
         flipped = EARTH.scaled(j3_factor=-1.0)
         for pn in random_polar_states(20, rng, i_range_deg=(10.0, 60.0)):
             ns = polar_to_nonsingular(pn)
-            d_plus = long_corrections_nonsingular(ns, FIELD).deltas
-            d_minus = long_corrections_nonsingular(ns, flipped).deltas
+            d_plus = long_corrections_nonsingular(ns, FIELD)
+            d_minus = long_corrections_nonsingular(ns, flipped)
             # the c30-odd part flips exactly: (plus - minus)/2 is the eps3 part,
             # (plus + minus)/2 the eps2 part, equal to the c30 = 0 evaluation
-            d_zero = long_corrections_nonsingular(ns, EARTH.scaled(j3_factor=0.0)).deltas
+            d_zero = long_corrections_nonsingular(ns, EARTH.scaled(j3_factor=0.0))
             for p_, m_, z_ in zip(d_plus, d_minus, d_zero):
                 assert 0.5 * (p_ + m_) == pytest.approx(z_, rel=1e-12, abs=1e-18)
 
@@ -182,7 +172,7 @@ class TestLongLowInclination:
         sigma = p * R / Theta
         ns = NonsingularState(psi=0.8, xi=0.0, chi=0.0, r=r, R=R,
                               Theta=Theta, N=Theta)
-        d = long_corrections_low_inclination(ns, FIELD).deltas
+        d = long_corrections_low_inclination(ns, FIELD)
         sp = small_params(Theta, FIELD)
         assert d[1] == pytest.approx(sp.eps3 * kappa, rel=1e-13)
         assert d[2] == pytest.approx(-sp.eps3 * sigma, rel=1e-13)
@@ -190,7 +180,7 @@ class TestLongLowInclination:
     def test_dtheta_circular_zero(self):
         pn = elements_to_polar(7400.0, 0.0, math.radians(1.5), 0.9, 0.0, 0.3)
         ns = polar_to_nonsingular(pn)
-        assert long_corrections_low_inclination(ns, FIELD).deltas[5] == pytest.approx(
+        assert long_corrections_low_inclination(ns, FIELD)[5] == pytest.approx(
             0.0, abs=1e-15)
 
     def test_difference_scales_as_s_squared(self):
@@ -206,8 +196,8 @@ class TestLongLowInclination:
                                        rng.uniform(-3.0, 3.0),
                                        rng.uniform(-3.0, 3.0))
                 ns = polar_to_nonsingular(pn)
-                full = long_corrections_nonsingular(ns, FIELD).deltas
-                low = long_corrections_low_inclination(ns, FIELD).deltas
+                full = long_corrections_nonsingular(ns, FIELD)
+                low = long_corrections_low_inclination(ns, FIELD)
                 scales = (1.0, 1.0, 1.0, ns.r, ns.Theta / ns.r, ns.Theta)
                 acc += max(abs(a - b) / s for a, b, s in zip(full, low, scales))
             diffs.append(acc / 20.0)
@@ -230,7 +220,7 @@ class TestLongLowInclination:
             ns = NonsingularState(psi=0.8, xi=s * math.sin(1.3), chi=s * math.cos(1.3),
                                   r=r, R=R, Theta=Theta,
                                   N=Theta * math.sqrt(1.0 - s * s))
-            d = long_corrections_nonsingular(ns, FIELD).deltas
+            d = long_corrections_nonsingular(ns, FIELD)
             assert d[1] == pytest.approx(sp.eps3 * kappa, rel=1e-6)
             assert d[2] == pytest.approx(-sp.eps3 * sigma, rel=1e-6)
 
@@ -239,11 +229,10 @@ class TestDeltaNAlwaysZero:
     def test_all_formulations(self):
         rng = random.Random(46)
         for pn in random_polar_states(10, rng, i_range_deg=(10.0, 60.0)):
-            assert long_corrections_polar(pn, FIELD).deltas[5] == 0.0
+            assert long_corrections_polar(pn, FIELD)[5] == 0.0
             ns = polar_to_nonsingular(pn)
-            # nonsingular sets have no N slot at all: N is carried unchanged
-            from zonalprop import apply_correction
-            out = apply_correction(ns, long_corrections_nonsingular(ns, FIELD))
-            assert out.N == ns.N
-            out = apply_correction(ns, long_corrections_low_inclination(ns, FIELD))
-            assert out.N == ns.N
+            # nonsingular deltas have no N slot at all: N is carried unchanged
+            for deltas in (long_corrections_nonsingular(ns, FIELD),
+                           long_corrections_low_inclination(ns, FIELD)):
+                assert len(deltas) == 6
+                assert add_deltas(ns, deltas).N == ns.N

@@ -4,13 +4,15 @@ import random
 import numpy as np
 import pytest
 
-from zonalprop import (EARTH, CartesianState, DelaunayState,
-                       ZonalPropError, nonsingular_to_cartesian,
-                       polar_to_nonsingular, small_params, v1)
+from zonalprop import (EARTH, CartesianState, DelaunayState, ZonalPropError,
+                       nonsingular_to_cartesian)
+from zonalprop.gravity import small_params
 from zonalprop.oracle import (hamiltonian_terms, integrate, integrate_grid,
                               poisson_bracket_fd, u1_delaunay, x1_delaunay,
                               zonal_acceleration, zonal_energy, zonal_potential)
+from zonalprop.reference import v1
 from zonalprop.secular import orbital_period
+from zonalprop.states import polar_to_nonsingular
 from conftest import cart_distance, elements_to_cartesian, elements_to_polar
 
 MU = EARTH.mu

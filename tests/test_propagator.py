@@ -5,22 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonalprop import _kernels
-from zonalprop import (EARTH, CartesianState, CriticalInclinationError, DelaunayState,
-                       PropagatorConfig, ZonalPropError, apply_correction,
-                       cartesian_to_nonsingular, delaunay_to_polar, ephemeris,
-                       ephemeris_array, long_corrections_polar, mean_to_osculating,
-                       nonsingular_to_cartesian, nonsingular_to_polar,
-                       osculating_to_mean, polar_to_delaunay, polar_to_nonsingular,
-                       propagate_mean, secular_rates, short_corrections_polar)
-from zonalprop.corrections import INVERSE
+from zonalprop import (EARTH, CartesianState, ConfigError, CriticalInclinationError,
+                       DelaunayState, PropagatorConfig, ZonalPropError, _kernels,
+                       cartesian_to_nonsingular, ephemeris, ephemeris_array,
+                       mean_to_osculating, nonsingular_to_cartesian, osculating_to_mean,
+                       propagate_mean, secular_rates)
 from zonalprop.oracle import integrate_grid
+from zonalprop.reference import long_corrections_polar, short_corrections_polar
 from zonalprop.secular import orbital_period
-from conftest import (angle_diff, cart_distance, elements_to_cartesian,
+from zonalprop.states import (delaunay_to_polar, nonsingular_to_polar, polar_to_delaunay,
+                              polar_to_nonsingular)
+from conftest import (add_deltas, angle_diff, cart_distance, elements_to_cartesian,
                       elements_to_polar, loglog_slope)
 
 MU = EARTH.mu
 ALL_OFF = PropagatorConfig(short_period=False, long_period=False, secular=False)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_critical_tol_must_be_finite_and_positive(tol):
+    # 0, a negative band or NaN switched the guard off; inf rejected every orbit
+    with pytest.raises(ConfigError, match="critical_tol must be finite and > 0"):
+        PropagatorConfig(critical_tol=tol)
+    assert PropagatorConfig(critical_tol=1e-4).critical_tol == 1e-4
 
 
 class TestOsculatingToMean:
@@ -50,7 +57,6 @@ class TestOsculatingToMean:
     def test_near_equatorial_processes(self):
         cart = elements_to_cartesian(7000.0, 0.05, math.radians(0.01), 0.3, 0.7, 1.1)
         mean = osculating_to_mean(cart, EARTH)
-        assert mean.formulation == "nonsingular"
         back = mean_to_osculating(mean.delaunay, EARTH)
         # second-order residual; the odd-zonal terms carry eps3 = O(J3/J2),
         # so the budget here is ~a*eps3^2, tens of meters
@@ -59,7 +65,6 @@ class TestOsculatingToMean:
     def test_metadata_recorded(self):
         cart = elements_to_cartesian(7000.0, 0.05, math.radians(30.0), 0.3, 0.7, 1.1)
         mean = osculating_to_mean(cart, EARTH)
-        assert mean.formulation == "nonsingular"
         assert not mean.retrograde
         cart_r = elements_to_cartesian(7000.0, 0.05, math.radians(150.0), 0.3, 0.7, 1.1)
         assert osculating_to_mean(cart_r, EARTH).retrograde
@@ -266,15 +271,15 @@ def _polar_nodal_ephemeris(cart, ts, field):
     pipeline, in the variables the chain-rule oracle maps from.
     """
     pn = nonsingular_to_polar(cartesian_to_nonsingular(cart))
-    pn = apply_correction(pn, short_corrections_polar(pn, field, INVERSE))
-    pn = apply_correction(pn, long_corrections_polar(pn, field, INVERSE))
+    pn = add_deltas(pn, short_corrections_polar(pn, field), -1.0)
+    pn = add_deltas(pn, long_corrections_polar(pn, field), -1.0)
     mean = polar_to_delaunay(pn, field.mu)
     rates = secular_rates(mean.L, mean.G, mean.H, field)
     rows = []
     for t in ts:
         pt = delaunay_to_polar(propagate_mean(mean, rates, t), field.mu)
-        pt = apply_correction(pt, long_corrections_polar(pt, field))
-        pt = apply_correction(pt, short_corrections_polar(pt, field))
+        pt = add_deltas(pt, long_corrections_polar(pt, field))
+        pt = add_deltas(pt, short_corrections_polar(pt, field))
         c = nonsingular_to_cartesian(polar_to_nonsingular(pt))
         rows.append((c.x, c.y, c.z, c.vx, c.vy, c.vz))
     return np.array(rows)
@@ -366,7 +371,6 @@ class TestDegenerateOrbits:
         r = Theta * Theta / MU
         cart = CartesianState(r, 0.0, 0.0, 0.0, Theta / r, 0.0)
         mean = osculating_to_mean(cart, EARTH)
-        assert mean.formulation == "nonsingular"
         assert cart_distance(mean_to_osculating(mean.delaunay, EARTH), cart) < 0.05
         ts = np.linspace(0.0, 6000.0, 7)
         ana = ephemeris_array(cart, 0.0, ts, EARTH)

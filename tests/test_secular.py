@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from zonalprop import (EARTH, DelaunayState, mean_hamiltonian, mean_motion,
-                       orbital_period, propagate_mean, secular_rates)
+from zonalprop import (EARTH, DelaunayState, mean_motion, orbital_period,
+                       propagate_mean, secular_rates)
+from zonalprop.secular import mean_hamiltonian
 
 MU = EARTH.mu
 TWO_BODY = EARTH.restricted("two-body")

@@ -9,8 +9,8 @@ import pytest
 
 from zonalprop import EARTH, DelaunayState
 from zonalprop.oracle import u1_delaunay, x1_delaunay
-from zonalprop.series import (delaunay_long_period, delaunay_short_period,
-                              mean_to_osculating_delaunay)
+from zonalprop.reference import (delaunay_long_period, delaunay_short_period,
+                                 mean_to_osculating_delaunay)
 
 MU = EARTH.mu
 NAMES = ("ell", "g", "h", "L", "G", "H")
@@ -85,8 +85,8 @@ class TestComposedTransformation:
         # first-order theory, so their osculating outputs agree to second
         # order: the disagreement shrinks as lambda^2 under J2 inflation
         import numpy as np
-        from zonalprop import (delaunay_to_polar, mean_to_osculating,
-                               polar_to_nonsingular, nonsingular_to_cartesian)
+        from zonalprop import mean_to_osculating, nonsingular_to_cartesian
+        from zonalprop.states import delaunay_to_polar, polar_to_nonsingular
         from conftest import cart_distance, loglog_slope
 
         def disagreement(d, field):

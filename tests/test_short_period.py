@@ -4,30 +4,18 @@ from dataclasses import replace
 
 import pytest
 
-from zonalprop import (EARTH, NonsingularState,
-                       PolarNodalState, apply_correction, polar_to_delaunay,
-                       polar_to_nonsingular, short_corrections_low_inclination,
-                       short_corrections_nonsingular, short_corrections_polar,
-                       small_params, v1)
-from zonalprop.corrections import DIRECT, INVERSE
+from zonalprop import EARTH, NonsingularState
+from zonalprop.gravity import small_params
 from zonalprop.oracle import poisson_bracket_fd, u1_delaunay
-from conftest import elements_to_polar, loglog_slope, random_polar_states
+from zonalprop.reference import (short_corrections_low_inclination,
+                                 short_corrections_nonsingular, short_corrections_polar, v1)
+from zonalprop.states import PolarNodalState, polar_to_delaunay, polar_to_nonsingular
+from conftest import (add_deltas, chain_to_nonsingular, elements_to_polar, loglog_slope,
+                      random_polar_states)
 
 MU = EARTH.mu
 FIELD = EARTH.restricted("j2")
 COORDS = ("r", "theta", "nu", "R", "Theta", "N")
-
-
-def _chain_to_nonsingular(pn, deltas):
-    """Exact chain-rule image of polar-nodal deltas in the nonsingular set."""
-    dr, dth, dnu, dR, dTh, dN = deltas
-    c = pn.N / pn.Theta
-    s = math.sqrt(1.0 - c * c)
-    sign = -1.0 if pn.N < 0 else 1.0
-    dpsi = dth + sign * dnu
-    dxi = (dTh / s) * (c * c / pn.Theta) * math.sin(pn.theta) + s * dth * math.cos(pn.theta)
-    dchi = (dTh / s) * (c * c / pn.Theta) * math.cos(pn.theta) - s * dth * math.sin(pn.theta)
-    return dpsi, dxi, dchi, dr, dR, dTh
 
 
 class TestV1:
@@ -57,7 +45,7 @@ class TestShortPolar:
     def test_delta_n_exactly_zero(self):
         rng = random.Random(32)
         for pn in random_polar_states(20, rng):
-            assert short_corrections_polar(pn, FIELD).deltas[5] == 0.0
+            assert short_corrections_polar(pn, FIELD)[5] == 0.0
 
     def test_circular_dr(self):
         p, inc = 7000.0, math.radians(50.0)
@@ -68,14 +56,14 @@ class TestShortPolar:
         sp = small_params(Theta, FIELD)
         s2 = math.sin(inc) ** 2
         expected = sp.eps2 * p * (3.0 * (2.0 - 3.0 * s2) - s2 * math.cos(2.0 * theta))
-        dr = short_corrections_polar(pn, FIELD).deltas[0]
+        dr = short_corrections_polar(pn, FIELD)[0]
         assert dr == pytest.approx(expected, rel=1e-9)
 
     def test_poisson_bracket_oracle(self):
         rng = random.Random(33)
         gen = lambda st: v1(st, FIELD)
         for pn in random_polar_states(100, rng):
-            deltas = short_corrections_polar(pn, FIELD).deltas
+            deltas = short_corrections_polar(pn, FIELD)
             for i, name in enumerate(COORDS):
                 fd = poisson_bracket_fd(gen, name, pn)
                 scale = max(abs(deltas[i]), 1e-7 * abs(deltas[0]) + 1e-15)
@@ -83,9 +71,8 @@ class TestShortPolar:
 
     def test_periodic_in_theta(self):
         pn = elements_to_polar(8000.0, 0.2, math.radians(40.0), 0.5, 0.3, 0.7)
-        d1 = short_corrections_polar(pn, FIELD).deltas
-        d2 = short_corrections_polar(replace(pn, theta=pn.theta + 2.0 * math.pi),
-                                     FIELD).deltas
+        d1 = short_corrections_polar(pn, FIELD)
+        d2 = short_corrections_polar(replace(pn, theta=pn.theta + 2.0 * math.pi), FIELD)
         for a, b in zip(d1, d2):
             assert a == pytest.approx(b, abs=1e-18, rel=1e-12)
 
@@ -96,7 +83,7 @@ class TestShortNonsingular:
         Theta = math.sqrt(MU * p)
         ns = NonsingularState(psi=0.8, xi=0.0, chi=0.0, r=p * 0.95, R=0.3,
                               Theta=Theta, N=Theta)
-        d = short_corrections_nonsingular(ns, FIELD).deltas
+        d = short_corrections_nonsingular(ns, FIELD)
         assert d[1] == 0.0 and d[2] == 0.0
 
     def test_circular_equatorial_values(self):
@@ -104,7 +91,7 @@ class TestShortNonsingular:
         Theta = math.sqrt(MU * p)
         ns = NonsingularState(psi=0.8, xi=0.0, chi=0.0, r=p, R=0.0,
                               Theta=Theta, N=Theta)
-        d = short_corrections_nonsingular(ns, FIELD).deltas
+        d = short_corrections_nonsingular(ns, FIELD)
         sp = small_params(Theta, FIELD)
         assert d[0] == pytest.approx(0.0, abs=1e-18)            # dpsi: phi = sigma = 0
         assert d[3] == pytest.approx(6.0 * sp.eps2 * p, rel=1e-9)  # dr = 6 eps2 p
@@ -114,10 +101,10 @@ class TestShortNonsingular:
     def test_chain_rule_agreement(self):
         rng = random.Random(34)
         for pn in random_polar_states(100, rng, i_range_deg=(5.0, 60.0)):
-            polar = short_corrections_polar(pn, FIELD).deltas
-            mapped = _chain_to_nonsingular(pn, polar)
+            polar = short_corrections_polar(pn, FIELD)
+            mapped = chain_to_nonsingular(pn, polar)
             ns = polar_to_nonsingular(pn)
-            direct = short_corrections_nonsingular(ns, FIELD).deltas
+            direct = short_corrections_nonsingular(ns, FIELD)
             for a, b in zip(mapped, direct):
                 assert a == pytest.approx(b, rel=1e-10, abs=1e-14)
 
@@ -128,7 +115,7 @@ class TestShortLowInclination:
         Theta = math.sqrt(MU * p)
         ns = NonsingularState(psi=0.8, xi=0.0, chi=0.0, r=p, R=0.0,
                               Theta=Theta, N=Theta)
-        d = short_corrections_low_inclination(ns, FIELD).deltas
+        d = short_corrections_low_inclination(ns, FIELD)
         assert d[0] == 0.0  # dpsi = -2 eps2 (3 phi + ... sigma) with phi = sigma = 0
         assert d[5] == 0.0
 
@@ -142,7 +129,7 @@ class TestShortLowInclination:
                                    rng.uniform(-3.0, 3.0),
                                    rng.uniform(-3.0, 3.0))
             ns = polar_to_nonsingular(pn)
-            assert short_corrections_low_inclination(ns, FIELD).deltas[5] == 0.0
+            assert short_corrections_low_inclination(ns, FIELD)[5] == 0.0
 
     def test_difference_scales_as_s_squared(self):
         incs = (4.0, 2.0, 1.0)
@@ -157,8 +144,8 @@ class TestShortLowInclination:
                                        rng.uniform(-3.0, 3.0),
                                        rng.uniform(-3.0, 3.0))
                 ns = polar_to_nonsingular(pn)
-                full = short_corrections_nonsingular(ns, FIELD).deltas
-                low = short_corrections_low_inclination(ns, FIELD).deltas
+                full = short_corrections_nonsingular(ns, FIELD)
+                low = short_corrections_low_inclination(ns, FIELD)
                 # nondimensionalise each component by its natural scale
                 scales = (1.0, 1.0, 1.0, ns.r, ns.Theta / ns.r, ns.Theta)
                 acc += max(abs(a - b) / s for a, b, s in zip(full, low, scales))
@@ -169,32 +156,8 @@ class TestShortLowInclination:
 
 
 class TestApplyCorrection:
-    def test_zero_set_identity(self):
-        from zonalprop.corrections import CorrectionSet, NONSINGULAR_LAYOUT
-        ns = NonsingularState(psi=0.3, xi=0.1, chi=0.2, r=7000.0, R=0.1,
-                              Theta=52000.0, N=50000.0)
-        zero = CorrectionSet(layout=NONSINGULAR_LAYOUT, orientation=DIRECT,
-                             deltas=(0.0,) * 6)
-        assert apply_correction(ns, zero) == ns
-
-    def test_n_never_changes(self):
-        rng = random.Random(37)
-        for pn in random_polar_states(20, rng):
-            corr = short_corrections_polar(pn, FIELD, orientation=DIRECT)
-            assert apply_correction(pn, corr).N == pn.N
-
-    def test_layout_mismatch(self):
-        pn = elements_to_polar(8000.0, 0.1, 0.5, 0.1, 0.2, 0.3)
-        ns = polar_to_nonsingular(pn)
-        corr = short_corrections_polar(pn, FIELD)
-        with pytest.raises(ValueError):
-            apply_correction(ns, corr)
-
-    def test_orientation_mismatch(self):
-        pn = elements_to_polar(8000.0, 0.1, 0.5, 0.1, 0.2, 0.3)
-        corr = short_corrections_polar(pn, FIELD, orientation=DIRECT)
-        with pytest.raises(ValueError):
-            apply_correction(pn, corr, direction=INVERSE)
+    """A stage's deltas added at the mean state and subtracted at the
+    osculating state: the two maps are inverse to first order."""
 
     def test_inverse_of_direct_scales_as_eps2_squared(self):
         rng = random.Random(38)
@@ -205,8 +168,8 @@ class TestApplyCorrection:
             f = FIELD.scaled(j2_factor=lam)
             acc = 0.0
             for pn in states:
-                osc = apply_correction(pn, short_corrections_polar(pn, f, DIRECT))
-                back = apply_correction(osc, short_corrections_polar(osc, f, INVERSE))
+                osc = add_deltas(pn, short_corrections_polar(pn, f))
+                back = add_deltas(osc, short_corrections_polar(osc, f), -1.0)
                 acc += abs(back.r - pn.r) / pn.r + abs(back.Theta - pn.Theta) / pn.Theta
             residuals.append(acc / len(states))
         slope = loglog_slope(lams, residuals)
