@@ -14,8 +14,6 @@ import sys
 
 import numpy as np
 
-from ._kernels import EPOCH_BLOCK
-from .benchmark import format_report, run_benchmark
 from .errors import ConfigError, CriticalInclinationError, ZonalPropError
 from .gravity import EARTH, GravityField
 from .longperiod import CRITICAL_TOL
@@ -87,7 +85,11 @@ def _get(cp, section, key, override, default=None, cast=float):
                 raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean; "
                                   f"use one of {', '.join(states)}")
             return states[raw.lower()]
-        return cast(raw)
+        try:
+            return cast(raw)
+        except ValueError:
+            kind = "an integer" if cast is int else "a number"
+            raise ConfigError(f"[{section}] {key} = {raw!r} is not {kind}") from None
     return default
 
 
@@ -138,17 +140,200 @@ def _time_grid(epoch: float, duration: float, step: float) -> np.ndarray:
     return epoch + step * np.arange(int(math.floor(span)) + 1)
 
 
+# ---------------------------------------------------------------------------
+# CSV text: ``%.17g`` per value, formatted in NumPy blocks
+# ---------------------------------------------------------------------------
+
+#: rows formatted per block.  Measured on the one-day 1 s ephemeris (seven
+#: columns) in a fresh interpreter: at 1024 rows the allocator gave the
+#: block's larger temporaries back to the system after every block and the
+#: next block faulted them in again (34 000 page faults, against 6 at 512
+#: rows), which made the write about 40% slower; at 256 rows the fixed cost
+#: of the NumPy calls per block made it 30% slower
+_WRITE_ROWS = 512
+
+#: bytes per value on the canvas, 11 four-byte words: room for the sign, 16
+#: integer digits ending at byte 19, '.' at byte 20, 20 fraction digits and
+#: the separator
+_SLOT = 44
+_POINT = 20
+
+#: Veltkamp's splitter for doubles, 2**27 + 1
+_SPLIT = 134217729.0
+
+#: 10**s as exact doubles (exact up to s = 22), and as int64 capped at 10**17
+#: where only a zero multiplies the capped entries
+_POW10 = np.array([float(10 ** s) for s in range(23)])
+_POW10_INT = np.array([10 ** min(s, 17) for s in range(23)], dtype=np.int64)
+
+
+def _digit_words():
+    """Four-byte words indexed by a group's table code, and the place of each
+    word's last non-zero digit (negative for an all-zero group).
+
+    Codes 0..9999 are the digits of a 4-digit group, 10000..10999 are '.'
+    followed by a 3-digit group, 11000..11009 are one digit and three pad
+    bytes.  Built by broadcasting, which is fast enough to run at import.
+    """
+    ascii = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    digits = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    digits[..., 0] = ascii[:, None, None, None]
+    digits[..., 1] = ascii[:, None, None]
+    digits[..., 2] = ascii[:, None]
+    digits[..., 3] = ascii
+    last = np.full((10, 10, 10, 10), -64, dtype=np.int8)
+    last[1:] = 1
+    last[:, 1:] = 2
+    last[:, :, 1:] = 3
+    last[:, :, :, 1:] = 4
+    digits, last = digits.reshape(10_000, 4), last.ravel()
+    dot3 = digits[:1000].copy()
+    dot3[:, 0] = ord(".")
+    one = np.full((10, 4), ord(" "), dtype=np.uint8)
+    one[:, 0] = ascii
+    words = np.concatenate([digits, dot3, one]).view(np.uint32).ravel()
+    ones = np.where(ascii > ord("0"), 1, -64)
+    return words, np.concatenate([last, last[:1000] - 1, ones]).astype(np.int8)
+
+
+_WORDS, _LAST_DIGIT = _digit_words()
+#: place in the fraction of the digit before each fraction word's first digit
+_FRACTION_PLACE = np.array([0, 3, 7, 11, 15, 19], dtype=np.int8)[:, None]
+#: row start * _SLOT + end holds the mask of the canvas bytes start..end
+_RUN_MASK = ((np.arange(_SLOT)[None, None, :] >= np.arange(_SLOT)[:, None, None])
+             & (np.arange(_SLOT)[None, None, :] <= np.arange(_SLOT)[None, :, None])
+             ).reshape(_SLOT * _SLOT, _SLOT)
+
+
+def _two_product(a, b):
+    """Dekker's error-free product: a * b == p + e exactly (no overflow or
+    underflow in the range it is used for)."""
+    p = a * b
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLIT * b
+    bh = t - (t - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _scaled_significand(a, k):
+    """a * 10**(16 - k) rounded half-even to an integer, exactly, and the step
+    that moves k towards a's decimal exponent: -1, 0 or +1, by whether the
+    exact product lies below, in or above [10**16, 10**17)."""
+    p, e = _two_product(a, _POW10[16 - k])
+    # in range p >= 10**16 > 2**53 is an even integer, so rounding p + e
+    # half-even rounds e half-even
+    n = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    below = (p < 1e16) | ((p == 1e16) & (e < 0.0))
+    above = (p > 1e17) | ((p == 1e17) & (e >= 0.0))
+    return n, above.astype(np.int64) - below
+
+
+def _significands(a):
+    """17-digit significands N and decimal exponents k of a in [1e-4, 1e16),
+    so that N * 10**(k - 16) is a rounded to 17 significant digits, as
+    ``%.17g`` rounds it."""
+    k = np.floor(np.log10(a)).astype(np.int64)
+    n, step = _scaled_significand(a, k)
+    redo = np.flatnonzero(step)
+    step = step[redo]
+    while redo.size:  # log10 was one off next to a power of ten: only these again
+        k[redo] += step
+        n[redo], step = _scaled_significand(a[redo], k[redo])
+        redo, step = redo[step != 0], step[step != 0]
+    # n < 10**17: rounding never carries into the next decade, because no
+    # double below a power of ten in this range lies within 5e-18 of it
+    # (the closest, below 0.1, is 8.3e-17 away)
+    return n, k
+
+
+def _split4(x, out):
+    """The four 4-digit groups of x < 10**16, most significant first, into
+    the rows of out (scalar divisors, which NumPy divides fast)."""
+    high = x // 100_000_000
+    low = x - high * 100_000_000
+    np.floor_divide(high, 10_000, out=out[0])
+    np.subtract(high, out[0] * 10_000, out=out[1])
+    np.floor_divide(low, 10_000, out=out[2])
+    np.subtract(low, out[2] * 10_000, out=out[3])
+
+
+def _format_block(values, seps) -> str:
+    """``'%.17g' % v`` for each value, each followed by its separator byte.
+
+    0 and 1e-4 <= |v| < 1e16, where ``%.17g`` prints fixed notation, are laid
+    out in NumPy; every other value (exponent form, nan, inf) is formatted by
+    ``%`` into its own slot.
+    """
+    n = values.size
+    a = np.abs(values)
+    fixed = (a >= 1e-4) & (a < 1e16)
+    zero = a == 0.0
+    work = np.where(fixed, a, 1.0)  # 1.0 stands in for zero and the values % formats
+    big, k = _significands(work)
+    if zero.any():
+        big[zero], k[zero], work[zero] = 0, 0, 0.0
+        fixed |= zero
+    # digits before the point: a's integer part, which 17-digit rounding never
+    # changes; the m = 16 - k digits after it, left-aligned in 20 places, split
+    # into head (3 digits) and tail (17 digits)
+    ipart = np.floor(work).astype(np.int64)
+    m = 16 - k
+    rest = big - ipart * _POW10_INT[m]
+    cut = np.maximum(m - 3, 0)
+    head = rest // _POW10_INT[cut]
+    tail = (rest - head * _POW10_INT[cut]) * _POW10_INT[20 - np.maximum(m, 3)]
+    head *= _POW10_INT[np.maximum(3 - m, 0)]
+
+    # table codes of the 11 words, one row per word
+    codes = np.empty((11, n), dtype=np.int64)
+    codes[0] = 0
+    _split4(ipart, codes[1:5])
+    np.add(head, 10_000, out=codes[5])
+    _split4(tail // 10, codes[6:10])
+    np.add(tail % 10, 11_000, out=codes[10])
+    # gathered word row by word row, then transposed: 2-3 times faster than
+    # gathering through the transposed codes
+    canvas = np.ascontiguousarray(_WORDS[codes].T).view(np.uint8)
+    # fraction digits to print: up to the last non-zero one
+    fraction = np.max(_LAST_DIGIT[codes[5:]] + _FRACTION_PLACE, axis=0)
+
+    start = _POINT - 1 - np.maximum(k, 0)
+    end = np.where(fraction > 0, _POINT + 1 + fraction, _POINT)
+    neg = np.signbit(values) & fixed
+    start -= neg
+    base = np.arange(0, n * _SLOT, _SLOT)
+    flat = canvas.reshape(-1)
+    flat[(base + start)[neg]] = ord("-")
+
+    other = np.flatnonzero(~fixed)
+    if other.size:
+        text = ((f"%-{_SLOT}.17g" * other.size) % tuple(values[other].tolist())).encode()
+        slots = np.frombuffer(text, dtype=np.uint8).reshape(other.size, _SLOT)
+        canvas[other] = slots
+        start[other] = 0
+        end[other] = np.count_nonzero(slots != ord(" "), axis=1)
+    flat[base + end] = seps
+    return canvas[np.take(_RUN_MASK, start * _SLOT + end, axis=0)].tobytes().decode("ascii")
+
+
 def _write_table(fh, columns, sep: str) -> None:
     """Write the columns (1-D or 2-D arrays of one length) side by side, one
     line per row, each value as ``%.17g``: the bytes of ``_fmt`` per value.
 
-    Formats ``EPOCH_BLOCK`` rows per write, so memory stays bounded.
+    Formats ``_WRITE_ROWS`` rows per write, so memory stays bounded.
     """
     n = len(columns[0])
-    for i in range(0, n, EPOCH_BLOCK):
-        block = np.column_stack([c[i:i + EPOCH_BLOCK] for c in columns])
-        row = sep.join(["%.17g"] * block.shape[1]) + "\n"
-        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    seps = None
+    for i in range(0, n, _WRITE_ROWS):
+        block = np.column_stack([c[i:i + _WRITE_ROWS] for c in columns])
+        if seps is None:
+            row = np.full(block.shape[1], ord(sep), dtype=np.uint8)
+            row[-1] = ord("\n")
+            seps = np.tile(row, len(block))
+        fh.write(_format_block(block.astype(float, copy=False).ravel(), seps[:block.size]))
 
 
 def _write_ephemeris(path: str, ts: np.ndarray, rows: np.ndarray,
@@ -212,14 +397,20 @@ def _cmd_compare(cp, args) -> int:
     epoch, duration, step, model, config, tol = _build_run(cp, args)
     field = field.restricted(model)
     ts = _time_grid(epoch, duration, step)
+    raw = _get(cp, "compare", "j2-multipliers", args.j2_multipliers,
+               "1,0.5,0.25,0.125", cast=str)
+    try:
+        multipliers = [float(v) for v in raw.split(",") if v.strip()]
+    except ValueError:
+        multipliers = []
+    # the slope is fitted to log(lambda): two different positive values at least
+    if len(set(multipliers)) < 2 or not all(0.0 < lam < math.inf for lam in multipliers):
+        raise ConfigError(f"[compare] j2-multipliers = {raw!r} is not a comma-separated "
+                          "list of two or more different positive numbers")
     ana = ephemeris_array(state, epoch, ts, field, config)
     num = integrate_grid(state, epoch, ts, field, tol)
     pos_err = np.sqrt(np.sum((ana[:, :3] - num[:, :3]) ** 2, axis=1))
     vel_err = np.sqrt(np.sum((ana[:, 3:] - num[:, 3:]) ** 2, axis=1))
-
-    raw = _get(cp, "compare", "j2-multipliers", args.j2_multipliers,
-               "1,0.5,0.25,0.125", cast=str)
-    multipliers = [float(v) for v in raw.split(",") if v.strip()]
     slope_rows, slope = _slope_table(state, epoch, field, config, tol, multipliers)
 
     out = _get(cp, "output", "report", args.report, "compare.txt", cast=str)
@@ -242,11 +433,14 @@ def _cmd_compare(cp, args) -> int:
 
 
 def _cmd_benchmark(cp, args) -> int:
+    # only this subcommand runs the benchmark: imported here so that the
+    # others start without it
+    from .benchmark import format_report, run_benchmark
     field = _build_field(cp, args)
     state = _build_state(cp, args)
     epoch, duration, step, model, config, _ = _build_run(cp, args)
     field = field.restricted(model)
-    iterations = int(_get(cp, "benchmark", "iterations", args.iterations, 2000))
+    iterations = _get(cp, "benchmark", "iterations", args.iterations, 2000, cast=int)
     mean = osculating_to_mean(state, field, config)
     report = run_benchmark(mean.delaunay, field, iterations)
     text = format_report(report)

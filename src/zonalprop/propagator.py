@@ -131,6 +131,19 @@ def ephemeris(cart0: CartesianState, t0: float, ts, field: GravityField,
     return [CartesianState(*row) for row in ephemeris_array(cart0, t0, ts, field, config)]
 
 
+def _checked_grid(t0: float, ts) -> np.ndarray:
+    """The time grid as a contiguous float array; ZonalPropError unless it is
+    one-dimensional and finite and the epoch t0 is finite."""
+    ts = np.ascontiguousarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ZonalPropError("time grid must be one-dimensional")
+    if not np.isfinite(ts).all():
+        raise ZonalPropError("time grid must be finite")
+    if not math.isfinite(t0):
+        raise ZonalPropError(f"epoch t0 must be finite, got {t0}")
+    return ts
+
+
 def ephemeris_array(cart0: CartesianState, t0: float, ts, field: GravityField,
                     config: PropagatorConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Same as ephemeris, returning an (n, 6) float array.
@@ -139,13 +152,7 @@ def ephemeris_array(cart0: CartesianState, t0: float, ts, field: GravityField,
     NumPy blocks, shorter ones epoch by epoch on floats; the two agree to
     about 1e-10 km in position.
     """
-    ts = np.ascontiguousarray(ts, dtype=float)
-    if ts.ndim != 1:
-        raise ZonalPropError("time grid must be one-dimensional")
-    if not np.isfinite(ts).all():
-        raise ZonalPropError("time grid must be finite")
-    if not math.isfinite(t0):
-        raise ZonalPropError(f"epoch t0 must be finite, got {t0}")
+    ts = _checked_grid(t0, ts)
     ell, g, h, L, G, H, retro, _ = _mean_state(cart0, field, config)
     ldot, gdot, hdot = (mean_angle_rates(L, G, H, field) if config.secular
                         else (mean_motion(L, field), 0.0, 0.0))
@@ -158,8 +165,11 @@ def ephemeris_array(cart0: CartesianState, t0: float, ts, field: GravityField,
 
 def mean_elements_series(mean: MeanElements, t0: float, ts, field: GravityField,
                          config: PropagatorConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Mean Delaunay elements at the grid times, as an (n, 6) array."""
-    dt = np.asarray(ts, dtype=float) - t0
+    """Mean Delaunay elements at the grid times, as an (n, 6) array.
+
+    The grid and the epoch are checked as ephemeris_array checks them.
+    """
+    dt = _checked_grid(t0, ts) - t0
     d = mean.delaunay
     ldot, gdot, hdot = (mean_angle_rates(d.L, d.G, d.H, field) if config.secular
                         else (mean_motion(d.L, field), 0.0, 0.0))

@@ -192,6 +192,50 @@ class TestWriter:
         assert bad is None, (bad, got[bad], want[bad])
 
 
+def _first_difference(got, want):
+    """Index and text of the first differing line, or None: a diff of a whole
+    table is slow to print."""
+    got, want = got.splitlines(), want.splitlines()
+    bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+               None if len(got) == len(want) else min(len(got), len(want)))
+    return None if bad is None else (bad, got[bad:bad + 1], want[bad:bad + 1])
+
+
+def test_writer_exact_on_its_hard_cases():
+    """The NumPy layout against ``%.17g`` where exact 17-digit rounding is
+    hardest: both edges of the fixed-notation range, decade edges, ties,
+    integers past 2**53 and the values that go through ``%`` instead."""
+    rng = np.random.default_rng(20)
+    n = 1_000_000
+    sweep = 10.0 ** rng.uniform(-4.0, 16.0, n) * rng.choice([-1.0, 1.0], n)
+    powers = 10.0 ** np.arange(-4, 17)
+    firsts = np.outer(np.arange(1, 10), powers).ravel()  # 1e-4, ..., 9e16
+    edges = np.concatenate([firsts] + [np.nextafter(firsts, d) for d in (0.0, np.inf)]
+                           + [np.nextafter(np.nextafter(powers, 0.0), 0.0)])
+    big = np.concatenate([2.0 ** 53 + np.arange(-8, 9), 1e16 - 2.0 * np.arange(1, 9)])
+    halves = 2.0 ** 52 - np.arange(1, 9) + 0.5  # exact halves, last 17-digit place
+    ties = 1e15 + np.arange(1, 33) * 0.125      # ...0.25, ...0.75: half-even ties
+    nines = 1.0 - 2.0 ** -53 * np.arange(1, 9)  # carry through ...999 in the digits
+    cli_small = [-5.1290452639046746e-05, 4.7088202634992804e-05, 8.239701409232247e-05]
+    special = np.concatenate([edges, big, halves, ties, nines, [0.0, -0.0], cli_small])
+    special = np.concatenate([special, -special])
+    values = np.concatenate([special, sweep])
+    values = np.concatenate([values, np.full(-len(values) % 8, 0.5)]).reshape(-1, 8)
+    fh = io.StringIO()
+    _write_table(fh, (values,), ",")
+    want = ("%.17g," * 7 + "%.17g\n") * len(values) % tuple(values.ravel().tolist())
+    assert _first_difference(fh.getvalue(), want) is None
+
+    # the compare form: space-separated, with the values % formats
+    ts = np.array([0.0, 1.0, 2.0, 3.0])
+    errs = np.array([[math.nan, 1e-9], [math.inf, -math.inf], [5e-324, 1e300],
+                     [1e16, 1.7976931348623157e308]])
+    fh = io.StringIO()
+    _write_table(fh, (ts, errs), " ")
+    want = "".join(_old_row(row, " ") for row in np.column_stack([ts, errs]))
+    assert _first_difference(fh.getvalue(), want) is None
+
+
 class TestExitCodes:
     def test_critical_inclination_exit_2(self, tmp_path):
         cfg = _write_config(tmp_path / "run.ini", inc_deg=63.435)
@@ -349,6 +393,49 @@ class TestExitCodes:
         config = cli._build_run(cli._read_config(args.config), args)[4]
         assert config.short_period is expected
 
+    @pytest.mark.parametrize("command, line, raw, message", [
+        ("propagate", "mu = 398600.4418", "mu = 398600.44l8",
+         "[gravity] mu = '398600.44l8' is not a number"),
+        ("propagate", "epoch = 0.0", "epoch = O.0", "[state] epoch = 'O.0' is not a number"),
+        ("propagate", "step = 600.0", "step = 6O", "[run] step = '6O' is not a number"),
+        ("compare", "model = j2j3", "model = j2j3\n[compare]\nj2-multipliers = 1,half",
+         "[compare] j2-multipliers = '1,half' is not a comma-separated list"),
+        ("benchmark", "model = j2j3", "model = j2j3\n[benchmark]\niterations = ten",
+         "[benchmark] iterations = 'ten' is not an integer"),
+    ], ids=["gravity", "state", "run", "compare", "benchmark"])
+    def test_bad_number_names_its_key_exit_1(self, tmp_path, capsys, command, line, raw,
+                                             message):
+        cfg = _write_config(tmp_path / "run.ini")
+        text = cfg.read_text()
+        assert line in text
+        cfg.write_text(text.replace(line, raw, 1))
+        out = tmp_path / "out.txt"
+        flag = "--ephemeris" if command == "propagate" else "--report"
+        assert main([command, "--config", str(cfg), flag, str(out)]) == 1
+        assert not out.exists()
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["", "1", "1,0", "1,-0.5", "1,1", "1,nan", "1,inf"])
+    def test_j2_multipliers_must_fit_a_slope_exit_1(self, tmp_path, capsys, raw):
+        # an empty list used to end in a TypeError traceback and 0, a negative
+        # or a single value in a LAPACK error from the log-log fit
+        cfg = _write_config(tmp_path / "run.ini")
+        report = tmp_path / "cmp.txt"
+        assert main(["compare", "--config", str(cfg), "--report", str(report),
+                     f"--j2-multipliers={raw}"]) == 1
+        assert not report.exists()
+        assert f"[compare] j2-multipliers = '{raw}' is not" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["1e400", "2.5", "nan", "ten"])
+    def test_iterations_must_be_an_integer_exit_1(self, tmp_path, capsys, raw):
+        # int() of the text: 1e400 used to end in an OverflowError traceback,
+        # 2.5 ran 2 iterations
+        cfg = _write_config(tmp_path / "run.ini", extra=f"[benchmark]\niterations = {raw}\n")
+        report = tmp_path / "bench.txt"
+        assert main(["benchmark", "--config", str(cfg), "--report", str(report)]) == 1
+        assert not report.exists()
+        assert f"[benchmark] iterations = '{raw}' is not an integer" in capsys.readouterr().err
+
     def test_malformed_config_exit_1(self, tmp_path):
         cfg = _write_config(tmp_path / "run.ini", extra="[run]\nstep = 60\n")
         assert main(["propagate", "--config", str(cfg)]) == 1
@@ -388,6 +475,12 @@ class TestBenchmarkCommand:
         assert "nonsingular_trig" in text
         assert "seconds per evaluation" in text
 
+    def test_iterations_from_config(self, tmp_path):
+        cfg = _write_config(tmp_path / "run.ini", extra="[benchmark]\niterations = 2000\n")
+        report = tmp_path / "bench.txt"
+        assert main(["benchmark", "--config", str(cfg), "--report", str(report)]) == 0
+        assert "iterations = 2000" in report.read_text()
+
     def test_zero_iterations(self, tmp_path):
         cfg = _write_config(tmp_path / "run.ini")
         report = tmp_path / "bench0.txt"
@@ -410,14 +503,15 @@ API = ("ChartError", "ConfigError", "CriticalInclinationError",
 
 
 def test_cli_import_leaves_scipy_out():
-    # only compare needs the reference integrator, and no command runs the
-    # reference formulations: the CLI starts without either
+    # only compare needs the reference integrator, only benchmark the
+    # benchmark, and no command runs the reference formulations: the CLI
+    # starts without any of them
     import zonalprop
     src = os.path.dirname(os.path.dirname(zonalprop.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     probe = ("import sys, zonalprop.cli; print([m for m in ('scipy.integrate', "
-             "'zonalprop.reference') if m in sys.modules])")
+             "'zonalprop.reference', 'zonalprop.benchmark') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "[]"

@@ -25,10 +25,10 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 
 #: most Python-level calls one single-epoch request may make (sys.setprofile
 #: "call" events).  A change that puts per-call wrappers back on the float
-#: path fails here; raising the budget is a change to log.  59 = 57 + the two
+#: path fails here; raising the budget is a change to log.  60 = 57 + the two
 #: calls of the shared ellipticity check (before the inverse corrections and
-#: in ``ellipse_elements``).
-CALL_BUDGET = 59
+#: in ``ellipse_elements``) + the grid check ``mean_elements_series`` shares.
+CALL_BUDGET = 60
 
 
 def _catalog(seed, size):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,26 @@ class TestEphemeris:
             ref[i, 4] = d.G
             ref[i, 5] = d.H
         assert np.array_equal(mean_elements_series(mean, t0, ts, EARTH), ref)
+
+    @pytest.mark.parametrize("t0, ts, message", [
+        (math.nan, [0.0, 60.0], "epoch t0 must be finite, got nan"),
+        (0.0, [0.0, math.inf], "time grid must be finite"),
+        (0.0, [[0.0, 60.0], [120.0, 180.0]], "time grid must be one-dimensional"),
+    ], ids=["nan-epoch", "inf-grid", "2d-grid"])
+    def test_mean_elements_series_checks_the_grid_as_ephemeris_array(self, t0, ts, message):
+        # it used to return NaN rows (with a RuntimeWarning for the NaN epoch)
+        # or fail inside NumPy's broadcasting
+        from zonalprop.propagator import mean_elements_series
+        cart = elements_to_cartesian(7000.0, 0.05, math.radians(30.0), 0.3, 0.7, 1.1)
+        mean = osculating_to_mean(cart, EARTH)
+        errors = []
+        for fn, start in ((ephemeris_array, cart), (mean_elements_series, mean)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ZonalPropError) as exc:
+                    fn(start, t0, ts, EARTH)
+            errors.append((type(exc.value), str(exc.value)))
+        assert errors == [(ZonalPropError, message)] * 2
 
 
 def _polar_nodal_ephemeris(cart, ts, field):
