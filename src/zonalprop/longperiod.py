@@ -8,7 +8,7 @@ inapplicable in a band around the critical inclinations 63.43 deg and
 
 import math
 
-from .errors import CriticalInclinationError
+from .errors import CriticalInclinationError, ZonalPropError
 
 #: default half-width of the excluded band in |1 - 5 cos^2 I|
 CRITICAL_TOL = 1e-3
@@ -19,8 +19,10 @@ def critical_inclination_guard(c: float, tol: float = CRITICAL_TOL) -> None:
 
     c^2 = 1/5 covers both the direct (63.43 deg) and retrograde (116.57 deg)
     critical inclinations.  This signals an inapplicable theory, not a
-    numerical fault.
+    numerical fault.  A non-finite c raises ZonalPropError.
     """
+    if not math.isfinite(c):
+        raise ZonalPropError(f"cos I must be finite, got {c}")
     if abs(1.0 - 5.0 * c * c) < tol:
         inc = math.degrees(math.acos(max(-1.0, min(1.0, c))))
         raise CriticalInclinationError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .gravity import GravityField
-from .states import DelaunayState
+from .states import DelaunayState, check_finite
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,12 @@ def mean_angle_rates(L: float, G: float, H: float,
 
 
 def propagate_mean(d: DelaunayState, rates: SecularRates, dt: float) -> DelaunayState:
-    """Advance the mean angles by rate*dt (mod 2 pi); actions unchanged."""
+    """Advance the mean angles by rate*dt (mod 2 pi); actions unchanged.
+
+    Raises ZonalPropError, naming it, when dt or a rate is not finite.
+    """
+    check_finite("propagate_mean:", ("dt", "rates.ell_dot", "rates.g_dot", "rates.h_dot"),
+                 (dt, rates.ell_dot, rates.g_dot, rates.h_dot))
     ell, g, h = _kernels.mean_angles(d.ell, d.g, d.h,
                                      rates.ell_dot, rates.g_dot, rates.h_dot, dt)
     return DelaunayState(ell=ell, g=g, h=h, L=d.L, G=d.G, H=d.H)

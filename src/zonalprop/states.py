@@ -106,7 +106,16 @@ class DelaunayState:
     H: float
 
     def __post_init__(self):
+        check_finite("Delaunay element", ("ell", "g", "h", "L", "G", "H"),
+                     (self.ell, self.g, self.h, self.L, self.G, self.H))
         _check_delaunay(self.L, self.G, self.H)
+
+
+def check_finite(kind: str, names, values) -> None:
+    """Raise ZonalPropError naming the first of ``values`` that is not finite."""
+    for name, value in zip(names, values):
+        if not math.isfinite(value):
+            raise ZonalPropError(f"{kind} {name} must be finite, got {value}")
 
 
 def _check_nonsingular(xi, chi, r, Theta) -> None:
@@ -121,7 +130,7 @@ def _check_delaunay(L, G, H) -> None:
     """The invariants of a DelaunayState."""
     if not (0.0 < G <= L * (1.0 + _SLACK)):
         raise ZonalPropError(f"need 0 < G <= L, got G={G}, L={L}")
-    if abs(H) > G * (1.0 + _SLACK):
+    if not abs(H) <= G * (1.0 + _SLACK):
         raise ZonalPropError(f"|H| = {abs(H)} exceeds G = {G}")
 
 
@@ -189,10 +198,8 @@ def cart_to_ns_checked(cart: CartesianState):
     x, y, z, vx, vy, vz = cart.x, cart.y, cart.z, cart.vx, cart.vy, cart.vz
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
             and math.isfinite(vx) and math.isfinite(vy) and math.isfinite(vz)):
-        name, value = next((name, value) for name, value in
-                           zip(("x", "y", "z", "vx", "vy", "vz"), (x, y, z, vx, vy, vz))
-                           if not math.isfinite(value))
-        raise ZonalPropError(f"state component {name} must be finite, got {value}")
+        check_finite("state component", ("x", "y", "z", "vx", "vy", "vz"),
+                     (x, y, z, vx, vy, vz))
     # ``**`` and not ``*``: a float power that overflows raises OverflowError
     if x ** 2 + y ** 2 + z ** 2 <= 0.0:
         raise ZonalPropError("position norm must be positive")

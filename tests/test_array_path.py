@@ -3,8 +3,8 @@
 Grids of ``ARRAY_MIN_EPOCHS`` epochs or more run through the kernels on
 arrays; the reference is the same grid asked for one epoch at a time, which
 runs the kernels on floats.  The two differ only by the last-bit rounding
-of NumPy's ufuncs against ``math``; the tolerances below are fixed before
-measuring and sit far above that.
+of NumPy's ufuncs and the half-angle ``sincos`` against ``math``; the
+tolerances below are fixed before measuring and sit far above that.
 """
 
 import math
@@ -144,10 +144,45 @@ def test_grid_order_independence_across_blocks():
     a = ephemeris_array(LEO_STATE, 0.0, ts, EARTH)
     b = ephemeris_array(LEO_STATE, 0.0, ts[perm], EARTH)
     assert np.array_equal(a[perm], b)
-    # every block boundary sees the same rows as a grid of one block
-    c = ephemeris_array(LEO_STATE, 0.0, ts[_kernels.EPOCH_BLOCK - 5:_kernels.EPOCH_BLOCK + 5],
-                        EARTH)
-    assert np.array_equal(a[_kernels.EPOCH_BLOCK - 5:_kernels.EPOCH_BLOCK + 5], c)
+    # the rows on both sides of a block boundary are, bit for bit, those of
+    # a grid of one block: array path against array path
+    edge = slice(_kernels.EPOCH_BLOCK - _kernels.ARRAY_MIN_EPOCHS,
+                 _kernels.EPOCH_BLOCK + _kernels.ARRAY_MIN_EPOCHS)
+    assert np.array_equal(a[edge], ephemeris_array(LEO_STATE, 0.0, ts[edge], EARTH))
+    # ten epochs are fewer than ARRAY_MIN_EPOCHS and run on floats
+    few = slice(_kernels.EPOCH_BLOCK - 5, _kernels.EPOCH_BLOCK + 5)
+    c = ephemeris_array(LEO_STATE, 0.0, ts[few], EARTH)
+    assert np.max(np.abs(a[few, :3] - c[:, :3])) <= POS_TOL_KM
+    assert np.max(np.abs(a[few, 3:] - c[:, 3:])) <= VEL_TOL_KM_S
+
+
+def _sincos_sweep(n):
+    """n seeded points in [-3 pi, 3 pi], the multiples k pi/2 (|k| <= 6) with
+    their nextafter neighbours, and +-0."""
+    grid = 0.5 * math.pi * np.arange(-6.0, 7.0)
+    edges = np.concatenate([grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf),
+                            [0.0, -0.0]])
+    return np.concatenate([np.random.default_rng(17).uniform(-3.0 * math.pi, 3.0 * math.pi, n),
+                           edges])
+
+
+def test_sincos_array_form_is_close_odd_and_even():
+    x = _sincos_sweep(10 ** 6)
+    s, c = _kernels._NUMPY.sincos(x)
+    assert np.max(np.abs(s - np.sin(x))) <= 4.5e-16
+    assert np.max(np.abs(c - np.cos(x))) <= 4.5e-16
+    s_neg, c_neg = _kernels._NUMPY.sincos(-x)
+    assert np.array_equal(s_neg, -s) and np.array_equal(np.signbit(s_neg), ~np.signbit(s))
+    assert np.array_equal(c_neg, c) and np.array_equal(np.signbit(c_neg), np.signbit(c))
+    assert np.array_equal(np.signbit(_kernels._NUMPY.sincos(np.array([0.0, -0.0]))[0]),
+                          [False, True])
+
+
+def test_sincos_float_form_is_math():
+    for x in _sincos_sweep(20000).tolist():
+        s, c = _kernels.sincos(x)
+        assert (s, c) == (math.sin(x), math.cos(x))
+        assert math.copysign(1.0, s) == math.copysign(1.0, math.sin(x))
 
 
 def test_kepler_residuals_on_array_input():

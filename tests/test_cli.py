@@ -172,8 +172,8 @@ class TestWriter:
         assert main(["propagate", "--config", str(EXAMPLE_CONFIG),
                      "--ephemeris", str(out)]) == 0
         assert out.read_text().splitlines()[1] == (
-            "0,-2862.0317444048746,5299.0263777681184,2860.3606014313359,"
-            "-6.2690101816080341,-4.3565725512140947,2.0847309218156367")
+            "0,-2862.0317444048751,5299.0263777681175,2860.3606014313364,"
+            "-6.2690101816080332,-4.3565725512140956,2.0847309218156367")
 
     def test_compare_table_matches_per_row_form(self):
         # the compare report's t / position / velocity error table, over one

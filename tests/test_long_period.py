@@ -4,7 +4,7 @@ import random
 import pytest
 
 from zonalprop import (EARTH, CriticalInclinationError, EquatorialDecompositionError,
-                       NonsingularState, critical_inclination_guard)
+                       NonsingularState, ZonalPropError, critical_inclination_guard)
 from zonalprop.gravity import small_params
 from zonalprop.oracle import poisson_bracket_fd, x1_delaunay
 from zonalprop.reference import (long_corrections_low_inclination,
@@ -35,6 +35,11 @@ class TestGuard:
         critical_inclination_guard(c_edge, tol=1e-3)
         with pytest.raises(CriticalInclinationError):
             critical_inclination_guard(math.sqrt(0.2), tol=1e-3)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, c):
+        with pytest.raises(ZonalPropError, match="cos I must be finite"):
+            critical_inclination_guard(c)
 
 
 class TestY1:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,6 +139,15 @@ class TestMeanToOsculating:
         cart = mean_to_osculating(d, EARTH)
         for k in ("x", "y", "z", "vx", "vy", "vz"):
             assert math.isfinite(getattr(cart, k))
+
+    @pytest.mark.parametrize("name, value", [("H", math.nan), ("ell", math.nan),
+                                             ("g", math.inf)])
+    def test_non_finite_mean_element_named(self, name, value):
+        # NaN H once slipped past |H| <= G and the guard into all-NaN output
+        L = math.sqrt(MU * 7200.0)
+        d = DelaunayState(ell=0.4, g=0.2, h=0.9, L=L, G=0.99 * L, H=0.5 * L)
+        with pytest.raises(ZonalPropError, match=f"Delaunay element {name} must be finite"):
+            mean_to_osculating(replace(d, **{name: value}), EARTH)
 
     def test_retrograde_chart(self):
         pn = elements_to_polar(7500.0, 0.1, math.radians(175.0), 0.5, 0.7, 0.9)

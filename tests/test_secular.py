@@ -1,9 +1,10 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from zonalprop import (EARTH, DelaunayState, mean_motion, orbital_period,
+from zonalprop import (EARTH, DelaunayState, ZonalPropError, mean_motion, orbital_period,
                        propagate_mean, secular_rates)
 from zonalprop.secular import mean_hamiltonian
 
@@ -136,6 +137,19 @@ class TestPropagateMean:
         out = propagate_mean(d, rates, orbital_period(L, TWO_BODY))
         assert out.ell == pytest.approx(d.ell, abs=1e-10)
         assert out.g == d.g and out.h == d.h
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        d = self._state()
+        rates = secular_rates(d.L, d.G, d.H, EARTH)
+        with pytest.raises(ZonalPropError, match="dt must be finite"):
+            propagate_mean(d, rates, dt)
+
+    def test_non_finite_rate_rejected(self):
+        d = self._state()
+        rates = replace(secular_rates(d.L, d.G, d.H, EARTH), g_dot=math.nan)
+        with pytest.raises(ZonalPropError, match="rates.g_dot must be finite"):
+            propagate_mean(d, rates, 60.0)
 
     def test_hamiltonian_conserved_along_mean_flow(self):
         d = self._state()

@@ -8,8 +8,8 @@ from zonalprop import (EARTH, CartesianState, ChartError, DelaunayState,
                        EquatorialDecompositionError, NonsingularState, ZonalPropError,
                        _kernels, cartesian_to_nonsingular, nonsingular_to_cartesian,
                        osculating_to_mean)
-from zonalprop.states import (PolarNodalState, delaunay_to_polar, nonsingular_to_polar,
-                              polar_to_delaunay, polar_to_nonsingular)
+from zonalprop.states import (PolarNodalState, _check_delaunay, delaunay_to_polar,
+                              nonsingular_to_polar, polar_to_delaunay, polar_to_nonsingular)
 from conftest import angle_diff
 
 MU = EARTH.mu
@@ -43,6 +43,18 @@ class TestValidation:
             DelaunayState(ell=0.0, g=0.0, h=0.0, L=1.0, G=2.0, H=0.0)
         with pytest.raises(ZonalPropError):
             DelaunayState(ell=0.0, g=0.0, h=0.0, L=1.0, G=0.5, H=0.9)
+
+    @pytest.mark.parametrize("name", ["ell", "g", "h", "L", "G", "H"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_delaunay_non_finite_element_named(self, name, value):
+        d = _random_delaunay(random.Random(11))
+        with pytest.raises(ZonalPropError, match=f"Delaunay element {name} must be finite"):
+            replace(d, **{name: value})
+
+    def test_delaunay_invariant_rejects_nan_H(self):
+        # the |H| <= G comparison is False for NaN, so it is written negated
+        with pytest.raises(ZonalPropError, match=r"\|H\| = nan exceeds G"):
+            _check_delaunay(1.0, 0.9, math.nan)
 
 
 class TestPolarNonsingular:
