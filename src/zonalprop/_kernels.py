@@ -17,12 +17,12 @@ rule: the true and eccentric anomalies are kept on matching branches so the
 equation of the center never jumps by 2*pi.
 
 The periodic-correction kernels evaluate the first-order generating-function
-brackets in closed form; the polar-nodal and nonsingular variants of the same
-correction agree identically (same generating function, chain-rule mapping),
-which the test suite enforces against finite-difference Poisson brackets.
-The pipeline (``reconstruct_and_correct``) evaluates only the full
-nonsingular forms; the polar-nodal and low-inclination kernels are kept as
-the references the tests compare them against (through ``reference``).
+brackets in closed form; they agree identically with the polar-nodal forms
+of the same corrections in ``reference`` (same generating function,
+chain-rule mapping), which the test suite enforces against finite-difference
+Poisson brackets.  The pipeline (``reconstruct_and_correct``) evaluates only
+the full nonsingular forms; the low-inclination kernels are kept as
+references the tests compare them against (through ``reference``).
 
 Formulas that other layers need too (the small parameters, the P
 coefficients, the rotation factors, the point on the Kepler ellipse and the
@@ -51,7 +51,9 @@ EQUATORIAL_SIN = 1e-12
 #: grids with at least this many epochs are evaluated on arrays; below it the
 #: fixed cost of the NumPy calls (about 0.3 ms per block) outweighs the gain
 ARRAY_MIN_EPOCHS = 32
-#: epochs per array block: keeps the temporaries to a few MB on long grids
+#: target epochs per array block: keeps the temporaries to a few MB on long
+#: grids.  A grid is cut into near-equal blocks of about this size (see
+#: ``block_edges``), never more than 1.5 times it
 EPOCH_BLOCK = 4096
 
 # Float twins of the NumPy functions the kernels use.  Together with the math
@@ -181,6 +183,22 @@ def small_params(Theta, mu, alpha, c20, c30=0.0):
     return p, eps2, eps3
 
 
+def center_terms(kappa, sigma):
+    """(eta, f - u, e sin u) from the eccentricity-vector projections; the
+    equation of the center is phi = (f - u) + e sin u.
+
+    Closed forms in kappa = e cos f and sigma = e sin f, with one atan2 and
+    no other trig: f - u = 2 atan2(sigma, 1 + eta + kappa) and
+    e sin u = eta sigma / (1 + kappa).
+    eta^2 = (1 - kappa)(1 + kappa) - sigma^2 keeps its digits as e -> 1,
+    where 1 - e^2 would cancel.  All three are smooth in (kappa, sigma) down
+    to e = 0, where they are (1, 0, 0), so no circular split is needed.
+    """
+    m = _NUMPY if type(kappa) is ndarray else _MATH
+    eta = m.sqrt((1.0 - kappa) * (1.0 + kappa) - sigma * sigma)
+    return eta, 2.0 * m.atan2(sigma, 1.0 + eta + kappa), eta * sigma / (1.0 + kappa)
+
+
 def anomaly_block(kappa, sigma):
     """(e, eta, f, u, ell, phi) from the eccentricity-vector projections.
 
@@ -188,12 +206,12 @@ def anomaly_block(kappa, sigma):
     the center.  Below e = CIRCULAR_ECC the orbit is treated as exactly
     circular: e, f, u, ell and phi are 0 and eta is 1.
 
-    Closed forms in kappa = e cos f and sigma = e sin f, with two atan2 and
-    no other trig: f - u = 2 atan2(sigma, 1 + eta + kappa) and
-    e sin u = eta sigma / (1 + kappa).  As 1 + kappa >= 1 - e > 0, u = f - (f - u)
-    stays on f's branch, and circular lanes (kappa, sigma zeroed) give exact
-    zeros.  eta^2 = (1 - kappa)(1 + kappa) - sigma^2 keeps its digits as
-    e -> 1, where 1 - e^2 would cancel.
+    eta, f - u and e sin u come from ``center_terms``.  As
+    1 + kappa >= 1 - e > 0, u = f - (f - u) stays on f's branch, and
+    circular lanes (kappa, sigma zeroed) give exact zeros.  This serves the
+    callers that report f, u and ell (``states.ellipse_elements``,
+    ``anomaly``); the short-period kernels need only eta and phi and call
+    ``center_terms`` directly.
     """
     m = _NUMPY if type(kappa) is ndarray else _MATH
     e = m.hypot(kappa, sigma)
@@ -201,10 +219,8 @@ def anomaly_block(kappa, sigma):
     e = m.where(circular, 0.0, e)
     kappa = m.where(circular, 0.0, kappa)
     sigma = m.where(circular, 0.0, sigma)
-    eta = m.sqrt((1.0 - kappa) * (1.0 + kappa) - sigma * sigma)
+    eta, f_u, esu = center_terms(kappa, sigma)
     f = m.atan2(sigma, kappa)
-    f_u = 2.0 * m.atan2(sigma, 1.0 + eta + kappa)
-    esu = eta * sigma / (1.0 + kappa)
     u = f - f_u
     return e, eta, f, u, u - esu, f_u + esu
 
@@ -213,43 +229,20 @@ def anomaly_block(kappa, sigma):
 # short-period corrections (J2 generating function)
 # ---------------------------------------------------------------------------
 
-def short_polar(r, theta, R, Theta, N, mu, alpha, c20):
-    """Polar-nodal short-period deltas (dr, dtheta, dnu, dR, dTheta, dN)."""
-    m = _NUMPY if type(r) is ndarray else _MATH
-    p, eps2, _ = small_params(Theta, mu, alpha, c20)
-    kappa = p / r - 1.0
-    sigma = p * R / Theta
-    e, eta, f, u, ell, phi = anomaly_block(kappa, sigma)
-    c = N / Theta
-    s2 = 1.0 - c * c
-    c2t = m.cos(2.0 * theta)
-    s2t = m.sin(2.0 * theta)
-    opk = 1.0 + kappa
-    ope = 1.0 + eta
-    dr = eps2 * p * ((2.0 - 3.0 * s2) * (kappa / ope + 2.0 * eta / opk + 1.0) - s2 * c2t)
-    dth = eps2 * (-3.0 * (4.0 - 5.0 * s2) * phi
-                  + (3.0 - 3.5 * s2 + (4.0 - 6.0 * s2) * kappa) * s2t
-                  - 2.0 * sigma * (5.0 - 6.0 * s2
-                                   + (2.0 + kappa) / ope * (1.0 - 1.5 * s2)
-                                   + (1.0 - 2.0 * s2) * c2t))
-    dnu = eps2 * c * (6.0 * phi - (3.0 + 4.0 * kappa) * s2t + 2.0 * sigma * (3.0 + c2t))
-    dR = eps2 * (Theta / p) * (2.0 * opk * opk * s2 * s2t
-                               - (2.0 - 3.0 * s2) * sigma * (eta + opk * opk / ope))
-    dTh = -eps2 * Theta * s2 * ((3.0 + 4.0 * kappa) * c2t + 2.0 * sigma * s2t)
-    return dr, dth, dnu, dR, dTh, 0.0
-
-
 def short_ns(xi, chi, r, R, Theta, mu, alpha, c20):
     """Nonsingular short-period deltas (dpsi, dxi, dchi, dr, dR, dTheta).
 
     c is recovered as +sqrt(1 - xi^2 - chi^2); in the retrograde chart the
-    state components are already the mirrored (|c|) ones.
+    state components are already the mirrored (|c|) ones.  eta and the
+    equation of the center phi come from ``center_terms``, which needs no
+    circular split, so no other anomaly is computed.
     """
     m = _NUMPY if type(xi) is ndarray else _MATH
     p, eps2, _ = small_params(Theta, mu, alpha, c20)
     kappa = p / r - 1.0
     sigma = p * R / Theta
-    _, eta, _, _, _, phi = anomaly_block(kappa, sigma)
+    eta, f_u, esu = center_terms(kappa, sigma)
+    phi = f_u + esu
     xi2 = xi * xi
     chi2 = chi * chi
     xc = xi * chi
@@ -284,7 +277,8 @@ def short_ns_low(xi, chi, r, R, Theta, mu, alpha, c20):
     p, eps2, _ = small_params(Theta, mu, alpha, c20)
     kappa = p / r - 1.0
     sigma = p * R / Theta
-    e, eta, f, u, ell, phi = anomaly_block(kappa, sigma)
+    eta, f_u, esu = center_terms(kappa, sigma)
+    phi = f_u + esu
     opk = 1.0 + kappa
     ope = 1.0 + eta
     w1 = (2.0 + kappa) / ope
@@ -339,39 +333,6 @@ def p_coefficients(kappa, sigma, q):
             (q0 + q9 * kappa) * kappa + q10 * ss,
             q2 + q11 * kappa,
             q0 + q12 * kappa)
-
-
-def long_polar(r, theta, R, Theta, N, mu, alpha, c20, c30):
-    """Polar-nodal long-period deltas; requires sin(I) > 0 and a non-critical
-    inclination (both enforced by the caller)."""
-    m = _NUMPY if type(r) is ndarray else _MATH
-    p, eps2, eps3 = small_params(Theta, mu, alpha, c20, c30)
-    kappa = p / r - 1.0
-    sigma = p * R / Theta
-    c = N / Theta
-    c2 = c * c
-    s2 = 1.0 - c2
-    s = m.sqrt(s2)
-    g = 1.0 - 5.0 * c2
-    q0, q1, q2, q3, q5, q6 = q_polynomials(c)[:6]
-    w = (1.0 - 15.0 * c2) / (4.0 * g)
-    c2t = m.cos(2.0 * theta)
-    s2t = m.sin(2.0 * theta)
-    ct = m.cos(theta)
-    st = m.sin(theta)
-    opk = 1.0 + kappa
-    dr = p * (eps2 * s2 * w * (kappa * c2t + sigma * s2t) + eps3 * s * st)
-    dth = (eps2 / (2.0 * g * g) * ((q2 + q5 * kappa) * sigma * c2t
-                                   - (q1 * sigma * sigma + q2 * kappa + q3 * kappa * kappa) * s2t)
-           + eps3 * ((kappa / s + 2.0 * s) * ct + (1.0 / s - s) * sigma * st))
-    dnu = (eps2 * q6 / (4.0 * g * g) * ((kappa * kappa - sigma * sigma) * s2t
-                                        - 2.0 * kappa * sigma * c2t)
-           - eps3 * (c / s) * (kappa * ct + sigma * st))
-    dR = (Theta / p) * opk * opk * (eps2 * w * s2 * (sigma * c2t - kappa * s2t) + eps3 * s * ct)
-    dTh = (Theta * eps2 * w * s2 * ((kappa * kappa - sigma * sigma) * c2t
-                                    + 2.0 * kappa * sigma * s2t)
-           + Theta * eps3 * s * (kappa * st - sigma * ct))
-    return dr, dth, dnu, dR, dTh, 0.0
 
 
 def long_ns(xi, chi, r, R, Theta, mu, alpha, c20, c30, c=None):
@@ -547,17 +508,34 @@ def reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
     sm2 = 1.0 - cth * cth
     sm = m.sqrt(sm2) if sm2 > 0.0 else 0.0
     st, ct = m.sincos(theta)
-    # the double-prime state; each correction stage replaces it
+    # the double-prime state; each correction stage replaces it.  On arrays,
+    # whatever a later stage no longer reads is deleted before that stage
+    # allocates its own temporaries: a lower peak per block means fewer
+    # pages that the allocator hands back and faults in again every block
     xi = sm * st
     chi = sm * ct
+    del f, theta, st, ct
     Th = G
     if with_long:
         dpsi, dxi, dchi, dr, dR, dTh = long_ns(xi, chi, r, R, Th, mu, alpha, c20, c30, abs(cth))
         psi, xi, chi, r, R, Th = psi + dpsi, xi + dxi, chi + dchi, r + dr, R + dR, Th + dTh
+        del dpsi, dxi, dchi, dr, dR, dTh
     if with_short:
         dpsi, dxi, dchi, dr, dR, dTh = short_ns(xi, chi, r, R, Th, mu, alpha, c20)
         psi, xi, chi, r, R, Th = psi + dpsi, xi + dxi, chi + dchi, r + dr, R + dR, Th + dTh
+        del dpsi, dxi, dchi, dr, dR, dTh
     return ns_to_cart(psi, xi, chi, r, R, Th, H, retro)
+
+
+def block_edges(n):
+    """Row edges [0, ..., n] of the blocks an n-epoch grid is evaluated in.
+
+    max(1, round(n / EPOCH_BLOCK)) blocks whose sizes differ by at most one:
+    every block has the same fixed cost in NumPy calls, so a short tail
+    block would cost nearly as much as a full one.
+    """
+    k = max(1, round(n / EPOCH_BLOCK))
+    return [n * i // k for i in range(k + 1)]
 
 
 def ephemeris_batch(ts, t0, ell0, g0, h0, L, G, H, ldot, gdot, hdot, retro,
@@ -565,8 +543,8 @@ def ephemeris_batch(ts, t0, ell0, g0, h0, L, G, H, ldot, gdot, hdot, retro,
     """Fill ``out[i, :]`` with the osculating Cartesian state at ``ts[i]``.
 
     A grid of ARRAY_MIN_EPOCHS epochs or more runs through the kernels on
-    arrays of up to EPOCH_BLOCK epochs; a shorter one runs epoch by epoch on
-    floats.  Either way each row depends on its own epoch only.
+    arrays, one per block of ``block_edges``; a shorter one runs epoch by
+    epoch on floats.  Either way each row depends on its own epoch only.
     """
     n = ts.shape[0]
     if n < ARRAY_MIN_EPOCHS:
@@ -575,13 +553,15 @@ def ephemeris_batch(ts, t0, ell0, g0, h0, L, G, H, ldot, gdot, hdot, retro,
             out[i] = reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
                                              with_long, with_short)
         return out
-    for i in range(0, n, EPOCH_BLOCK):
-        rows = slice(i, i + EPOCH_BLOCK)
+    edges = block_edges(n)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rows = slice(lo, hi)
         ell, g, h = mean_angles(ell0, g0, h0, ldot, gdot, hdot, ts[rows] - t0)
         state = reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
                                         with_long, with_short)
         for k in range(6):
             out[rows, k] = state[k]
+        del state  # before the next block allocates its own
     return out
 
 

@@ -64,8 +64,28 @@ def v1(pn: PolarNodalState, field: GravityField) -> float:
 def short_corrections_polar(pn: PolarNodalState, field: GravityField) -> tuple:
     """Polar-nodal short-period deltas (dr, dtheta, dnu, dR, dTheta, 0)."""
     projections(pn.r, pn.R, pn.Theta, field.mu)  # validates ellipticity
-    return _kernels.short_polar(pn.r, pn.theta, pn.R, pn.Theta, pn.N,
-                                field.mu, field.alpha, field.c20)
+    theta, Theta = pn.theta, pn.Theta
+    p, eps2, _ = _kernels.small_params(Theta, field.mu, field.alpha, field.c20)
+    kappa = p / pn.r - 1.0
+    sigma = p * pn.R / Theta
+    _, eta, _, _, _, phi = _kernels.anomaly_block(kappa, sigma)
+    c = pn.N / Theta
+    s2 = 1.0 - c * c
+    c2t = math.cos(2.0 * theta)
+    s2t = math.sin(2.0 * theta)
+    opk = 1.0 + kappa
+    ope = 1.0 + eta
+    dr = eps2 * p * ((2.0 - 3.0 * s2) * (kappa / ope + 2.0 * eta / opk + 1.0) - s2 * c2t)
+    dth = eps2 * (-3.0 * (4.0 - 5.0 * s2) * phi
+                  + (3.0 - 3.5 * s2 + (4.0 - 6.0 * s2) * kappa) * s2t
+                  - 2.0 * sigma * (5.0 - 6.0 * s2
+                                   + (2.0 + kappa) / ope * (1.0 - 1.5 * s2)
+                                   + (1.0 - 2.0 * s2) * c2t))
+    dnu = eps2 * c * (6.0 * phi - (3.0 + 4.0 * kappa) * s2t + 2.0 * sigma * (3.0 + c2t))
+    dR = eps2 * (Theta / p) * (2.0 * opk * opk * s2 * s2t
+                               - (2.0 - 3.0 * s2) * sigma * (eta + opk * opk / ope))
+    dTh = -eps2 * Theta * s2 * ((3.0 + 4.0 * kappa) * c2t + 2.0 * sigma * s2t)
+    return dr, dth, dnu, dR, dTh, 0.0
 
 
 def short_corrections_nonsingular(ns: NonsingularState, field: GravityField) -> tuple:
@@ -120,8 +140,34 @@ def long_corrections_polar(pn: PolarNodalState, field: GravityField) -> tuple:
             "use the nonsingular forms for near-equatorial orbits")
     check_small_params(pn.Theta, field)
     projections(pn.r, pn.R, pn.Theta, field.mu)
-    return _kernels.long_polar(pn.r, pn.theta, pn.R, pn.Theta, pn.N,
-                               field.mu, field.alpha, field.c20, field.c30)
+    theta, Theta = pn.theta, pn.Theta
+    p, eps2, eps3 = _kernels.small_params(Theta, field.mu, field.alpha, field.c20, field.c30)
+    kappa = p / pn.r - 1.0
+    sigma = p * pn.R / Theta
+    c = pn.N / Theta
+    c2 = c * c
+    s2 = 1.0 - c2
+    s = math.sqrt(s2)
+    g = 1.0 - 5.0 * c2
+    _, q1, q2, q3, q5, q6 = _kernels.q_polynomials(c)[:6]
+    w = (1.0 - 15.0 * c2) / (4.0 * g)
+    c2t = math.cos(2.0 * theta)
+    s2t = math.sin(2.0 * theta)
+    ct = math.cos(theta)
+    st = math.sin(theta)
+    opk = 1.0 + kappa
+    dr = p * (eps2 * s2 * w * (kappa * c2t + sigma * s2t) + eps3 * s * st)
+    dth = (eps2 / (2.0 * g * g) * ((q2 + q5 * kappa) * sigma * c2t
+                                   - (q1 * sigma * sigma + q2 * kappa + q3 * kappa * kappa) * s2t)
+           + eps3 * ((kappa / s + 2.0 * s) * ct + (1.0 / s - s) * sigma * st))
+    dnu = (eps2 * q6 / (4.0 * g * g) * ((kappa * kappa - sigma * sigma) * s2t
+                                        - 2.0 * kappa * sigma * c2t)
+           - eps3 * (c / s) * (kappa * ct + sigma * st))
+    dR = (Theta / p) * opk * opk * (eps2 * w * s2 * (sigma * c2t - kappa * s2t) + eps3 * s * ct)
+    dTh = (Theta * eps2 * w * s2 * ((kappa * kappa - sigma * sigma) * c2t
+                                    + 2.0 * kappa * sigma * s2t)
+           + Theta * eps3 * s * (kappa * st - sigma * ct))
+    return dr, dth, dnu, dR, dTh, 0.0
 
 
 def long_corrections_nonsingular(ns: NonsingularState, field: GravityField) -> tuple:

@@ -253,3 +253,47 @@ class TestClosedFormAnomalies:
                                      np.sqrt(1 - ld(e_used)) * np.cos(ld(u) / 2))
                 worst = max(worst, abs(f - float(ref)))
         assert worst <= self.TOL
+
+
+class TestCenterTerms:
+    """``center_terms``, the one source of eta and phi = (f - u) + e sin u
+    for the short-period kernels, against ``anomaly_block``: the same bits
+    wherever ``anomaly_block`` does not take the orbit as circular, and a
+    phi of the order of e below that."""
+
+    PHI_BOUND = 4.0 * _kernels.CIRCULAR_ECC  # rad, |phi| below CIRCULAR_ECC
+
+    @staticmethod
+    def _sweep():
+        """(kappa, sigma): e log-uniform in [1e-14, 0.999], e = 0 and the
+        nextafter neighbours of CIRCULAR_ECC, at seeded true anomalies."""
+        rng = np.random.default_rng(23)
+        circ = _kernels.CIRCULAR_ECC
+        edges = [0.0, np.nextafter(circ, 0.0), circ, np.nextafter(circ, 1.0)]
+        e = np.concatenate([10.0 ** rng.uniform(-14.0, math.log10(0.999), 20000),
+                            np.tile(edges, 50)])
+        f = rng.uniform(-math.pi, math.pi, e.size)
+        f[-len(edges):] = 0.0  # hypot(e, 0) is e exactly
+        return e * np.cos(f), e * np.sin(f)
+
+    def _check(self, e, eta_ab, phi_ab, eta, phi):
+        elliptic = e > 0.0  # anomaly_block's own circular split
+        assert np.array_equal(eta[elliptic], eta_ab[elliptic])
+        assert np.array_equal(phi[elliptic], phi_ab[elliptic])
+        assert np.count_nonzero(~elliptic) >= 100  # e = 0 and the lower neighbours
+        assert np.all(np.abs(phi[~elliptic]) <= self.PHI_BOUND)
+
+    def test_floats(self):
+        kappa, sigma = self._sweep()
+        pairs = list(zip(kappa.tolist(), sigma.tolist()))
+        ab = np.array([_kernels.anomaly_block(k, s) for k, s in pairs])
+        terms = [_kernels.center_terms(k, s) for k, s in pairs]
+        assert all(type(v) is float for v in terms[0])
+        eta, f_u, esu = np.array(terms).T
+        self._check(ab[:, 0], ab[:, 1], ab[:, 5], eta, f_u + esu)
+
+    def test_arrays(self):
+        kappa, sigma = self._sweep()
+        e, eta_ab, _, _, _, phi_ab = _kernels.anomaly_block(kappa, sigma)
+        eta, f_u, esu = _kernels.center_terms(kappa, sigma)
+        self._check(e, eta_ab, phi_ab, eta, f_u + esu)

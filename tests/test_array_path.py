@@ -7,6 +7,7 @@ of NumPy's ufuncs and the half-angle ``sincos`` against ``math``; the
 tolerances below are fixed before measuring and sit far above that.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -146,14 +147,57 @@ def test_grid_order_independence_across_blocks():
     assert np.array_equal(a[perm], b)
     # the rows on both sides of a block boundary are, bit for bit, those of
     # a grid of one block: array path against array path
-    edge = slice(_kernels.EPOCH_BLOCK - _kernels.ARRAY_MIN_EPOCHS,
-                 _kernels.EPOCH_BLOCK + _kernels.ARRAY_MIN_EPOCHS)
+    edges = _kernels.block_edges(n)
+    assert len(edges) > 2
+    cut = edges[1]
+    edge = slice(cut - _kernels.ARRAY_MIN_EPOCHS, cut + _kernels.ARRAY_MIN_EPOCHS)
     assert np.array_equal(a[edge], ephemeris_array(LEO_STATE, 0.0, ts[edge], EARTH))
     # ten epochs are fewer than ARRAY_MIN_EPOCHS and run on floats
-    few = slice(_kernels.EPOCH_BLOCK - 5, _kernels.EPOCH_BLOCK + 5)
+    few = slice(cut - 5, cut + 5)
     c = ephemeris_array(LEO_STATE, 0.0, ts[few], EARTH)
     assert np.max(np.abs(a[few, :3] - c[:, :3])) <= POS_TOL_KM
     assert np.max(np.abs(a[few, 3:] - c[:, 3:])) <= VEL_TOL_KM_S
+
+
+@pytest.mark.parametrize("n, blocks", [(_kernels.ARRAY_MIN_EPOCHS, 1), (6143, 1), (6145, 2),
+                                       (17281, 4), (86401, 21)])
+def test_block_count(n, blocks):
+    assert len(_kernels.block_edges(n)) == blocks + 1
+
+
+def test_blocks_are_near_equal_and_bounded():
+    for n in range(_kernels.ARRAY_MIN_EPOCHS, 20 * _kernels.EPOCH_BLOCK, 7):
+        edges = _kernels.block_edges(n)
+        sizes = np.diff(edges)
+        assert edges[0] == 0 and edges[-1] == n
+        assert sizes.max() - sizes.min() <= 1
+        assert sizes.max() <= 1.5 * _kernels.EPOCH_BLOCK
+
+
+def test_dense_grid_budget(monkeypatch):
+    """One day at 5 s, the benchmark's dense grid: four balanced blocks, and
+    the short-period stage takes eta and phi without the hypot and atan2 of
+    the circular split."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name, fn in vars(_kernels._NUMPY).items():
+        monkeypatch.setattr(_kernels._NUMPY, name, counted(name, fn))
+    monkeypatch.setattr(_kernels, "reconstruct_and_correct",
+                        counted("blocks", _kernels.reconstruct_and_correct))
+    ts = np.arange(0.0, 86400.0 + 5.0, 5.0)
+    assert ts.size == 17281
+    out = ephemeris_array(LEO_STATE, 0.0, ts, EARTH)
+    assert np.all(np.isfinite(out))
+    assert calls["blocks"] == 4
+    assert calls["hypot"] == 0
+    # one atan2 for f in delaunay_orbit, one for f - u in center_terms
+    assert calls["atan2"] == 2 * calls["blocks"]
 
 
 def _sincos_sweep(n):

@@ -56,6 +56,34 @@ class TestOsculatingToMean:
             errs.append(cart_distance(back, cart))
         assert loglog_slope(lams, errs) == pytest.approx(2.0, abs=0.1)
 
+    #: (a, e, inclination [deg], mean anomaly, argument of perigee, node
+    #: [rad]): generic orbits away from the critical and near-equatorial bands
+    ROUND_TRIP_ORBITS = {
+        "leo": (7000.0, 0.001, 51.6, 0.3, 0.7, 1.1),
+        "e 0.2": (8000.0, 0.2, 40.0, 0.7, 0.4, 1.0),
+        "e 0.4": (12000.0, 0.4, 55.0, 2.0, 1.2, 0.3),
+        "e 0.7": (25000.0, 0.7, 28.0, -1.0, 2.5, 4.0),
+        "retrograde": (7300.0, 0.02, 140.0, 0.5, 5.2, 3.4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIP_ORBITS))
+    def test_round_trip_miss_scales_as_j2_squared(self, name):
+        # the t0 miss of osculating -> mean -> osculating is the second-order
+        # remainder of the first-order theory: halving C20 (C30 = 0) divides
+        # it by 4
+        a, e, inc_deg, ell, g, h = self.ROUND_TRIP_ORBITS[name]
+        cart = elements_to_cartesian(a, e, math.radians(inc_deg), ell, g, h)
+        start = np.array(cart.position())
+        misses = []
+        for lam in (1.0, 0.5, 0.25, 0.125):
+            field = EARTH.restricted("j2").scaled(j2_factor=lam)
+            assert field.c30 == 0.0
+            row = ephemeris_array(cart, 0.0, [0.0], field)[0]
+            misses.append(float(np.linalg.norm(row[:3] - start)))
+        assert misses[-1] > 1e-6  # km: well above the rounding floor
+        for big, small in zip(misses, misses[1:]):
+            assert 3.9 <= big / small <= 4.1
+
     def test_near_equatorial_processes(self):
         cart = elements_to_cartesian(7000.0, 0.05, math.radians(0.01), 0.3, 0.7, 1.1)
         mean = osculating_to_mean(cart, EARTH)
