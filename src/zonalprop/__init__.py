@@ -6,8 +6,9 @@ polar-nodal set, valid for any eccentricity below one and any inclination
 outside the critical band.
 
 The names below are the propagator's API.  The building blocks live in their
-submodules (``gravity``, ``anomaly``, ``states``, ``secular``), the
-verification machinery in ``oracle`` and ``reference``.
+submodules (``gravity``, ``states``, ``longperiod``, ``secular``), the
+formulas themselves in ``_kernels``, the verification machinery in
+``oracle`` and ``reference``.
 """
 
 from .errors import (ChartError, ConfigError, CriticalInclinationError,

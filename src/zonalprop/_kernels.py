@@ -24,11 +24,12 @@ Poisson brackets.  The pipeline (``reconstruct_and_correct``) evaluates only
 the full nonsingular forms; the low-inclination kernels are kept as
 references the tests compare them against (through ``reference``).
 
-Formulas that other layers need too (the small parameters, the P
-coefficients, the rotation factors, the point on the Kepler ellipse and the
-mean-angle advance) are defined here once and called from ``gravity``,
-``states``, ``secular`` and ``benchmark``, so the helpers the tests check
-compute what the pipeline computes.
+Formulas that other layers need too (the small parameters, the q
+polynomials, the P coefficients, the Kepler solver, the anomalies, the
+rotation factors, the point on the Kepler ellipse and the mean-angle
+advance) are defined here once, with no second name in another module:
+the other modules and the tests call them directly, so what the tests check
+is what the pipeline computes.
 """
 
 import sys
@@ -209,9 +210,9 @@ def anomaly_block(kappa, sigma):
     eta, f - u and e sin u come from ``center_terms``.  As
     1 + kappa >= 1 - e > 0, u = f - (f - u) stays on f's branch, and
     circular lanes (kappa, sigma zeroed) give exact zeros.  This serves the
-    callers that report f, u and ell (``states.ellipse_elements``,
-    ``anomaly``); the short-period kernels need only eta and phi and call
-    ``center_terms`` directly.
+    callers that report f, u and ell (``states.ellipse_elements``) and the
+    polar-nodal forms in ``reference``; the short-period kernels need only
+    eta and phi and call ``center_terms`` directly.
     """
     m = _NUMPY if type(kappa) is ndarray else _MATH
     e = m.hypot(kappa, sigma)

@@ -373,8 +373,7 @@ def _slope_table(state, epoch, field, config, tol, multipliers):
     from .oracle import integrate_grid
     rows = []
     for lam in multipliers:
-        f_lam = GravityField(mu=field.mu, alpha=field.alpha,
-                             c20=field.c20 * lam, c30=0.0)
+        f_lam = field.scaled(j2_factor=lam).restricted("j2")
         mean = osculating_to_mean(state, f_lam, config)
         period = orbital_period(mean.delaunay.L, f_lam)
         ts = epoch + np.linspace(0.0, period, 200)
@@ -441,6 +440,8 @@ def _cmd_benchmark(cp, args) -> int:
     epoch, duration, step, model, config, _ = _build_run(cp, args)
     field = field.restricted(model)
     iterations = _get(cp, "benchmark", "iterations", args.iterations, 2000, cast=int)
+    if iterations < 0:
+        raise ConfigError(f"[benchmark] iterations must be >= 0, got {iterations}")
     mean = osculating_to_mean(state, field, config)
     report = run_benchmark(mean.delaunay, field, iterations)
     text = format_report(report)

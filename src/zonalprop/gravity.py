@@ -1,11 +1,10 @@
-"""Gravity-field constants, perturbation small parameters, and the
-inclination-polynomial tables shared by the periodic-correction formulas
-(computed by ``_kernels.q_polynomials``, the one source of the q_j)."""
+"""Gravity-field constants and the check that the perturbation small
+parameters exist; the small parameters themselves, like every other formula
+of the theory, are computed in ``_kernels`` (``_kernels.small_params``)."""
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
-from . import _kernels
 from .errors import ZonalPropError
 
 
@@ -64,18 +63,6 @@ EARTH = GravityField(
 )
 
 
-@dataclass(frozen=True)
-class SmallParams:
-    """Perturbation small parameters for a given angular momentum.
-
-    eps2 = C20 (alpha/p)^2 / 4, eps3 = (alpha/p)(C30/C20) / 2, p = Theta^2/mu.
-    """
-
-    eps2: float
-    eps3: float
-    p: float
-
-
 def check_small_params(Theta: float, field: GravityField) -> None:
     """Raise ZonalPropError unless the small parameters exist for Theta in
     ``field``: Theta positive and finite, and not c20 = 0 with c30 != 0."""
@@ -83,56 +70,3 @@ def check_small_params(Theta: float, field: GravityField) -> None:
         raise ZonalPropError(f"Theta must be positive and finite, got {Theta}")
     if field.c20 == 0.0 and field.c30 != 0.0:
         raise ZonalPropError("eps3 is undefined for c20 = 0 with c30 != 0")
-
-
-def small_params(Theta: float, field: GravityField) -> SmallParams:
-    """Small parameters of the zonal perturbation for angular momentum Theta."""
-    check_small_params(Theta, field)
-    p, eps2, eps3 = _kernels.small_params(Theta, field.mu, field.alpha, field.c20, field.c30)
-    return SmallParams(eps2=eps2, eps3=eps3, p=p)
-
-
-@dataclass(frozen=True)
-class InclinationPolynomials:
-    """The q_j polynomials in c = cos(I) used by the long-period corrections.
-
-    The numbering has no q4.  q6 is stored in the deflated form
-    c (11 - 30 c^2 + 75 c^4) so that q5 = c q6 holds and polar orbits
-    (c = 0) stay regular.
-    """
-
-    q0: float
-    q1: float
-    q2: float
-    q3: float
-    q5: float
-    q6: float
-    q7: float
-    q8: float
-    q9: float
-    q10: float
-    q11: float
-    q12: float
-    q13: float
-    q14: float
-    q15: float
-
-
-def q_polynomials(c: float) -> InclinationPolynomials:
-    """Evaluate the inclination polynomials at c = cos(I), c in [-1, 1]."""
-    return InclinationPolynomials(*_kernels.q_polynomials(c))
-
-
-@dataclass(frozen=True)
-class PCoefficients:
-    """Combinations of q polynomials with the eccentricity projections."""
-
-    p1: float
-    p2: float
-    p3: float
-    p4: float
-
-
-def p_coefficients(kappa: float, sigma: float, q: InclinationPolynomials) -> PCoefficients:
-    """P coefficients entering the nonsingular long-period corrections."""
-    return PCoefficients(*_kernels.p_coefficients(kappa, sigma, astuple(q)))

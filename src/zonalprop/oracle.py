@@ -13,8 +13,9 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from . import _kernels
 from .errors import ZonalPropError
-from .gravity import GravityField, small_params
+from .gravity import GravityField, check_small_params
 from .longperiod import critical_inclination_guard
 from .states import CartesianState, DelaunayState, PolarNodalState
 
@@ -136,16 +137,16 @@ def u1_delaunay(d: DelaunayState, field: GravityField) -> float:
     Equals the polar-nodal form at the mapped state (the V1 = U1
     cross-representation identity checked by the tests).
     """
-    from . import _kernels
     eta = d.G / d.L
     e = math.sqrt(max(0.0, 1.0 - eta * eta))
     s2 = 1.0 - (d.H / d.G) ** 2
-    sp = small_params(d.G, field)
+    check_small_params(d.G, field)
+    _, eps2, _ = _kernels.small_params(d.G, field.mu, field.alpha, field.c20)
     u = _kernels.kepler_u(d.ell, e)
     f = 2.0 * math.atan2(math.sqrt(1.0 + e) * math.sin(0.5 * u),
                          math.sqrt(1.0 - e) * math.cos(0.5 * u))
     phi = (f - u) + e * math.sin(u)
-    return 0.5 * d.G * sp.eps2 * (
+    return 0.5 * d.G * eps2 * (
         (4.0 - 6.0 * s2) * (phi + e * math.sin(f))
         + 3.0 * e * s2 * math.sin(f + 2.0 * d.g)
         + 3.0 * s2 * math.sin(2.0 * f + 2.0 * d.g)
@@ -160,10 +161,11 @@ def x1_delaunay(d: DelaunayState, field: GravityField) -> float:
     e = math.sqrt(max(0.0, 1.0 - eta * eta))
     s2 = 1.0 - c * c
     s = math.sqrt(s2)
-    sp = small_params(d.G, field)
+    check_small_params(d.G, field)
+    _, eps2, eps3 = _kernels.small_params(d.G, field.mu, field.alpha, field.c20, field.c30)
     w = (14.0 - 15.0 * s2) / (4.0 - 5.0 * s2)
-    return d.G * (-sp.eps2 * w * 0.125 * s2 * e * e * math.sin(2.0 * d.g)
-                  + sp.eps3 * s * e * math.cos(d.g))
+    return d.G * (-eps2 * w * 0.125 * s2 * e * e * math.sin(2.0 * d.g)
+                  + eps3 * s * e * math.cos(d.g))
 
 
 def hamiltonian_terms(pn: PolarNodalState, field: GravityField) -> tuple[float, float, float]:

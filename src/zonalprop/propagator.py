@@ -22,12 +22,12 @@ from typing import ClassVar
 import numpy as np
 
 from . import _kernels
-from .anomaly import elliptic_projections
 from .errors import ConfigError, ZonalPropError
 from .gravity import GravityField, check_small_params
 from .longperiod import CRITICAL_TOL, critical_inclination_guard
 from .secular import mean_angle_rates, mean_motion
-from .states import CartesianState, DelaunayState, cart_to_ns_checked, ellipse_elements
+from .states import (CartesianState, DelaunayState, cart_to_ns_checked, ellipse_elements,
+                     elliptic_projections)
 
 
 @dataclass(frozen=True)

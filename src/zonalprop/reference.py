@@ -30,11 +30,10 @@ subtracted at the osculating state (inverse map).
 import math
 
 from . import _kernels
-from .anomaly import equation_of_center, projections
 from .errors import EquatorialDecompositionError
-from .gravity import GravityField, check_small_params, small_params
+from .gravity import GravityField, check_small_params
 from .longperiod import critical_inclination_guard
-from .states import DelaunayState, NonsingularState, PolarNodalState
+from .states import DelaunayState, NonsingularState, PolarNodalState, elliptic_projections
 
 #: default sin(I) floor for the polar-nodal long-period forms
 POLAR_S_TOL = 1e-6
@@ -50,20 +49,21 @@ def v1(pn: PolarNodalState, field: GravityField) -> float:
     Cross-representation identity: equals the Delaunay-form generating
     function at the mapped state (see oracle.u1_delaunay).
     """
-    proj = projections(pn.r, pn.R, pn.Theta, field.mu)
-    sp = small_params(pn.Theta, field)
-    phi = equation_of_center(proj)
+    _, kappa, sigma, _ = elliptic_projections(pn.r, pn.R, pn.Theta, field.mu)
+    check_small_params(pn.Theta, field)
+    _, eps2, _ = _kernels.small_params(pn.Theta, field.mu, field.alpha, field.c20)
+    phi = _kernels.anomaly_block(kappa, sigma)[5]
     c = pn.cos_inclination
     s2 = 1.0 - c * c
-    return sp.eps2 * pn.Theta * (
-        (2.0 - 3.0 * s2) * (phi + proj.sigma)
-        + 0.5 * (3.0 + 4.0 * proj.kappa) * s2 * math.sin(2.0 * pn.theta)
-        - proj.sigma * s2 * math.cos(2.0 * pn.theta))
+    return eps2 * pn.Theta * (
+        (2.0 - 3.0 * s2) * (phi + sigma)
+        + 0.5 * (3.0 + 4.0 * kappa) * s2 * math.sin(2.0 * pn.theta)
+        - sigma * s2 * math.cos(2.0 * pn.theta))
 
 
 def short_corrections_polar(pn: PolarNodalState, field: GravityField) -> tuple:
     """Polar-nodal short-period deltas (dr, dtheta, dnu, dR, dTheta, 0)."""
-    projections(pn.r, pn.R, pn.Theta, field.mu)  # validates ellipticity
+    elliptic_projections(pn.r, pn.R, pn.Theta, field.mu)  # validates ellipticity
     theta, Theta = pn.theta, pn.Theta
     p, eps2, _ = _kernels.small_params(Theta, field.mu, field.alpha, field.c20)
     kappa = p / pn.r - 1.0
@@ -94,7 +94,7 @@ def short_corrections_nonsingular(ns: NonsingularState, field: GravityField) -> 
     In the retrograde chart the components are already the mirrored ones, so
     the same formulas (with c = +sqrt(1 - s^2)) apply to both charts.
     """
-    projections(ns.r, ns.R, ns.Theta, field.mu)
+    elliptic_projections(ns.r, ns.R, ns.Theta, field.mu)
     return _kernels.short_ns(ns.xi, ns.chi, ns.r, ns.R, ns.Theta,
                              field.mu, field.alpha, field.c20)
 
@@ -102,7 +102,7 @@ def short_corrections_nonsingular(ns: NonsingularState, field: GravityField) -> 
 def short_corrections_low_inclination(ns: NonsingularState, field: GravityField) -> tuple:
     """Low-inclination short-period deltas; differ from the full nonsingular
     forms by O(sin^2 I)."""
-    projections(ns.r, ns.R, ns.Theta, field.mu)
+    elliptic_projections(ns.r, ns.R, ns.Theta, field.mu)
     return _kernels.short_ns_low(ns.xi, ns.chi, ns.r, ns.R, ns.Theta,
                                  field.mu, field.alpha, field.c20)
 
@@ -115,16 +115,16 @@ def y1(pn: PolarNodalState, field: GravityField) -> float:
     """Long-period generating function in polar-nodal variables."""
     c = pn.cos_inclination
     critical_inclination_guard(c)
-    proj = projections(pn.r, pn.R, pn.Theta, field.mu)
-    sp = small_params(pn.Theta, field)
+    _, k, sg, _ = elliptic_projections(pn.r, pn.R, pn.Theta, field.mu)
+    check_small_params(pn.Theta, field)
+    _, eps2, eps3 = _kernels.small_params(pn.Theta, field.mu, field.alpha, field.c20, field.c30)
     s2 = 1.0 - c * c
     s = math.sqrt(s2)
     w = (14.0 - 15.0 * s2) / (8.0 * (4.0 - 5.0 * s2))
-    k, sg = proj.kappa, proj.sigma
-    return (-sp.eps2 * pn.Theta * s2 * w
+    return (-eps2 * pn.Theta * s2 * w
             * ((k * k - sg * sg) * math.sin(2.0 * pn.theta)
                - 2.0 * k * sg * math.cos(2.0 * pn.theta))
-            + sp.eps3 * pn.Theta * s * (k * math.cos(pn.theta) + sg * math.sin(pn.theta)))
+            + eps3 * pn.Theta * s * (k * math.cos(pn.theta) + sg * math.sin(pn.theta)))
 
 
 def long_corrections_polar(pn: PolarNodalState, field: GravityField) -> tuple:
@@ -139,7 +139,7 @@ def long_corrections_polar(pn: PolarNodalState, field: GravityField) -> tuple:
             "polar-nodal long-period corrections carry 1/sin(I) terms; "
             "use the nonsingular forms for near-equatorial orbits")
     check_small_params(pn.Theta, field)
-    projections(pn.r, pn.R, pn.Theta, field.mu)
+    elliptic_projections(pn.r, pn.R, pn.Theta, field.mu)
     theta, Theta = pn.theta, pn.Theta
     p, eps2, eps3 = _kernels.small_params(Theta, field.mu, field.alpha, field.c20, field.c30)
     kappa = p / pn.r - 1.0
@@ -174,7 +174,7 @@ def long_corrections_nonsingular(ns: NonsingularState, field: GravityField) -> t
     """Full nonsingular long-period deltas; regular down to the equator."""
     critical_inclination_guard(ns.cos_inclination_abs)
     check_small_params(ns.Theta, field)
-    projections(ns.r, ns.R, ns.Theta, field.mu)
+    elliptic_projections(ns.r, ns.R, ns.Theta, field.mu)
     return _kernels.long_ns(ns.xi, ns.chi, ns.r, ns.R, ns.Theta,
                             field.mu, field.alpha, field.c20, field.c30)
 
@@ -183,7 +183,7 @@ def long_corrections_low_inclination(ns: NonsingularState, field: GravityField) 
     """Low-inclination long-period deltas (total function; the caller decides
     applicability).  Differ from the full forms by O(sin^2 I)."""
     check_small_params(ns.Theta, field)
-    projections(ns.r, ns.R, ns.Theta, field.mu)
+    elliptic_projections(ns.r, ns.R, ns.Theta, field.mu)
     return _kernels.long_ns_low(ns.xi, ns.chi, ns.r, ns.R, ns.Theta,
                                 field.mu, field.alpha, field.c20, field.c30)
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .anomaly import elliptic_projections
 from .errors import (ChartError, EquatorialDecompositionError,
                      NonEllipticStateError, ZonalPropError)
 
@@ -201,8 +200,11 @@ def cart_to_ns_checked(cart: CartesianState):
         check_finite("state component", ("x", "y", "z", "vx", "vy", "vz"),
                      (x, y, z, vx, vy, vz))
     # ``**`` and not ``*``: a float power that overflows raises OverflowError
-    if x ** 2 + y ** 2 + z ** 2 <= 0.0:
-        raise ZonalPropError("position norm must be positive")
+    try:
+        if x ** 2 + y ** 2 + z ** 2 <= 0.0:
+            raise ZonalPropError("position norm must be positive")
+    except OverflowError:
+        raise ZonalPropError("position norm overflows a float") from None
     hx = y * vz - z * vy
     hy = z * vx - x * vz
     hz = x * vy - y * vx
@@ -243,15 +245,29 @@ def polar_to_delaunay(pn: PolarNodalState, mu: float) -> DelaunayState:
     standard convention f = 0 (h = nu), leaving the sums f + g and g + h
     well defined.
     """
-    return ellipse_to_delaunay(pn.r, pn.theta, pn.nu, pn.R, pn.Theta, pn.N, mu)[0]
+    ell, g, h, L, G, H, _ = ellipse_elements(pn.r, pn.theta, pn.nu, pn.R, pn.Theta, pn.N, mu)
+    return DelaunayState(ell=ell, g=g, h=h, L=L, G=G, H=H)
 
 
-def ellipse_to_delaunay(r: float, theta: float, h: float, R: float, Theta: float,
-                        N: float, mu: float) -> tuple[DelaunayState, bool]:
-    """Delaunay elements of the osculating ellipse as a DelaunayState, and
-    whether it counts as circular; see ``ellipse_elements``."""
-    ell, g, h, L, G, H, circular = ellipse_elements(r, theta, h, R, Theta, N, mu)
-    return DelaunayState(ell=ell, g=g, h=h, L=L, G=G, H=H), circular
+def elliptic_projections(r: float, R: float, Theta: float, mu: float):
+    """(ainv, kappa, sigma, e): the inverse semi-major axis and the
+    eccentricity-vector projections of the osculating ellipse through
+    (r, R, Theta), for r > 0 and Theta > 0; the package's one ellipticity
+    check.
+
+    Raises NonEllipticStateError for non-negative energy or e >= 1, so
+    nothing downstream takes sqrt(1 - e^2) of a hyperbola.
+    """
+    ainv = 2.0 / r - (R * R + (Theta / r) ** 2) / mu
+    if ainv <= 0.0:
+        raise NonEllipticStateError("state is not elliptic (non-negative energy)")
+    p = Theta * Theta / mu
+    kappa = p / r - 1.0
+    sigma = p * R / Theta
+    e = math.hypot(kappa, sigma)
+    if e >= 1.0:
+        raise NonEllipticStateError(f"state is not elliptic (e = {e})")
+    return ainv, kappa, sigma, e
 
 
 def ellipse_elements(r: float, theta: float, h: float, R: float, Theta: float,
@@ -264,7 +280,7 @@ def ellipse_elements(r: float, theta: float, h: float, R: float, Theta: float,
     H = N exactly, and G = max(Theta, |N|): a corrected Theta that fell below
     |N| near the equator is raised instead of changing the integral N.
     Raises NonEllipticStateError for non-negative energy or e >= 1 (see
-    ``anomaly.elliptic_projections``), and ZonalPropError where the elements
+    ``elliptic_projections``), and ZonalPropError where the elements
     break the DelaunayState invariants.
     """
     ainv, kappa, sigma, _ = elliptic_projections(r, R, Theta, mu)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from zonalprop import EARTH, CartesianState, DelaunayState, nonsingular_to_cartesian
+from zonalprop import EARTH, CartesianState, DelaunayState, _kernels, nonsingular_to_cartesian
 from zonalprop.states import PolarNodalState, delaunay_to_polar, polar_to_nonsingular
 
 MU = EARTH.mu
@@ -14,6 +14,11 @@ MU = EARTH.mu
 #: the state fields a correction stage's six deltas apply to, in kernel order
 POLAR_FIELDS = ("r", "theta", "nu", "R", "Theta", "N")
 NONSINGULAR_FIELDS = ("psi", "xi", "chi", "r", "R", "Theta")
+
+
+def field_small_params(Theta, field):
+    """``_kernels.small_params`` (p, eps2, eps3) with the constants of ``field``."""
+    return _kernels.small_params(Theta, field.mu, field.alpha, field.c20, field.c30)
 
 
 def elements_to_polar(a, e, inc, ell, g, h, mu=MU) -> PolarNodalState:

@@ -4,17 +4,22 @@ import random
 import numpy as np
 import pytest
 
-from zonalprop import EARTH, NonEllipticStateError, ZonalPropError, _kernels
-from zonalprop.anomaly import equation_of_center, projections, solve_kepler
+from zonalprop import EARTH, NonEllipticStateError, _kernels
+from zonalprop.states import elliptic_projections
 
 MU = EARTH.mu
 
 
 def _anomalies(r, R, Theta):
-    """(f, u, ell) of the state, from ``_kernels.anomaly_block``."""
-    proj = projections(r, R, Theta, MU)
-    e, eta, f, u, ell, phi = _kernels.anomaly_block(proj.kappa, proj.sigma)
-    return f, u, ell
+    """(f, u, ell, phi) of the state, from ``_kernels.anomaly_block``."""
+    _, kappa, sigma, _ = elliptic_projections(r, R, Theta, MU)
+    e, eta, f, u, ell, phi = _kernels.anomaly_block(kappa, sigma)
+    return f, u, ell, phi
+
+
+def _phi(r, R, Theta):
+    """Equation of the center of the state."""
+    return _anomalies(r, R, Theta)[3]
 
 
 def _bisect_kepler(ell, e, iters=200):
@@ -33,50 +38,51 @@ class TestProjections:
     def test_circular(self):
         p = 7000.0
         Theta = math.sqrt(MU * p)
-        proj = projections(p, 0.0, Theta, MU)
+        _, kappa, sigma, e = elliptic_projections(p, 0.0, Theta, MU)
         # p reconstructed from Theta lands within one ulp of the input radius
-        assert proj.kappa == pytest.approx(0.0, abs=1e-15)
-        assert proj.sigma == 0.0
-        assert proj.e == pytest.approx(0.0, abs=1e-15)
-        assert proj.eta == pytest.approx(1.0, abs=1e-15)
+        assert kappa == pytest.approx(0.0, abs=1e-15)
+        assert sigma == 0.0
+        assert e == pytest.approx(0.0, abs=1e-15)
+        assert _kernels.anomaly_block(kappa, sigma)[1] == pytest.approx(1.0, abs=1e-15)
 
     def test_periapsis(self):
         p, e = 7000.0, 0.2
         Theta = math.sqrt(MU * p)
-        proj = projections(p / (1.0 + e), 0.0, Theta, MU)
-        assert proj.kappa == pytest.approx(e, rel=1e-14)
-        assert proj.sigma == 0.0
+        _, kappa, sigma, _ = elliptic_projections(p / (1.0 + e), 0.0, Theta, MU)
+        assert kappa == pytest.approx(e, rel=1e-14)
+        assert sigma == 0.0
 
     def test_against_energy_oracle(self):
         # e from the vis-viva energy must agree with e from the projections
         r, R, Theta = 7000.0, 0.5, 52000.0
-        proj = projections(r, R, Theta, MU)
+        _, _, _, e = elliptic_projections(r, R, Theta, MU)
         v2 = R * R + (Theta / r) ** 2
         energy = 0.5 * v2 - MU / r
         e_energy = math.sqrt(1.0 + 2.0 * energy * Theta * Theta / MU ** 2)
-        assert proj.e == pytest.approx(e_energy, rel=1e-12)
+        assert e == pytest.approx(e_energy, rel=1e-12)
         f = _anomalies(r, R, Theta)[0]
         # conic equation at that true anomaly reproduces the radius
-        assert proj.p / (1.0 + proj.e * math.cos(f)) == pytest.approx(r, rel=1e-12)
+        p = Theta * Theta / MU
+        assert p / (1.0 + e * math.cos(f)) == pytest.approx(r, rel=1e-12)
 
     def test_non_elliptic(self):
         with pytest.raises(NonEllipticStateError):
-            projections(1000.0, 20.0, 52000.0, MU)
+            elliptic_projections(1000.0, 20.0, 52000.0, MU)
         with pytest.raises(NonEllipticStateError):
-            projections(-1.0, 0.0, 52000.0, MU)
+            elliptic_projections(-1.0, 0.0, 52000.0, MU)
 
 
 class TestSolveKepler:
     def test_circular(self):
         for ell in (-2.0, 0.0, 0.7, 3.0):
-            assert solve_kepler(ell, 0.0) == pytest.approx(ell, abs=1e-15)
+            assert _kernels.kepler_u(ell, 0.0) == pytest.approx(ell, abs=1e-15)
 
     def test_symmetry_at_pi(self):
         for e in (0.1, 0.5, 0.9, 0.99):
-            assert solve_kepler(math.pi, e) == pytest.approx(math.pi, abs=1e-14)
+            assert _kernels.kepler_u(math.pi, e) == pytest.approx(math.pi, abs=1e-14)
 
     def test_against_bisection_oracle(self):
-        u = solve_kepler(1.0, 0.1)
+        u = _kernels.kepler_u(1.0, 0.1)
         assert u == pytest.approx(_bisect_kepler(1.0, 0.1), abs=1e-13)
         # frozen from the bisection oracle
         assert u == pytest.approx(1.0885977523978936, abs=1e-13)
@@ -84,18 +90,12 @@ class TestSolveKepler:
     def test_residual_grid(self):
         for e in np.linspace(0.0, 0.99, 34):
             for ell in np.linspace(-math.pi, math.pi, 30):
-                u = solve_kepler(ell, e)
+                u = _kernels.kepler_u(ell, e)
                 ell_w = math.atan2(math.sin(ell), math.cos(ell))
                 res = u - e * math.sin(u) - ell_w
                 # compare mod 2 pi (ell reduced internally)
                 res = math.atan2(math.sin(res), math.cos(res))
                 assert abs(res) < 1e-14
-
-    def test_invalid_eccentricity(self):
-        with pytest.raises(ZonalPropError):
-            solve_kepler(1.0, 1.0)
-        with pytest.raises(ZonalPropError):
-            solve_kepler(1.0, -0.1)
 
 
 class TestAnomalies:
@@ -127,9 +127,9 @@ class TestAnomalies:
             f = rng.uniform(-math.pi, math.pi)
             r = p / (1.0 + e * math.cos(f))
             R = (Theta / p) * e * math.sin(f)
-            _, u, ell = _anomalies(r, R, Theta)
+            _, u, ell, _ = _anomalies(r, R, Theta)
             assert ell == pytest.approx(u - e * math.sin(u), abs=1e-13)
-            u2 = solve_kepler(ell, e)
+            u2 = _kernels.kepler_u(ell, e)
             assert u2 == pytest.approx(u, abs=1e-12)
             f2 = 2.0 * math.atan2(math.sqrt(1.0 + e) * math.sin(0.5 * u2),
                                   math.sqrt(1.0 - e) * math.cos(0.5 * u2))
@@ -141,12 +141,10 @@ class TestEquationOfCenter:
     def test_circular_and_apsides(self):
         p = 7000.0
         Theta = math.sqrt(MU * p)
-        assert equation_of_center(projections(p, 0.0, Theta, MU)) == 0.0
+        assert _phi(p, 0.0, Theta) == 0.0
         e = 0.4
-        peri = projections(p / (1.0 + e), 0.0, Theta, MU)
-        apo = projections(p / (1.0 - e), 0.0, Theta, MU)
-        assert equation_of_center(peri) == pytest.approx(0.0, abs=1e-15)
-        assert abs(equation_of_center(apo)) < 1e-12
+        assert _phi(p / (1.0 + e), 0.0, Theta) == pytest.approx(0.0, abs=1e-15)
+        assert abs(_phi(p / (1.0 - e), 0.0, Theta)) < 1e-12
 
     def test_value_at_f_90deg(self):
         # independent re-derivation: u from the half-angle relation, then
@@ -157,7 +155,7 @@ class TestEquationOfCenter:
         f = math.pi / 2
         r = p / (1.0 + e * math.cos(f))
         R = (Theta / p) * e * math.sin(f)
-        phi = equation_of_center(projections(r, R, Theta, MU))
+        phi = _phi(r, R, Theta)
         u = 2.0 * math.atan(math.sqrt((1.0 - e) / (1.0 + e)) * math.tan(f / 2.0))
         expected = f - (u - e * math.sin(u))
         assert phi == pytest.approx(expected, abs=1e-14)
@@ -173,8 +171,8 @@ class TestEquationOfCenter:
             f = rng.uniform(-math.pi, math.pi)
             r = p / (1.0 + e * math.cos(f))
             R = (Theta / p) * e * math.sin(f)
-            up = equation_of_center(projections(r, R, Theta, MU))
-            dn = equation_of_center(projections(r, -R, Theta, MU))
+            up = _phi(r, R, Theta)
+            dn = _phi(r, -R, Theta)
             assert up == pytest.approx(-dn, abs=1e-14)
 
     def test_magnitude_bound(self):
@@ -186,7 +184,7 @@ class TestEquationOfCenter:
             f = rng.uniform(-math.pi, math.pi)
             r = p / (1.0 + e * math.cos(f))
             R = (Theta / p) * e * math.sin(f)
-            assert abs(equation_of_center(projections(r, R, Theta, MU))) < math.pi
+            assert abs(_phi(r, R, Theta)) < math.pi
 
 
 class TestClosedFormAnomalies:

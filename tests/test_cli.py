@@ -281,6 +281,18 @@ class TestExitCodes:
         assert "state component vz must be finite, got nan" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_position_exit_1_without_traceback(self, tmp_path):
+        # x**2 overflows a float; run in a fresh interpreter, where an
+        # uncaught error would print its traceback to stderr
+        out = tmp_path / "x.csv"
+        res = _python(["-m", "zonalprop.cli", "propagate", "--x", "1e200", "--y", "0",
+                       "--z", "0", "--vx", "0", "--vy", "7.5", "--vz", "0",
+                       "--duration", "60", "--step", "60", "--ephemeris", str(out)])
+        assert res.returncode == 1
+        assert "error: position norm overflows" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("speed", [12.0, 1.0001 * math.sqrt(2.0 * EARTH.mu / 7000.0)],
                              ids=["12 km/s", "1.0001 escape speed"])
     def test_non_elliptic_state_exit_1(self, tmp_path, capsys, speed):
@@ -436,6 +448,17 @@ class TestExitCodes:
         assert not report.exists()
         assert f"[benchmark] iterations = '{raw}' is not an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_iterations_must_not_be_negative_exit_1(self, tmp_path, capsys, source):
+        # -3 used to run, exit 0 and leave the timing section out
+        extra = "[benchmark]\niterations = -3\n" if source == "config" else ""
+        cfg = _write_config(tmp_path / "run.ini", extra=extra)
+        report = tmp_path / "bench.txt"
+        flag = ["--iterations", "-3"] if source == "flag" else []
+        assert main(["benchmark", "--config", str(cfg), "--report", str(report), *flag]) == 1
+        assert not report.exists()
+        assert "[benchmark] iterations must be >= 0, got -3" in capsys.readouterr().err
+
     def test_malformed_config_exit_1(self, tmp_path):
         cfg = _write_config(tmp_path / "run.ini", extra="[run]\nstep = 60\n")
         assert main(["propagate", "--config", str(cfg)]) == 1
@@ -502,18 +525,24 @@ API = ("ChartError", "ConfigError", "CriticalInclinationError",
        "critical_inclination_guard")
 
 
+def _python(args, check=False):
+    """Run the interpreter with this checkout's ``src`` first on its path."""
+    import zonalprop
+    src = os.path.dirname(os.path.dirname(zonalprop.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          check=check, env=env)
+
+
 def test_cli_import_leaves_scipy_out():
     # only compare needs the reference integrator, only benchmark the
     # benchmark, and no command runs the reference formulations: the CLI
     # starts without any of them
     import zonalprop
-    src = os.path.dirname(os.path.dirname(zonalprop.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     probe = ("import sys, zonalprop.cli; print([m for m in ('scipy.integrate', "
              "'zonalprop.reference', 'zonalprop.benchmark') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env=env)
+    out = _python(["-c", probe], check=True)
     assert out.stdout.strip() == "[]"
     assert len(API) == 25
     assert sorted(zonalprop.__all__) == sorted(API)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from zonalprop import EARTH, GravityField, ZonalPropError
-from zonalprop.gravity import p_coefficients, q_polynomials, small_params
+from zonalprop import EARTH, GravityField, ZonalPropError, _kernels
+from zonalprop.gravity import check_small_params
+from conftest import field_small_params
 
 MU = EARTH.mu
 
@@ -35,98 +36,100 @@ class TestGravityField:
 class TestSmallParams:
     def test_zero_coefficients(self):
         f = GravityField(mu=MU, alpha=EARTH.alpha, c20=0.0, c30=0.0)
-        sp = small_params(52000.0, f)
-        assert sp.eps2 == 0.0 and sp.eps3 == 0.0
+        check_small_params(52000.0, f)
+        _, eps2, eps3 = field_small_params(52000.0, f)
+        assert eps2 == 0.0 and eps3 == 0.0
 
     def test_earth_leo_value(self):
         # hand evaluation with published Earth constants at p = 7000 km
         p = 7000.0
         Theta = math.sqrt(MU * p)
-        sp = small_params(Theta, EARTH)
-        assert sp.p == pytest.approx(p, rel=1e-14)
-        assert sp.eps2 == pytest.approx(-2.247e-4, rel=5e-4)
+        p_k, eps2, _ = field_small_params(Theta, EARTH)
+        assert p_k == pytest.approx(p, rel=1e-14)
+        assert eps2 == pytest.approx(-2.247e-4, rel=5e-4)
 
     def test_p_equals_alpha(self):
         Theta = math.sqrt(MU * EARTH.alpha)
-        sp = small_params(Theta, EARTH)
-        assert sp.eps2 == pytest.approx(EARTH.c20 / 4.0, rel=1e-13)
+        _, eps2, _ = field_small_params(Theta, EARTH)
+        assert eps2 == pytest.approx(EARTH.c20 / 4.0, rel=1e-13)
 
     def test_eps2_quartic_in_theta(self):
-        sp1 = small_params(52000.0, EARTH)
-        sp2 = small_params(2.0 * 52000.0, EARTH)
-        assert sp2.eps2 == pytest.approx(sp1.eps2 / 16.0, rel=1e-13)
+        eps2_1 = field_small_params(52000.0, EARTH)[1]
+        eps2_2 = field_small_params(2.0 * 52000.0, EARTH)[1]
+        assert eps2_2 == pytest.approx(eps2_1 / 16.0, rel=1e-13)
 
     def test_undefined_eps3(self):
         f = GravityField(mu=MU, alpha=EARTH.alpha, c20=0.0, c30=1e-6)
         with pytest.raises(ZonalPropError):
-            small_params(52000.0, f)
+            check_small_params(52000.0, f)
 
     def test_invalid_theta(self):
         with pytest.raises(ZonalPropError):
-            small_params(0.0, EARTH)
+            check_small_params(0.0, EARTH)
         with pytest.raises(ZonalPropError):
-            small_params(float("nan"), EARTH)
+            check_small_params(float("nan"), EARTH)
 
 
 class TestInclinationPolynomials:
     def test_at_c_zero(self):
-        q = q_polynomials(0.0)
-        assert q.q0 == 1.0
-        assert q.q1 == 0.25
-        assert q.q2 == 1.0
-        assert q.q3 == 0.25
-        assert q.q5 == 0.0
-        assert q.q6 == 0.0
-        assert q.q13 == 1.0
+        q0, q1, q2, q3, q5, q6, _, _, _, _, _, _, q13, _, _ = _kernels.q_polynomials(0.0)
+        assert q0 == 1.0
+        assert q1 == 0.25
+        assert q2 == 1.0
+        assert q3 == 0.25
+        assert q5 == 0.0
+        assert q6 == 0.0
+        assert q13 == 1.0
 
     def test_at_c_one(self):
-        q = q_polynomials(1.0)
-        assert q.q0 == 56.0
-        assert q.q5 == 56.0
-        assert q.q6 == 56.0
-        assert q.q2 == 0.0
-        assert q.q13 == 112.0
-        assert q.q15 == 56.0
+        q0, _, q2, _, q5, q6, _, _, _, _, _, _, q13, _, q15 = _kernels.q_polynomials(1.0)
+        assert q0 == 56.0
+        assert q5 == 56.0
+        assert q6 == 56.0
+        assert q2 == 0.0
+        assert q13 == 112.0
+        assert q15 == 56.0
 
     def test_critical_inclination_zeros(self):
-        c = math.sqrt(0.2)
-        q = q_polynomials(c)
-        assert abs(q.q0) < 1e-14
-        assert abs(q.q2) < 1e-14
-        assert abs(q.q13) < 1e-14
+        q = _kernels.q_polynomials(math.sqrt(0.2))
+        assert abs(q[0]) < 1e-14  # q0
+        assert abs(q[2]) < 1e-14  # q2
+        assert abs(q[12]) < 1e-14  # q13
 
     @pytest.mark.parametrize("c", np.linspace(-1.0, 1.0, 41).tolist())
     def test_structural_identities(self, c):
-        q = q_polynomials(c)
+        q = _kernels.q_polynomials(c)
+        q0, _, q2, _, q5, q6, _, _, _, _, _, _, q13, _, _ = q
         s2 = 1.0 - c * c
-        assert q.q2 == pytest.approx(s2 * q.q0, abs=1e-12)
-        assert q.q13 == pytest.approx(q.q0 * (1.0 + c), abs=1e-12)
-        assert c * q.q6 == pytest.approx(q.q5, abs=1e-12)
-        for name in ("q0", "q1", "q2", "q3", "q5", "q6", "q7", "q8", "q9",
-                     "q10", "q11", "q12", "q13", "q14", "q15"):
-            assert math.isfinite(getattr(q, name))
+        assert q2 == pytest.approx(s2 * q0, abs=1e-12)
+        assert q13 == pytest.approx(q0 * (1.0 + c), abs=1e-12)
+        assert c * q6 == pytest.approx(q5, abs=1e-12)
+        # q0..q3 and q5..q15: no q4
+        assert len(q) == 15
+        assert all(math.isfinite(v) for v in q)
 
 
 class TestPCoefficients:
     def test_constant_terms(self):
-        q = q_polynomials(0.37)
-        pc = p_coefficients(0.0, 0.0, q)
-        assert pc.p1 == 0.0
-        assert pc.p2 == 0.0
-        assert pc.p3 == q.q2
-        assert pc.p4 == q.q0
+        q = _kernels.q_polynomials(0.37)
+        p1, p2, p3, p4 = _kernels.p_coefficients(0.0, 0.0, q)
+        assert p1 == 0.0
+        assert p2 == 0.0
+        assert p3 == q[2]  # q2
+        assert p4 == q[0]  # q0
 
     def test_unit_kappa_equatorial(self):
-        q = q_polynomials(0.0)
-        pc = p_coefficients(1.0, 0.0, q)
-        assert pc.p1 == pytest.approx(q.q2 + q.q7)
-        assert pc.p1 == pytest.approx(1.25)
-        assert pc.p4 == pytest.approx(1.0)
+        q = _kernels.q_polynomials(0.0)
+        p1, _, _, p4 = _kernels.p_coefficients(1.0, 0.0, q)
+        assert p1 == pytest.approx(q[2] + q[6])  # q2 + q7
+        assert p1 == pytest.approx(1.25)
+        assert p4 == pytest.approx(1.0)
 
     def test_quadratic_in_sigma(self):
-        q = q_polynomials(0.42)
+        q = _kernels.q_polynomials(0.42)
+        q8, q10 = q[7], q[9]
         kappa, sigma = 0.2, 0.15
-        p1 = p_coefficients(kappa, sigma, q)
-        p2 = p_coefficients(kappa, 2.0 * sigma, q)
-        assert p2.p1 - p1.p1 == pytest.approx(3.0 * q.q8 * sigma ** 2, rel=1e-12)
-        assert p2.p2 - p1.p2 == pytest.approx(3.0 * q.q10 * sigma ** 2, rel=1e-12)
+        p1 = _kernels.p_coefficients(kappa, sigma, q)
+        p2 = _kernels.p_coefficients(kappa, 2.0 * sigma, q)
+        assert p2[0] - p1[0] == pytest.approx(3.0 * q8 * sigma ** 2, rel=1e-12)
+        assert p2[1] - p1[1] == pytest.approx(3.0 * q10 * sigma ** 2, rel=1e-12)

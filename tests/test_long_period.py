@@ -5,13 +5,12 @@ import pytest
 
 from zonalprop import (EARTH, CriticalInclinationError, EquatorialDecompositionError,
                        NonsingularState, ZonalPropError, critical_inclination_guard)
-from zonalprop.gravity import small_params
 from zonalprop.oracle import poisson_bracket_fd, x1_delaunay
 from zonalprop.reference import (long_corrections_low_inclination,
                                  long_corrections_nonsingular, long_corrections_polar, y1)
 from zonalprop.states import PolarNodalState, polar_to_delaunay, polar_to_nonsingular
-from conftest import (add_deltas, chain_to_nonsingular, elements_to_polar, loglog_slope,
-                      random_polar_states)
+from conftest import (add_deltas, chain_to_nonsingular, elements_to_polar, field_small_params,
+                      loglog_slope, random_polar_states)
 
 MU = EARTH.mu
 FIELD = EARTH
@@ -78,8 +77,8 @@ class TestLongPolar:
         theta = 1.2
         pn = PolarNodalState(r=p, theta=theta, nu=0.1, R=0.0,
                              Theta=Theta, N=Theta * math.cos(inc))
-        sp = small_params(Theta, FIELD)
-        expected = p * sp.eps3 * math.sin(inc) * math.sin(theta)
+        _, _, eps3 = field_small_params(Theta, FIELD)
+        expected = p * eps3 * math.sin(inc) * math.sin(theta)
         dr = long_corrections_polar(pn, FIELD)[0]
         assert dr == pytest.approx(expected, rel=1e-9)
 
@@ -121,18 +120,18 @@ class TestLongNonsingular:
             ns = NonsingularState(psi=0.8, xi=0.0, chi=0.0, r=r, R=R,
                                   Theta=Theta, N=Theta)
             d = long_corrections_nonsingular(ns, FIELD)
-            sp = small_params(Theta, FIELD)
-            assert d[1] == pytest.approx(sp.eps3 * kappa, rel=1e-12)
-            assert d[2] == pytest.approx(-sp.eps3 * sigma, rel=1e-12)
+            _, _, eps3 = field_small_params(Theta, FIELD)
+            assert d[1] == pytest.approx(eps3 * kappa, rel=1e-12)
+            assert d[2] == pytest.approx(-eps3 * sigma, rel=1e-12)
 
     def test_circular_dr_matches_low_inclination_form(self):
         # circular orbit: dr reduces to eps3 * xi * p
         inc = math.radians(3.0)
         pn = elements_to_polar(7400.0, 0.0, inc, 0.9, 0.0, 0.3)
         ns = polar_to_nonsingular(pn)
-        sp = small_params(ns.Theta, FIELD)
+        p, _, eps3 = field_small_params(ns.Theta, FIELD)
         d = long_corrections_nonsingular(ns, FIELD)
-        assert d[3] == pytest.approx(sp.eps3 * ns.xi * sp.p, rel=1e-6)
+        assert d[3] == pytest.approx(eps3 * ns.xi * p, rel=1e-6)
 
     def test_chain_rule_agreement(self):
         rng = random.Random(44)
@@ -178,9 +177,9 @@ class TestLongLowInclination:
         ns = NonsingularState(psi=0.8, xi=0.0, chi=0.0, r=r, R=R,
                               Theta=Theta, N=Theta)
         d = long_corrections_low_inclination(ns, FIELD)
-        sp = small_params(Theta, FIELD)
-        assert d[1] == pytest.approx(sp.eps3 * kappa, rel=1e-13)
-        assert d[2] == pytest.approx(-sp.eps3 * sigma, rel=1e-13)
+        _, _, eps3 = field_small_params(Theta, FIELD)
+        assert d[1] == pytest.approx(eps3 * kappa, rel=1e-13)
+        assert d[2] == pytest.approx(-eps3 * sigma, rel=1e-13)
 
     def test_dtheta_circular_zero(self):
         pn = elements_to_polar(7400.0, 0.0, math.radians(1.5), 0.9, 0.0, 0.3)
@@ -216,7 +215,7 @@ class TestLongLowInclination:
         p = 7100.0
         Theta = math.sqrt(MU * p)
         e = 0.2
-        sp = small_params(Theta, FIELD)
+        _, _, eps3 = field_small_params(Theta, FIELD)
         for f_true in (0.5, 2.0):
             r = p / (1.0 + e * math.cos(f_true))
             R = (Theta / p) * e * math.sin(f_true)
@@ -226,8 +225,8 @@ class TestLongLowInclination:
                                   r=r, R=R, Theta=Theta,
                                   N=Theta * math.sqrt(1.0 - s * s))
             d = long_corrections_nonsingular(ns, FIELD)
-            assert d[1] == pytest.approx(sp.eps3 * kappa, rel=1e-6)
-            assert d[2] == pytest.approx(-sp.eps3 * sigma, rel=1e-6)
+            assert d[1] == pytest.approx(eps3 * kappa, rel=1e-6)
+            assert d[2] == pytest.approx(-eps3 * sigma, rel=1e-6)
 
 
 class TestDeltaNAlwaysZero:

@@ -5,13 +5,12 @@ from dataclasses import replace
 import pytest
 
 from zonalprop import EARTH, NonsingularState
-from zonalprop.gravity import small_params
 from zonalprop.oracle import poisson_bracket_fd, u1_delaunay
 from zonalprop.reference import (short_corrections_low_inclination,
                                  short_corrections_nonsingular, short_corrections_polar, v1)
 from zonalprop.states import PolarNodalState, polar_to_delaunay, polar_to_nonsingular
-from conftest import (add_deltas, chain_to_nonsingular, elements_to_polar, loglog_slope,
-                      random_polar_states)
+from conftest import (add_deltas, chain_to_nonsingular, elements_to_polar, field_small_params,
+                      loglog_slope, random_polar_states)
 
 MU = EARTH.mu
 FIELD = EARTH.restricted("j2")
@@ -30,8 +29,8 @@ class TestV1:
         p = 7000.0
         Theta = math.sqrt(MU * p)
         pn = PolarNodalState(r=p, theta=math.pi / 4, nu=0.0, R=0.0, Theta=Theta, N=0.0)
-        sp = small_params(Theta, FIELD)
-        expected = 1.5 * sp.eps2 * Theta
+        _, eps2, _ = field_small_params(Theta, FIELD)
+        expected = 1.5 * eps2 * Theta
         assert v1(pn, FIELD) == pytest.approx(expected, rel=1e-10)
 
     def test_equals_u1_at_mapped_states(self):
@@ -53,9 +52,9 @@ class TestShortPolar:
         theta = 0.9
         pn = PolarNodalState(r=p, theta=theta, nu=0.1, R=0.0,
                              Theta=Theta, N=Theta * math.cos(inc))
-        sp = small_params(Theta, FIELD)
+        _, eps2, _ = field_small_params(Theta, FIELD)
         s2 = math.sin(inc) ** 2
-        expected = sp.eps2 * p * (3.0 * (2.0 - 3.0 * s2) - s2 * math.cos(2.0 * theta))
+        expected = eps2 * p * (3.0 * (2.0 - 3.0 * s2) - s2 * math.cos(2.0 * theta))
         dr = short_corrections_polar(pn, FIELD)[0]
         assert dr == pytest.approx(expected, rel=1e-9)
 
@@ -92,9 +91,9 @@ class TestShortNonsingular:
         ns = NonsingularState(psi=0.8, xi=0.0, chi=0.0, r=p, R=0.0,
                               Theta=Theta, N=Theta)
         d = short_corrections_nonsingular(ns, FIELD)
-        sp = small_params(Theta, FIELD)
+        _, eps2, _ = field_small_params(Theta, FIELD)
         assert d[0] == pytest.approx(0.0, abs=1e-18)            # dpsi: phi = sigma = 0
-        assert d[3] == pytest.approx(6.0 * sp.eps2 * p, rel=1e-9)  # dr = 6 eps2 p
+        assert d[3] == pytest.approx(6.0 * eps2 * p, rel=1e-9)  # dr = 6 eps2 p
         assert d[4] == pytest.approx(0.0, abs=1e-15)
         assert d[5] == pytest.approx(0.0, abs=1e-12)
 
