@@ -17,12 +17,14 @@ rule: the true and eccentric anomalies are kept on matching branches so the
 equation of the center never jumps by 2*pi.
 
 The periodic-correction kernels evaluate the first-order generating-function
-brackets in closed form; they agree identically with the polar-nodal forms
-of the same corrections in ``reference`` (same generating function,
-chain-rule mapping), which the test suite enforces against finite-difference
-Poisson brackets.  The pipeline (``reconstruct_and_correct``) evaluates only
-the full nonsingular forms; the low-inclination kernels are kept as
-references the tests compare them against (through ``reference``).
+brackets in closed form: the Poisson brackets of ``reference.v1`` and
+``reference.y1`` over the polar-nodal pairs, carried into the nonsingular
+set by the chain rule.  The tests take those brackets exactly, on symbols,
+and run these kernels on mpmath numbers (rebinding ``sqrt`` and ``atan2``
+here) to compare them at 50 digits.  The pipeline
+(``reconstruct_and_correct``) evaluates only the full nonsingular forms;
+the low-inclination kernels are kept as references the tests compare them
+against (through ``reference``).
 
 Formulas that other layers need too (the small parameters, the q
 polynomials, the P coefficients, the Kepler solver, the anomalies, the
@@ -210,9 +212,9 @@ def anomaly_block(kappa, sigma):
     eta, f - u and e sin u come from ``center_terms``.  As
     1 + kappa >= 1 - e > 0, u = f - (f - u) stays on f's branch, and
     circular lanes (kappa, sigma zeroed) give exact zeros.  This serves the
-    callers that report f, u and ell (``states.ellipse_elements``) and the
-    polar-nodal forms in ``reference``; the short-period kernels need only
-    eta and phi and call ``center_terms`` directly.
+    callers that report f, u and ell (``states.ellipse_elements``); the
+    short-period kernels and ``reference.v1`` need only eta and phi and call
+    ``center_terms`` directly.
     """
     m = _NUMPY if type(kappa) is ndarray else _MATH
     e = m.hypot(kappa, sigma)

@@ -52,7 +52,8 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 def _read_config(path: str | None) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are literal: a % in a file name is kept, and %(key)s is not expanded
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     if path is not None:
         try:
             read = cp.read(path)

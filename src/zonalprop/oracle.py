@@ -1,10 +1,10 @@
 """Independent verification machinery.
 
 Nothing here is used by the analytic pipeline itself: exact numerical
-integration of the J2+J3 equations of motion, finite-difference Poisson
-brackets against the generating functions, the Delaunay-form generating
+integration of the J2+J3 equations of motion, the Delaunay-form generating
 functions, and the Hamiltonian perturbative terms.  The test suite uses
-these as oracles for the closed-form corrections.
+these as oracles for the closed-form corrections; the Poisson brackets of
+the generating functions are taken exactly, on symbols, in the tests.
 """
 
 import math
@@ -18,10 +18,6 @@ from .errors import ZonalPropError
 from .gravity import GravityField, check_small_params
 from .longperiod import critical_inclination_guard
 from .states import CartesianState, DelaunayState, PolarNodalState
-
-_COORDS = ("r", "theta", "nu", "R", "Theta", "N")
-_CONJUGATE = {"r": "R", "theta": "Theta", "nu": "N",
-              "R": "r", "Theta": "theta", "N": "nu"}
 
 
 def zonal_potential(x: float, y: float, z: float, field: GravityField) -> float:
@@ -105,30 +101,6 @@ def integrate_grid(cart0: CartesianState, t0: float, ts, field: GravityField,
     if not sol.success:
         raise ZonalPropError(f"integration failed: {sol.message}")
     return sol.y.T.copy()
-
-
-def poisson_bracket_fd(gen, coordinate: str, pn: PolarNodalState,
-                       rel_step: float = 1e-6) -> float:
-    """{coordinate, gen} by central differences over the canonical pairs.
-
-    ``gen`` maps a PolarNodalState to a scalar.  The derivative is taken
-    with respect to the conjugate variable, with a step of ``rel_step``
-    times that variable's characteristic scale, and the canonical sign:
-    +d(gen)/d(momentum) for coordinates, -d(gen)/d(coordinate) for momenta.
-    """
-    if coordinate not in _COORDS:
-        raise ZonalPropError(f"unknown polar-nodal variable {coordinate!r}")
-    partner = _CONJUGATE[coordinate]
-    scales = {"r": pn.r, "theta": 1.0, "nu": 1.0,
-              "R": pn.Theta / pn.r, "Theta": pn.Theta, "N": pn.Theta}
-    h = rel_step * scales[partner]
-    up = replace(pn, **{partner: getattr(pn, partner) + h})
-    dn = replace(pn, **{partner: getattr(pn, partner) - h})
-    fu, fd = gen(up), gen(dn)
-    if not (math.isfinite(fu) and math.isfinite(fd)):
-        raise ZonalPropError("generating function returned a non-finite value")
-    sign = 1.0 if coordinate in ("r", "theta", "nu") else -1.0
-    return sign * (fu - fd) / (2.0 * h)
 
 
 def u1_delaunay(d: DelaunayState, field: GravityField) -> float:

@@ -7,36 +7,37 @@ same first-order theory in other ways, so the tests can check the pipeline's
 forms against them:
 
 * the polar-nodal generating functions v1 (short period) and y1 (long
-  period), whose finite-difference Poisson brackets the closed forms must
-  match;
-* the per-stage deltas in three formulations: polar-nodal, full
-  nonsingular and the O(sin^2 I) low-inclination limit.  The nonsingular
-  forms are the image of the polar-nodal ones under the exact chain rule
-      dpsi = dtheta + dnu,
-      dxi  = (dTheta/s)(c^2/Theta) sin(theta) + (s dtheta) cos(theta),
-      dchi = (dTheta/s)(c^2/Theta) cos(theta) - (s dtheta) sin(theta),
-  which the tests enforce to 1e-10;
+  period).  The periodic corrections are their Poisson brackets, carried
+  into the nonsingular set by the chain rule
+      dpsi = dtheta +- dnu,  xi = s sin(theta),  chi = s cos(theta),
+  s = sqrt(1 - N^2/Theta^2).  Each is a validating shell around an
+  arithmetic core (``v1_core``, ``y1_core``) whose only functions are this
+  module's ``sin``, ``cos`` and ``sqrt`` and ``_kernels``' ``sqrt`` and
+  ``atan2``; the tests evaluate the same core on symbols, take the brackets
+  by exact differentiation and compare the kernels with them at 50 digits;
+* the full nonsingular and O(sin^2 I) low-inclination per-stage deltas;
 * the classical Delaunay-element series: the first-order corrections as
   trigonometric series in k*f + 2*m*g, singular for circular orbits, which
   the benchmark counts against the nonsingular pass.
 
-Each ``*_corrections_*`` function returns the kernel's 6-tuple of deltas:
-(dr, dtheta, dnu, dR, dTheta, dN) with dN = 0 for the polar-nodal forms,
-(dpsi, dxi, dchi, dr, dR, dTheta) for the nonsingular ones, which carry N
-unchanged.  The deltas are added at the mean state (direct map) or
-subtracted at the osculating state (inverse map).
+Each ``*_corrections_*`` function returns the kernel's 6-tuple of deltas
+(dpsi, dxi, dchi, dr, dR, dTheta); N is carried unchanged.  The deltas are
+added at the mean state (direct map) or subtracted at the osculating state
+(inverse map).
 """
 
-import math
+from math import cos, sin, sqrt
 
 from . import _kernels
-from .errors import EquatorialDecompositionError
 from .gravity import GravityField, check_small_params
 from .longperiod import critical_inclination_guard
 from .states import DelaunayState, NonsingularState, PolarNodalState, elliptic_projections
 
-#: default sin(I) floor for the polar-nodal long-period forms
-POLAR_S_TOL = 1e-6
+
+def _core_args(pn: PolarNodalState) -> tuple:
+    """(r, theta, R, Theta, N) of ``pn``, |N| capped at Theta as
+    ``cos_inclination`` caps c."""
+    return pn.r, pn.theta, pn.R, pn.Theta, max(-pn.Theta, min(pn.Theta, pn.N))
 
 
 # ---------------------------------------------------------------------------
@@ -49,43 +50,25 @@ def v1(pn: PolarNodalState, field: GravityField) -> float:
     Cross-representation identity: equals the Delaunay-form generating
     function at the mapped state (see oracle.u1_delaunay).
     """
-    _, kappa, sigma, _ = elliptic_projections(pn.r, pn.R, pn.Theta, field.mu)
+    elliptic_projections(pn.r, pn.R, pn.Theta, field.mu)
     check_small_params(pn.Theta, field)
-    _, eps2, _ = _kernels.small_params(pn.Theta, field.mu, field.alpha, field.c20)
-    phi = _kernels.anomaly_block(kappa, sigma)[5]
-    c = pn.cos_inclination
-    s2 = 1.0 - c * c
-    return eps2 * pn.Theta * (
-        (2.0 - 3.0 * s2) * (phi + sigma)
-        + 0.5 * (3.0 + 4.0 * kappa) * s2 * math.sin(2.0 * pn.theta)
-        - sigma * s2 * math.cos(2.0 * pn.theta))
+    return v1_core(*_core_args(pn), field.mu, field.alpha, field.c20)
 
 
-def short_corrections_polar(pn: PolarNodalState, field: GravityField) -> tuple:
-    """Polar-nodal short-period deltas (dr, dtheta, dnu, dR, dTheta, 0)."""
-    elliptic_projections(pn.r, pn.R, pn.Theta, field.mu)  # validates ellipticity
-    theta, Theta = pn.theta, pn.Theta
-    p, eps2, _ = _kernels.small_params(Theta, field.mu, field.alpha, field.c20)
-    kappa = p / pn.r - 1.0
-    sigma = p * pn.R / Theta
-    _, eta, _, _, _, phi = _kernels.anomaly_block(kappa, sigma)
-    c = pn.N / Theta
+def v1_core(r, theta, R, Theta, N, mu, alpha, c20):
+    """``v1`` without its checks, plain arithmetic in its arguments.  The
+    equation of the center (f - u) + e sin u comes from
+    ``_kernels.center_terms``, smooth down to e = 0."""
+    p, eps2, _ = _kernels.small_params(Theta, mu, alpha, c20)
+    kappa = p / r - 1.0
+    sigma = p * R / Theta
+    _, f_u, esu = _kernels.center_terms(kappa, sigma)
+    c = N / Theta
     s2 = 1.0 - c * c
-    c2t = math.cos(2.0 * theta)
-    s2t = math.sin(2.0 * theta)
-    opk = 1.0 + kappa
-    ope = 1.0 + eta
-    dr = eps2 * p * ((2.0 - 3.0 * s2) * (kappa / ope + 2.0 * eta / opk + 1.0) - s2 * c2t)
-    dth = eps2 * (-3.0 * (4.0 - 5.0 * s2) * phi
-                  + (3.0 - 3.5 * s2 + (4.0 - 6.0 * s2) * kappa) * s2t
-                  - 2.0 * sigma * (5.0 - 6.0 * s2
-                                   + (2.0 + kappa) / ope * (1.0 - 1.5 * s2)
-                                   + (1.0 - 2.0 * s2) * c2t))
-    dnu = eps2 * c * (6.0 * phi - (3.0 + 4.0 * kappa) * s2t + 2.0 * sigma * (3.0 + c2t))
-    dR = eps2 * (Theta / p) * (2.0 * opk * opk * s2 * s2t
-                               - (2.0 - 3.0 * s2) * sigma * (eta + opk * opk / ope))
-    dTh = -eps2 * Theta * s2 * ((3.0 + 4.0 * kappa) * c2t + 2.0 * sigma * s2t)
-    return dr, dth, dnu, dR, dTh, 0.0
+    return eps2 * Theta * (
+        (2.0 - 3.0 * s2) * (f_u + esu + sigma)
+        + 0.5 * (3.0 + 4.0 * kappa) * s2 * sin(2.0 * theta)
+        - sigma * s2 * cos(2.0 * theta))
 
 
 def short_corrections_nonsingular(ns: NonsingularState, field: GravityField) -> tuple:
@@ -113,61 +96,24 @@ def short_corrections_low_inclination(ns: NonsingularState, field: GravityField)
 
 def y1(pn: PolarNodalState, field: GravityField) -> float:
     """Long-period generating function in polar-nodal variables."""
-    c = pn.cos_inclination
-    critical_inclination_guard(c)
-    _, k, sg, _ = elliptic_projections(pn.r, pn.R, pn.Theta, field.mu)
-    check_small_params(pn.Theta, field)
-    _, eps2, eps3 = _kernels.small_params(pn.Theta, field.mu, field.alpha, field.c20, field.c30)
-    s2 = 1.0 - c * c
-    s = math.sqrt(s2)
-    w = (14.0 - 15.0 * s2) / (8.0 * (4.0 - 5.0 * s2))
-    return (-eps2 * pn.Theta * s2 * w
-            * ((k * k - sg * sg) * math.sin(2.0 * pn.theta)
-               - 2.0 * k * sg * math.cos(2.0 * pn.theta))
-            + eps3 * pn.Theta * s * (k * math.cos(pn.theta) + sg * math.sin(pn.theta)))
-
-
-def long_corrections_polar(pn: PolarNodalState, field: GravityField) -> tuple:
-    """Polar-nodal long-period deltas (dr, dtheta, dnu, dR, dTheta, 0).
-
-    These carry 1/sin(I) terms from the odd zonal, so they are refused for
-    sin(I) <= POLAR_S_TOL.
-    """
     critical_inclination_guard(pn.cos_inclination)
-    if pn.sin_inclination <= POLAR_S_TOL:
-        raise EquatorialDecompositionError(
-            "polar-nodal long-period corrections carry 1/sin(I) terms; "
-            "use the nonsingular forms for near-equatorial orbits")
-    check_small_params(pn.Theta, field)
     elliptic_projections(pn.r, pn.R, pn.Theta, field.mu)
-    theta, Theta = pn.theta, pn.Theta
-    p, eps2, eps3 = _kernels.small_params(Theta, field.mu, field.alpha, field.c20, field.c30)
-    kappa = p / pn.r - 1.0
-    sigma = p * pn.R / Theta
-    c = pn.N / Theta
-    c2 = c * c
-    s2 = 1.0 - c2
-    s = math.sqrt(s2)
-    g = 1.0 - 5.0 * c2
-    _, q1, q2, q3, q5, q6 = _kernels.q_polynomials(c)[:6]
-    w = (1.0 - 15.0 * c2) / (4.0 * g)
-    c2t = math.cos(2.0 * theta)
-    s2t = math.sin(2.0 * theta)
-    ct = math.cos(theta)
-    st = math.sin(theta)
-    opk = 1.0 + kappa
-    dr = p * (eps2 * s2 * w * (kappa * c2t + sigma * s2t) + eps3 * s * st)
-    dth = (eps2 / (2.0 * g * g) * ((q2 + q5 * kappa) * sigma * c2t
-                                   - (q1 * sigma * sigma + q2 * kappa + q3 * kappa * kappa) * s2t)
-           + eps3 * ((kappa / s + 2.0 * s) * ct + (1.0 / s - s) * sigma * st))
-    dnu = (eps2 * q6 / (4.0 * g * g) * ((kappa * kappa - sigma * sigma) * s2t
-                                        - 2.0 * kappa * sigma * c2t)
-           - eps3 * (c / s) * (kappa * ct + sigma * st))
-    dR = (Theta / p) * opk * opk * (eps2 * w * s2 * (sigma * c2t - kappa * s2t) + eps3 * s * ct)
-    dTh = (Theta * eps2 * w * s2 * ((kappa * kappa - sigma * sigma) * c2t
-                                    + 2.0 * kappa * sigma * s2t)
-           + Theta * eps3 * s * (kappa * st - sigma * ct))
-    return dr, dth, dnu, dR, dTh, 0.0
+    check_small_params(pn.Theta, field)
+    return y1_core(*_core_args(pn), field.mu, field.alpha, field.c20, field.c30)
+
+
+def y1_core(r, theta, R, Theta, N, mu, alpha, c20, c30):
+    """``y1`` without its checks, plain arithmetic in its arguments."""
+    p, eps2, eps3 = _kernels.small_params(Theta, mu, alpha, c20, c30)
+    k = p / r - 1.0
+    sg = p * R / Theta
+    c = N / Theta
+    s2 = 1.0 - c * c
+    s = sqrt(s2)
+    w = (14.0 - 15.0 * s2) / (8.0 * (4.0 - 5.0 * s2))
+    return (-eps2 * Theta * s2 * w
+            * ((k * k - sg * sg) * sin(2.0 * theta) - 2.0 * k * sg * cos(2.0 * theta))
+            + eps3 * Theta * s * (k * cos(theta) + sg * sin(theta)))
 
 
 def long_corrections_nonsingular(ns: NonsingularState, field: GravityField) -> tuple:

@@ -4,7 +4,7 @@ After both averagings the Hamiltonian depends only on the actions, so the
 mean angles advance linearly.  The J2 contribution is carried to second
 order; the odd zonal averages out of the mean Hamiltonian entirely (its
 effect is purely periodic).  Rates are hand-derived analytic partials of
-the mean Hamiltonian, validated against finite differences in the tests.
+the mean Hamiltonian, checked against its exact partials in the tests.
 
 Sign convention: rates are +d(mean Hamiltonian)/d(action), fixed by the
 Keplerian limit ell_dot = mu^2/L^3 = n > 0 and by the node-regression check

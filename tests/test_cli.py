@@ -410,11 +410,12 @@ class TestExitCodes:
          "[gravity] mu = '398600.44l8' is not a number"),
         ("propagate", "epoch = 0.0", "epoch = O.0", "[state] epoch = 'O.0' is not a number"),
         ("propagate", "step = 600.0", "step = 6O", "[run] step = '6O' is not a number"),
+        ("propagate", "step = 600.0", "step = %(x)s", "[run] step = '%(x)s' is not a number"),
         ("compare", "model = j2j3", "model = j2j3\n[compare]\nj2-multipliers = 1,half",
          "[compare] j2-multipliers = '1,half' is not a comma-separated list"),
         ("benchmark", "model = j2j3", "model = j2j3\n[benchmark]\niterations = ten",
          "[benchmark] iterations = 'ten' is not an integer"),
-    ], ids=["gravity", "state", "run", "compare", "benchmark"])
+    ], ids=["gravity", "state", "run", "run-interpolation", "compare", "benchmark"])
     def test_bad_number_names_its_key_exit_1(self, tmp_path, capsys, command, line, raw,
                                              message):
         cfg = _write_config(tmp_path / "run.ini")
@@ -426,6 +427,17 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), flag, str(out)]) == 1
         assert not out.exists()
         assert f"error: {message}" in capsys.readouterr().err
+
+    def test_percent_in_value_is_literal(self, tmp_path, monkeypatch):
+        # configparser's interpolation used to end a % in a value in an
+        # InterpolationSyntaxError traceback
+        cfg = tmp_path / "pct.ini"
+        text = EXAMPLE_CONFIG.read_text()
+        assert "ephemeris = ephemeris.csv" in text
+        cfg.write_text(text.replace("ephemeris = ephemeris.csv", "ephemeris = run%1.csv"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["propagate", "--config", str(cfg), "--duration", "60", "--step", "60"]) == 0
+        assert len((tmp_path / "run%1.csv").read_text().splitlines()) == 3
 
     @pytest.mark.parametrize("raw", ["", "1", "1,0", "1,-0.5", "1,1", "1,nan", "1,inf"])
     def test_j2_multipliers_must_fit_a_slope_exit_1(self, tmp_path, capsys, raw):
@@ -538,12 +550,13 @@ def _python(args, check=False):
 def test_cli_import_leaves_scipy_out():
     # only compare needs the reference integrator, only benchmark the
     # benchmark, and no command runs the reference formulations: the CLI
-    # starts without any of them
+    # starts without any of them.  sympy and mpmath are test dependencies only
     import zonalprop
-    probe = ("import sys, zonalprop.cli; print([m for m in ('scipy.integrate', "
-             "'zonalprop.reference', 'zonalprop.benchmark') if m in sys.modules])")
+    loaded = ("[m for m in ('scipy.integrate', 'zonalprop.reference', "
+              "'zonalprop.benchmark', 'sympy', 'mpmath') if m in sys.modules]")
+    probe = f"import sys, zonalprop; print({loaded}); import zonalprop.cli; print({loaded})"
     out = _python(["-c", probe], check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "[]"]
     assert len(API) == 25
     assert sorted(zonalprop.__all__) == sorted(API)
     assert all(hasattr(zonalprop, name) for name in API)

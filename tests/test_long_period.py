@@ -3,18 +3,18 @@ import random
 
 import pytest
 
-from zonalprop import (EARTH, CriticalInclinationError, EquatorialDecompositionError,
-                       NonsingularState, ZonalPropError, critical_inclination_guard)
-from zonalprop.oracle import poisson_bracket_fd, x1_delaunay
+from zonalprop import (EARTH, CriticalInclinationError, NonsingularState, ZonalPropError,
+                       critical_inclination_guard)
+from zonalprop.oracle import x1_delaunay
 from zonalprop.reference import (long_corrections_low_inclination,
-                                 long_corrections_nonsingular, long_corrections_polar, y1)
+                                 long_corrections_nonsingular, y1)
 from zonalprop.states import PolarNodalState, polar_to_delaunay, polar_to_nonsingular
-from conftest import (add_deltas, chain_to_nonsingular, elements_to_polar, field_small_params,
-                      loglog_slope, random_polar_states)
+from conftest import (add_deltas, elements_to_polar, field_small_params, loglog_slope,
+                      random_polar_states)
+from exact_brackets import POLAR, brackets, exact_deltas, generating_function, worst_gap
 
 MU = EARTH.mu
 FIELD = EARTH
-COORDS = ("r", "theta", "nu", "R", "Theta", "N")
 
 
 class TestGuard:
@@ -66,10 +66,13 @@ class TestY1:
 
 
 class TestLongPolar:
+    """The polar-nodal brackets of y1, taken by exact differentiation."""
+
     def test_delta_n_exactly_zero(self):
-        rng = random.Random(42)
-        for pn in random_polar_states(20, rng, i_range_deg=(10.0, 60.0)):
-            assert long_corrections_polar(pn, FIELD)[5] == 0.0
+        # y1 does not depend on the node, so dN = -dY1/dnu vanishes identically
+        nu, N = POLAR[2], POLAR[5]
+        assert nu not in generating_function("long").free_symbols
+        assert brackets("long")[N] == 0
 
     def test_circular_dr(self):
         p, inc = 7000.0, math.radians(50.0)
@@ -79,36 +82,28 @@ class TestLongPolar:
                              Theta=Theta, N=Theta * math.cos(inc))
         _, _, eps3 = field_small_params(Theta, FIELD)
         expected = p * eps3 * math.sin(inc) * math.sin(theta)
-        dr = long_corrections_polar(pn, FIELD)[0]
+        dr = float(exact_deltas("long", pn, FIELD)[3])
         assert dr == pytest.approx(expected, rel=1e-9)
 
     def test_poisson_bracket_oracle(self):
-        rng = random.Random(43)
-        gen = lambda st: y1(st, FIELD)
-        for pn in random_polar_states(100, rng, i_range_deg=(10.0, 60.0)):
-            deltas = long_corrections_polar(pn, FIELD)
-            scale_ref = max(abs(d) for d in deltas)
-            for i, name in enumerate(COORDS):
-                fd = poisson_bracket_fd(gen, name, pn)
-                scale = max(abs(deltas[i]), 1e-7 * scale_ref + 1e-15)
-                assert abs(fd - deltas[i]) <= 1e-6 * scale, (name, fd, deltas[i])
-
-    def test_near_equatorial_rejected(self):
-        pn = elements_to_polar(8000.0, 0.2, 1e-8, 0.4, 0.2, 0.1)
-        with pytest.raises(EquatorialDecompositionError):
-            long_corrections_polar(pn, FIELD)
+        # long_ns, with c recovered or given, is the chain-rule image of the
+        # exact brackets of y1
+        states = random_polar_states(25, random.Random(43), e_range=(0.0, 0.95),
+                                     i_range_deg=(0.5, 89.5))
+        assert worst_gap("long", states, FIELD) <= 1e-40
+        assert worst_gap("long", states, FIELD, given_c=True) <= 1e-40
 
     def test_critical_rejected(self):
         pn = elements_to_polar(8000.0, 0.2, math.radians(116.565), 0.4, 0.2, 0.1)
         with pytest.raises(CriticalInclinationError):
-            long_corrections_polar(pn, FIELD)
+            y1(pn, FIELD)
 
 
 class TestLongNonsingular:
     def test_equatorial_limit_values(self):
         # On the equator the odd-zonal long-period corrections survive:
         # dxi -> eps3*kappa and dchi -> -eps3*sigma, the chain-rule image of
-        # the polar-nodal forms (locked by test_chain_rule_agreement below).
+        # the brackets of y1 (locked by test_chain_rule_agreement below).
         p = 7000.0
         Theta = math.sqrt(MU * p)
         e = 0.2
@@ -134,16 +129,15 @@ class TestLongNonsingular:
         assert d[3] == pytest.approx(eps3 * ns.xi * p, rel=1e-6)
 
     def test_chain_rule_agreement(self):
+        # the retrograde chart (dpsi* = dtheta - dnu), and inclinations down
+        # to 1e-6 rad where dtheta and dnu grow as 1/sin(I) but their image
+        # stays regular
         rng = random.Random(44)
-        states = (random_polar_states(50, rng, i_range_deg=(5.0, 60.0))
-                  + random_polar_states(50, rng, i_range_deg=(120.0, 175.0)))
-        for pn in states:
-            polar = long_corrections_polar(pn, FIELD)
-            mapped = chain_to_nonsingular(pn, polar)
-            ns = polar_to_nonsingular(pn)
-            direct = long_corrections_nonsingular(ns, FIELD)
-            for a, b in zip(mapped, direct):
-                assert a == pytest.approx(b, rel=1e-10, abs=1e-14)
+        states = (random_polar_states(25, rng, e_range=(0.0, 0.95), i_range_deg=(90.5, 179.5))
+                  + [elements_to_polar(7500.0, 0.3, inc, 0.4, 0.2, 0.1)
+                     for inc in (1e-6, 1e-4, math.pi - 1e-6)])
+        assert worst_gap("long", states, FIELD) <= 1e-40
+        assert worst_gap("long", states, FIELD, given_c=True) <= 1e-40
 
     def test_critical_rejected(self):
         pn = elements_to_polar(8000.0, 0.2, math.radians(63.4349), 0.4, 0.2, 0.1)
@@ -233,7 +227,6 @@ class TestDeltaNAlwaysZero:
     def test_all_formulations(self):
         rng = random.Random(46)
         for pn in random_polar_states(10, rng, i_range_deg=(10.0, 60.0)):
-            assert long_corrections_polar(pn, FIELD)[5] == 0.0
             ns = polar_to_nonsingular(pn)
             # nonsingular deltas have no N slot at all: N is carried unchanged
             for deltas in (long_corrections_nonsingular(ns, FIELD),

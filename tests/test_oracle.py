@@ -6,10 +6,8 @@ import pytest
 
 from zonalprop import (EARTH, CartesianState, DelaunayState, ZonalPropError,
                        nonsingular_to_cartesian)
-from zonalprop.oracle import (hamiltonian_terms, integrate, integrate_grid,
-                              poisson_bracket_fd, u1_delaunay, x1_delaunay,
-                              zonal_acceleration, zonal_energy, zonal_potential)
-from zonalprop.reference import v1
+from zonalprop.oracle import (hamiltonian_terms, integrate, integrate_grid, u1_delaunay,
+                              x1_delaunay, zonal_acceleration, zonal_energy, zonal_potential)
 from zonalprop.secular import orbital_period
 from zonalprop.states import polar_to_nonsingular
 from conftest import cart_distance, elements_to_cartesian, elements_to_polar, field_small_params
@@ -101,38 +99,6 @@ class TestIntegrate:
         grid = integrate_grid(cart, 0.0, ts, EARTH, tol=1e-12)
         end = integrate(cart, 0.0, 3000.0, EARTH, tol=1e-12)
         assert grid[-1, :3] == pytest.approx((end.x, end.y, end.z), rel=1e-10)
-
-
-class TestPoissonBracketFD:
-    def test_constant_generator(self):
-        pn = elements_to_polar(7500.0, 0.3, 0.8, 0.4, 0.2, 0.1)
-        for name in ("r", "theta", "nu", "R", "Theta", "N"):
-            assert poisson_bracket_fd(lambda s: 3.7, name, pn) == 0.0
-
-    def test_canonical_pair(self):
-        pn = elements_to_polar(7500.0, 0.3, 0.8, 0.4, 0.2, 0.1)
-        gen = lambda s: s.Theta
-        assert poisson_bracket_fd(gen, "theta", pn) == pytest.approx(1.0, rel=1e-9)
-        for name in ("r", "nu", "R", "Theta", "N"):
-            assert poisson_bracket_fd(gen, name, pn) == pytest.approx(0.0, abs=1e-9)
-
-    def test_richardson_convergence(self):
-        # halving the step reduces the FD error by ~4 (second order)
-        pn = elements_to_polar(7500.0, 0.35, 0.9, 1.1, 0.4, 0.2)
-        gen = lambda s: v1(s, EARTH)
-        ref = poisson_bracket_fd(gen, "theta", pn, rel_step=1e-8)
-        errs = []
-        for step in (1e-3, 5e-4, 2.5e-4):
-            errs.append(abs(poisson_bracket_fd(gen, "theta", pn, rel_step=step) - ref))
-        r1 = errs[0] / errs[1]
-        r2 = errs[1] / errs[2]
-        assert r1 == pytest.approx(4.0, rel=0.25)
-        assert r2 == pytest.approx(4.0, rel=0.25)
-
-    def test_unknown_variable(self):
-        pn = elements_to_polar(7500.0, 0.3, 0.8, 0.4, 0.2, 0.1)
-        with pytest.raises(ZonalPropError):
-            poisson_bracket_fd(lambda s: 0.0, "q", pn)
 
 
 class TestDelaunayGeneratingFunctions:

@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 from zonalprop import (EARTH, CartesianState, ConfigError, CriticalInclinationError,
                        DelaunayState, PropagatorConfig, ZonalPropError, _kernels,
                        cartesian_to_nonsingular, ephemeris, ephemeris_array,
-                       mean_to_osculating, nonsingular_to_cartesian, osculating_to_mean,
-                       propagate_mean, secular_rates)
+                       mean_to_osculating, osculating_to_mean, secular_rates)
 from zonalprop.oracle import integrate_grid
-from zonalprop.reference import long_corrections_polar, short_corrections_polar
 from zonalprop.secular import orbital_period
-from zonalprop.states import (delaunay_to_polar, nonsingular_to_polar, polar_to_delaunay,
-                              polar_to_nonsingular)
-from conftest import (add_deltas, angle_diff, cart_distance, elements_to_cartesian,
-                      elements_to_polar, loglog_slope)
+from zonalprop.states import polar_to_delaunay
+from conftest import (angle_diff, cart_distance, elements_to_cartesian, elements_to_polar,
+                      loglog_slope)
 
 MU = EARTH.mu
 ALL_OFF = PropagatorConfig(short_period=False, long_period=False, secular=False)
@@ -255,16 +252,6 @@ class TestEphemeris:
                 np.sum((ana[:, :3] - num[:, :3]) ** 2, axis=1)))))
         assert loglog_slope(lams, errs) == pytest.approx(2.0, abs=0.1)
 
-    def test_formulations_agree(self):
-        cart = elements_to_cartesian(7400.0, 0.2, math.radians(45.0), 0.4, 0.9, 1.3)
-        ts = np.linspace(0.0, 6000.0, 7)
-        ns = ephemeris_array(cart, 0.0, ts, EARTH)
-        pl = _polar_nodal_ephemeris(cart, ts, EARTH)
-        # same first-order theory in different variables: O(eps2^2) apart
-        err = np.sqrt(np.sum((ns[:, :3] - pl[:, :3]) ** 2, axis=1))
-        assert err.max() < 5e-3
-        assert err.max() > 0.0
-
     def test_bad_grid(self):
         cart = elements_to_cartesian(7000.0, 0.05, 0.5, 0.3, 0.7, 1.1)
         with pytest.raises(ZonalPropError):
@@ -319,29 +306,6 @@ class TestEphemeris:
                     fn(start, t0, ts, EARTH)
             errors.append((type(exc.value), str(exc.value)))
         assert errors == [(ZonalPropError, message)] * 2
-
-
-def _polar_nodal_ephemeris(cart, ts, field):
-    """The pipeline rebuilt from the per-stage polar-nodal corrections.
-
-    Inverse short-period then inverse long-period correction, secular
-    propagation of the mean Delaunay elements, then direct long-period and
-    direct short-period correction: the same first-order theory as the
-    pipeline, in the variables the chain-rule oracle maps from.
-    """
-    pn = nonsingular_to_polar(cartesian_to_nonsingular(cart))
-    pn = add_deltas(pn, short_corrections_polar(pn, field), -1.0)
-    pn = add_deltas(pn, long_corrections_polar(pn, field), -1.0)
-    mean = polar_to_delaunay(pn, field.mu)
-    rates = secular_rates(mean.L, mean.G, mean.H, field)
-    rows = []
-    for t in ts:
-        pt = delaunay_to_polar(propagate_mean(mean, rates, t), field.mu)
-        pt = add_deltas(pt, long_corrections_polar(pt, field))
-        pt = add_deltas(pt, short_corrections_polar(pt, field))
-        c = nonsingular_to_cartesian(polar_to_nonsingular(pt))
-        rows.append((c.x, c.y, c.z, c.vx, c.vy, c.vz))
-    return np.array(rows)
 
 
 class TestOneFormulation:

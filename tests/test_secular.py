@@ -1,15 +1,24 @@
 import math
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
+import mpmath
 import pytest
+import sympy
 
 from zonalprop import (EARTH, DelaunayState, ZonalPropError, mean_motion, orbital_period,
                        propagate_mean, secular_rates)
-from zonalprop.secular import mean_hamiltonian
+from zonalprop.secular import mean_angle_rates, mean_hamiltonian
+from exact_brackets import DPS
 
 MU = EARTH.mu
 TWO_BODY = EARTH.restricted("two-body")
+
+
+def _field(mu, alpha, c20):
+    """A duck-typed field: the constants the mean Hamiltonian and its rates read."""
+    return SimpleNamespace(mu=mu, alpha=alpha, c20=c20)
 
 
 def _actions(a, e, inc):
@@ -59,28 +68,26 @@ class TestSecularRates:
         assert rates.g_dot == 0.0
         assert rates.h_dot == 0.0
 
-    def test_matches_finite_differences(self):
-        def central(i, L, G, H, h):
-            up = [L, G, H]
-            dn = [L, G, H]
-            up[i] += h
-            dn[i] -= h
-            return (mean_hamiltonian(*up, EARTH)
-                    - mean_hamiltonian(*dn, EARTH)) / (2.0 * h)
-
+    def test_matches_exact_partials(self):
+        # the rates are +dK/d(action) of the package's own mean Hamiltonian K,
+        # differentiated on symbols (field constants too, so nothing is
+        # rounded to 53 bits) and evaluated at DPS digits
+        actions = sympy.symbols("L G H", positive=True)
+        constants = sympy.symbols("mu alpha c20", real=True)
+        k = mean_hamiltonian(*actions, _field(*constants))
+        exact = sympy.lambdify(actions + constants, [k.diff(x) for x in actions],
+                               modules="mpmath", cse=True)
         rng = random.Random(51)
-        for _ in range(30):
-            a = rng.uniform(6800.0, 30000.0)
-            e = rng.uniform(0.0, 0.8)
-            inc = rng.uniform(0.05, 3.1)
-            L, G, H = _actions(a, e, inc)
-            rates = secular_rates(L, G, H, EARTH)
-            h = 1e-4 * L
-            for i, got in enumerate((rates.ell_dot, rates.g_dot, rates.h_dot)):
-                # Richardson-extrapolated central difference kills the
-                # truncation term while the large step keeps roundoff down
-                fd = (4.0 * central(i, L, G, H, 0.5 * h) - central(i, L, G, H, h)) / 3.0
-                assert got == pytest.approx(fd, rel=1e-8, abs=1e-15)
+        for _ in range(100):
+            L, G, H = _actions(rng.uniform(6800.0, 30000.0), rng.uniform(0.0, 0.95),
+                               rng.uniform(0.0, math.pi))
+            with mpmath.workdps(DPS):
+                args = [mpmath.mpf(x) for x in (L, G, H)]
+                consts = [mpmath.mpf(x) for x in (EARTH.mu, EARTH.alpha, EARTH.c20)]
+                got = mean_angle_rates(*args, _field(*consts))
+                want = exact(*args, *consts)
+                size = max(abs(x) for x in want)
+                assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-40 * size
 
     def test_first_order_node_rate(self):
         # classical -(3/2) n J2 (alpha/p)^2 cos(i) at first order

@@ -5,16 +5,16 @@ from dataclasses import replace
 import pytest
 
 from zonalprop import EARTH, NonsingularState
-from zonalprop.oracle import poisson_bracket_fd, u1_delaunay
+from zonalprop.oracle import u1_delaunay
 from zonalprop.reference import (short_corrections_low_inclination,
-                                 short_corrections_nonsingular, short_corrections_polar, v1)
+                                 short_corrections_nonsingular, v1)
 from zonalprop.states import PolarNodalState, polar_to_delaunay, polar_to_nonsingular
-from conftest import (add_deltas, chain_to_nonsingular, elements_to_polar, field_small_params,
-                      loglog_slope, random_polar_states)
+from conftest import (add_deltas, elements_to_polar, field_small_params, loglog_slope,
+                      random_polar_states)
+from exact_brackets import POLAR, brackets, exact_deltas, generating_function, worst_gap
 
 MU = EARTH.mu
 FIELD = EARTH.restricted("j2")
-COORDS = ("r", "theta", "nu", "R", "Theta", "N")
 
 
 class TestV1:
@@ -41,10 +41,13 @@ class TestV1:
 
 
 class TestShortPolar:
+    """The polar-nodal brackets of v1, taken by exact differentiation."""
+
     def test_delta_n_exactly_zero(self):
-        rng = random.Random(32)
-        for pn in random_polar_states(20, rng):
-            assert short_corrections_polar(pn, FIELD)[5] == 0.0
+        # v1 does not depend on the node, so dN = -dV1/dnu vanishes identically
+        nu, N = POLAR[2], POLAR[5]
+        assert nu not in generating_function("short").free_symbols
+        assert brackets("short")[N] == 0
 
     def test_circular_dr(self):
         p, inc = 7000.0, math.radians(50.0)
@@ -55,25 +58,21 @@ class TestShortPolar:
         _, eps2, _ = field_small_params(Theta, FIELD)
         s2 = math.sin(inc) ** 2
         expected = eps2 * p * (3.0 * (2.0 - 3.0 * s2) - s2 * math.cos(2.0 * theta))
-        dr = short_corrections_polar(pn, FIELD)[0]
+        dr = float(exact_deltas("short", pn, FIELD)[3])
         assert dr == pytest.approx(expected, rel=1e-9)
 
     def test_poisson_bracket_oracle(self):
-        rng = random.Random(33)
-        gen = lambda st: v1(st, FIELD)
-        for pn in random_polar_states(100, rng):
-            deltas = short_corrections_polar(pn, FIELD)
-            for i, name in enumerate(COORDS):
-                fd = poisson_bracket_fd(gen, name, pn)
-                scale = max(abs(deltas[i]), 1e-7 * abs(deltas[0]) + 1e-15)
-                assert abs(fd - deltas[i]) <= 1e-6 * scale, (name, fd, deltas[i])
+        # short_ns is the chain-rule image of the exact brackets of v1
+        states = random_polar_states(25, random.Random(33), e_range=(0.0, 0.95),
+                                     i_range_deg=(0.5, 89.5))
+        assert worst_gap("short", states, FIELD) <= 1e-40
 
     def test_periodic_in_theta(self):
         pn = elements_to_polar(8000.0, 0.2, math.radians(40.0), 0.5, 0.3, 0.7)
-        d1 = short_corrections_polar(pn, FIELD)
-        d2 = short_corrections_polar(replace(pn, theta=pn.theta + 2.0 * math.pi), FIELD)
+        d1 = exact_deltas("short", pn, FIELD)
+        d2 = exact_deltas("short", replace(pn, theta=pn.theta + 2.0 * math.pi), FIELD)
         for a, b in zip(d1, d2):
-            assert a == pytest.approx(b, abs=1e-18, rel=1e-12)
+            assert float(a) == pytest.approx(float(b), abs=1e-18, rel=1e-12)
 
 
 class TestShortNonsingular:
@@ -98,14 +97,10 @@ class TestShortNonsingular:
         assert d[5] == pytest.approx(0.0, abs=1e-12)
 
     def test_chain_rule_agreement(self):
-        rng = random.Random(34)
-        for pn in random_polar_states(100, rng, i_range_deg=(5.0, 60.0)):
-            polar = short_corrections_polar(pn, FIELD)
-            mapped = chain_to_nonsingular(pn, polar)
-            ns = polar_to_nonsingular(pn)
-            direct = short_corrections_nonsingular(ns, FIELD)
-            for a, b in zip(mapped, direct):
-                assert a == pytest.approx(b, rel=1e-10, abs=1e-14)
+        # the retrograde chart: dpsi* = dtheta - dnu, same kernel
+        states = random_polar_states(25, random.Random(34), e_range=(0.0, 0.95),
+                                     i_range_deg=(90.5, 179.5))
+        assert worst_gap("short", states, FIELD) <= 1e-40
 
 
 class TestShortLowInclination:
@@ -166,10 +161,10 @@ class TestApplyCorrection:
         for lam in lams:
             f = FIELD.scaled(j2_factor=lam)
             acc = 0.0
-            for pn in states:
-                osc = add_deltas(pn, short_corrections_polar(pn, f))
-                back = add_deltas(osc, short_corrections_polar(osc, f), -1.0)
-                acc += abs(back.r - pn.r) / pn.r + abs(back.Theta - pn.Theta) / pn.Theta
+            for ns in map(polar_to_nonsingular, states):
+                osc = add_deltas(ns, short_corrections_nonsingular(ns, f))
+                back = add_deltas(osc, short_corrections_nonsingular(osc, f), -1.0)
+                acc += abs(back.r - ns.r) / ns.r + abs(back.Theta - ns.Theta) / ns.Theta
             residuals.append(acc / len(states))
         slope = loglog_slope(lams, residuals)
         assert slope == pytest.approx(2.0, abs=0.1)
