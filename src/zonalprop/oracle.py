@@ -8,7 +8,6 @@ the generating functions are taken exactly, on symbols, in the tests.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -68,29 +67,29 @@ def _rhs(field: GravityField):
     return f
 
 
+#: DOP853 tolerances the reference integration accepts: SciPy raises any
+#: tolerance below 100 eps to 100 eps, and above 1e-6 it is no reference
+TOL_RANGE = (100.0 * np.finfo(float).eps, 1e-6)
+
+
 def integrate(cart0: CartesianState, t0: float, t1: float, field: GravityField,
               tol: float = 1e-12) -> CartesianState:
-    """Reference numerical propagation from t0 to t1.
-
-    Adaptive 8th-order explicit Runge-Kutta (DOP853) with local error
-    control at ``tol``; at tol = 1e-12 the exact zonal energy drifts by
-    less than 1e-10 relative over 100 orbits.
-    """
-    if not (1e-14 <= tol <= 1e-6):
-        raise ZonalPropError(f"tol must lie in [1e-14, 1e-6], got {tol}")
-    if t1 == t0:
-        return replace(cart0)
-    y0 = (cart0.x, cart0.y, cart0.z, cart0.vx, cart0.vy, cart0.vz)
-    sol = solve_ivp(_rhs(field), (t0, t1), y0, method="DOP853",
-                    rtol=tol, atol=tol)
-    if not sol.success:
-        raise ZonalPropError(f"integration failed: {sol.message}")
-    return CartesianState(*sol.y[:, -1])
+    """``integrate_grid`` at the one time t1; at tol = 1e-12 the exact zonal
+    energy drifts by less than 1e-10 relative over 100 orbits."""
+    return CartesianState(*integrate_grid(cart0, t0, [t1], field, tol)[0].tolist())
 
 
 def integrate_grid(cart0: CartesianState, t0: float, ts, field: GravityField,
                    tol: float = 1e-12) -> np.ndarray:
-    """Reference trajectory sampled at the grid times; (n, 6) array."""
+    """Reference trajectory sampled at the grid times; (n, 6) array.
+
+    Adaptive 8th-order explicit Runge-Kutta (DOP853) with local error
+    control at ``tol``, which must lie in ``TOL_RANGE`` (ZonalPropError
+    otherwise, NaN and infinity included).
+    """
+    lo, hi = TOL_RANGE
+    if not lo <= tol <= hi:
+        raise ZonalPropError(f"integrator tolerance must lie in [{lo:.3g}, {hi:g}], got {tol}")
     ts = np.asarray(ts, dtype=float)
     y0 = (cart0.x, cart0.y, cart0.z, cart0.vx, cart0.vy, cart0.vz)
     t1 = float(ts.max()) if ts.size else t0

@@ -25,7 +25,7 @@ from . import _kernels
 from .errors import ConfigError, ZonalPropError
 from .gravity import GravityField, check_small_params
 from .longperiod import CRITICAL_TOL, critical_inclination_guard
-from .secular import mean_angle_rates, mean_motion
+from .secular import mean_angle_rates
 from .states import (CartesianState, DelaunayState, cart_to_ns_checked, ellipse_elements,
                      elliptic_projections)
 
@@ -154,8 +154,7 @@ def ephemeris_array(cart0: CartesianState, t0: float, ts, field: GravityField,
     """
     ts = _checked_grid(t0, ts)
     ell, g, h, L, G, H, retro, _ = _mean_state(cart0, field, config)
-    ldot, gdot, hdot = (mean_angle_rates(L, G, H, field) if config.secular
-                        else (mean_motion(L, field), 0.0, 0.0))
+    ldot, gdot, hdot = mean_angle_rates(L, G, H, field, config.secular)
     out = np.empty((ts.shape[0], 6), dtype=float)
     _kernels.ephemeris_batch(ts, t0, ell, g, h, L, G, H, ldot, gdot, hdot, retro,
                              field.mu, field.alpha, field.c20, field.c30,
@@ -171,8 +170,7 @@ def mean_elements_series(mean: MeanElements, t0: float, ts, field: GravityField,
     """
     dt = _checked_grid(t0, ts) - t0
     d = mean.delaunay
-    ldot, gdot, hdot = (mean_angle_rates(d.L, d.G, d.H, field) if config.secular
-                        else (mean_motion(d.L, field), 0.0, 0.0))
+    ldot, gdot, hdot = mean_angle_rates(d.L, d.G, d.H, field, config.secular)
     out = np.empty((dt.shape[0], 6), dtype=float)
     out[:, 0], out[:, 1], out[:, 2] = _kernels.mean_angles(d.ell, d.g, d.h,
                                                            ldot, gdot, hdot, dt)

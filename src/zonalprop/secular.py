@@ -55,10 +55,14 @@ def secular_rates(L: float, G: float, H: float, field: GravityField) -> SecularR
     return SecularRates(ell_dot=ell_dot, g_dot=g_dot, h_dot=h_dot)
 
 
-def mean_angle_rates(L: float, G: float, H: float,
-                     field: GravityField) -> tuple[float, float, float]:
-    """(ell_dot, g_dot, h_dot): the secular_rates formula, as a tuple."""
+def mean_angle_rates(L: float, G: float, H: float, field: GravityField,
+                     secular: bool = True) -> tuple[float, float, float]:
+    """(ell_dot, g_dot, h_dot): the secular_rates formula, as a tuple; with
+    ``secular`` off, the Keplerian rates (n, 0, 0).  Every propagation takes
+    its rates from here, so the ephemeris and the mean elements agree."""
     n = mean_motion(L, field)
+    if not secular:
+        return n, 0.0, 0.0
     eta = G / L
     c = H / G
     c2 = c * c

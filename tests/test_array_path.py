@@ -99,25 +99,55 @@ def test_high_eccentricity():
     _assert_agree(cart, 0.0, _grid(step=997.0))
 
 
-def test_bisection_fallback_lanes_match_floats(monkeypatch):
-    # Newton never stalls up to e = 0.99 on a dense ell grid; at e = 0.999
-    # some lanes need the bisection fallback
-    calls = []
-    bisect = _kernels._kepler_bisect
+#: eccentricities up to the largest double below 1
+KEPLER_ECCENTRICITIES = [0.0, 1e-3, 0.5, 0.99, 0.999, 1.0 - 1e-9, 1.0 - 2.0 ** -53]
 
-    def counted(ell, e):
-        calls.append(np.size(ell))
-        return bisect(ell, e)
 
-    monkeypatch.setattr(_kernels, "_kepler_bisect", counted)
-    e = 0.999
-    ell = np.linspace(-math.pi, math.pi, 20001)
-    batch = _kernels.kepler_u(ell, e)
-    assert calls == [ell.size]
+def _kepler_grid():
+    """Mean anomalies in [0, 3 pi) and their negatives: a dense sweep, a log
+    sweep of small values (where e -> 1 makes Kepler's equation cubic), and
+    0, pi, 1e-300 and values beyond 2 pi."""
+    half = np.concatenate([np.linspace(0.0, 3.0 * math.pi, 6001, endpoint=False),
+                           np.logspace(-300.0, 0.0, 601),
+                           [0.0, math.pi, 1e-300, 2.0 * math.pi + 0.5, 10.0, 100.0]])
+    return np.concatenate([half, -half])
+
+
+@pytest.mark.parametrize("e", KEPLER_ECCENTRICITIES)
+def test_kepler_solver_converges_on_both_paths(e):
+    ell = _kepler_grid()
+    u = _kernels.kepler_u(ell, e)
+    assert np.max(np.abs(u - e * np.sin(u) - _kernels.wrap_pi(ell))) < _kernels.KEPLER_TOL
     ref = np.array([_kernels.kepler_u(x, e) for x in ell.tolist()])
-    assert len(calls) > 1  # some float lanes fell back too
-    assert np.max(np.abs(batch - ref)) < 1e-14
-    assert np.max(np.abs(batch - e * np.sin(batch) - _kernels.wrap_pi(ell))) < 5e-15
+    assert np.array_equal(u.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("e", KEPLER_ECCENTRICITIES)
+def test_kepler_solver_is_odd(e):
+    """u(-ell) = -u(ell), except on the branch cut: ell = +-pi both give +pi."""
+    ell = _kepler_grid()
+    u_pos = _kernels.kepler_u(ell, e)
+    u_neg = _kernels.kepler_u(-ell, e)
+    cut = _kernels.wrap_pi(ell) == math.pi
+    assert np.all(u_neg[~cut] == -u_pos[~cut])
+    assert cut.any() and np.all(u_pos[cut] == math.pi) and np.all(u_neg[cut] == math.pi)
+    assert _kernels.kepler_u(-math.pi, e) == _kernels.kepler_u(math.pi, e) == math.pi
+
+
+def test_kepler_sin_budget_at_high_eccentricity(monkeypatch):
+    """One Newton loop at e = 0.999: one sine for the start and one per step."""
+    calls = collections.Counter()
+    sin = _kernels._NUMPY.sin
+
+    def counted(x):
+        calls["sin"] += 1
+        return sin(x)
+
+    monkeypatch.setattr(_kernels._NUMPY, "sin", counted)
+    ell = np.linspace(-math.pi, math.pi, 240001)
+    u = _kernels.kepler_u(ell, 0.999)
+    assert np.max(np.abs(u - 0.999 * sin(u) - _kernels.wrap_pi(ell))) < _kernels.KEPLER_TOL
+    assert calls["sin"] <= 15
 
 
 def test_every_formulation():

@@ -489,6 +489,20 @@ class TestCompare:
         assert rms < 1e-6  # integrator-tolerance level
         assert "slope =" in text
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_integrator_tol_exit_1(self, tmp_path, tol):
+        # nan used to hang in the integrator, inf to report a meaningless
+        # slope and 0 to run at SciPy's 100 eps; a fresh interpreter, so that
+        # a hang ends in a timeout
+        cfg = _write_config(tmp_path / "run.ini")
+        report = tmp_path / "cmp.txt"
+        res = _python(["-m", "zonalprop.cli", "compare", "--config", str(cfg),
+                       "--report", str(report), f"--integrator-tol={tol}"], timeout=60)
+        assert res.returncode == 1
+        assert f"error: integrator tolerance must lie in [2.22e-14, 1e-06], got {float(tol)}" \
+            in res.stderr
+        assert not report.exists()
+
     def test_report_deterministic(self, tmp_path):
         cfg = _write_config(tmp_path / "run.ini", duration=600.0, step=300.0)
         r1 = tmp_path / "c1.txt"
@@ -537,14 +551,14 @@ API = ("ChartError", "ConfigError", "CriticalInclinationError",
        "critical_inclination_guard")
 
 
-def _python(args, check=False):
+def _python(args, check=False, timeout=None):
     """Run the interpreter with this checkout's ``src`` first on its path."""
     import zonalprop
     src = os.path.dirname(os.path.dirname(zonalprop.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          check=check, env=env)
+                          check=check, env=env, timeout=timeout)
 
 
 def test_cli_import_leaves_scipy_out():

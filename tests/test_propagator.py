@@ -287,6 +287,19 @@ class TestEphemeris:
             ref[i, 5] = d.H
         assert np.array_equal(mean_elements_series(mean, t0, ts, EARTH), ref)
 
+    def test_mean_elements_series_keplerian_with_secular_off(self):
+        # the ephemeris and the mean elements take their rates from one rule
+        from zonalprop.propagator import mean_elements_series
+        from zonalprop.secular import mean_motion
+        cart = elements_to_cartesian(7000.0, 0.05, math.radians(30.0), 0.3, 0.7, 1.1)
+        mean = osculating_to_mean(cart, EARTH, ALL_OFF)
+        d = mean.delaunay
+        ts = np.array([0.0, 600.0, 1200.0])
+        rows = mean_elements_series(mean, 0.0, ts, EARTH, ALL_OFF)
+        assert np.array_equal(rows[:, 0], _kernels.wrap_pi(d.ell + mean_motion(d.L, EARTH) * ts))
+        assert np.all(rows[:, 1] == _kernels.wrap_pi(d.g))
+        assert np.all(rows[:, 2] == _kernels.wrap_pi(d.h))
+
     @pytest.mark.parametrize("t0, ts, message", [
         (math.nan, [0.0, 60.0], "epoch t0 must be finite, got nan"),
         (0.0, [0.0, math.inf], "time grid must be finite"),
