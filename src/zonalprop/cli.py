@@ -14,20 +14,22 @@ import sys
 
 import numpy as np
 
+from ._kernels import EPOCH_BLOCK
 from .errors import ConfigError, CriticalInclinationError, ZonalPropError
 from .gravity import EARTH, GravityField
 from .longperiod import CRITICAL_TOL
-from .propagator import (PropagatorConfig, ephemeris_array, mean_elements_series,
-                         osculating_to_mean)
+from .propagator import (PropagatorConfig, ephemeris_array, ephemeris_blocks,
+                         mean_elements_series, osculating_to_mean)
 from .secular import orbital_period
 from .states import CartesianState
 
 MODELS = ("two-body", "j2", "j2j3")
 
 #: most epochs one run may ask for: ten million, 116 days at a 1 s step and
-#: over a hundred times a one-day 1 s ephemeris.  The whole (n, 6) float
-#: ephemeris is held in memory before it is written, so this is about 0.5 GB
-#: of states and 1.5 GB of CSV; a longer span is split over several runs.
+#: over a hundred times a one-day 1 s ephemeris.  The states are computed and
+#: written block by block; the time grid is held whole, 8 bytes per epoch, so
+#: this is 80 MB of grid and about 1.5 GB of CSV.  A longer span is split
+#: over several runs.
 MAX_GRID_EPOCHS = 10_000_000
 
 #: the sections and keys the INI file may hold; any other is rejected, so a
@@ -138,19 +140,24 @@ def _time_grid(epoch: float, duration: float, step: float) -> np.ndarray:
     if not span < MAX_GRID_EPOCHS:  # false for an overflowing ratio too
         raise ConfigError(f"duration / step = {duration / step:.6g} asks for more than "
                           f"{MAX_GRID_EPOCHS} epochs; split the run")
-    return epoch + step * np.arange(int(math.floor(span)) + 1)
+    # in place: the same bits as epoch + step * np.arange(n), one array
+    ts = np.arange(int(math.floor(span)) + 1, dtype=float)
+    ts *= step
+    ts += epoch
+    return ts
 
 
 # ---------------------------------------------------------------------------
 # CSV text: ``%.17g`` per value, formatted in NumPy blocks
 # ---------------------------------------------------------------------------
 
-#: rows formatted per block.  Measured on the one-day 1 s ephemeris (seven
-#: columns) in a fresh interpreter: at 1024 rows the allocator gave the
-#: block's larger temporaries back to the system after every block and the
-#: next block faulted them in again (34 000 page faults, against 6 at 512
-#: rows), which made the write about 40% slower; at 256 rows the fixed cost
-#: of the NumPy calls per block made it 30% slower
+#: rows formatted per block.  Measured with getrusage on the one-day 1 s
+#: ephemeris (seven columns), streamed, in a fresh interpreter: the stream
+#: took 200 page faults at 512 rows against 19 800 at 1024 and 40 600 at
+#: 2048, where the block's larger temporaries are mapped from the system and
+#: given back at every block, so each block faults them in again; that made
+#: it 10-30% slower.  At 256 rows the fixed cost of the NumPy calls
+#: per block made it 15-35% slower
 _WRITE_ROWS = 512
 
 #: bytes per value on the canvas, 11 four-byte words: room for the sign, 16
@@ -337,13 +344,14 @@ def _write_table(fh, columns, sep: str) -> None:
         fh.write(_format_block(block.astype(float, copy=False).ravel(), seps[:block.size]))
 
 
-def _write_ephemeris(path: str, ts: np.ndarray, rows: np.ndarray,
-                     header: str = "t,x,y,z,X,Y,Z") -> None:
-    """CSV of the rows against time: Cartesian states by default, or mean
-    elements with the header ``t,ell,g,h,L,G,H``."""
+def _write_ephemeris(path: str, blocks, header: str = "t,x,y,z,X,Y,Z") -> None:
+    """CSV of rows against time, from (t, rows) blocks written in turn:
+    Cartesian states by default, or mean elements with the header
+    ``t,ell,g,h,L,G,H``.  Each block is written before the next is asked for."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        _write_table(fh, (ts, rows), ",")
+        for ts, rows in blocks:
+            _write_table(fh, (ts, rows), ",")
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +364,16 @@ def _cmd_propagate(cp, args) -> int:
     epoch, duration, step, model, config, _ = _build_run(cp, args)
     field = field.restricted(model)
     ts = _time_grid(epoch, duration, step)
-    states = ephemeris_array(state, epoch, ts, field, config)
+    # every check runs here, before a file is created
+    states = ephemeris_blocks(state, epoch, ts, field, config)
     out = _get(cp, "output", "ephemeris", args.ephemeris, "ephemeris.csv", cast=str)
-    _write_ephemeris(out, ts, states)
+    _write_ephemeris(out, states)
     mean_path = _get(cp, "output", "mean-elements", args.mean_elements, None, cast=str)
     if mean_path:
         mean = osculating_to_mean(state, field, config)
-        _write_ephemeris(mean_path, ts, mean_elements_series(mean, epoch, ts, field, config),
-                         header="t,ell,g,h,L,G,H")
+        grid = (ts[i:i + EPOCH_BLOCK] for i in range(0, len(ts), EPOCH_BLOCK))
+        _write_ephemeris(mean_path, ((t, mean_elements_series(mean, epoch, t, field, config))
+                                     for t in grid), header="t,ell,g,h,L,G,H")
     print(f"wrote {len(ts)} ephemeris rows to {out}")
     return 0
 
@@ -511,8 +521,34 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+#: glibc's mallopt parameter M_TRIM_THRESHOLD, and the value the CLI sets:
+#: glibc gives the free top of its heap back to the system once it exceeds
+#: this (128 KiB at start, raised only when a large mapped block is freed).
+#: Every ephemeris block frees about 1 MB of NumPy temporaries, so at 128 KiB
+#: the next block faulted them all in again: 28 000 page faults against
+#: 5 400 and 30% more wall time on one day at 1 s, measured on the streamed
+#: ``propagate``.  A 700 KB threshold still faulted, 1.4 MB did not
+_M_TRIM_THRESHOLD = -1
+_TRIM_BYTES = 2 << 20
+
+
+def _keep_heap_top() -> None:
+    """Keep up to ``_TRIM_BYTES`` free at the top of the C heap between
+    blocks.  Linux only; a C library without mallopt is left as it is."""
+    if sys.platform != "linux":
+        return
+    import ctypes  # already loaded by NumPy
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    _keep_heap_top()
     try:
         cp = _read_config(args.config)
         if args.command == "propagate":

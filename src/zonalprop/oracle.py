@@ -16,6 +16,7 @@ from . import _kernels
 from .errors import ZonalPropError
 from .gravity import GravityField, check_small_params
 from .longperiod import critical_inclination_guard
+from .propagator import _checked_grid
 from .states import CartesianState, DelaunayState, PolarNodalState
 
 
@@ -85,21 +86,35 @@ def integrate_grid(cart0: CartesianState, t0: float, ts, field: GravityField,
 
     Adaptive 8th-order explicit Runge-Kutta (DOP853) with local error
     control at ``tol``, which must lie in ``TOL_RANGE`` (ZonalPropError
-    otherwise, NaN and infinity included).
+    otherwise, NaN and infinity included).  The grid may hold times on
+    either side of t0, in any order and repeated: each side is integrated
+    outwards from t0 through its distinct times in order, and the rows come
+    back in the order of ``ts``.  A non-finite time or t0 raises
+    ZonalPropError.
     """
     lo, hi = TOL_RANGE
     if not lo <= tol <= hi:
         raise ZonalPropError(f"integrator tolerance must lie in [{lo:.3g}, {hi:g}], got {tol}")
-    ts = np.asarray(ts, dtype=float)
+    ts = _checked_grid(t0, ts)
     y0 = (cart0.x, cart0.y, cart0.z, cart0.vx, cart0.vy, cart0.vz)
-    t1 = float(ts.max()) if ts.size else t0
-    if t1 == t0:
-        return np.tile(np.asarray(y0), (ts.size, 1))
-    sol = solve_ivp(_rhs(field), (t0, t1), y0, method="DOP853",
-                    rtol=tol, atol=tol, t_eval=ts, dense_output=False)
+    times, where = np.unique(ts, return_inverse=True)
+    k = int(np.searchsorted(times, t0))  # times[:k] < t0 <= times[k:]
+    rows = np.empty((times.size, 6))
+    rows[k:] = _integrate_out(field, t0, y0, times[k:], tol)
+    rows[:k] = _integrate_out(field, t0, y0, times[:k][::-1], tol)[::-1]
+    return rows[where]
+
+
+def _integrate_out(field: GravityField, t0: float, y0, t_eval: np.ndarray, tol: float):
+    """States at the times t_eval, which run strictly away from t0 (the
+    first may equal it)."""
+    if t_eval.size == 0 or t_eval[-1] == t0:
+        return np.tile(np.asarray(y0), (t_eval.size, 1))
+    sol = solve_ivp(_rhs(field), (t0, t_eval[-1]), y0, method="DOP853",
+                    rtol=tol, atol=tol, t_eval=t_eval, dense_output=False)
     if not sol.success:
         raise ZonalPropError(f"integration failed: {sol.message}")
-    return sol.y.T.copy()
+    return sol.y.T
 
 
 def u1_delaunay(d: DelaunayState, field: GravityField) -> float:

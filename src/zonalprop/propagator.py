@@ -137,11 +137,24 @@ def _checked_grid(t0: float, ts) -> np.ndarray:
     ts = np.ascontiguousarray(ts, dtype=float)
     if ts.ndim != 1:
         raise ZonalPropError("time grid must be one-dimensional")
-    if not np.isfinite(ts).all():
+    # a ufunc reduction: ndarray.all would add a Python-level call
+    if not np.logical_and.reduce(np.isfinite(ts)):
         raise ZonalPropError("time grid must be finite")
     if not math.isfinite(t0):
         raise ZonalPropError(f"epoch t0 must be finite, got {t0}")
     return ts
+
+
+def _batch_args(cart0: CartesianState, t0: float, ts, field: GravityField,
+                config: PropagatorConfig):
+    """The checked grid and the arguments of ``_kernels.ephemeris_batch``
+    between t0 and out: every check of an ephemeris request runs here."""
+    ts = _checked_grid(t0, ts)
+    ell, g, h, L, G, H, retro, _ = _mean_state(cart0, field, config)
+    ldot, gdot, hdot = mean_angle_rates(L, G, H, field, config.secular)
+    return ts, (ell, g, h, L, G, H, ldot, gdot, hdot, retro,
+                field.mu, field.alpha, field.c20, field.c30,
+                config.long_period, config.short_period)
 
 
 def ephemeris_array(cart0: CartesianState, t0: float, ts, field: GravityField,
@@ -152,14 +165,34 @@ def ephemeris_array(cart0: CartesianState, t0: float, ts, field: GravityField,
     NumPy blocks, shorter ones epoch by epoch on floats; the two agree to
     about 1e-10 km in position.
     """
-    ts = _checked_grid(t0, ts)
-    ell, g, h, L, G, H, retro, _ = _mean_state(cart0, field, config)
-    ldot, gdot, hdot = mean_angle_rates(L, G, H, field, config.secular)
+    ts, args = _batch_args(cart0, t0, ts, field, config)
     out = np.empty((ts.shape[0], 6), dtype=float)
-    _kernels.ephemeris_batch(ts, t0, ell, g, h, L, G, H, ldot, gdot, hdot, retro,
-                             field.mu, field.alpha, field.c20, field.c30,
-                             config.long_period, config.short_period, out)
+    _kernels.ephemeris_batch(ts, t0, *args, out)
     return out
+
+
+def ephemeris_blocks(cart0: CartesianState, t0: float, ts, field: GravityField,
+                     config: PropagatorConfig = DEFAULT_CONFIG):
+    """ephemeris_array one block at a time: an iterator of (t, states) pairs,
+    t a view of the grid and states its (len(t), 6) rows.
+
+    The grid, the state and the orbit are checked when this is called, so
+    every error is raised before the first block is asked for.  The blocks
+    are those of ``_kernels.block_edges``, and the rows are the bits
+    ephemeris_array gives.  states is one buffer refilled for every block:
+    copy it to keep it past the next step.
+    """
+    ts, args = _batch_args(cart0, t0, ts, field, config)
+    return _blocks(ts, t0, args)
+
+
+def _blocks(ts, t0, args):
+    edges = _kernels.block_edges(ts.shape[0])
+    buffer = np.empty((max(np.diff(edges)), 6), dtype=float)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        states = buffer[:hi - lo]
+        _kernels.ephemeris_batch(ts[lo:hi], t0, *args, states)
+        yield ts[lo:hi], states
 
 
 def mean_elements_series(mean: MeanElements, t0: float, ts, field: GravityField,

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonalprop import EARTH, CartesianState, PropagatorConfig, _kernels, ephemeris_array
+from zonalprop import (EARTH, CartesianState, PropagatorConfig, ZonalPropError, _kernels,
+                       ephemeris_array)
+from zonalprop.propagator import ephemeris_blocks
 from conftest import elements_to_cartesian
 
 POS_TOL_KM = 1e-9
@@ -186,6 +188,36 @@ def test_grid_order_independence_across_blocks():
     c = ephemeris_array(LEO_STATE, 0.0, ts[few], EARTH)
     assert np.max(np.abs(a[few, :3] - c[:, :3])) <= POS_TOL_KM
     assert np.max(np.abs(a[few, 3:] - c[:, 3:])) <= VEL_TOL_KM_S
+
+
+#: grid sizes on both sides of the float/array switch and of the block counts
+STREAM_SIZES = (1, 31, 32, 33, 4097, 6143, 6144, 8193)
+
+
+@pytest.mark.parametrize("n", STREAM_SIZES)
+def test_blocks_stream_the_array_rows(n):
+    ts = np.linspace(-600.0, 86400.0, n)
+    whole = ephemeris_array(LEO_STATE, 30.0, ts, EARTH)
+    blocks = [(t, states.copy()) for t, states in ephemeris_blocks(LEO_STATE, 30.0, ts, EARTH)]
+    assert [len(t) for t, _ in blocks] == np.diff(_kernels.block_edges(n)).tolist()
+    assert np.array_equal(np.concatenate([t for t, _ in blocks]), ts)
+    assert np.array_equal(np.concatenate([s for _, s in blocks]), whole)
+
+
+def test_blocks_reuse_one_buffer():
+    ts = np.arange(3 * _kernels.EPOCH_BLOCK, dtype=float)
+    buffers = {states.__array_interface__["data"][0]
+               for _, states in ephemeris_blocks(LEO_STATE, 0.0, ts, EARTH)}
+    assert len(buffers) == 1
+
+
+@pytest.mark.parametrize("cart, ts", [(LEO_STATE, [0.0, math.nan]),
+                                      (CartesianState(7000.0, 0.0, 0.0, 0.0, 12.0, 0.0), [0.0])],
+                         ids=["non-finite grid", "hyperbolic state"])
+def test_blocks_check_when_called(cart, ts):
+    # the CLI relies on this to create no file for a rejected run
+    with pytest.raises(ZonalPropError):
+        ephemeris_blocks(cart, 0.0, ts, EARTH)
 
 
 @pytest.mark.parametrize("n, blocks", [(_kernels.ARRAY_MIN_EPOCHS, 1), (6143, 1), (6145, 2),

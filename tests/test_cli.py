@@ -1,9 +1,11 @@
 import io
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonalprop import EARTH, ConfigError, _kernels, cli
+from zonalprop import EARTH, ConfigError, _kernels, cli, ephemeris_array, osculating_to_mean
 from zonalprop._kernels import EPOCH_BLOCK
 from zonalprop.cli import _write_ephemeris, _write_table, main
+from zonalprop.propagator import mean_elements_series
 from conftest import elements_to_cartesian
+from test_array_path import STREAM_SIZES
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "example-config.ini"
 
@@ -125,6 +129,68 @@ class TestPropagate:
         assert row == pytest.approx(golden, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", STREAM_SIZES + (86401,))
+def test_streamed_files_equal_whole_array_files(tmp_path, n):
+    """propagate writes, block by block, the bytes of the whole-array writer:
+    sizes on both sides of the float/array switch and of the block counts,
+    and the one-day 1 s grid."""
+    cfg = _write_config(tmp_path / "run.ini", duration=float(n - 1), step=1.0)
+    out, mean_out = tmp_path / "e.csv", tmp_path / "m.csv"
+    assert main(["propagate", "--config", str(cfg), "--ephemeris", str(out),
+                 "--mean-elements", str(mean_out), "--epoch", "12.5"]) == 0
+    state = elements_to_cartesian(7000.0, 0.05, math.radians(30.0), 0.3, 0.7, 1.1)
+    ts = 12.5 + 1.0 * np.arange(n)
+    whole, mean_whole = tmp_path / "we.csv", tmp_path / "wm.csv"
+    _write_ephemeris(str(whole), [(ts, ephemeris_array(state, 12.5, ts, EARTH))])
+    mean = osculating_to_mean(state, EARTH)
+    _write_ephemeris(str(mean_whole), [(ts, mean_elements_series(mean, 12.5, ts, EARTH))],
+                     header="t,ell,g,h,L,G,H")
+    assert out.read_bytes() == whole.read_bytes()
+    assert mean_out.read_bytes() == mean_whole.read_bytes()
+
+
+def test_propagate_memory_does_not_grow_with_the_states(tmp_path):
+    """Traced peak of an in-process run, one day against four days at 1 s:
+    the time grid (8 bytes per epoch) is all that grows; holding the (n, 6)
+    states before writing them grew 55.9 bytes per epoch."""
+    cfg = _write_config(tmp_path / "run.ini", step=1.0)
+    out = str(tmp_path / "e.csv")
+    argv = ["propagate", "--config", str(cfg), "--ephemeris", out]
+    assert main(argv + ["--duration", "600"]) == 0  # warm: first-call allocations
+    peaks = {}
+    for days in (1, 4):
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--duration", str(86400.0 * days)]) == 0
+            peaks[days] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    growth = (peaks[4] - peaks[1]) / (3 * 86400)
+    assert growth <= 12.0, f"{growth:.1f} bytes per epoch"
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the heap trim threshold is a glibc setting")
+def test_propagate_blocks_do_not_fault_the_heap_in_again(tmp_path):
+    """Page faults of a one-day 1 s run in a fresh interpreter, after a warm-up
+    run: about 360 with the CLI's trim threshold, 23 000 when glibc gave every
+    block's temporaries back and the next block faulted them in again."""
+    out = tmp_path / "e.csv"
+    probe = f"""
+import os, resource, sys
+from zonalprop.cli import main
+sys.stdout = open(os.devnull, "w")
+argv = ["propagate", "--config", {str(EXAMPLE_CONFIG)!r}, "--step", "1",
+        "--ephemeris", {str(out)!r}]
+main(argv + ["--duration", "0"])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+main(argv + ["--duration", "86400"])
+sys.stderr.write(str(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before))
+"""
+    faults = int(_python(["-c", probe], check=True).stderr)
+    assert faults < 3000
+
+
 def _old_row(values, sep=","):
     """The per-row form the writer replaced: one ``{:.17g}`` per value."""
     return sep.join(f"{v:.17g}" for v in values) + "\n"
@@ -147,7 +213,7 @@ class TestWriter:
         rows = np.array([row for _, row in table])
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "e.csv")
-            _write_ephemeris(path, ts, rows)
+            _write_ephemeris(path, [(ts, rows)])
             with open(path) as fh:
                 text = fh.read()
         expected = "t,x,y,z,X,Y,Z\n" + "".join(
@@ -160,7 +226,7 @@ class TestWriter:
         ts = 0.1 * np.arange(n) - 7.0
         rows = rng.standard_normal((n, 6)) * 10.0 ** rng.integers(-300, 300, (n, 6))
         path = tmp_path / "e.csv"
-        _write_ephemeris(str(path), ts, rows)
+        _write_ephemeris(str(path), [(ts, rows)])
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + n
         back = np.loadtxt(path, delimiter=",", skiprows=1)

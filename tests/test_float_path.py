@@ -31,7 +31,10 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 #: + one ``sincos`` each in ``delaunay_orbit``, ``reconstruct_and_correct``
 #: and ``ns_to_cart`` (63), - ``anomaly_block`` and its three ``where``
 #: calls in each of the two ``short_ns`` calls (55) + one ``center_terms``
-#: in each ``short_ns`` and in ``anomaly_block``.
+#: in each ``short_ns`` and in ``anomaly_block``.  The set-up
+#: ``ephemeris_blocks`` shares with ``ephemeris_array`` (``_batch_args``) is
+#: one more call, and checking the grid with a ufunc reduction instead of
+#: ``ndarray.all``, a Python wrapper, is one fewer.
 CALL_BUDGET = 58
 
 

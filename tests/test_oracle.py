@@ -100,6 +100,42 @@ class TestIntegrate:
         end = integrate(cart, 0.0, 3000.0, EARTH, tol=1e-12)
         assert grid[-1, :3] == pytest.approx((end.x, end.y, end.z), rel=1e-10)
 
+    @pytest.mark.parametrize("ts", [[-200.0, -100.0], [-100.0, 100.0], [100.0, 50.0],
+                                    [300.0, -50.0, 0.0, 300.0, -250.0, -50.0]],
+                             ids=["before t0", "both sides", "descending",
+                                  "mixed, repeated"])
+    def test_grid_on_either_side_in_any_order(self, ts):
+        cart = elements_to_cartesian(7200.0, 0.02, 0.9, 0.3, 0.2, 0.1)
+        grid = integrate_grid(cart, 0.0, ts, EARTH, tol=1e-12)
+        assert grid.shape == (len(ts), 6)
+        for t, row in zip(ts, grid):
+            end = integrate(cart, 0.0, t, EARTH, tol=1e-12)
+            assert row[:3] == pytest.approx((end.x, end.y, end.z), rel=0.0, abs=1e-8)
+            assert row[3:] == pytest.approx((end.vx, end.vy, end.vz), rel=0.0, abs=1e-11)
+
+    def test_ascending_grid_is_one_forward_integration(self, monkeypatch):
+        # the call compare makes: one solve_ivp over (t0, last time), every
+        # grid time in t_eval
+        from zonalprop import oracle
+        calls = []
+        solve = oracle.solve_ivp
+
+        def spy(fun, t_span, y0, **kwargs):
+            calls.append((t_span, kwargs["t_eval"].tolist()))
+            return solve(fun, t_span, y0, **kwargs)
+        monkeypatch.setattr(oracle, "solve_ivp", spy)
+        cart = elements_to_cartesian(7200.0, 0.02, 0.9, 0.3, 0.2, 0.1)
+        ts = [5.0, 65.0, 125.0]
+        integrate_grid(cart, 5.0, ts, EARTH)
+        assert calls == [((5.0, 125.0), ts)]
+
+    @pytest.mark.parametrize("ts, t0", [([0.0, math.nan], 0.0), ([math.inf], 0.0),
+                                        ([-math.inf, 10.0], 0.0), ([10.0], math.nan)])
+    def test_non_finite_time_raises(self, ts, t0):
+        cart = elements_to_cartesian(7200.0, 0.02, 0.9, 0.3, 0.2, 0.1)
+        with pytest.raises(ZonalPropError, match="must be finite"):
+            integrate_grid(cart, t0, ts, EARTH)
+
 
 class TestDelaunayGeneratingFunctions:
     def test_u1_circular(self):
