@@ -152,12 +152,12 @@ def _time_grid(epoch: float, duration: float, step: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 #: rows formatted per block.  Measured with getrusage on the one-day 1 s
-#: ephemeris (seven columns), streamed, in a fresh interpreter: the stream
-#: took 200 page faults at 512 rows against 19 800 at 1024 and 40 600 at
-#: 2048, where the block's larger temporaries are mapped from the system and
-#: given back at every block, so each block faults them in again; that made
-#: it 10-30% slower.  At 256 rows the fixed cost of the NumPy calls
-#: per block made it 15-35% slower
+#: ephemeris (seven columns), streamed, after a warm-up run: 362 page faults
+#: and 32.7 MB peak RSS at 512 rows, against 638 and 33.8 MB at 1024 and
+#: 1 276 and 36.2 MB at 2048, where each block's temporaries are larger; the
+#: wall time of those three was within run-to-run noise (medians 0.18-0.19 s
+#: over seven runs).  At 256 rows the fixed cost of the NumPy calls per block
+#: made it 10% slower
 _WRITE_ROWS = 512
 
 #: bytes per value on the canvas, 11 four-byte words: room for the sign, 16
@@ -421,7 +421,8 @@ def _cmd_compare(cp, args) -> int:
     num = integrate_grid(state, epoch, ts, field, tol)
     pos_err = np.sqrt(np.sum((ana[:, :3] - num[:, :3]) ** 2, axis=1))
     vel_err = np.sqrt(np.sum((ana[:, 3:] - num[:, 3:]) ** 2, axis=1))
-    slope_rows, slope = _slope_table(state, epoch, field, config, tol, multipliers)
+    slope_rows, slope = (_slope_table(state, epoch, field, config, tol, multipliers)
+                         if field.c20 else ((), None))
 
     out = _get(cp, "output", "report", args.report, "compare.txt", cast=str)
     with open(out, "w") as fh:
@@ -434,11 +435,15 @@ def _cmd_compare(cp, args) -> int:
         fh.write(f"max_position_error = {_fmt(float(pos_err.max()))}\n")
         fh.write(f"rms_velocity_error = {_fmt(float(np.sqrt(np.mean(vel_err ** 2))))}\n")
         fh.write(f"max_velocity_error = {_fmt(float(vel_err.max()))}\n")
-        fh.write("# J2-inflation scaling (odd zonal off, one orbital period)\n")
-        fh.write("columns: lambda rms_position_error\n")
-        _write_table(fh, (np.array(slope_rows),), " ")
-        fh.write(f"slope = {slope:.3f}\n")
-    print(f"wrote comparison report to {out} (scaling slope {slope:.3f})")
+        if slope is None:
+            fh.write("# no J2-inflation scaling: c20 = 0, so scaling J2 changes nothing\n")
+        else:
+            fh.write("# J2-inflation scaling (odd zonal off, one orbital period)\n")
+            fh.write("columns: lambda rms_position_error\n")
+            _write_table(fh, (np.array(slope_rows),), " ")
+            fh.write(f"slope = {slope:.3f}\n")
+    scaling = "" if slope is None else f" (scaling slope {slope:.3f})"
+    print(f"wrote comparison report to {out}{scaling}")
     return 0
 
 
@@ -521,34 +526,8 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-#: glibc's mallopt parameter M_TRIM_THRESHOLD, and the value the CLI sets:
-#: glibc gives the free top of its heap back to the system once it exceeds
-#: this (128 KiB at start, raised only when a large mapped block is freed).
-#: Every ephemeris block frees about 1 MB of NumPy temporaries, so at 128 KiB
-#: the next block faulted them all in again: 28 000 page faults against
-#: 5 400 and 30% more wall time on one day at 1 s, measured on the streamed
-#: ``propagate``.  A 700 KB threshold still faulted, 1.4 MB did not
-_M_TRIM_THRESHOLD = -1
-_TRIM_BYTES = 2 << 20
-
-
-def _keep_heap_top() -> None:
-    """Keep up to ``_TRIM_BYTES`` free at the top of the C heap between
-    blocks.  Linux only; a C library without mallopt is left as it is."""
-    if sys.platform != "linux":
-        return
-    import ctypes  # already loaded by NumPy
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    _keep_heap_top()
     try:
         cp = _read_config(args.config)
         if args.command == "propagate":

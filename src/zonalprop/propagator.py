@@ -133,15 +133,22 @@ def ephemeris(cart0: CartesianState, t0: float, ts, field: GravityField,
 
 def _checked_grid(t0: float, ts) -> np.ndarray:
     """The time grid as a contiguous float array; ZonalPropError unless it is
-    one-dimensional and finite and the epoch t0 is finite."""
+    one-dimensional, the epoch t0 and the grid are finite and no offset
+    t - t0 overflows."""
     ts = np.ascontiguousarray(ts, dtype=float)
     if ts.ndim != 1:
         raise ZonalPropError("time grid must be one-dimensional")
-    # a ufunc reduction: ndarray.all would add a Python-level call
-    if not np.logical_and.reduce(np.isfinite(ts)):
-        raise ZonalPropError("time grid must be finite")
     if not math.isfinite(t0):
         raise ZonalPropError(f"epoch t0 must be finite, got {t0}")
+    # the offsets t - t0 are finite exactly when the extreme ones are (a NaN
+    # t makes both NaN): two reductions and no temporary the size of the
+    # grid.  Python floats, so an overflow is an inf here and not a warning
+    lo = float(np.minimum.reduce(ts, initial=t0)) - t0
+    hi = float(np.maximum.reduce(ts, initial=t0)) - t0
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        if np.logical_and.reduce(np.isfinite(ts)):
+            raise ZonalPropError(f"time offset t - t0 overflows for t0 = {t0}")
+        raise ZonalPropError("time grid must be finite")
     return ts
 
 

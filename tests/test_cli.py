@@ -21,6 +21,7 @@ from conftest import elements_to_cartesian
 from test_array_path import STREAM_SIZES
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "example-config.ini"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _write_config(path, inc_deg=30.0, duration=1800.0, step=600.0, model="j2j3", extra=""):
@@ -173,8 +174,9 @@ def test_propagate_memory_does_not_grow_with_the_states(tmp_path):
                     reason="the heap trim threshold is a glibc setting")
 def test_propagate_blocks_do_not_fault_the_heap_in_again(tmp_path):
     """Page faults of a one-day 1 s run in a fresh interpreter, after a warm-up
-    run: about 360 with the CLI's trim threshold, 23 000 when glibc gave every
-    block's temporaries back and the next block faulted them in again."""
+    run: about 380 with the heap policy ``_kernels`` sets at import, 3 000
+    without it, when glibc gave every block's temporaries back and the next
+    block faulted them in again."""
     out = tmp_path / "e.csv"
     probe = f"""
 import os, resource, sys
@@ -189,6 +191,47 @@ sys.stderr.write(str(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 """
     faults = int(_python(["-c", probe], check=True).stderr)
     assert faults < 3000
+
+
+#: start-up states of a fresh interpreter: the length of its working
+#: directory's name and the number of extra environment variables.  Where
+#: the top of glibc's heap lies after import depends on such state; on Linux
+#: x86-64 with glibc and Python 3.11 the number of variables moved it
+HEAP_LAYOUTS = ((1, 0), (2, 1), (17, 7), (42, 13))
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the dynamic mmap threshold is a glibc rule")
+@pytest.mark.parametrize("name_length, extra_env", HEAP_LAYOUTS)
+def test_dense_passes_do_not_fault_the_heap_in_again(tmp_path, name_length, extra_env):
+    """Page faults of ephemeris_array passes over the six dense orbits (one
+    day at 5 s) in a fresh interpreter, after a warm-up pass.  Without the
+    allocation in ``_kernels``, glibc gave a block's temporaries back and the
+    next block faulted them in again in three of these layouts, 2 300-2 600
+    faults per pass; with it, 0 in each."""
+    cwd = tmp_path / ("d" * name_length)
+    cwd.mkdir()
+    probe = f"""
+import resource, sys
+sys.path.insert(0, {str(PERFBENCH)!r})
+import workloads
+import zonalprop as zp
+ts = workloads.dense_grid()
+carts = [zp.CartesianState(*s) for s in workloads.orbit_set().values()]
+def one_pass():
+    for c in carts:
+        zp.ephemeris_array(c, 0.0, ts, zp.EARTH)
+one_pass()
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    one_pass()
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+sys.stderr.write(str(max(faults)))
+"""
+    env = {f"ZONALPROP_TEST_PAD{i}": "1" for i in range(extra_env)}
+    faults = int(_python(["-c", probe], check=True, cwd=cwd, env=env).stderr)
+    assert faults < 300
 
 
 def _old_row(values, sep=","):
@@ -543,7 +586,7 @@ class TestExitCodes:
 
 
 class TestCompare:
-    def test_two_body_report(self, tmp_path):
+    def test_two_body_report(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "run.ini", duration=1200.0, step=600.0)
         report = tmp_path / "cmp.txt"
         rc = main(["compare", "--config", str(cfg), "--report", str(report),
@@ -553,7 +596,24 @@ class TestCompare:
         rms = float([l for l in text.splitlines()
                      if l.startswith("rms_position_error")][0].split("=")[1])
         assert rms < 1e-6  # integrator-tolerance level
-        assert "slope =" in text
+        # c20 = 0: every lambda gave the same error and the slope read 0.000,
+        # so the scaling table is left out, with a line saying why
+        assert text.endswith("# no J2-inflation scaling: c20 = 0, so scaling J2 "
+                             "changes nothing\n")
+        assert "slope" not in text
+        assert capsys.readouterr().out == f"wrote comparison report to {report}\n"
+
+    def test_j2_report_has_the_scaling_table(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "run.ini", duration=1200.0, step=600.0)
+        report = tmp_path / "cmp.txt"
+        assert main(["compare", "--config", str(cfg), "--report", str(report),
+                     "--model", "j2", "--j2-multipliers", "1,0.5"]) == 0
+        lines = report.read_text().splitlines()
+        assert lines[-5:-3] == ["# J2-inflation scaling (odd zonal off, one orbital period)",
+                                "columns: lambda rms_position_error"]
+        slope = float(lines[-1].removeprefix("slope = "))
+        assert 1.5 < slope < 2.5
+        assert capsys.readouterr().out.endswith(f"(scaling slope {slope:.3f})\n")
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_bad_integrator_tol_exit_1(self, tmp_path, tol):
@@ -617,14 +677,15 @@ API = ("ChartError", "ConfigError", "CriticalInclinationError",
        "critical_inclination_guard")
 
 
-def _python(args, check=False, timeout=None):
-    """Run the interpreter with this checkout's ``src`` first on its path."""
+def _python(args, check=False, timeout=None, cwd=None, env=None):
+    """Run the interpreter with this checkout's ``src`` first on its path,
+    in ``cwd`` and with the variables ``env`` added to the environment."""
     import zonalprop
     src = os.path.dirname(os.path.dirname(zonalprop.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          check=check, env=env, timeout=timeout)
+                          check=check, env=env, timeout=timeout, cwd=cwd)
 
 
 def test_cli_import_leaves_scipy_out():

@@ -136,6 +136,11 @@ class TestIntegrate:
         with pytest.raises(ZonalPropError, match="must be finite"):
             integrate_grid(cart, t0, ts, EARTH)
 
+    def test_overflowing_time_offset_raises(self):
+        cart = elements_to_cartesian(7200.0, 0.02, 0.9, 0.3, 0.2, 0.1)
+        with pytest.raises(ZonalPropError, match="time offset t - t0 overflows"):
+            integrate_grid(cart, 1e308, [-1e308], EARTH)
+
 
 class TestDelaunayGeneratingFunctions:
     def test_u1_circular(self):

@@ -320,6 +320,24 @@ class TestEphemeris:
             errors.append((type(exc.value), str(exc.value)))
         assert errors == [(ZonalPropError, message)] * 2
 
+    @pytest.mark.parametrize("n", [1, 40], ids=["float-path", "array-path"])
+    def test_overflowing_time_offset_raises(self, n):
+        # t0 and every t are finite but t - t0 is not: the float path raised a
+        # bare OverflowError from wrap_pi, the array path returned NaN rows
+        # and mean_elements_series NaN angles.  ephemeris_blocks raises when
+        # called, before any block is asked for
+        from zonalprop.propagator import ephemeris_blocks, mean_elements_series
+        cart = elements_to_cartesian(7000.0, 0.05, math.radians(30.0), 0.3, 0.7, 1.1)
+        mean = osculating_to_mean(cart, EARTH)
+        ts = np.full(n, 1e308)
+        for fn, start in ((ephemeris_array, cart), (ephemeris_blocks, cart),
+                          (mean_elements_series, mean)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ZonalPropError) as exc:
+                    fn(start, -1e308, ts, EARTH)
+            assert str(exc.value) == "time offset t - t0 overflows for t0 = -1e+308"
+
 
 class TestOneFormulation:
     """The full nonsingular forms hold at every inclination, the equator
