@@ -26,9 +26,10 @@ here) to compare them at 50 digits.  The pipeline
 the low-inclination kernels are kept as references the tests compare them
 against (through ``reference``).
 
-The Kepler solver is one Newton loop for every e < 1: it runs on |ell|,
-where Kepler's function is increasing and convex, with each update capped
-above the root, so it cannot cycle and needs no fallback (``kepler_u``).
+The Kepler solver is one Halley loop for every e < 1: it runs on |ell|,
+where Kepler's function is increasing and convex, with each update clamped
+to an interval that holds the root, and it calls libm once per step: the
+cosine comes from the residual's own sine (``kepler_u``).
 
 Formulas that other layers need too (the small parameters, the q
 polynomials, the P coefficients, the Kepler solver, the anomalies, the
@@ -46,14 +47,15 @@ import numpy as np
 from numpy import ndarray
 
 TWO_PI = 2.0 * pi
+HALF_PI = 0.5 * pi
 
 # The heap policy for every caller, here where the block temporaries are
 # allocated.  glibc's rule (M_MMAP_THRESHOLD, "dynamic mmap threshold"):
 # freeing a mapped block raises the mmap threshold to its size and the trim
-# threshold to twice it.  Freeing this 3 MiB buffer so keeps the ~1 MB an
+# threshold to twice it.  Freeing this 3 MiB buffer so keeps the 3-4 MB an
 # ephemeris block frees on the heap for the next block, which may otherwise
-# fault it in again (0 page faults per dense six-orbit pass, against 2 238 to
-# 2 640 in most start-up layouts).  Other C libraries ignore it; a caller's
+# fault it in again (0 page faults per dense six-orbit pass, against about
+# 7 300 in each of four start-up layouts tried).  Other C libraries ignore it; a caller's
 # MALLOC_TRIM_THRESHOLD_ or MALLOC_MMAP_THRESHOLD_ turns the rule off and wins.
 np.empty(3 << 20, dtype=np.uint8)
 
@@ -68,10 +70,13 @@ EQUATORIAL_SIN = 1e-12
 #: grids with at least this many epochs are evaluated on arrays; below it the
 #: fixed cost of the NumPy calls (about 0.3 ms per block) outweighs the gain
 ARRAY_MIN_EPOCHS = 32
-#: target epochs per array block: keeps the temporaries to a few MB on long
-#: grids.  A grid is cut into near-equal blocks of about this size (see
-#: ``block_edges``), never more than 1.5 times it
-EPOCH_BLOCK = 4096
+#: target epochs per array block.  A grid is cut into near-equal blocks of
+#: about this size (see ``block_edges``), never more than 1.5 times it.  A
+#: block makes 390-440 NumPy calls, each with a fixed cost of 0.5-1 us, so
+#: larger blocks pay that cost less often.  The temporaries a block frees,
+#: 2.9 MB at 8192 epochs and 4.3 MB at 12 287, stay under the 6 MiB trim
+#: threshold set above, so the next block reuses them without page faults
+EPOCH_BLOCK = 8192
 
 # Float twins of the NumPy functions the kernels use.  Together with the math
 # imports above they make this module the namespace for float inputs, so
@@ -124,16 +129,25 @@ def wrap_pi(x):
 def kepler_u(ell, e):
     """Solve u - e*sin(u) = ell for the eccentric anomaly, any scalar e < 1.
 
-    Newton on a = |wrap_pi(ell)| in [0, pi], the root then taking the sign
-    of the reduced ell (so |u - ell| <= e).  On [a, hi], hi = min(a + e, pi),
-    which holds the root, f(u) = u - e*sin(u) - a is increasing and convex
-    (f' = 1 - e*cos(u) > 0, f'' = e*sin(u) >= 0), so from u0 = a + e*sin(a)
-    in [a, hi] the first step lands at or above the root, the cap keeps it
-    at or below hi, and the iterates fall monotonically to the root.  A lane
-    stops once its residual is below KEPLER_TOL.  The slowest case is cubic
-    (e -> 1, a -> 0): linear at ratio 2/3 from hi <= pi until
-    u^3/6 < 5e-15, so at most 1 + log(pi / 3.1e-5) / log(1.5) < 30 steps
-    (27 measured at e = 1 - 2**-53), under the loop's bound of 40.
+    Halley's method (Danby & Burkardt 1983) on a = |wrap_pi(ell)| in [0, pi],
+    the root r then taking the sign of the reduced ell (so |u - ell| <= e).
+    On [a, hi], hi = min(a + e, pi), which holds r, f(u) = u - e*sin(u) - a
+    has f' = 1 - e*cos(u) > 0 and f'' = e*sin(u) >= 0.  The step
+    f*f' / (f'^2 - f*f''/2) is Newton's f/f' divided by 1 - t/2 with
+    t = f*f''/f'^2.  Below r, t <= 0.  Above r, f <= (u - r)*f' as f' grows,
+    so t <= u*e*sin(u) / (1 - e*cos(u)) < 2: 2 - 2e*cos(u) - e*u*sin(u) is
+    2(1 - e) > 0 at u = 0 and grows on [0, pi].  So every step is finite and
+    heads for r (it may pass it), and clamping it to [a, hi] keeps u where
+    these signs hold.  A lane stops once its residual is below KEPLER_TOL.
+
+    Each step calls libm once: cos(u) = copysign(sqrt(1 - sin(u)^2), pi/2 - u)
+    reuses the residual's sin(u), and the step reuses its e*sin(u).  sqrt is
+    correctly rounded in ``math`` and in NumPy, so float and array roots are
+    bitwise equal.  The error falls cubically near r.  The slowest case is
+    e -> 1, a -> 0, where f ~ u^3/6 and a step from above r halves u.  From
+    u0 = a + e*sin(a), the most steps any lane took in a sweep of a over
+    [0, pi] and down to 1e-300: 1 at e <= 0.01, 3 at e = 0.73, 6 at
+    e = 0.999 and 20 at e = 1 - 2**-53, under the loop's bound of 40.
     """
     m = _NUMPY if type(ell) is ndarray else _MATH
     ell = wrap_pi(ell)
@@ -141,11 +155,15 @@ def kepler_u(ell, e):
     hi = m.minimum(a + e, pi)
     u = a + e * m.sin(a)
     for _ in range(40):
-        res = u - e * m.sin(u) - a
+        s = m.sin(u)
+        esu = e * s
+        res = u - esu - a
         live = abs(res) >= KEPLER_TOL
         if not m.any_lane(live):
             break
-        u = m.where(live, m.minimum(u - res / (1.0 - e * m.cos(u)), hi), u)
+        d = 1.0 - e * m.copysign(m.sqrt(1.0 - s * s), HALF_PI - u)
+        u_next = m.maximum(m.minimum(u - res * d / (d * d - 0.5 * res * esu), hi), a)
+        u = m.where(live, u_next, u)
     return m.copysign(u, ell)
 
 
@@ -517,8 +535,8 @@ def reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
     # the double-prime state; each correction stage replaces it.  On arrays,
     # what a later stage no longer reads is deleted before that stage
     # allocates its own temporaries, for a lower peak per block: without these
-    # deletions a one-day 1 s ``propagate`` peaked 0.5 MB higher in RSS and
-    # took 459 page faults, not 354
+    # deletions a one-day 1 s ``propagate`` peaked 0.7 MB higher in RSS and
+    # took 925 page faults, not 757
     xi = sm * st
     chi = sm * ct
     del f, theta, st, ct

@@ -140,8 +140,12 @@ def _time_grid(epoch: float, duration: float, step: float) -> np.ndarray:
     if not span < MAX_GRID_EPOCHS:  # false for an overflowing ratio too
         raise ConfigError(f"duration / step = {duration / step:.6g} asks for more than "
                           f"{MAX_GRID_EPOCHS} epochs; split the run")
+    n = int(math.floor(span)) + 1
+    # the grid's last time, as the in-place arithmetic below computes it
+    if not math.isfinite(float(n - 1) * step + epoch):
+        raise ConfigError(f"epoch + duration = {epoch} + {duration} overflows a float")
     # in place: the same bits as epoch + step * np.arange(n), one array
-    ts = np.arange(int(math.floor(span)) + 1, dtype=float)
+    ts = np.arange(n, dtype=float)
     ts *= step
     ts += epoch
     return ts
@@ -152,11 +156,11 @@ def _time_grid(epoch: float, duration: float, step: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 #: rows formatted per block.  Measured with getrusage on the one-day 1 s
-#: ephemeris (seven columns), streamed, after a warm-up run: 362 page faults
-#: and 32.7 MB peak RSS at 512 rows, against 638 and 33.8 MB at 1024 and
-#: 1 276 and 36.2 MB at 2048, where each block's temporaries are larger; the
-#: wall time of those three was within run-to-run noise (medians 0.18-0.19 s
-#: over seven runs).  At 256 rows the fixed cost of the NumPy calls per block
+#: ephemeris (seven columns), streamed, after a warm-up run: 757 page faults
+#: and 34.2 MB peak RSS at 512 rows, against 770 and 34.3 MB at 1024 and
+#: 1 295 and 36.4 MB at 2048, where each block's temporaries are larger; the
+#: CPU time of those three was within run-to-run noise (0.21-0.26 s over
+#: three runs each).  At 256 rows the fixed cost of the NumPy calls per block
 #: made it 10% slower
 _WRITE_ROWS = 512
 

@@ -95,7 +95,7 @@ def integrate_grid(cart0: CartesianState, t0: float, ts, field: GravityField,
     lo, hi = TOL_RANGE
     if not lo <= tol <= hi:
         raise ZonalPropError(f"integrator tolerance must lie in [{lo:.3g}, {hi:g}], got {tol}")
-    ts = _checked_grid(t0, ts)
+    ts, _ = _checked_grid(t0, ts)
     y0 = (cart0.x, cart0.y, cart0.z, cart0.vx, cart0.vy, cart0.vz)
     times, where = np.unique(ts, return_inverse=True)
     k = int(np.searchsorted(times, t0))  # times[:k] < t0 <= times[k:]

@@ -131,10 +131,10 @@ def ephemeris(cart0: CartesianState, t0: float, ts, field: GravityField,
     return [CartesianState(*row) for row in ephemeris_array(cart0, t0, ts, field, config)]
 
 
-def _checked_grid(t0: float, ts) -> np.ndarray:
-    """The time grid as a contiguous float array; ZonalPropError unless it is
-    one-dimensional, the epoch t0 and the grid are finite and no offset
-    t - t0 overflows."""
+def _checked_grid(t0: float, ts) -> tuple[np.ndarray, float]:
+    """The time grid as a contiguous float array and the largest |t - t0| on
+    it; ZonalPropError unless the grid is one-dimensional, the epoch t0 and
+    the grid are finite and no offset t - t0 overflows."""
     ts = np.ascontiguousarray(ts, dtype=float)
     if ts.ndim != 1:
         raise ZonalPropError("time grid must be one-dimensional")
@@ -149,16 +149,16 @@ def _checked_grid(t0: float, ts) -> np.ndarray:
         if np.logical_and.reduce(np.isfinite(ts)):
             raise ZonalPropError(f"time offset t - t0 overflows for t0 = {t0}")
         raise ZonalPropError("time grid must be finite")
-    return ts
+    return ts, max(-lo, hi)
 
 
 def _batch_args(cart0: CartesianState, t0: float, ts, field: GravityField,
                 config: PropagatorConfig):
     """The checked grid and the arguments of ``_kernels.ephemeris_batch``
     between t0 and out: every check of an ephemeris request runs here."""
-    ts = _checked_grid(t0, ts)
+    ts, span = _checked_grid(t0, ts)
     ell, g, h, L, G, H, retro, _ = _mean_state(cart0, field, config)
-    ldot, gdot, hdot = mean_angle_rates(L, G, H, field, config.secular)
+    ldot, gdot, hdot = mean_angle_rates(L, G, H, field, config.secular, span)
     return ts, (ell, g, h, L, G, H, ldot, gdot, hdot, retro,
                 field.mu, field.alpha, field.c20, field.c30,
                 config.long_period, config.short_period)
@@ -208,9 +208,10 @@ def mean_elements_series(mean: MeanElements, t0: float, ts, field: GravityField,
 
     The grid and the epoch are checked as ephemeris_array checks them.
     """
-    dt = _checked_grid(t0, ts) - t0
+    ts, span = _checked_grid(t0, ts)
+    dt = ts - t0
     d = mean.delaunay
-    ldot, gdot, hdot = mean_angle_rates(d.L, d.G, d.H, field, config.secular)
+    ldot, gdot, hdot = mean_angle_rates(d.L, d.G, d.H, field, config.secular, span)
     out = np.empty((dt.shape[0], 6), dtype=float)
     out[:, 0], out[:, 1], out[:, 2] = _kernels.mean_angles(d.ell, d.g, d.h,
                                                            ldot, gdot, hdot, dt)

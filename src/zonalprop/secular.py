@@ -15,8 +15,14 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
+from .errors import ZonalPropError
 from .gravity import GravityField
 from .states import DelaunayState, check_finite
+
+#: the largest mean-angle advance |rate| * |t - t0| [rad] a propagation
+#: accepts: from 2**52 rad on a double keeps no digit below 1 rad, so the
+#: angle reduced to (-pi, pi] would be rounding residue
+MAX_ADVANCE = 2.0 ** 52
 
 
 @dataclass(frozen=True)
@@ -56,34 +62,54 @@ def secular_rates(L: float, G: float, H: float, field: GravityField) -> SecularR
 
 
 def mean_angle_rates(L: float, G: float, H: float, field: GravityField,
-                     secular: bool = True) -> tuple[float, float, float]:
+                     secular: bool = True, span: float = 0.0) -> tuple[float, float, float]:
     """(ell_dot, g_dot, h_dot): the secular_rates formula, as a tuple; with
     ``secular`` off, the Keplerian rates (n, 0, 0).  Every propagation takes
-    its rates from here, so the ephemeris and the mean elements agree."""
+    its rates from here, so the ephemeris and the mean elements agree.
+
+    ``span`` is the largest |t - t0| the rates will advance the angles over;
+    raises ZonalPropError when some rate times span reaches MAX_ADVANCE.
+    """
     n = mean_motion(L, field)
-    if not secular:
-        return n, 0.0, 0.0
-    eta = G / L
-    c = H / G
-    c2 = c * c
-    s2 = 1.0 - c2
-    _, eps2, _ = _kernels.small_params(G, field.mu, field.alpha, field.c20)
-    b, b_eta, b_s2 = _bracket_terms(eta, s2)
-    ell_dot = n * (1.0 - 1.5 * eps2 * eta * (4.0 - 6.0 * s2)
-                   + 0.375 * eps2 * eps2 * eta * (3.0 * b + eta * b_eta))
-    g_dot = (-3.0 * n * eps2 * (4.0 - 5.0 * s2)
-             - 0.375 * n * eps2 * eps2 * (-7.0 * b + eta * b_eta + 2.0 * c2 * b_s2))
-    h_dot = n * c * (6.0 * eps2 + 0.75 * eps2 * eps2 * b_s2)
+    if secular:
+        eta = G / L
+        c = H / G
+        c2 = c * c
+        s2 = 1.0 - c2
+        _, eps2, _ = _kernels.small_params(G, field.mu, field.alpha, field.c20)
+        b, b_eta, b_s2 = _bracket_terms(eta, s2)
+        ell_dot = n * (1.0 - 1.5 * eps2 * eta * (4.0 - 6.0 * s2)
+                       + 0.375 * eps2 * eps2 * eta * (3.0 * b + eta * b_eta))
+        g_dot = (-3.0 * n * eps2 * (4.0 - 5.0 * s2)
+                 - 0.375 * n * eps2 * eps2 * (-7.0 * b + eta * b_eta + 2.0 * c2 * b_s2))
+        h_dot = n * c * (6.0 * eps2 + 0.75 * eps2 * eps2 * b_s2)
+    else:
+        ell_dot, g_dot, h_dot = n, 0.0, 0.0
+    # checked inline, with builtins: a helper would add a Python call to the
+    # single-state path
+    rate = max(abs(ell_dot), abs(g_dot), abs(h_dot))
+    if rate * span >= MAX_ADVANCE:
+        raise _advance_error(rate, "|t - t0|", span)
     return ell_dot, g_dot, h_dot
+
+
+def _advance_error(rate: float, name: str, span: float) -> ZonalPropError:
+    return ZonalPropError(f"mean angle advance {rate * span:.6g} rad ({rate:.6g} rad/s over "
+                          f"{name} = {span:.6g} s) is not below 2**52 rad: the angle would "
+                          "keep no digits")
 
 
 def propagate_mean(d: DelaunayState, rates: SecularRates, dt: float) -> DelaunayState:
     """Advance the mean angles by rate*dt (mod 2 pi); actions unchanged.
 
-    Raises ZonalPropError, naming it, when dt or a rate is not finite.
+    Raises ZonalPropError, naming it, when dt or a rate is not finite, or
+    when some rate times |dt| reaches MAX_ADVANCE.
     """
     check_finite("propagate_mean:", ("dt", "rates.ell_dot", "rates.g_dot", "rates.h_dot"),
                  (dt, rates.ell_dot, rates.g_dot, rates.h_dot))
+    rate = max(abs(rates.ell_dot), abs(rates.g_dot), abs(rates.h_dot))
+    if rate * abs(dt) >= MAX_ADVANCE:
+        raise _advance_error(rate, "|dt|", abs(dt))
     ell, g, h = _kernels.mean_angles(d.ell, d.g, d.h,
                                      rates.ell_dot, rates.g_dot, rates.h_dot, dt)
     return DelaunayState(ell=ell, g=g, h=h, L=d.L, G=d.G, H=d.H)

@@ -152,6 +152,26 @@ def test_kepler_sin_budget_at_high_eccentricity(monkeypatch):
     assert calls["sin"] <= 15
 
 
+def test_kepler_calls_libm_once_per_step(monkeypatch):
+    """At e = 0.7281 (the benchmark's eccentric orbit): no cosine, the start
+    and one sine per step.  Newton took 7 sines and 5 cosines here."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapped(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapped
+
+    for name in ("sin", "cos"):
+        monkeypatch.setattr(_kernels._NUMPY, name, counted(name, getattr(np, name)))
+    ell = np.linspace(-math.pi, math.pi, 240001)
+    u = _kernels.kepler_u(ell, 0.7281)
+    assert np.max(np.abs(u - 0.7281 * np.sin(u) - _kernels.wrap_pi(ell))) < _kernels.KEPLER_TOL
+    assert calls["cos"] == 0
+    assert calls["sin"] <= 5
+
+
 def test_every_formulation():
     """The pipeline has one formulation, the default configuration's."""
     cart = _cart(7400.0, 0.2, 45.0, 70.0, 50.0, 80.0)
@@ -191,7 +211,7 @@ def test_grid_order_independence_across_blocks():
 
 
 #: grid sizes on both sides of the float/array switch and of the block counts
-STREAM_SIZES = (1, 31, 32, 33, 4097, 6143, 6144, 8193)
+STREAM_SIZES = (1, 31, 32, 33, 4097, 6143, 6144, 8193, 12287, 12288)
 
 
 @pytest.mark.parametrize("n", STREAM_SIZES)
@@ -220,8 +240,8 @@ def test_blocks_check_when_called(cart, ts):
         ephemeris_blocks(cart, 0.0, ts, EARTH)
 
 
-@pytest.mark.parametrize("n, blocks", [(_kernels.ARRAY_MIN_EPOCHS, 1), (6143, 1), (6145, 2),
-                                       (17281, 4), (86401, 21)])
+@pytest.mark.parametrize("n, blocks", [(_kernels.ARRAY_MIN_EPOCHS, 1), (6143, 1), (12287, 1),
+                                       (12289, 2), (17281, 2), (86401, 11)])
 def test_block_count(n, blocks):
     assert len(_kernels.block_edges(n)) == blocks + 1
 
@@ -236,7 +256,7 @@ def test_blocks_are_near_equal_and_bounded():
 
 
 def test_dense_grid_budget(monkeypatch):
-    """One day at 5 s, the benchmark's dense grid: four balanced blocks, and
+    """One day at 5 s, the benchmark's dense grid: two balanced blocks, and
     the short-period stage takes eta and phi without the hypot and atan2 of
     the circular split."""
     calls = collections.Counter()
@@ -255,7 +275,7 @@ def test_dense_grid_budget(monkeypatch):
     assert ts.size == 17281
     out = ephemeris_array(LEO_STATE, 0.0, ts, EARTH)
     assert np.all(np.isfinite(out))
-    assert calls["blocks"] == 4
+    assert calls["blocks"] == 2
     assert calls["hypot"] == 0
     # one atan2 for f in delaunay_orbit, one for f - u in center_terms
     assert calls["atan2"] == 2 * calls["blocks"]

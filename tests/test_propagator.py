@@ -338,6 +338,32 @@ class TestEphemeris:
                     fn(start, -1e308, ts, EARTH)
             assert str(exc.value) == "time offset t - t0 overflows for t0 = -1e+308"
 
+    @pytest.mark.parametrize("n", [1, 40], ids=["float-path", "array-path"])
+    @pytest.mark.parametrize("secular", [True, False], ids=["secular", "keplerian"])
+    def test_advance_past_2_52_rad_raises(self, n, secular):
+        # past 2**52 rad a mean angle keeps no digits: the float path returned
+        # the t0 state at t = 1e300, and mean_elements_series rounding residue
+        from zonalprop.propagator import ephemeris_blocks, mean_elements_series
+        from zonalprop.secular import MAX_ADVANCE, mean_angle_rates
+        cart = CartesianState(7000.0, 0.0, 0.0, 0.0, 7.5, 1.0)
+        config = PropagatorConfig(secular=secular)
+        mean = osculating_to_mean(cart, EARTH, config)
+        d = mean.delaunay
+        rate = max(map(abs, mean_angle_rates(d.L, d.G, d.H, EARTH, secular)))
+        limit = MAX_ADVANCE / rate * (1.0 + 1e-15)  # a hair above: quotient rounding
+        for offset in (1e300, -1e300, limit, -limit):
+            ts = np.full(n, 5.0 + offset)
+            for fn, start in ((ephemeris_array, cart), (ephemeris_blocks, cart),
+                              (mean_elements_series, mean)):
+                with pytest.raises(ZonalPropError, match=r"advance .* is not below 2\*\*52 rad"):
+                    fn(start, 5.0, ts, EARTH, config)
+        # just below the limit, and a thousand years, still propagate
+        for offset in (0.999 * limit, 1000 * 365.25 * 86400.0):
+            ts = np.full(n, 5.0 - offset)
+            assert np.all(np.isfinite(ephemeris_array(cart, 5.0, ts, EARTH, config)))
+            assert np.all(np.abs(mean_elements_series(mean, 5.0, ts, EARTH, config)[:, :3])
+                          <= math.pi)
+
 
 class TestOneFormulation:
     """The full nonsingular forms hold at every inclination, the equator

@@ -9,7 +9,7 @@ import sympy
 
 from zonalprop import (EARTH, DelaunayState, ZonalPropError, mean_motion, orbital_period,
                        propagate_mean, secular_rates)
-from zonalprop.secular import mean_angle_rates, mean_hamiltonian
+from zonalprop.secular import MAX_ADVANCE, mean_angle_rates, mean_hamiltonian
 from exact_brackets import DPS
 
 MU = EARTH.mu
@@ -157,6 +157,19 @@ class TestPropagateMean:
         rates = replace(secular_rates(d.L, d.G, d.H, EARTH), g_dot=math.nan)
         with pytest.raises(ZonalPropError, match="rates.g_dot must be finite"):
             propagate_mean(d, rates, 60.0)
+
+    def test_advance_past_2_52_rad_rejected(self):
+        # from 2**52 rad on the reduced angle is rounding residue: dt = 1e308
+        # gave h = 1.9e286, outside (-pi, pi].  The limit itself is rejected
+        # (taken a hair above it, for the rounding of the quotient)
+        d = self._state()
+        rates = secular_rates(d.L, d.G, d.H, EARTH)
+        limit = MAX_ADVANCE / max(abs(rates.ell_dot), abs(rates.g_dot), abs(rates.h_dot))
+        for dt in (1e308, -1e308, 1e20, limit * (1.0 + 1e-15), -limit * (1.0 + 1e-15)):
+            with pytest.raises(ZonalPropError, match=r"over \|dt\| = .* is not below 2\*\*52"):
+                propagate_mean(d, rates, dt)
+        out = propagate_mean(d, rates, 0.999 * limit)
+        assert max(abs(out.ell), abs(out.g), abs(out.h)) <= math.pi
 
     def test_hamiltonian_conserved_along_mean_flow(self):
         d = self._state()
