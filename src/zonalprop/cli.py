@@ -1,10 +1,12 @@
 """Command-line interface: ephemeris generation, analytic-vs-numerical
 comparison reports, and the correction-evaluation benchmark.
 
-Configuration comes from an INI file (key = value sections); any flag given
-on the command line overrides the file value.  Exit status is 0 on success,
-2 when the critical-inclination guard rejects the orbit, 1 on other errors,
-usage errors and unknown configuration sections or keys included.
+Configuration comes from an INI file (key = value sections) that any
+subcommand reads whole; each subcommand takes the flags of the settings it
+reads (``CONFIG_KEYS``), and a flag overrides the file value.  Exit status
+is 0 on success, 2 when the critical-inclination guard rejects the orbit, 1
+on other errors, usage errors (a flag the subcommand does not read
+included) and unknown configuration sections or keys included.
 """
 
 import argparse
@@ -14,7 +16,7 @@ import sys
 
 import numpy as np
 
-from ._kernels import EPOCH_BLOCK
+from ._kernels import block_edges
 from .errors import ConfigError, CriticalInclinationError, ZonalPropError
 from .gravity import EARTH, GravityField
 from .longperiod import CRITICAL_TOL
@@ -32,16 +34,42 @@ MODELS = ("two-body", "j2", "j2j3")
 #: over several runs.
 MAX_GRID_EPOCHS = 10_000_000
 
-#: the sections and keys the INI file may hold; any other is rejected, so a
-#: misspelt key fails instead of silently leaving its default in force
+#: the subcommands, and those of them that build a time grid
+_ALL = ("propagate", "compare", "benchmark")
+_GRID = ("propagate", "compare")
+
+
+def _read_by(default, commands=_ALL):
+    """{subcommand: default} for a setting the subcommands read."""
+    return dict.fromkeys(commands, default)
+
+
+#: every setting, the one list of them: (section, key) -> (cast, {subcommand
+#: that reads it: its default}).  The INI file may hold any of these keys,
+#: whatever the subcommand, and no other, so a misspelt key fails instead of
+#: silently leaving its default in force.  Each subcommand takes the flag
+#: ``--key`` of each setting it reads, and only those.  A cast that is a
+#: tuple lists the values allowed
 CONFIG_KEYS = {
-    "gravity": ("mu", "alpha", "c20", "c30"),
-    "state": ("x", "y", "z", "vx", "vy", "vz", "epoch"),
-    "run": ("duration", "step", "model", "short-period", "long-period", "secular",
-            "critical-tol", "integrator-tol"),
-    "compare": ("j2-multipliers",),
-    "benchmark": ("iterations",),
-    "output": ("ephemeris", "report", "mean-elements"),
+    ("gravity", "mu"): (float, _read_by(EARTH.mu)),
+    ("gravity", "alpha"): (float, _read_by(EARTH.alpha)),
+    ("gravity", "c20"): (float, _read_by(EARTH.c20)),
+    ("gravity", "c30"): (float, _read_by(EARTH.c30)),
+    **{("state", key): (float, _read_by(None)) for key in ("x", "y", "z", "vx", "vy", "vz")},
+    ("state", "epoch"): (float, _read_by(0.0, _GRID)),
+    ("run", "duration"): (float, _read_by(0.0, _GRID)),
+    ("run", "step"): (float, _read_by(60.0, _GRID)),
+    ("run", "model"): (MODELS, _read_by("j2j3")),
+    ("run", "short-period"): (bool, _read_by(True)),
+    ("run", "long-period"): (bool, _read_by(True)),
+    ("run", "secular"): (bool, _read_by(True)),
+    ("run", "critical-tol"): (float, _read_by(CRITICAL_TOL)),
+    ("run", "integrator-tol"): (float, _read_by(1e-12, ("compare",))),
+    ("compare", "j2-multipliers"): (str, _read_by("1,0.5,0.25,0.125", ("compare",))),
+    ("benchmark", "iterations"): (int, _read_by(2000, ("benchmark",))),
+    ("output", "ephemeris"): (str, _read_by("ephemeris.csv", ("propagate",))),
+    ("output", "report"): (str, {"compare": "compare.txt", "benchmark": "benchmark.txt"}),
+    ("output", "mean-elements"): (str, _read_by(None, ("propagate",))),
 }
 
 
@@ -64,70 +92,65 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
         if not read:
             raise ConfigError(f"cannot read config file {path!r}")
     # a non-empty [DEFAULT] is checked first: its keys show up in every section
+    sections = dict.fromkeys(section for section, _ in CONFIG_KEYS)
     for section in ([cp.default_section] if cp.defaults() else []) + cp.sections():
-        if section not in CONFIG_KEYS:
+        if section not in sections:
             raise ConfigError(f"{path}: unknown section [{section}]; "
-                              f"expected one of {', '.join(CONFIG_KEYS)}")
-        unknown = [key for key in cp[section] if key not in CONFIG_KEYS[section]]
+                              f"expected one of {', '.join(sections)}")
+        keys = [key for s, key in CONFIG_KEYS if s == section]
+        unknown = [key for key in cp[section] if key not in keys]
         if unknown:
             raise ConfigError(f"{path}: unknown key(s) {', '.join(unknown)} in "
-                              f"[{section}]; expected {', '.join(CONFIG_KEYS[section])}")
+                              f"[{section}]; expected {', '.join(keys)}")
     return cp
 
 
-def _get(cp, section, key, override, default=None, cast=float):
+def _get(cp, section, key, override, default, cast):
     if override is not None:
         return override
-    if cp.has_option(section, key):
-        raw = cp.get(section, key).strip()
-        if raw == "":
-            return default
-        if cast is bool:
-            states = configparser.ConfigParser.BOOLEAN_STATES
-            if raw.lower() not in states:
-                raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean; "
-                                  f"use one of {', '.join(states)}")
-            return states[raw.lower()]
-        try:
-            return cast(raw)
-        except ValueError:
-            kind = "an integer" if cast is int else "a number"
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not {kind}") from None
-    return default
+    raw = cp.get(section, key, fallback="").strip()
+    if raw == "":
+        return default
+    if cast is bool:
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        if raw.lower() not in states:
+            raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean; "
+                              f"use one of {', '.join(states)}")
+        return states[raw.lower()]
+    if isinstance(cast, tuple):
+        if raw not in cast:
+            raise ConfigError(f"{key} must be one of {cast}, got {raw!r}")
+        return raw
+    try:
+        return cast(raw)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not {kind}") from None
 
 
-def _build_field(cp, args) -> GravityField:
-    mu = _get(cp, "gravity", "mu", args.mu, EARTH.mu)
-    alpha = _get(cp, "gravity", "alpha", args.alpha, EARTH.alpha)
-    c20 = _get(cp, "gravity", "c20", args.c20, EARTH.c20)
-    c30 = _get(cp, "gravity", "c30", args.c30, EARTH.c30)
-    return GravityField(mu=mu, alpha=alpha, c20=c20, c30=c30)
+def _settings(cp, args) -> argparse.Namespace:
+    """The settings ``args.command`` reads, by flag name (``short_period``):
+    the flag if it was given, else the INI value, else the default."""
+    values = {}
+    for (section, key), (cast, defaults) in CONFIG_KEYS.items():
+        if args.command in defaults:
+            name = key.replace("-", "_")
+            values[name] = _get(cp, section, key, getattr(args, name), defaults[args.command],
+                                cast)
+    return argparse.Namespace(**values)
 
 
-def _build_state(cp, args) -> CartesianState:
-    vals = {}
+def _orbit(s):
+    """The field restricted to the model, the initial state and the
+    propagator configuration of the settings ``s``."""
+    field = GravityField(mu=s.mu, alpha=s.alpha, c20=s.c20, c30=s.c30)
     for key in ("x", "y", "z", "vx", "vy", "vz"):
-        vals[key] = _get(cp, "state", key, getattr(args, key))
-        if vals[key] is None:
+        if getattr(s, key) is None:
             raise ConfigError(f"initial state component {key!r} is missing")
-    return CartesianState(**vals)
-
-
-def _build_run(cp, args):
-    epoch = _get(cp, "state", "epoch", args.epoch, 0.0)
-    duration = _get(cp, "run", "duration", args.duration, 0.0)
-    step = _get(cp, "run", "step", args.step, 60.0)
-    model = _get(cp, "run", "model", args.model, "j2j3", cast=str)
-    if model not in MODELS:
-        raise ConfigError(f"model must be one of {MODELS}, got {model!r}")
-    config = PropagatorConfig(
-        short_period=_get(cp, "run", "short-period", args.short_period, True, cast=bool),
-        long_period=_get(cp, "run", "long-period", args.long_period, True, cast=bool),
-        secular=_get(cp, "run", "secular", args.secular, True, cast=bool),
-        critical_tol=_get(cp, "run", "critical-tol", args.critical_tol, CRITICAL_TOL),
-    )
-    tol = _get(cp, "run", "integrator-tol", args.integrator_tol, 1e-12)
-    return epoch, duration, step, model, config, tol
+    state = CartesianState(s.x, s.y, s.z, s.vx, s.vy, s.vz)
+    config = PropagatorConfig(short_period=s.short_period, long_period=s.long_period,
+                              secular=s.secular, critical_tol=s.critical_tol)
+    return field.restricted(s.model), state, config
 
 
 def _time_grid(epoch: float, duration: float, step: float) -> np.ndarray:
@@ -362,23 +385,19 @@ def _write_ephemeris(path: str, blocks, header: str = "t,x,y,z,X,Y,Z") -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_propagate(cp, args) -> int:
-    field = _build_field(cp, args)
-    state = _build_state(cp, args)
-    epoch, duration, step, model, config, _ = _build_run(cp, args)
-    field = field.restricted(model)
-    ts = _time_grid(epoch, duration, step)
+def _cmd_propagate(s) -> int:
+    field, state, config = _orbit(s)
+    ts = _time_grid(s.epoch, s.duration, s.step)
     # every check runs here, before a file is created
-    states = ephemeris_blocks(state, epoch, ts, field, config)
-    out = _get(cp, "output", "ephemeris", args.ephemeris, "ephemeris.csv", cast=str)
-    _write_ephemeris(out, states)
-    mean_path = _get(cp, "output", "mean-elements", args.mean_elements, None, cast=str)
-    if mean_path:
+    _write_ephemeris(s.ephemeris, ephemeris_blocks(state, s.epoch, ts, field, config))
+    if s.mean_elements:
         mean = osculating_to_mean(state, field, config)
-        grid = (ts[i:i + EPOCH_BLOCK] for i in range(0, len(ts), EPOCH_BLOCK))
-        _write_ephemeris(mean_path, ((t, mean_elements_series(mean, epoch, t, field, config))
-                                     for t in grid), header="t,ell,g,h,L,G,H")
-    print(f"wrote {len(ts)} ephemeris rows to {out}")
+        edges = block_edges(len(ts))
+        grid = (ts[lo:hi] for lo, hi in zip(edges[:-1], edges[1:]))
+        _write_ephemeris(s.mean_elements,
+                         ((t, mean_elements_series(mean, s.epoch, t, field, config))
+                          for t in grid), header="t,ell,g,h,L,G,H")
+    print(f"wrote {len(ts)} ephemeris rows to {s.ephemeris}")
     return 0
 
 
@@ -402,17 +421,13 @@ def _slope_table(state, epoch, field, config, tol, multipliers):
     return rows, slope
 
 
-def _cmd_compare(cp, args) -> int:
+def _cmd_compare(s) -> int:
     # the reference integrator needs SciPy: imported here so that the other
     # subcommands start without it
     from .oracle import integrate_grid
-    field = _build_field(cp, args)
-    state = _build_state(cp, args)
-    epoch, duration, step, model, config, tol = _build_run(cp, args)
-    field = field.restricted(model)
-    ts = _time_grid(epoch, duration, step)
-    raw = _get(cp, "compare", "j2-multipliers", args.j2_multipliers,
-               "1,0.5,0.25,0.125", cast=str)
+    field, state, config = _orbit(s)
+    epoch, tol, raw = s.epoch, s.integrator_tol, s.j2_multipliers
+    ts = _time_grid(epoch, s.duration, s.step)
     try:
         multipliers = [float(v) for v in raw.split(",") if v.strip()]
     except ValueError:
@@ -428,10 +443,9 @@ def _cmd_compare(cp, args) -> int:
     slope_rows, slope = (_slope_table(state, epoch, field, config, tol, multipliers)
                          if field.c20 else ((), None))
 
-    out = _get(cp, "output", "report", args.report, "compare.txt", cast=str)
-    with open(out, "w") as fh:
+    with open(s.report, "w") as fh:
         fh.write("# analytic vs numerical comparison\n")
-        fh.write(f"model = {model}\n")
+        fh.write(f"model = {s.model}\n")
         fh.write(f"integrator_tol = {_fmt(tol)}\n")
         fh.write("columns: t position_error velocity_error\n")
         _write_table(fh, (ts, pos_err, vel_err), " ")
@@ -447,60 +461,37 @@ def _cmd_compare(cp, args) -> int:
             _write_table(fh, (np.array(slope_rows),), " ")
             fh.write(f"slope = {slope:.3f}\n")
     scaling = "" if slope is None else f" (scaling slope {slope:.3f})"
-    print(f"wrote comparison report to {out}{scaling}")
+    print(f"wrote comparison report to {s.report}{scaling}")
     return 0
 
 
-def _cmd_benchmark(cp, args) -> int:
+def _cmd_benchmark(s) -> int:
     # only this subcommand runs the benchmark: imported here so that the
     # others start without it
     from .benchmark import format_report, run_benchmark
-    field = _build_field(cp, args)
-    state = _build_state(cp, args)
-    epoch, duration, step, model, config, _ = _build_run(cp, args)
-    field = field.restricted(model)
-    iterations = _get(cp, "benchmark", "iterations", args.iterations, 2000, cast=int)
-    if iterations < 0:
-        raise ConfigError(f"[benchmark] iterations must be >= 0, got {iterations}")
+    field, state, config = _orbit(s)
+    if s.iterations < 0:
+        raise ConfigError(f"[benchmark] iterations must be >= 0, got {s.iterations}")
     mean = osculating_to_mean(state, field, config)
-    report = run_benchmark(mean.delaunay, field, iterations)
+    report = run_benchmark(mean.delaunay, field, s.iterations)
     text = format_report(report)
-    out = _get(cp, "output", "report", args.report, "benchmark.txt", cast=str)
-    with open(out, "w") as fh:
+    with open(s.report, "w") as fh:
         fh.write(text)
     print(text, end="")
     return 0
 
 
+#: each subcommand: the function that runs it and its help line
+_COMMANDS = {
+    "propagate": (_cmd_propagate, "write an analytic ephemeris"),
+    "compare": (_cmd_compare, "compare against the numerical integrator"),
+    "benchmark": (_cmd_benchmark, "correction-evaluation benchmark"),
+}
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="INI configuration file")
-    g = p.add_argument_group("gravity")
-    g.add_argument("--mu", type=float)
-    g.add_argument("--alpha", type=float)
-    g.add_argument("--c20", type=float)
-    g.add_argument("--c30", type=float)
-    s = p.add_argument_group("initial state (km, km/s)")
-    for key in ("x", "y", "z", "vx", "vy", "vz"):
-        s.add_argument(f"--{key}", type=float)
-    s.add_argument("--epoch", type=float)
-    r = p.add_argument_group("run")
-    r.add_argument("--duration", type=float)
-    r.add_argument("--step", type=float)
-    r.add_argument("--model", choices=MODELS)
-    r.add_argument("--short-period", action=argparse.BooleanOptionalAction, default=None)
-    r.add_argument("--long-period", action=argparse.BooleanOptionalAction, default=None)
-    r.add_argument("--secular", action=argparse.BooleanOptionalAction, default=None)
-    r.add_argument("--critical-tol", type=float)
-    r.add_argument("--integrator-tol", type=float)
-    o = p.add_argument_group("output")
-    o.add_argument("--ephemeris")
-    o.add_argument("--report")
-    o.add_argument("--mean-elements")
-
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit with status 1: status 2 means the critical-inclination
@@ -517,28 +508,31 @@ def _parser() -> argparse.ArgumentParser:
         description="Analytic J2+J3 zonal propagation with nonsingular "
                     "periodic corrections")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, help_text in (("propagate", "write an analytic ephemeris"),
-                            ("compare", "compare against the numerical integrator"),
-                            ("benchmark", "correction-evaluation benchmark")):
-        sp = sub.add_parser(name, help=help_text)
-        _add_common(sp)
-        if name == "compare":
-            sp.add_argument("--j2-multipliers",
-                            help="comma-separated inflation factors for the slope table")
-        if name == "benchmark":
-            sp.add_argument("--iterations", type=int)
+    for name, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text, description=(
+            "Each flag overrides the INI key of the same name.  Positions in km, "
+            "velocities in km/s, times in s."))
+        sp.add_argument("--config", help="INI configuration file")
+        groups = {}
+        for (section, key), (cast, defaults) in CONFIG_KEYS.items():
+            if name not in defaults:
+                continue
+            if section not in groups:
+                groups[section] = sp.add_argument_group(f"[{section}]")
+            if cast is bool:
+                groups[section].add_argument(f"--{key}", action=argparse.BooleanOptionalAction)
+            elif isinstance(cast, tuple):
+                groups[section].add_argument(f"--{key}", choices=cast)
+            else:
+                groups[section].add_argument(f"--{key}", type=cast)
     return p
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    command = _COMMANDS[args.command][0]
     try:
-        cp = _read_config(args.config)
-        if args.command == "propagate":
-            return _cmd_propagate(cp, args)
-        if args.command == "compare":
-            return _cmd_compare(cp, args)
-        return _cmd_benchmark(cp, args)
+        return command(_settings(_read_config(args.config), args))
     except CriticalInclinationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
