@@ -21,10 +21,15 @@ brackets in closed form: the Poisson brackets of ``reference.v1`` and
 ``reference.y1`` over the polar-nodal pairs, carried into the nonsingular
 set by the chain rule.  The tests take those brackets exactly, on symbols,
 and run these kernels on mpmath numbers (rebinding ``sqrt`` and ``atan2``
-here) to compare them at 50 digits.  The pipeline
-(``reconstruct_and_correct``) evaluates only the full nonsingular forms;
-the low-inclination kernels are kept as references the tests compare them
-against (through ``reference``).
+here) to compare them at 50 digits.
+
+The module holds the pipeline, which evaluates only the full nonsingular
+forms, and nothing else: every function here runs when a state is
+converted or propagated (``tests/test_kernels_scope.py``), except the
+low-inclination kernels ``short_ns_low`` and ``long_ns_low``.  The tests
+compare the full forms with them through ``reference``; they stay here only
+because the benchmark's layer trace (``perfbench/layers.py``) names them.
+The classical Delaunay series live in ``benchmark``.
 
 The Kepler solver is one Halley loop for every e < 1: it runs on |ell|,
 where Kepler's function is increasing and convex, with each update clamped
@@ -513,18 +518,18 @@ def cart_to_ns(x, y, z, vx, vy, vz):
 # mean-to-osculating pipeline
 # ---------------------------------------------------------------------------
 
-def reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
-                            with_long, with_short):
+def reconstruct_and_correct(ell, g, h, L, G, H, mu, alpha, c20, c30, with_long, with_short):
     """Mean Delaunay elements -> osculating Cartesian state.
 
     Kepler solve, direct long-period correction at the double-prime state,
     direct short-period correction at the prime state, both in the full
-    nonsingular forms, then the rotation-free Cartesian map.  ``retro``
-    selects the psi* chart (it matches sign(H)).  The angles (ell, g, h) may
-    be arrays over epochs of one mean trajectory; everything computed from
-    (L, G, H) alone stays a scalar.
+    nonsingular forms, then the rotation-free Cartesian map, in the psi*
+    chart when H < 0.  The angles (ell, g, h) may be arrays over epochs of
+    one mean trajectory; everything computed from (L, G, H) alone stays a
+    scalar.
     """
     m = _NUMPY if type(ell) is ndarray else _MATH
+    retro = H < 0.0
     r, R, f = delaunay_orbit(ell, L, G, mu)
     theta = f + g
     psi = theta - h if retro else theta + h
@@ -563,7 +568,7 @@ def block_edges(n):
     return [n * i // k for i in range(k + 1)]
 
 
-def ephemeris_batch(ts, t0, ell0, g0, h0, L, G, H, ldot, gdot, hdot, retro,
+def ephemeris_batch(ts, t0, ell0, g0, h0, L, G, H, ldot, gdot, hdot,
                     mu, alpha, c20, c30, with_long, with_short, out):
     """Fill ``out[i, :]`` with the osculating Cartesian state at ``ts[i]``.
 
@@ -575,129 +580,16 @@ def ephemeris_batch(ts, t0, ell0, g0, h0, L, G, H, ldot, gdot, hdot, retro,
     if n < ARRAY_MIN_EPOCHS:
         for i, t in enumerate(ts.tolist()):
             ell, g, h = mean_angles(ell0, g0, h0, ldot, gdot, hdot, t - t0)
-            out[i] = reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
+            out[i] = reconstruct_and_correct(ell, g, h, L, G, H, mu, alpha, c20, c30,
                                              with_long, with_short)
         return out
     edges = block_edges(n)
     for lo, hi in zip(edges[:-1], edges[1:]):
         rows = slice(lo, hi)
         ell, g, h = mean_angles(ell0, g0, h0, ldot, gdot, hdot, ts[rows] - t0)
-        state = reconstruct_and_correct(ell, g, h, L, G, H, retro, mu, alpha, c20, c30,
+        state = reconstruct_and_correct(ell, g, h, L, G, H, mu, alpha, c20, c30,
                                         with_long, with_short)
         for k in range(6):
             out[rows, k] = state[k]
         del state  # before the next block allocates its own
     return out
-
-
-# ---------------------------------------------------------------------------
-# classic Delaunay-variable correction series (benchmark / oracle baseline)
-# ---------------------------------------------------------------------------
-
-def delaunay_short_series(ell, g, L, G, H, mu, alpha, c20):
-    """First-order short-period corrections to the Delaunay elements.
-
-    The classical trigonometric-series form with arguments k*f + 2*m*g
-    (k = 0..5, m = -1, 0, 1) plus equation-of-center terms.  Singular for
-    e -> 0 (the 1/e coefficients), which is the known limitation of this
-    formulation.
-    """
-    eta = G / L
-    e2 = 1.0 - eta * eta
-    e = sqrt(e2) if e2 > 0.0 else 0.0
-    c = H / G
-    c2 = c * c
-    s2 = 1.0 - c2
-    _, eps2, _ = small_params(G, mu, alpha, c20)
-    u = kepler_u(ell, e)
-    f = 2.0 * atan2(sqrt(1.0 + e) * sin(0.5 * u), sqrt(1.0 - e) * cos(0.5 * u))
-    phi = (f - u) + e * sin(u)
-    sf = sin(f)
-    s2f = sin(2.0 * f)
-    s3f = sin(3.0 * f)
-    s2g = sin(2.0 * g)
-    sfm = sin(f - 2.0 * g)
-    sf1 = sin(f + 2.0 * g)
-    sf2 = sin(2.0 * f + 2.0 * g)
-    sf3 = sin(3.0 * f + 2.0 * g)
-    sf4 = sin(4.0 * f + 2.0 * g)
-    sf5 = sin(5.0 * f + 2.0 * g)
-    cf = cos(f)
-    c2f = cos(2.0 * f)
-    c3f = cos(3.0 * f)
-    c2g = cos(2.0 * g)
-    cfm = cos(f - 2.0 * g)
-    cf1 = cos(f + 2.0 * g)
-    cf2 = cos(2.0 * f + 2.0 * g)
-    cf3 = cos(3.0 * f + 2.0 * g)
-    cf4 = cos(4.0 * f + 2.0 * g)
-    cf5 = cos(5.0 * f + 2.0 * g)
-    tc = 3.0 * c2 - 1.0
-    eta2 = eta * eta
-    dl = eps2 * eta * (
-        tc * (e2 + 4.0 * eta2 + 8.0) / (4.0 * e) * sf
-        + 1.5 * tc * s2f
-        + 0.25 * e * tc * s3f
-        - 2.25 * s2 * s2g
-        + 0.375 * e * s2 * sfm
-        - s2 * (e2 - 4.0 * eta2 + 8.0) / (8.0 * e) * 3.0 * sf1
-        + s2 * (3.0 * e2 + 4.0 * eta2 + 24.0) / (8.0 * e) * sf3
-        + 2.25 * s2 * sf4
-        + 0.375 * e * s2 * sf5)
-    dg = eps2 * (
-        3.0 * (1.0 - 5.0 * c2) * phi
-        - (63.0 * c2 * e2 + 12.0 * c2 * eta2 + 24.0 * c2
-           - 13.0 * e2 - 4.0 * eta2 - 8.0) / (4.0 * e) * sf
-        - 1.5 * tc * s2f
-        - 0.25 * e * tc * s3f
-        + 2.25 * s2 * s2g
-        - 0.375 * e * s2 * sfm
-        + 3.0 * (19.0 * c2 * e2 + 4.0 * c2 * eta2 - 8.0 * c2
-                 - 11.0 * e2 - 4.0 * eta2 + 8.0) / (8.0 * e) * sf1
-        + 1.5 * (5.0 * c2 - 3.0) * sf2
-        + (23.0 * c2 * e2 + 4.0 * c2 * eta2 + 24.0 * c2
-           - 15.0 * e2 - 4.0 * eta2 - 24.0) / (8.0 * e) * sf3
-        - 2.25 * s2 * sf4
-        - 0.375 * e * s2 * sf5)
-    dh = eps2 * c * (6.0 * phi + 6.0 * e * sf - 3.0 * e * sf1 - 3.0 * sf2 - e * sf3)
-    dLL = G * eps2 / (2.0 * eta * eta2) * (
-        (-9.0 * c2 * e2 - 6.0 * c2 + 3.0 * e2 + eta * eta2 * (6.0 * c2 - 2.0) + 2.0)
-        - 1.5 * e * tc * (e2 + 4.0) * cf
-        - 3.0 * e2 * tc * c2f
-        - 0.5 * e * e2 * tc * c3f
-        - 4.5 * e2 * s2 * c2g
-        - 0.75 * e * e2 * s2 * cfm
-        - 2.25 * e * s2 * (e2 + 4.0) * cf1
-        - 3.0 * s2 * (3.0 * e2 + 2.0) * cf2
-        - 2.25 * e * s2 * (e2 + 4.0) * cf3
-        - 4.5 * e2 * s2 * cf4
-        - 0.75 * e * e2 * s2 * cf5)
-    dGG = -G * eps2 * s2 * (3.0 * e * cf1 + 3.0 * cf2 + e * cf3)
-    return dl, dg, dh, dLL, dGG, 0.0
-
-
-def delaunay_long_series(g, L, G, H, mu, alpha, c20, c30):
-    """First-order long-period corrections to the Delaunay elements."""
-    eta = G / L
-    e2 = 1.0 - eta * eta
-    e = sqrt(e2) if e2 > 0.0 else 0.0
-    c = H / G
-    c2 = c * c
-    s2 = 1.0 - c2
-    s = sqrt(s2)
-    _, eps2, eps3 = small_params(G, mu, alpha, c20, c30)
-    gc = 1.0 - 5.0 * c2
-    w = (1.0 - 15.0 * c2) / gc
-    _, q1, _, _, _, q6 = q_polynomials(c)[:6]
-    qg = 375.0 * c2 * c2 * c2 - 345.0 * c2 * c2 + 85.0 * c2 - 3.0
-    sg = sin(g)
-    cg = cos(g)
-    s2g = sin(2.0 * g)
-    c2g = cos(2.0 * g)
-    eta2 = eta * eta
-    dl = eta * eta2 * (-0.25 * eps2 * w * s2 * s2g + eps3 * s * cg / e)
-    dg = (-eps2 * (4.0 * q1 * eta2 + qg) * s2g / (8.0 * gc * gc)
-          + eps3 * ((2.0 * c2 - 1.0) * e2 - eta2 * s2) * cg / (e * s))
-    dh = eps2 * q6 * e2 * s2g / (4.0 * gc * gc) - eps3 * (c / s) * e * cg
-    dGG = G * (0.25 * eps2 * w * s2 * e2 * c2g + eps3 * s * e * sg)
-    return dl, dg, dh, 0.0, dGG, 0.0

@@ -512,6 +512,7 @@ def _parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text, description=(
             "Each flag overrides the INI key of the same name.  Positions in km, "
             "velocities in km/s, times in s."))
+        sp.set_defaults(parser=sp)
         sp.add_argument("--config", help="INI configuration file")
         groups = {}
         for (section, key), (cast, defaults) in CONFIG_KEYS.items():
@@ -529,7 +530,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args, extra = _parser().parse_known_args(argv)
+    if extra:
+        # reported by the subcommand, whose usage lists the flags it takes
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     command = _COMMANDS[args.command][0]
     try:
         return command(_settings(_read_config(args.config), args))

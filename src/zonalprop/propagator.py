@@ -109,13 +109,11 @@ def _mean_state(cart: CartesianState, field: GravityField, config: PropagatorCon
 def mean_to_osculating(d: DelaunayState, field: GravityField,
                        config: PropagatorConfig = DEFAULT_CONFIG) -> CartesianState:
     """Rebuild the osculating Cartesian state from double-prime elements."""
-    retro = d.H < 0.0
     check_small_params(d.G, field)
     if config.long_period:
         critical_inclination_guard(abs(d.H / d.G), config.critical_tol)
     out = _kernels.reconstruct_and_correct(
-        d.ell, d.g, d.h, d.L, d.G, d.H, retro,
-        field.mu, field.alpha, field.c20, field.c30,
+        d.ell, d.g, d.h, d.L, d.G, d.H, field.mu, field.alpha, field.c20, field.c30,
         config.long_period, config.short_period)
     return CartesianState(*out)
 
@@ -157,9 +155,9 @@ def _batch_args(cart0: CartesianState, t0: float, ts, field: GravityField,
     """The checked grid and the arguments of ``_kernels.ephemeris_batch``
     between t0 and out: every check of an ephemeris request runs here."""
     ts, span = _checked_grid(t0, ts)
-    ell, g, h, L, G, H, retro, _ = _mean_state(cart0, field, config)
+    ell, g, h, L, G, H, _, _ = _mean_state(cart0, field, config)
     ldot, gdot, hdot = mean_angle_rates(L, G, H, field, config.secular, span)
-    return ts, (ell, g, h, L, G, H, ldot, gdot, hdot, retro,
+    return ts, (ell, g, h, L, G, H, ldot, gdot, hdot,
                 field.mu, field.alpha, field.c20, field.c30,
                 config.long_period, config.short_period)
 

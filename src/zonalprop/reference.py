@@ -17,8 +17,10 @@ forms against them:
   by exact differentiation and compare the kernels with them at 50 digits;
 * the full nonsingular and O(sin^2 I) low-inclination per-stage deltas;
 * the classical Delaunay-element series: the first-order corrections as
-  trigonometric series in k*f + 2*m*g, singular for circular orbits, which
-  the benchmark counts against the nonsingular pass.
+  trigonometric series in k*f + 2*m*g, singular for circular orbits.  They
+  are defined in ``benchmark``, which counts them against the nonsingular
+  pass; the shells here unpack the states, and the long-period one checks
+  the guard.
 
 Each ``*_corrections_*`` function returns the kernel's 6-tuple of deltas
 (dpsi, dxi, dchi, dr, dR, dTheta); N is carried unchanged.  The deltas are
@@ -29,6 +31,7 @@ added at the mean state (direct map) or subtracted at the osculating state
 from math import cos, sin, sqrt
 
 from . import _kernels
+from .benchmark import delaunay_long_series, delaunay_short_series
 from .gravity import GravityField, check_small_params
 from .longperiod import critical_inclination_guard
 from .states import DelaunayState, NonsingularState, PolarNodalState, elliptic_projections
@@ -140,15 +143,14 @@ def long_corrections_low_inclination(ns: NonsingularState, field: GravityField) 
 
 def delaunay_short_period(d: DelaunayState, field: GravityField) -> tuple:
     """Short-period deltas (dl, dg, dh, dL, dG, dH) on the Delaunay elements."""
-    return _kernels.delaunay_short_series(d.ell, d.g, d.L, d.G, d.H,
-                                          field.mu, field.alpha, field.c20)
+    return delaunay_short_series(d.ell, d.g, d.L, d.G, d.H, field.mu, field.alpha, field.c20)
 
 
 def delaunay_long_period(d: DelaunayState, field: GravityField) -> tuple:
     """Long-period deltas (dl, dg, dh, 0, dG, 0) on the Delaunay elements."""
     critical_inclination_guard(d.H / d.G)
-    return _kernels.delaunay_long_series(d.g, d.L, d.G, d.H,
-                                         field.mu, field.alpha, field.c20, field.c30)
+    return delaunay_long_series(d.g, d.L, d.G, d.H,
+                                field.mu, field.alpha, field.c20, field.c30)
 
 
 def mean_to_osculating_delaunay(d: DelaunayState, field: GravityField) -> DelaunayState:

@@ -77,12 +77,10 @@ def loglog_slope(xs, ys) -> float:
 def _warm_kernels():
     """Evaluate the kernels once before any test, so first-call costs stay
     out of timed sections."""
-    from zonalprop import _kernels
+    from zonalprop.benchmark import delaunay_long_series, delaunay_short_series
     from zonalprop.propagator import ephemeris_array
     cart = elements_to_cartesian(7000.0, 0.05, math.radians(30.0), 0.3, 0.7, 1.1)
     ephemeris_array(cart, 0.0, np.array([0.0, 10.0]), EARTH)
-    _kernels.delaunay_short_series(0.3, 0.7, 52000.0, 51900.0, 45000.0,
-                                   MU, EARTH.alpha, EARTH.c20)
-    _kernels.delaunay_long_series(0.7, 52000.0, 51900.0, 45000.0,
-                                  MU, EARTH.alpha, EARTH.c20, EARTH.c30)
+    delaunay_short_series(0.3, 0.7, 52000.0, 51900.0, 45000.0, MU, EARTH.alpha, EARTH.c20)
+    delaunay_long_series(0.7, 52000.0, 51900.0, 45000.0, MU, EARTH.alpha, EARTH.c20, EARTH.c30)
     yield

@@ -88,7 +88,7 @@ def test_exact_mean_states_through_the_kernel(H_sign):
     ell = np.linspace(-math.pi, math.pi, 50)
     g = 0.3 + 0.01 * ell
     h = 1.1 - 0.02 * ell
-    args = (L, G, H, H < 0.0, EARTH.mu, EARTH.alpha, EARTH.c20, EARTH.c30, True, True)
+    args = (L, G, H, EARTH.mu, EARTH.alpha, EARTH.c20, EARTH.c30, True, True)
     batch = np.array(_kernels.reconstruct_and_correct(ell, g, h, *args)).T
     ref = np.array([_kernels.reconstruct_and_correct(a, b, c, *args)
                     for a, b, c in zip(ell.tolist(), g.tolist(), h.tolist())])

@@ -1,9 +1,18 @@
+import importlib.util
 import math
+from pathlib import Path
 
-from zonalprop import EARTH, DelaunayState
+import pytest
+
+from zonalprop import EARTH, CartesianState, DelaunayState, _kernels, benchmark, osculating_to_mean
 from zonalprop.benchmark import format_report, run_benchmark
 
 MU = EARTH.mu
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+#: the transcendental calls of one correction pass, as the paper counts them:
+#: (nonsingular trig, nonsingular sqrt, Delaunay-series trig, Delaunay-series sqrt)
+PASS_COUNTS = (1, 2, 32, 7)
 
 
 def _mean_state():
@@ -11,6 +20,20 @@ def _mean_state():
     L = math.sqrt(MU * a)
     G = L * math.sqrt(1.0 - e * e)
     return DelaunayState(ell=0.7, g=0.4, h=1.0, L=L, G=G, H=G * math.cos(inc))
+
+
+def leo_mean_state():
+    """The mean state of perfbench's LEO orbit, whose counts README quotes."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return osculating_to_mean(CartesianState(*workloads.LEO_STATE), EARTH).delaunay
+
+
+def pass_counts(d):
+    report = run_benchmark(d, EARTH, iterations=0)
+    return (report.nonsingular_trig, report.nonsingular_sqrt,
+            report.delaunay_trig, report.delaunay_sqrt)
 
 
 class TestBenchmark:
@@ -22,6 +45,25 @@ class TestBenchmark:
         assert r1.delaunay_trig == r2.delaunay_trig
         assert r1.nonsingular_sqrt == r2.nonsingular_sqrt
         assert r1.delaunay_sqrt == r2.delaunay_sqrt
+
+    @pytest.mark.parametrize("state", [_mean_state, leo_mean_state], ids=["e0.15", "leo"])
+    def test_pass_counts(self, state):
+        # a counter that missed the series' own math bindings would read the
+        # Delaunay pass as Kepler's calls alone
+        assert pass_counts(state()) == PASS_COUNTS
+
+    def test_counting_restores_the_math_bindings(self):
+        bound = {(m, name): getattr(m, name) for m in (_kernels, benchmark)
+                 for name in ("sin", "cos", "atan2", "sqrt")}
+
+        def fail():
+            _kernels.sin(0.0)
+            raise RuntimeError("inside the counted pass")
+
+        with pytest.raises(RuntimeError):
+            benchmark._count_calls(fail)
+        run_benchmark(_mean_state(), EARTH, iterations=0)
+        assert all(getattr(m, name) is fn for (m, name), fn in bound.items())
 
     def test_nonsingular_strictly_cheaper(self):
         report = run_benchmark(_mean_state(), EARTH, iterations=0)

@@ -497,7 +497,7 @@ class TestExitCodes:
         L = math.sqrt(mu * 7000.0)
         G = L * math.sqrt(1.0 - 0.05 ** 2)
         H = G * math.sqrt((1.0 - 8e-4) / 5.0)
-        state = _kernels.reconstruct_and_correct(0.0, 0.0, 0.0, L, G, H, False, mu,
+        state = _kernels.reconstruct_and_correct(0.0, 0.0, 0.0, L, G, H, mu,
                                                  EARTH.alpha, EARTH.c20, EARTH.c30,
                                                  False, True)
         cfg = _write_config(tmp_path / "run.ini")
@@ -524,7 +524,10 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", str(EXAMPLE_CONFIG), flag, value])
         assert exc.value.code == 1
-        assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the subcommand's own usage, which lists the flags it does take
+        assert err.startswith(f"usage: zonalprop {command} ")
+        assert f"zonalprop {command}: error: unrecognized arguments: {flag} " in err
         assert list(tmp_path.iterdir()) == []
 
     def test_one_config_with_every_key_runs_every_command(self, tmp_path, monkeypatch, capsys):

@@ -80,7 +80,7 @@ def _mean_critical_state():
     G = L * math.sqrt(1.0 - 0.05 ** 2)
     H = G * math.sqrt((1.0 - 8e-4) / 5.0)
     return CartesianState(*_kernels.reconstruct_and_correct(
-        0.0, 0.0, 0.0, L, G, H, False, EARTH.mu, EARTH.alpha, EARTH.c20, EARTH.c30,
+        0.0, 0.0, 0.0, L, G, H, EARTH.mu, EARTH.alpha, EARTH.c20, EARTH.c30,
         False, True))
 
 

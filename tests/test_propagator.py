@@ -117,7 +117,7 @@ class TestOsculatingToMean:
         G = L * math.sqrt(1.0 - 0.05 ** 2)
         H = -G * c if retro else G * c
         cart = CartesianState(*_kernels.reconstruct_and_correct(
-            *angles, L, G, H, retro, MU, EARTH.alpha, EARTH.c20, EARTH.c30, False, True))
+            *angles, L, G, H, MU, EARTH.alpha, EARTH.c20, EARTH.c30, False, True))
         osc_c = cartesian_to_nonsingular(cart).cos_inclination_abs
         assert abs(1.0 - 5.0 * osc_c * osc_c) >= 1e-3  # the osculating check passes
         with pytest.raises(CriticalInclinationError):

@@ -39,3 +39,14 @@ def test_block_numbers_match_the_kernels():
     assert counts, "the README's one-day block counts moved"
     assert [int(counts[1]), int(counts[2])] == [len(_kernels.block_edges(n)) - 1
                                                  for n in (17281, 86401)]
+
+
+def test_pass_counts_match_the_benchmark():
+    # the paper's claim as README states it, against what the benchmark counts
+    # at the LEO mean state README names
+    from test_benchmark import leo_mean_state, pass_counts
+    text = " ".join((ROOT / "README.md").read_text().split())
+    quoted = re.search(r"costs (\d+) trig and (\d+) sqrt calls, against (\d+) trig and "
+                       r"(\d+) sqrt for the classical Delaunay-series pass", text)
+    assert quoted, "the README's pass counts moved"
+    assert tuple(int(n) for n in quoted.groups()) == pass_counts(leo_mean_state())
