@@ -11,9 +11,8 @@ formulas themselves in ``_kernels``, the verification machinery in
 ``oracle`` and ``reference``.
 """
 
-from .errors import (ChartError, ConfigError, CriticalInclinationError,
-                     EquatorialDecompositionError, NonEllipticStateError,
-                     ZonalPropError)
+from .errors import (ConfigError, CriticalInclinationError, EquatorialDecompositionError,
+                     NonEllipticStateError, ZonalPropError)
 from .gravity import EARTH, GravityField
 from .longperiod import critical_inclination_guard
 from .propagator import (MeanElements, PropagatorConfig, ephemeris,
@@ -26,7 +25,7 @@ from .states import (CartesianState, DelaunayState, NonsingularState,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChartError", "ConfigError", "CriticalInclinationError",
+    "ConfigError", "CriticalInclinationError",
     "EquatorialDecompositionError", "NonEllipticStateError", "ZonalPropError",
     "EARTH", "GravityField",
     "CartesianState", "DelaunayState", "NonsingularState",

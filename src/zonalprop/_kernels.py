@@ -261,8 +261,8 @@ def anomaly_block(kappa, sigma):
 def short_ns(xi, chi, r, R, Theta, mu, alpha, c20):
     """Nonsingular short-period deltas (dpsi, dxi, dchi, dr, dR, dTheta).
 
-    c is recovered as +sqrt(1 - xi^2 - chi^2); in the retrograde chart the
-    state components are already the mirrored (|c|) ones.  eta and the
+    c is recovered as +sqrt(1 - xi^2 - chi^2); for N < 0 (the psi* chart)
+    the state components are already the mirrored (|c|) ones.  eta and the
     equation of the center phi come from ``center_terms``, which needs no
     circular split, so no other anomaly is computed.
     """
@@ -445,10 +445,11 @@ def rotation_factors(xi, chi, c):
     return 1.0 - xi * xi / opc, 1.0 - chi * chi / opc, xi * chi / opc
 
 
-def ns_to_cart(psi, xi, chi, r, R, Theta, N, retro):
+def ns_to_cart(psi, xi, chi, r, R, Theta, N):
     """Nonsingular state to Cartesian; c = N/Theta per the carried integral.
 
-    In the retrograde chart the rotation factors use |c| and the y components
+    The sign of N is the chart: psi = theta + nu for N >= 0, psi* = theta - nu
+    for N < 0.  The rotation factors use |c|, and for N < 0 the y components
     of the result change sign.  States coming out of the periodic corrections
     can sit off the xi^2 + chi^2 = 1 - c^2 shell by a second-order amount;
     (xi, chi) are projected back onto the shell of the carried N, and a
@@ -480,18 +481,18 @@ def ns_to_cart(psi, xi, chi, r, R, Theta, N, retro):
     vx = R * ux - w * nx
     vy = R * uy - w * ny
     vz = R * xi + w * chi
-    if retro:
+    if N < 0.0:
         y = -y
         vy = -vy
     return x, y, z, vx, vy, vz
 
 
 def cart_to_ns(x, y, z, vx, vy, vz):
-    """Cartesian to nonsingular; returns (psi, xi, chi, r, R, Theta, N, retro).
+    """Cartesian to nonsingular; returns (psi, xi, chi, r, R, Theta, N).
 
-    The chart is picked by the sign of N: prograde for N >= 0, otherwise the
-    retrograde (psi* = theta - nu) chart, realised by mirroring y.  Floats
-    only: the osculating-to-mean direction converts one state at a time.
+    The sign of N is the chart: psi = theta + nu for N >= 0, otherwise
+    psi* = theta - nu, realised by mirroring y.  Floats only: the
+    osculating-to-mean direction converts one state at a time.
     """
     r = sqrt(x * x + y * y + z * z)
     R = (x * vx + y * vy + z * vz) / r
@@ -501,8 +502,7 @@ def cart_to_ns(x, y, z, vx, vy, vz):
     Theta = sqrt(hx * hx + hy * hy + N * N)
     xi = z / r
     chi = (r * vz - z * R) / Theta
-    retro = N < 0.0
-    ym = -y if retro else y
+    ym = -y if N < 0.0 else y
     cabs = abs(N) / Theta
     if cabs > 1.0:
         cabs = 1.0
@@ -511,7 +511,7 @@ def cart_to_ns(x, y, z, vx, vy, vz):
     sp = (x * q + ym * t) / den
     cp = (x * t - ym * q) / den
     psi = atan2(sp, cp)
-    return psi, xi, chi, r, R, Theta, N, retro
+    return psi, xi, chi, r, R, Theta, N
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +529,9 @@ def reconstruct_and_correct(ell, g, h, L, G, H, mu, alpha, c20, c30, with_long, 
     scalar.
     """
     m = _NUMPY if type(ell) is ndarray else _MATH
-    retro = H < 0.0
     r, R, f = delaunay_orbit(ell, L, G, mu)
     theta = f + g
-    psi = theta - h if retro else theta + h
+    psi = theta - h if H < 0.0 else theta + h
     cth = H / G
     sm2 = 1.0 - cth * cth
     sm = m.sqrt(sm2) if sm2 > 0.0 else 0.0
@@ -554,7 +553,7 @@ def reconstruct_and_correct(ell, g, h, L, G, H, mu, alpha, c20, c30, with_long, 
         dpsi, dxi, dchi, dr, dR, dTh = short_ns(xi, chi, r, R, Th, mu, alpha, c20)
         psi, xi, chi, r, R, Th = psi + dpsi, xi + dxi, chi + dchi, r + dr, R + dR, Th + dTh
         del dpsi, dxi, dchi, dr, dR, dTh
-    return ns_to_cart(psi, xi, chi, r, R, Th, H, retro)
+    return ns_to_cart(psi, xi, chi, r, R, Th, H)
 
 
 def block_edges(n):

@@ -21,9 +21,5 @@ class EquatorialDecompositionError(ZonalPropError):
     """Node and argument of latitude are individually undefined (sin I ~ 0)."""
 
 
-class ChartError(ZonalPropError):
-    """Requested chart cannot represent the state (use the other chart)."""
-
-
 class ConfigError(ZonalPropError):
     """Invalid or inconsistent run configuration."""

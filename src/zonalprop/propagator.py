@@ -58,11 +58,15 @@ class MeanElements:
     """Double-prime mean elements plus reproducibility metadata."""
 
     delaunay: DelaunayState
-    retrograde: bool          # psi* chart was used
     conventional_split: bool  # equatorial/circular angle split was conventional
     #: the one correction formulation the pipeline evaluates: a constant, not
     #: a field, kept readable because perfbench/run.py prints it per orbit
     formulation: ClassVar[str] = "nonsingular"
+
+    @property
+    def retrograde(self) -> bool:
+        """Whether the psi* = theta - nu chart applies: exactly when H = N < 0."""
+        return self.delaunay.H < 0.0
 
 
 def osculating_to_mean(cart: CartesianState, field: GravityField,
@@ -75,14 +79,14 @@ def osculating_to_mean(cart: CartesianState, field: GravityField,
     inclination lies inside the critical band: the mean one is the ratio
     mean_to_osculating checks.
     """
-    ell, g, h, L, G, H, retro, conventional = _mean_state(cart, field, config)
+    ell, g, h, L, G, H, conventional = _mean_state(cart, field, config)
     return MeanElements(delaunay=DelaunayState(ell=ell, g=g, h=h, L=L, G=G, H=H),
-                        retrograde=bool(retro), conventional_split=conventional)
+                        conventional_split=conventional)
 
 
 def _mean_state(cart: CartesianState, field: GravityField, config: PropagatorConfig):
-    """osculating_to_mean on floats: (ell, g, h, L, G, H, retro, conventional_split)."""
-    psi, xi, chi, r, R, Theta, N, retro = cart_to_ns_checked(cart)
+    """osculating_to_mean on floats: (ell, g, h, L, G, H, conventional_split)."""
+    psi, xi, chi, r, R, Theta, N = cart_to_ns_checked(cart)
     mu, alpha, c20, c30 = field.mu, field.alpha, field.c20, field.c30
     elliptic_projections(r, R, Theta, mu)
     check_small_params(Theta, field)
@@ -99,11 +103,11 @@ def _mean_state(cart: CartesianState, field: GravityField, config: PropagatorCon
         psi, xi, chi, r, R, Theta = psi - dpsi, xi - dxi, chi - dchi, r - dr, R - dR, Theta - dTh
     equatorial = math.hypot(xi, chi) <= _kernels.EQUATORIAL_SIN
     theta = 0.0 if equatorial else math.atan2(xi, chi)
-    h = theta - psi if retro else psi - theta
+    h = theta - psi if N < 0.0 else psi - theta
     ell, g, h, L, G, H, circular = ellipse_elements(r, theta, h, R, Theta, N, mu)
     if with_long:
         critical_inclination_guard(abs(H / G), config.critical_tol)
-    return ell, g, h, L, G, H, retro, circular or equatorial
+    return ell, g, h, L, G, H, circular or equatorial
 
 
 def mean_to_osculating(d: DelaunayState, field: GravityField,
@@ -155,7 +159,7 @@ def _batch_args(cart0: CartesianState, t0: float, ts, field: GravityField,
     """The checked grid and the arguments of ``_kernels.ephemeris_batch``
     between t0 and out: every check of an ephemeris request runs here."""
     ts, span = _checked_grid(t0, ts)
-    ell, g, h, L, G, H, _, _ = _mean_state(cart0, field, config)
+    ell, g, h, L, G, H, _ = _mean_state(cart0, field, config)
     ldot, gdot, hdot = mean_angle_rates(L, G, H, field, config.secular, span)
     return ts, (ell, g, h, L, G, H, ldot, gdot, hdot,
                 field.mu, field.alpha, field.c20, field.c30,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import _kernels
 from .errors import ZonalPropError
 from .gravity import GravityField
-from .states import DelaunayState, check_finite
+from .states import DelaunayState, _check_delaunay, check_finite
 
 #: the largest mean-angle advance |rate| * |t - t0| [rad] a propagation
 #: accepts: from 2**52 rad on a double keeps no digit below 1 rad, so the
@@ -56,7 +56,13 @@ def mean_hamiltonian(L: float, G: float, H: float, field: GravityField) -> float
 
 
 def secular_rates(L: float, G: float, H: float, field: GravityField) -> SecularRates:
-    """Analytic partials of the mean Hamiltonian wrt (L, G, H)."""
+    """Analytic partials of the mean Hamiltonian wrt (L, G, H).
+
+    Raises ZonalPropError, naming it, for an action that is not finite, and
+    unless 0 < G <= L and |H| <= G, as for a DelaunayState.
+    """
+    check_finite("secular_rates:", ("L", "G", "H"), (L, G, H))
+    _check_delaunay(L, G, H)
     ell_dot, g_dot, h_dot = mean_angle_rates(L, G, H, field)
     return SecularRates(ell_dot=ell_dot, g_dot=g_dot, h_dot=h_dot)
 

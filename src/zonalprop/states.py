@@ -3,17 +3,17 @@ polar-nodal, nonsingular, and Delaunay sets.
 
 The nonsingular set (psi, xi, chi, r, R, Theta) carries the polar component
 of the angular momentum N as a constant of motion.  Two charts cover all
-inclinations: the prograde chart with psi = theta + nu, and the retrograde
-chart (psi* = theta - nu) selected when N < 0, realised internally by
-mirroring the y axis.
+inclinations, and the sign of N picks one: psi = theta + nu for N >= 0 and
+psi* = theta - nu for N < 0, realised internally by mirroring the y axis.
+Each chart is regular on its own side of N = 0, so the chart is never
+stored or chosen: it is read off N wherever it is used.
 """
 
 import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .errors import (ChartError, EquatorialDecompositionError,
-                     NonEllipticStateError, ZonalPropError)
+from .errors import EquatorialDecompositionError, NonEllipticStateError, ZonalPropError
 
 _SLACK = 1e-9
 
@@ -68,7 +68,7 @@ class PolarNodalState:
 class NonsingularState:
     """Nonsingular, non-canonical set (psi, xi, chi, r, R, Theta) plus N.
 
-    ``retrograde`` marks the psi* = theta - nu chart (used when N < 0).
+    psi is theta + nu when N >= 0 and psi* = theta - nu when N < 0.
     """
 
     psi: float
@@ -78,10 +78,16 @@ class NonsingularState:
     R: float
     Theta: float
     N: float
-    retrograde: bool = False
 
     def __post_init__(self):
+        check_finite("nonsingular component", ("psi", "xi", "chi", "r", "R", "Theta", "N"),
+                     (self.psi, self.xi, self.chi, self.r, self.R, self.Theta, self.N))
         _check_nonsingular(self.xi, self.chi, self.r, self.Theta)
+
+    @property
+    def retrograde(self) -> bool:
+        """Whether psi is the psi* = theta - nu chart: exactly when N < 0."""
+        return self.N < 0.0
 
     @property
     def s2(self) -> float:
@@ -139,15 +145,13 @@ def _check_delaunay(L, G, H) -> None:
 
 def polar_to_nonsingular(pn: PolarNodalState) -> NonsingularState:
     """Exact map to the nonsingular set; chart picked by the sign of N."""
-    retro = pn.N < 0.0
     s = pn.sin_inclination
-    psi = pn.theta - pn.nu if retro else pn.theta + pn.nu
+    psi = pn.theta - pn.nu if pn.N < 0.0 else pn.theta + pn.nu
     return NonsingularState(
         psi=_kernels.wrap_pi(psi),
         xi=s * math.sin(pn.theta),
         chi=s * math.cos(pn.theta),
         r=pn.r, R=pn.R, Theta=pn.Theta, N=pn.N,
-        retrograde=retro,
     )
 
 
@@ -172,22 +176,18 @@ def nonsingular_to_polar(ns: NonsingularState) -> PolarNodalState:
 def nonsingular_to_cartesian(ns: NonsingularState) -> CartesianState:
     """Rotation-free map to Cartesian coordinates.
 
-    Uses c = N/Theta (N is the carried integral of the zonal problem), with
-    |c| in the retrograde chart.  A prograde-chart state with 1 + c ~ 0
-    cannot be represented and raises ChartError.
+    Uses |c| = |N|/Theta (N is the carried integral of the zonal problem) and
+    the chart the sign of N picks, so every inclination maps, the equatorial
+    retrograde orbit (c = -1) included.
     """
-    c = ns.N / ns.Theta
-    if not ns.retrograde and 1.0 + c < 1e-9:
-        raise ChartError("1 + N/Theta vanishes in the prograde chart; "
-                         "re-encode the state in the retrograde (psi*) chart")
     x, y, z, vx, vy, vz = _kernels.ns_to_cart(ns.psi, ns.xi, ns.chi, ns.r, ns.R,
-                                              ns.Theta, ns.N, ns.retrograde)
+                                              ns.Theta, ns.N)
     return CartesianState(x, y, z, vx, vy, vz)
 
 
 def cart_to_ns_checked(cart: CartesianState):
     """``_kernels.cart_to_ns`` of a checked Cartesian state: the tuple
-    (psi, xi, chi, r, R, Theta, N, retro) that cartesian_to_nonsingular
+    (psi, xi, chi, r, R, Theta, N) that cartesian_to_nonsingular
     wraps, with the same checks and errors.
 
     Raises for non-finite components, a zero position, rectilinear states
@@ -222,9 +222,7 @@ def cartesian_to_nonsingular(cart: CartesianState) -> NonsingularState:
     angular momentum).  The chart is selected by the sign of N, so
     equatorial retrograde states convert without trouble.
     """
-    psi, xi, chi, r, R, Theta, N, retro = cart_to_ns_checked(cart)
-    return NonsingularState(psi=psi, xi=xi, chi=chi, r=r, R=R, Theta=Theta,
-                            N=N, retrograde=bool(retro))
+    return NonsingularState(*cart_to_ns_checked(cart))
 
 
 # ---------------------------------------------------------------------------

@@ -534,6 +534,7 @@ class TestExitCodes:
         # the INI file is shared: each subcommand accepts every key of the
         # table, the keys it does not read included
         text = (EXAMPLE_CONFIG.read_text().replace("# mean-elements", "mean-elements")
+                .replace("# report", "report")
                 .replace("duration = 5400.0", "duration = 600.0")
                 .replace("iterations = 2000", "iterations = 20"))
         cfg = tmp_path / "all.ini"
@@ -732,7 +733,7 @@ class TestBenchmarkCommand:
 
 
 #: the propagator's API: everything else is imported from its submodule
-API = ("ChartError", "ConfigError", "CriticalInclinationError",
+API = ("ConfigError", "CriticalInclinationError",
        "EquatorialDecompositionError", "NonEllipticStateError", "ZonalPropError",
        "GravityField", "EARTH",
        "CartesianState", "DelaunayState", "NonsingularState",
@@ -764,6 +765,6 @@ def test_cli_import_leaves_scipy_out():
     probe = f"import sys, zonalprop; print({loaded}); import zonalprop.cli; print({loaded})"
     out = _python(["-c", probe], check=True)
     assert out.stdout.split() == ["[]", "[]"]
-    assert len(API) == 25
+    assert len(API) == 24
     assert sorted(zonalprop.__all__) == sorted(API)
     assert all(hasattr(zonalprop, name) for name in API)

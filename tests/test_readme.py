@@ -50,3 +50,11 @@ def test_pass_counts_match_the_benchmark():
                        r"(\d+) sqrt for the classical Delaunay-series pass", text)
     assert quoted, "the README's pass counts moved"
     assert tuple(int(n) for n in quoted.groups()) == pass_counts(leo_mean_state())
+
+
+def test_api_count_matches_all():
+    import zonalprop
+    text = " ".join((ROOT / "README.md").read_text().split())
+    quoted = re.search(r"\((\d+) names in `__all__`\)", text)
+    assert quoted, "the README's API count moved"
+    assert int(quoted[1]) == len(zonalprop.__all__)

@@ -111,6 +111,19 @@ class TestSecularRates:
         assert secular_rates(L, G, H1, EARTH).g_dot > 0.0
         assert secular_rates(L, G, H2, EARTH).g_dot < 0.0
 
+    @pytest.mark.parametrize("actions, message", [
+        ((52000.0, 0.0, 0.0), "need 0 < G <= L"),   # was a bare ZeroDivisionError
+        ((52000.0, 51000.0, 60000.0), r"\|H\| = 60000.0 exceeds G"),
+        ((50000.0, 51000.0, 0.0), "need 0 < G <= L"),
+        ((math.nan, 51000.0, 0.0), "secular_rates: L must be finite"),
+        ((52000.0, math.inf, 0.0), "secular_rates: G must be finite"),
+        ((52000.0, 51000.0, -math.inf), "secular_rates: H must be finite"),
+    ], ids=["G-zero", "H-above-G", "G-above-L", "L-nan", "G-inf", "H-inf"])
+    def test_actions_checked_as_a_delaunay_state(self, actions, message):
+        # rates used to come back for |H| > G, G > L and NaN actions
+        with pytest.raises(ZonalPropError, match=message):
+            secular_rates(*actions, EARTH)
+
 
 class TestPropagateMean:
     def _state(self):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from zonalprop import (EARTH, CartesianState, ChartError, DelaunayState,
+from zonalprop import (EARTH, CartesianState, DelaunayState,
                        EquatorialDecompositionError, NonsingularState, ZonalPropError,
                        _kernels, cartesian_to_nonsingular, nonsingular_to_cartesian,
                        osculating_to_mean)
@@ -37,6 +37,16 @@ class TestValidation:
     def test_nonsingular(self):
         with pytest.raises(ZonalPropError):
             NonsingularState(psi=0.0, xi=0.8, chi=0.8, r=1.0, R=0.0, Theta=1.0, N=0.0)
+
+    @pytest.mark.parametrize("name", ["psi", "xi", "chi", "r", "R", "Theta", "N"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonsingular_non_finite_component_named(self, name, value):
+        # NaN used to pass every invariant and convert to a NaN state; psi = inf
+        # ended in a bare math domain error and Theta = inf in infinite velocities
+        ns = NonsingularState(psi=0.3, xi=0.2, chi=0.4, r=7000.0, R=0.3,
+                              Theta=52000.0, N=-26000.0)
+        with pytest.raises(ZonalPropError, match=f"nonsingular component {name} must be finite"):
+            replace(ns, **{name: value})
 
     def test_delaunay(self):
         with pytest.raises(ZonalPropError):
@@ -186,12 +196,6 @@ class TestNonsingularCartesian:
             assert getattr(cart2, k) == pytest.approx(getattr(cart, k),
                                                       rel=1e-13, abs=1e-13)
 
-    def test_prograde_chart_error_at_c_minus_one(self):
-        ns = NonsingularState(psi=0.0, xi=0.0, chi=0.0, r=7000.0, R=0.0,
-                              Theta=52000.0, N=-52000.0, retrograde=False)
-        with pytest.raises(ChartError):
-            nonsingular_to_cartesian(ns)
-
     def test_rectilinear_error(self):
         cart = CartesianState(7000.0, 0.0, 0.0, 1.0, 0.0, 0.0)
         with pytest.raises(ZonalPropError):
@@ -267,10 +271,31 @@ class TestChartCovering:
         N = Theta * math.cos(inc)
         s = math.sin(inc)
         ns = NonsingularState(psi=0.3, xi=s * math.sin(0.8), chi=s * math.cos(0.8),
-                              r=7100.0, R=0.2, Theta=Theta, N=N, retrograde=N < 0)
+                              r=7100.0, R=0.2, Theta=Theta, N=N)
         c_abs = abs(N) / Theta
         assert 1.0 + c_abs >= 1.0
         assert all(math.isfinite(v) for v in _kernels.rotation_factors(ns.xi, ns.chi, c_abs))
         cart = nonsingular_to_cartesian(ns)
         ns2 = cartesian_to_nonsingular(cart)
         assert ns2.r == pytest.approx(ns.r, rel=1e-12)
+
+    @pytest.mark.parametrize("inc_deg", [90.1, 120.0, 179.5, 180.0])
+    def test_sign_of_n_is_the_chart(self, inc_deg):
+        # a state built by hand with N < 0 is in the psi* = theta - nu chart;
+        # a carried prograde flag used to put it 10 955 km off at i = 120 deg
+        theta, nu, r, R, Theta = 0.8, 2.1, 7000.0, 0.3, 52000.0
+        inc = math.radians(inc_deg)
+        ci, si = math.cos(inc), math.sin(inc)
+        ns = NonsingularState(psi=theta - nu, xi=si * math.sin(theta), chi=si * math.cos(theta),
+                              r=r, R=R, Theta=Theta, N=Theta * ci)
+        # the polar-nodal rotation R3(-nu) R1(-I) of the radial and transverse
+        # unit vectors
+        cn, sn, ct, st = math.cos(nu), math.sin(nu), math.cos(theta), math.sin(theta)
+        u = (cn * ct - sn * st * ci, sn * ct + cn * st * ci, st * si)
+        t = (-cn * st - sn * ct * ci, -sn * st + cn * ct * ci, ct * si)
+        pos = [r * a for a in u]
+        vel = [R * a + Theta / r * b for a, b in zip(u, t)]
+        cart = nonsingular_to_cartesian(ns)
+        assert max(abs(a - b) for a, b in zip(cart.position(), pos)) < 1e-9
+        assert max(abs(a - b) for a, b in zip(cart.velocity(), vel)) < 1e-12
+        assert ns.retrograde
