@@ -29,7 +29,7 @@ from math import atan2, cos, sin, sqrt
 
 from . import _kernels
 from .gravity import GravityField
-from .longperiod import critical_inclination_guard
+from .longperiod import CRITICAL_TOL, critical_inclination_guard
 from .states import DelaunayState, delaunay_to_polar, polar_to_nonsingular
 
 #: the math bindings counted, by kind
@@ -209,10 +209,14 @@ def _time_loop(fn, args, iterations):
     return (time.perf_counter() - t0) / iterations
 
 
-def run_benchmark(d: DelaunayState, field: GravityField,
-                  iterations: int = 2000) -> BenchmarkReport:
-    """Count and time both correction paths at the mean state ``d``."""
-    critical_inclination_guard(d.H / d.G)
+def run_benchmark(d: DelaunayState, field: GravityField, iterations: int = 2000,
+                  critical_tol: float = CRITICAL_TOL) -> BenchmarkReport:
+    """Count and time both correction paths at the mean state ``d``.
+
+    Both paths evaluate the long-period stage, whatever the field, so the
+    critical-inclination guard runs at ``critical_tol``.
+    """
+    critical_inclination_guard(d.H / d.G, critical_tol)
     mu, alpha, c20, c30 = field.mu, field.alpha, field.c20, field.c30
     ns = polar_to_nonsingular(delaunay_to_polar(d, mu))
     ns_args = (ns.xi, ns.chi, ns.r, ns.R, ns.Theta, abs(d.H / d.G), mu, alpha, c20, c30)

@@ -62,7 +62,7 @@ CONFIG_KEYS = {
     ("run", "model"): (MODELS, _read_by("j2j3")),
     ("run", "short-period"): (bool, _read_by(True)),
     ("run", "long-period"): (bool, _read_by(True)),
-    ("run", "secular"): (bool, _read_by(True)),
+    ("run", "secular"): (bool, _read_by(True, _GRID)),
     ("run", "critical-tol"): (float, _read_by(CRITICAL_TOL)),
     ("run", "integrator-tol"): (float, _read_by(1e-12, ("compare",))),
     ("compare", "j2-multipliers"): (str, _read_by("1,0.5,0.25,0.125", ("compare",))),
@@ -148,8 +148,10 @@ def _orbit(s):
         if getattr(s, key) is None:
             raise ConfigError(f"initial state component {key!r} is missing")
     state = CartesianState(s.x, s.y, s.z, s.vx, s.vy, s.vz)
+    # benchmark does not read [run] secular: its mean state leaves the rates out
     config = PropagatorConfig(short_period=s.short_period, long_period=s.long_period,
-                              secular=s.secular, critical_tol=s.critical_tol)
+                              secular=getattr(s, "secular", True),
+                              critical_tol=s.critical_tol)
     return field.restricted(s.model), state, config
 
 
@@ -473,7 +475,7 @@ def _cmd_benchmark(s) -> int:
     if s.iterations < 0:
         raise ConfigError(f"[benchmark] iterations must be >= 0, got {s.iterations}")
     mean = osculating_to_mean(state, field, config)
-    report = run_benchmark(mean.delaunay, field, s.iterations)
+    report = run_benchmark(mean.delaunay, field, s.iterations, config.critical_tol)
     text = format_report(report)
     with open(s.report, "w") as fh:
         fh.write(text)

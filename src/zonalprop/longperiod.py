@@ -19,10 +19,13 @@ def critical_inclination_guard(c: float, tol: float = CRITICAL_TOL) -> None:
 
     c^2 = 1/5 covers both the direct (63.43 deg) and retrograde (116.57 deg)
     critical inclinations.  This signals an inapplicable theory, not a
-    numerical fault.  A non-finite c raises ZonalPropError.
+    numerical fault.  A non-finite c raises ZonalPropError, and so does a
+    tol that is not finite and positive, which would switch the guard off.
     """
     if not math.isfinite(c):
         raise ZonalPropError(f"cos I must be finite, got {c}")
+    if not 0.0 < tol < math.inf:
+        raise ZonalPropError(f"critical-inclination tol must be finite and > 0, got {tol}")
     if abs(1.0 - 5.0 * c * c) < tol:
         inc = math.degrees(math.acos(max(-1.0, min(1.0, c))))
         raise CriticalInclinationError(

@@ -1,10 +1,11 @@
 """Independent verification machinery.
 
-Nothing here is used by the analytic pipeline itself: exact numerical
-integration of the J2+J3 equations of motion, the Delaunay-form generating
-functions, and the Hamiltonian perturbative terms.  The test suite uses
-these as oracles for the closed-form corrections; the Poisson brackets of
-the generating functions are taken exactly, on symbols, in the tests.
+Nothing here is used by the analytic pipeline itself: the zonal potential
+and energy (shells of ``secular.zonal_hamiltonian``), exact numerical
+integration of the J2+J3 equations of motion, and the Delaunay-form
+generating functions.  The test suite uses these as oracles for the
+closed-form corrections; the Poisson brackets of the generating functions
+are taken exactly, on symbols, in the tests.
 """
 
 import math
@@ -17,18 +18,14 @@ from .errors import ZonalPropError
 from .gravity import GravityField, check_small_params
 from .longperiod import critical_inclination_guard
 from .propagator import _checked_grid
-from .states import CartesianState, DelaunayState, PolarNodalState
+from .secular import zonal_hamiltonian
+from .states import CartesianState, DelaunayState, cart_to_ns_checked
 
 
 def zonal_potential(x: float, y: float, z: float, field: GravityField) -> float:
     """Potential energy per unit mass, central term plus degree 2 and 3 zonals."""
-    r2 = x * x + y * y + z * z
-    r = math.sqrt(r2)
-    sphi = z / r
-    p2 = 0.5 * (3.0 * sphi * sphi - 1.0)
-    p3 = 0.5 * (5.0 * sphi ** 3 - 3.0 * sphi)
-    ar = field.alpha / r
-    return (-field.mu / r) * (1.0 + ar * ar * field.c20 * p2 + ar ** 3 * field.c30 * p3)
+    r = math.sqrt(x * x + y * y + z * z)
+    return zonal_hamiltonian(r, 0.0, 0.0, z / r, field.mu, field.alpha, field.c20, field.c30)
 
 
 def zonal_acceleration(cart: CartesianState, field: GravityField) -> np.ndarray:
@@ -56,9 +53,10 @@ def zonal_acceleration(cart: CartesianState, field: GravityField) -> np.ndarray:
 
 
 def zonal_energy(cart: CartesianState, field: GravityField) -> float:
-    """Exact conserved energy v^2/2 + U of the zonal problem."""
-    v2 = cart.vx ** 2 + cart.vy ** 2 + cart.vz ** 2
-    return 0.5 * v2 + zonal_potential(cart.x, cart.y, cart.z, field)
+    """Exact conserved energy v^2/2 + U of the zonal problem; raises as
+    ``states.cart_to_ns_checked`` does (a rectilinear state included)."""
+    _, xi, _, r, R, Theta, _ = cart_to_ns_checked(cart)
+    return zonal_hamiltonian(r, R, Theta, xi, field.mu, field.alpha, field.c20, field.c30)
 
 
 def _rhs(field: GravityField):
@@ -153,22 +151,3 @@ def x1_delaunay(d: DelaunayState, field: GravityField) -> float:
     return d.G * (-eps2 * w * 0.125 * s2 * e * e * math.sin(2.0 * d.g)
                   + eps3 * s * e * math.cos(d.g))
 
-
-def hamiltonian_terms(pn: PolarNodalState, field: GravityField) -> tuple[float, float, float]:
-    """The perturbative Hamiltonian terms (H00, H10, H20).
-
-    H00 + H10 + H20/2 equals the exact Cartesian energy of the state.
-    """
-    v2 = pn.R ** 2 + (pn.Theta / pn.r) ** 2
-    ainv = 2.0 / pn.r - v2 / field.mu
-    h00 = -0.5 * field.mu * ainv
-    c = pn.cos_inclination
-    s2 = 1.0 - c * c
-    s = math.sqrt(s2)
-    ar = field.alpha / pn.r
-    h10 = (field.mu / pn.r) * 0.25 * field.c20 * ar * ar * (
-        2.0 - 3.0 * s2 + 3.0 * s2 * math.cos(2.0 * pn.theta))
-    h20 = (field.mu / pn.r) * 0.5 * field.c30 * ar ** 3 * s * (
-        6.0 * (1.0 - 1.25 * s2) * math.sin(pn.theta)
-        + 2.5 * s2 * math.sin(3.0 * pn.theta))
-    return h00, h10, h20

@@ -12,7 +12,8 @@ and equatorial orbits need no special-casing; when the mean state is exactly
 equatorial or circular the Delaunay angle split below is conventional
 (f = 0 at e = 0, theta = 0 at s = 0) but every reconstructed output depends
 only on the well-defined combinations, e.g. the mean longitude psi - phi.
-The only excluded regime is the critical-inclination band.
+The only excluded regime is the critical-inclination band of the
+long-period stage, which runs when it is on and c20 != 0.
 """
 
 import math
@@ -74,10 +75,11 @@ def osculating_to_mean(cart: CartesianState, field: GravityField,
     """Strip the periodic corrections off an osculating Cartesian state.
 
     Raises NonEllipticStateError for a state with non-negative energy or
-    e >= 1, before any correction runs.  With the long-period stage on,
-    raises CriticalInclinationError when the osculating or the mean
-    inclination lies inside the critical band: the mean one is the ratio
-    mean_to_osculating checks.
+    e >= 1, before any correction runs.  With the long-period stage on and
+    c20 != 0, raises CriticalInclinationError when the osculating or the
+    mean inclination lies inside the critical band: the mean one is the
+    ratio mean_to_osculating checks.  With c20 = 0 (and so c30 = 0) every
+    long-period term vanishes, so the stage and its guard do not run.
     """
     ell, g, h, L, G, H, conventional = _mean_state(cart, field, config)
     return MeanElements(delaunay=DelaunayState(ell=ell, g=g, h=h, L=L, G=G, H=H),
@@ -90,7 +92,7 @@ def _mean_state(cart: CartesianState, field: GravityField, config: PropagatorCon
     mu, alpha, c20, c30 = field.mu, field.alpha, field.c20, field.c30
     elliptic_projections(r, R, Theta, mu)
     check_small_params(Theta, field)
-    with_long = config.long_period
+    with_long = config.long_period and c20 != 0.0
     if with_long:
         critical_inclination_guard(math.sqrt(max(0.0, 1.0 - (xi * xi + chi * chi))),
                                    config.critical_tol)
@@ -112,13 +114,15 @@ def _mean_state(cart: CartesianState, field: GravityField, config: PropagatorCon
 
 def mean_to_osculating(d: DelaunayState, field: GravityField,
                        config: PropagatorConfig = DEFAULT_CONFIG) -> CartesianState:
-    """Rebuild the osculating Cartesian state from double-prime elements."""
+    """Rebuild the osculating Cartesian state from double-prime elements; the
+    long-period stage and its guard run as in osculating_to_mean."""
     check_small_params(d.G, field)
-    if config.long_period:
+    with_long = config.long_period and field.c20 != 0.0
+    if with_long:
         critical_inclination_guard(abs(d.H / d.G), config.critical_tol)
     out = _kernels.reconstruct_and_correct(
         d.ell, d.g, d.h, d.L, d.G, d.H, field.mu, field.alpha, field.c20, field.c30,
-        config.long_period, config.short_period)
+        with_long, config.short_period)
     return CartesianState(*out)
 
 
@@ -163,7 +167,7 @@ def _batch_args(cart0: CartesianState, t0: float, ts, field: GravityField,
     ldot, gdot, hdot = mean_angle_rates(L, G, H, field, config.secular, span)
     return ts, (ell, g, h, L, G, H, ldot, gdot, hdot,
                 field.mu, field.alpha, field.c20, field.c30,
-                config.long_period, config.short_period)
+                config.long_period and field.c20 != 0.0, config.short_period)
 
 
 def ephemeris_array(cart0: CartesianState, t0: float, ts, field: GravityField,

@@ -1,10 +1,14 @@
-"""Mean (double-prime) Hamiltonian and secular rates.
+"""The zonal Hamiltonian, the mean (double-prime) Hamiltonian and the
+secular rates.
 
-After both averagings the Hamiltonian depends only on the actions, so the
-mean angles advance linearly.  The J2 contribution is carried to second
-order; the odd zonal averages out of the mean Hamiltonian entirely (its
-effect is purely periodic).  Rates are hand-derived analytic partials of
-the mean Hamiltonian, checked against its exact partials in the tests.
+``zonal_hamiltonian`` is the osculating energy of the J2+J3 problem, the
+one place the package writes the P2/P3 zonal potential; the oracle's
+potential and energy call it.  After both averagings the Hamiltonian
+depends only on the actions, so the mean angles advance linearly.  The J2
+contribution is carried to second order; the odd zonal averages out of the
+mean Hamiltonian entirely (its effect is purely periodic).  Rates are
+hand-derived analytic partials of the mean Hamiltonian, checked against
+its exact partials in the tests.
 
 Sign convention: rates are +d(mean Hamiltonian)/d(action), fixed by the
 Keplerian limit ell_dot = mu^2/L^3 = n > 0 and by the node-regression check
@@ -43,6 +47,18 @@ def _bracket_terms(eta: float, s2: float):
     b_eta = (4.0 - 6.0 * s2) ** 2 - 2.0 * eta * (8.0 - 8.0 * s2 - 5.0 * s4)
     b_s2 = (-80.0 + 70.0 * s2) - 12.0 * eta * (4.0 - 6.0 * s2) + (8.0 + 10.0 * s2) * eta * eta
     return b, b_eta, b_s2
+
+
+def zonal_hamiltonian(r, R, Theta, xi, mu, alpha, c20, c30):
+    """Energy of the zonal problem in the variables of ``_kernels.cart_to_ns``
+    (xi = z/r): (R^2 + Theta^2/r^2)/2 - (mu/r)(1 + (alpha/r)^2 c20 P2(xi) +
+    (alpha/r)^3 c30 P3(xi)).  Plain arithmetic and no check, so it runs on
+    floats, NumPy arrays and sympy symbols alike."""
+    ar = alpha / r
+    p2 = (3 * xi * xi - 1) / 2
+    p3 = (5 * xi * xi - 3) * xi / 2
+    return ((R * R + Theta * Theta / (r * r)) / 2
+            - (mu / r) * (1 + ar * ar * c20 * p2 + ar ** 3 * c30 * p3))
 
 
 def mean_hamiltonian(L: float, G: float, H: float, field: GravityField) -> float:
@@ -122,10 +138,14 @@ def propagate_mean(d: DelaunayState, rates: SecularRates, dt: float) -> Delaunay
 
 
 def mean_motion(L: float, field: GravityField) -> float:
-    """Keplerian mean motion n = mu^2 / L^3."""
+    """Keplerian mean motion n = mu^2 / L^3; ZonalPropError unless L is
+    positive and finite."""
+    # checked inline: mean_angle_rates runs this on the single-state path
+    if not 0.0 < L < math.inf:
+        raise ZonalPropError(f"L must be positive and finite, got {L}")
     return field.mu * field.mu / L ** 3
 
 
 def orbital_period(L: float, field: GravityField) -> float:
-    """Keplerian period 2 pi / n."""
+    """Keplerian period 2 pi / n; raises as mean_motion does."""
     return 2.0 * math.pi / mean_motion(L, field)

@@ -347,6 +347,17 @@ def test_writer_exact_on_its_hard_cases():
     assert _first_difference(fh.getvalue(), want) is None
 
 
+def _mean_critical_flags(offset):
+    """State flags of an orbit whose mean |1 - 5c^2| is about ``offset``:
+    the short-period correction alone applied to mean elements at ``offset``."""
+    L = math.sqrt(EARTH.mu * 7000.0)
+    G = L * math.sqrt(1.0 - 0.05 ** 2)
+    H = G * math.sqrt((1.0 - offset) / 5.0)
+    state = _kernels.reconstruct_and_correct(0.0, 0.0, 0.0, L, G, H, EARTH.mu,
+                                             EARTH.alpha, EARTH.c20, EARTH.c30, False, True)
+    return [f"--{k}={v!r}" for k, v in zip(("x", "y", "z", "vx", "vy", "vz"), state)]
+
+
 class TestExitCodes:
     def test_critical_inclination_exit_2(self, tmp_path):
         cfg = _write_config(tmp_path / "run.ini", inc_deg=63.435)
@@ -493,26 +504,43 @@ class TestExitCodes:
 
     def test_mean_critical_inclination_exit_2(self, tmp_path):
         # mean |1 - 5c^2| = 8e-4 inside the band, osculating one outside it
-        mu = EARTH.mu
-        L = math.sqrt(mu * 7000.0)
-        G = L * math.sqrt(1.0 - 0.05 ** 2)
-        H = G * math.sqrt((1.0 - 8e-4) / 5.0)
-        state = _kernels.reconstruct_and_correct(0.0, 0.0, 0.0, L, G, H, mu,
-                                                 EARTH.alpha, EARTH.c20, EARTH.c30,
-                                                 False, True)
         cfg = _write_config(tmp_path / "run.ini")
         out = tmp_path / "x.csv"
-        flags = [f"--{k}={v!r}" for k, v in zip(("x", "y", "z", "vx", "vy", "vz"), state)]
-        rc = main(["propagate", "--config", str(cfg), "--ephemeris", str(out), *flags])
+        rc = main(["propagate", "--config", str(cfg), "--ephemeris", str(out),
+                   *_mean_critical_flags(8e-4)])
         assert rc == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("offset, flags, code", [
+        (8e-4, ["--critical-tol=1e-5"], 0),
+        (1.5e-3, ["--no-long-period", "--critical-tol=2e-3"], 2),
+    ], ids=["narrower band admits", "wider band rejects"])
+    def test_benchmark_guard_reads_critical_tol(self, tmp_path, offset, flags, code):
+        # the benchmark's own guard used the default band whatever the flag:
+        # the first state exited 2 and the second 0.  With the long-period
+        # stage off only the benchmark's guard runs
+        cfg = _write_config(tmp_path / "run.ini")
+        report = tmp_path / "bench.txt"
+        rc = main(["benchmark", "--config", str(cfg), "--report", str(report),
+                   "--iterations", "0", *_mean_critical_flags(offset), *flags])
+        assert rc == code
+        assert report.exists() == (code == 0)
+
+    @pytest.mark.parametrize("model, code", [("two-body", 0), ("j2", 2)])
+    def test_critical_inclination_on_a_two_body_field(self, tmp_path, model, code):
+        # with c20 = 0 every long-period term vanishes: no band to guard
+        cfg = _write_config(tmp_path / "run.ini", inc_deg=63.4349, model=model)
+        out = tmp_path / "x.csv"
+        rc = main(["propagate", "--config", str(cfg), "--ephemeris", str(out)])
+        assert rc == code
+        assert out.exists() == (code == 0)
 
     @pytest.mark.parametrize("command, flag", [
         ("propagate", "--integrator-tol"), ("propagate", "--report"),
         ("compare", "--ephemeris"), ("compare", "--mean-elements"),
         ("benchmark", "--epoch"), ("benchmark", "--duration"), ("benchmark", "--step"),
         ("benchmark", "--integrator-tol"), ("benchmark", "--ephemeris"),
-        ("benchmark", "--mean-elements"),
+        ("benchmark", "--mean-elements"), ("benchmark", "--no-secular"),
     ])
     def test_flag_the_command_does_not_read_exit_1(self, tmp_path, capsys, monkeypatch,
                                                    command, flag):

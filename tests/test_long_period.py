@@ -40,6 +40,13 @@ class TestGuard:
         with pytest.raises(ZonalPropError, match="cos I must be finite"):
             critical_inclination_guard(c)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-3, math.inf])
+    def test_tol_checked(self, tol):
+        # NaN, 0 and a negative band switched the guard off; run_benchmark
+        # passes its critical_tol here unchecked
+        with pytest.raises(ZonalPropError, match="tol must be finite and > 0"):
+            critical_inclination_guard(math.sqrt(0.2), tol)
+
 
 class TestY1:
     def test_circular_zero(self):

@@ -3,12 +3,13 @@ import random
 
 import numpy as np
 import pytest
+import sympy
 
 from zonalprop import (EARTH, CartesianState, DelaunayState, ZonalPropError,
                        nonsingular_to_cartesian)
-from zonalprop.oracle import (hamiltonian_terms, integrate, integrate_grid, u1_delaunay,
-                              x1_delaunay, zonal_acceleration, zonal_energy, zonal_potential)
-from zonalprop.secular import orbital_period
+from zonalprop.oracle import (integrate, integrate_grid, u1_delaunay, x1_delaunay,
+                              zonal_acceleration, zonal_energy, zonal_potential)
+from zonalprop.secular import orbital_period, zonal_hamiltonian
 from zonalprop.states import polar_to_nonsingular
 from conftest import cart_distance, elements_to_cartesian, elements_to_polar, field_small_params
 
@@ -141,6 +142,13 @@ class TestIntegrate:
         with pytest.raises(ZonalPropError, match="time offset t - t0 overflows"):
             integrate_grid(cart, 1e308, [-1e308], EARTH)
 
+    def test_integrator_preserves_n(self):
+        cart = elements_to_cartesian(7100.0, 0.1, math.radians(50.0), 0.4, 0.2, 0.6)
+        n0 = cart.x * cart.vy - cart.y * cart.vx
+        out = integrate(cart, 0.0, 6000.0, EARTH, tol=1e-12)
+        n1 = out.x * out.vy - out.y * out.vx
+        assert n1 == pytest.approx(n0, rel=1e-11)
+
 
 class TestDelaunayGeneratingFunctions:
     def test_u1_circular(self):
@@ -160,16 +168,18 @@ class TestDelaunayGeneratingFunctions:
         assert x1_delaunay(d, EARTH) == 0.0
 
 
-class TestHamiltonianTerms:
-    def test_keplerian_vis_viva(self):
-        f = EARTH.restricted("two-body")
-        pn = elements_to_polar(7400.0, 0.2, 0.9, 0.5, 0.3, 0.1)
-        h00, h10, h20 = hamiltonian_terms(pn, f)
-        cart = nonsingular_to_cartesian(polar_to_nonsingular(pn))
-        assert h10 == 0.0 and h20 == 0.0
-        assert h00 == pytest.approx(zonal_energy(cart, f), rel=1e-13)
+class TestZonalHamiltonian:
+    """``secular.zonal_hamiltonian``, the one zonal potential the oracle's
+    energy calls."""
 
-    def test_sum_equals_cartesian_energy(self):
+    def test_keplerian_vis_viva(self):
+        a = 7400.0
+        pn = elements_to_polar(a, 0.2, 0.9, 0.5, 0.3, 0.1)
+        xi = pn.sin_inclination * math.sin(pn.theta)
+        energy = zonal_hamiltonian(pn.r, pn.R, pn.Theta, xi, MU, EARTH.alpha, 0.0, 0.0)
+        assert energy == pytest.approx(-MU / (2.0 * a), rel=1e-13)
+
+    def test_equals_cartesian_energy_through_the_maps(self):
         rng = random.Random(62)
         for _ in range(100):
             pn = elements_to_polar(rng.uniform(6800.0, 30000.0),
@@ -178,15 +188,18 @@ class TestHamiltonianTerms:
                                    rng.uniform(-3.0, 3.0),
                                    rng.uniform(-3.0, 3.0),
                                    rng.uniform(-3.0, 3.0))
-            h00, h10, h20 = hamiltonian_terms(pn, EARTH)
-            total = h00 + h10 + 0.5 * h20
+            xi = pn.sin_inclination * math.sin(pn.theta)
+            core = zonal_hamiltonian(pn.r, pn.R, pn.Theta, xi,
+                                     MU, EARTH.alpha, EARTH.c20, EARTH.c30)
             cart = nonsingular_to_cartesian(polar_to_nonsingular(pn))
             exact = zonal_energy(cart, EARTH)
-            assert abs(total - exact) / abs(exact) < 1e-11
+            assert abs(core - exact) / abs(exact) < 1e-13
 
-    def test_integrator_preserves_n(self):
-        cart = elements_to_cartesian(7100.0, 0.1, math.radians(50.0), 0.4, 0.2, 0.6)
-        n0 = cart.x * cart.vy - cart.y * cart.vx
-        out = integrate(cart, 0.0, 6000.0, EARTH, tol=1e-12)
-        n1 = out.x * out.vy - out.y * out.vx
-        assert n1 == pytest.approx(n0, rel=1e-11)
+    def test_canonical_partials_on_symbols(self):
+        # dE/dR = R and dE/dTheta = Theta / r^2: the kinetic part of the
+        # Hamiltonian in the polar-nodal pairs (r, R), (theta, Theta)
+        r, R, Theta, xi, mu, alpha, c20, c30 = sympy.symbols(
+            "r R Theta xi mu alpha c20 c30", real=True)
+        energy = zonal_hamiltonian(r, R, Theta, xi, mu, alpha, c20, c30)
+        assert sympy.simplify(sympy.diff(energy, R) - R) == 0
+        assert sympy.simplify(sympy.diff(energy, Theta) - Theta / r ** 2) == 0

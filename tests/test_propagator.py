@@ -103,6 +103,23 @@ class TestOsculatingToMean:
             with pytest.raises(CriticalInclinationError):
                 osculating_to_mean(cart, EARTH)
 
+    @pytest.mark.parametrize("inc_deg", [63.4349, 116.5651])
+    def test_two_body_field_has_no_critical_band(self, inc_deg):
+        # with c20 = 0 (and so c30 = 0) every long-period term vanishes, so
+        # neither the stage nor its guard runs; it used to reject the orbit
+        two_body = EARTH.restricted("two-body")
+        cart = elements_to_cartesian(7000.0, 0.05, math.radians(inc_deg), 0.3, 0.7, 1.1)
+        for ts in ([0.0, 600.0], 60.0 * np.arange(_kernels.ARRAY_MIN_EPOCHS)):
+            rows = ephemeris_array(cart, 0.0, ts, two_body)
+            kepler = ephemeris_array(cart, 0.0, ts, two_body, ALL_OFF)
+            assert np.max(np.abs(rows - kepler)) <= 1e-9
+        mean = osculating_to_mean(cart, two_body)
+        assert cart_distance(mean_to_osculating(mean.delaunay, two_body), cart) <= 1e-9
+        for fn, args in ((osculating_to_mean, (cart,)), (mean_to_osculating, (mean.delaunay,)),
+                         (ephemeris_array, (cart, 0.0, [0.0]))):
+            with pytest.raises(CriticalInclinationError):
+                fn(*args, EARTH.restricted("j2"))
+
     @pytest.mark.parametrize("side, angles", [
         (1.0, (0.0, 0.0, 0.0)), (1.0, (2.0, 0.4, 1.1)), (-1.0, (0.3, 0.7, 1.1)),
     ])

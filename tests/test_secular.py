@@ -4,12 +4,14 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import mpmath
+import numpy as np
 import pytest
 import sympy
 
 from zonalprop import (EARTH, DelaunayState, ZonalPropError, mean_motion, orbital_period,
                        propagate_mean, secular_rates)
-from zonalprop.secular import MAX_ADVANCE, mean_angle_rates, mean_hamiltonian
+from zonalprop.secular import (MAX_ADVANCE, mean_angle_rates, mean_hamiltonian,
+                               zonal_hamiltonian)
 from exact_brackets import DPS
 
 MU = EARTH.mu
@@ -58,6 +60,26 @@ class TestMeanHamiltonian:
         L, G, H = _actions(7500.0, 0.2, 0.8)
         assert mean_hamiltonian(L, G, H, EARTH) == mean_hamiltonian(
             L, G, H, EARTH.scaled(j3_factor=-3.0))
+
+    @pytest.mark.parametrize("a, e, inc, g", [
+        (7000.0, 0.0, 0.3, 0.0), (7500.0, 0.2, 1.1, 0.4), (12000.0, 0.5, 2.0, 1.3),
+        (26000.0, 0.75, 0.7, 2.2), (40000.0, 0.9, 1.4, -0.8)])
+    def test_first_order_term_is_the_mean_anomaly_average_of_the_j2_term(self, a, e, inc, g):
+        # the J2 term of the osculating Hamiltonian (R = Theta = 0 leaves the
+        # potential), averaged over ell by the trapezoid rule in f with
+        # d ell = r^2 / (a^2 eta) df, against the odd part in c20 of the mean
+        # Hamiltonian, which is its first-order term
+        L, G, H = _actions(a, e, inc)
+        eta = G / L
+        f = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+        r = a * eta * eta / (1.0 + e * np.cos(f))
+        xi = math.sin(inc) * np.sin(f + g)
+        j2 = (zonal_hamiltonian(r, 0.0, 0.0, xi, MU, EARTH.alpha, EARTH.c20, 0.0)
+              - zonal_hamiltonian(r, 0.0, 0.0, xi, MU, EARTH.alpha, 0.0, 0.0))
+        average = np.mean(j2 * r * r / (a * a * eta))
+        first = 0.5 * (mean_hamiltonian(L, G, H, EARTH)
+                       - mean_hamiltonian(L, G, H, EARTH.scaled(j2_factor=-1.0)))
+        assert abs(average - first) <= 1e-10 * abs(first)
 
 
 class TestSecularRates:
@@ -123,6 +145,16 @@ class TestSecularRates:
         # rates used to come back for |H| > G, G > L and NaN actions
         with pytest.raises(ZonalPropError, match=message):
             secular_rates(*actions, EARTH)
+
+
+class TestMeanMotion:
+    @pytest.mark.parametrize("L", [0.0, -5.0, math.nan, math.inf])
+    def test_l_checked(self, L):
+        # L = 0 was a bare ZeroDivisionError, L = -5 a negative mean motion
+        # and period, and NaN came back as NaN
+        for fn in (mean_motion, orbital_period):
+            with pytest.raises(ZonalPropError, match=f"L must be positive and finite, got {L}"):
+                fn(L, EARTH)
 
 
 class TestPropagateMean:
