@@ -31,10 +31,13 @@ compare the full forms with them through ``reference``; they stay here only
 because the benchmark's layer trace (``perfbench/layers.py``) names them.
 The classical Delaunay series live in ``benchmark``.
 
-The Kepler solver is one Halley loop for every e < 1: it runs on |ell|,
-where Kepler's function is increasing and convex, with each update clamped
-to an interval that holds the root, and it calls libm once per step: the
-cosine comes from the residual's own sine (``kepler_u``).
+The Kepler solver takes a fixed number of Halley steps for every e < 1,
+set by e alone (``KEPLER_STEPS``): it runs on |ell|, where Kepler's
+function is increasing and convex, from a start that calls no libm
+function, with each update clamped to an interval that holds the root, and
+it calls libm once per step: the cosine comes from the residual's own sine
+(``kepler_u``).  No lane decides on its own residual, so a block of epochs
+takes as many libm calls as one epoch.
 
 Formulas that other layers need too (the small parameters, the q
 polynomials, the P coefficients, the Kepler solver, the anomalies, the
@@ -45,6 +48,7 @@ is what the pipeline computes.
 """
 
 import sys
+from bisect import bisect_left
 from math import atan2, copysign, cos, floor, hypot, pi, sin, sqrt
 from types import SimpleNamespace
 
@@ -53,6 +57,8 @@ from numpy import ndarray
 
 TWO_PI = 2.0 * pi
 HALF_PI = 0.5 * pi
+FIVE_PI2 = 5.0 * pi * pi
+DBL_MIN = sys.float_info.min
 
 # The heap policy for every caller, here where the block temporaries are
 # allocated.  glibc's rule (M_MMAP_THRESHOLD, "dynamic mmap threshold"):
@@ -64,8 +70,16 @@ HALF_PI = 0.5 * pi
 # MALLOC_TRIM_THRESHOLD_ or MALLOC_MMAP_THRESHOLD_ turns the rule off and wins.
 np.empty(3 << 20, dtype=np.uint8)
 
-#: Kepler residual [rad] below which a lane counts as converged
+#: bound [rad] on the Kepler residual |u - e sin(u) - ell| of ``kepler_u``
 KEPLER_TOL = 5e-15
+#: Halley steps ``kepler_u`` takes: KEPLER_STEPS[i] for e <= KEPLER_ECC[i]
+#: (and above the entry before), the last entry above KEPLER_ECC[-1].  Each
+#: is the fewest steps that brought every mean anomaly of a sweep to a
+#: residual below 1.1e-15 at the band's upper edge (a over [0, pi] and
+#: log-spaced down to 1e-320), plus one step above e = 0.999 and two above
+#: 1 - 1e-6, where the slowest lanes sit at small a
+KEPLER_ECC = (0.012, 0.35, 0.85, 0.975, 0.995, 0.999, 0.9999, 1.0 - 1e-6)
+KEPLER_STEPS = (1, 2, 3, 4, 5, 6, 8, 10, 22)
 #: below this eccentricity the orbit is treated as exactly circular
 CIRCULAR_ECC = 1e-12
 #: at or below this sin(I) the orbit counts as equatorial: the node and the
@@ -88,7 +102,6 @@ EPOCH_BLOCK = 8192
 # rebinding ``sin`` etc. here (call counting) reaches every float evaluation.
 maximum = max
 minimum = min
-any_lane = bool
 
 
 def where(cond, a, b):
@@ -121,8 +134,7 @@ _MATH = sys.modules[__name__]
 _NUMPY = SimpleNamespace(sin=np.sin, cos=np.cos, sincos=_sincos_half_angle,
                          atan2=np.arctan2, sqrt=np.sqrt, hypot=np.hypot, floor=np.floor,
                          copysign=np.copysign,
-                         maximum=np.maximum, minimum=np.minimum, where=np.where,
-                         any_lane=np.any)
+                         maximum=np.maximum, minimum=np.minimum, where=np.where)
 
 
 def wrap_pi(x):
@@ -143,32 +155,30 @@ def kepler_u(ell, e):
     so t <= u*e*sin(u) / (1 - e*cos(u)) < 2: 2 - 2e*cos(u) - e*u*sin(u) is
     2(1 - e) > 0 at u = 0 and grows on [0, pi].  So every step is finite and
     heads for r (it may pass it), and clamping it to [a, hi] keeps u where
-    these signs hold.  A lane stops once its residual is below KEPLER_TOL.
+    these signs hold.
 
-    Each step calls libm once: cos(u) = copysign(sqrt(1 - sin(u)^2), pi/2 - u)
-    reuses the residual's sin(u), and the step reuses its e*sin(u).  sqrt is
-    correctly rounded in ``math`` and in NumPy, so float and array roots are
-    bitwise equal.  The error falls cubically near r.  The slowest case is
-    e -> 1, a -> 0, where f ~ u^3/6 and a step from above r halves u.  From
-    u0 = a + e*sin(a), the most steps any lane took in a sweep of a over
-    [0, pi] and down to 1e-300: 1 at e <= 0.01, 3 at e = 0.73, 6 at
-    e = 0.999 and 20 at e = 1 - 2**-53, under the loop's bound of 40.
+    The start calls no libm function: u0 = a + e*S(a), clamped to hi, with
+    Bhaskara's rational sine S(a) = 16w / (5 pi^2 - 4w), w = a(pi - a), which
+    is within 1.7e-3 of sin(a) on [0, pi] and never above 1.  Each step calls
+    libm once: e*cos(u) = copysign(sqrt(e^2 - (e*sin(u))^2), pi/2 - u) reuses
+    the residual's e*sin(u).  A start this close leaves a fixed, small number
+    of steps (Markley 1995, CeMDA 63, 101): KEPLER_STEPS' entry for the
+    scalar e, the same on every lane.  No lane tests its residual and no sine
+    confirms the root, so floats and arrays run the same operations on
+    correctly rounded sin and sqrt, and their roots are bitwise equal.
     """
     m = _NUMPY if type(ell) is ndarray else _MATH
     ell = wrap_pi(ell)
     a = abs(ell)
     hi = m.minimum(a + e, pi)
-    u = a + e * m.sin(a)
-    for _ in range(40):
-        s = m.sin(u)
-        esu = e * s
+    w = a * (pi - a)
+    u = m.minimum(a + 16.0 * e * w / (FIVE_PI2 - 4.0 * w), hi)
+    e2 = e * e
+    for _ in range(KEPLER_STEPS[bisect_left(KEPLER_ECC, e)]):
+        esu = e * m.sin(u)
         res = u - esu - a
-        live = abs(res) >= KEPLER_TOL
-        if not m.any_lane(live):
-            break
-        d = 1.0 - e * m.copysign(m.sqrt(1.0 - s * s), HALF_PI - u)
-        u_next = m.maximum(m.minimum(u - res * d / (d * d - 0.5 * res * esu), hi), a)
-        u = m.where(live, u_next, u)
+        d = 1.0 - m.copysign(m.sqrt(e2 - esu * esu), HALF_PI - u)
+        u = m.maximum(m.minimum(u - res * d / (d * d - 0.5 * res * esu), hi), a)
     return m.copysign(u, ell)
 
 
@@ -194,8 +204,10 @@ def delaunay_orbit(ell, L, G, mu):
 
 
 def mean_angles(ell, g, h, ell_dot, g_dot, h_dot, dt):
-    """The mean angles advanced by dt at the secular rates, each in (-pi, pi]."""
-    return wrap_pi(ell + ell_dot * dt), wrap_pi(g + g_dot * dt), wrap_pi(h + h_dot * dt)
+    """The mean angles advanced by dt at the secular rates: g and h in
+    (-pi, pi], ell not reduced, since ``kepler_u`` reduces it (a caller that
+    reports ell applies ``wrap_pi``)."""
+    return ell + ell_dot * dt, wrap_pi(g + g_dot * dt), wrap_pi(h + h_dot * dt)
 
 
 def small_params(Theta, mu, alpha, c20, c30=0.0):
@@ -224,8 +236,9 @@ def center_terms(kappa, sigma):
     to e = 0, where they are (1, 0, 0), so no circular split is needed.
     """
     m = _NUMPY if type(kappa) is ndarray else _MATH
-    eta = m.sqrt((1.0 - kappa) * (1.0 + kappa) - sigma * sigma)
-    return eta, 2.0 * m.atan2(sigma, 1.0 + eta + kappa), eta * sigma / (1.0 + kappa)
+    opk = 1.0 + kappa
+    eta = m.sqrt((1.0 - kappa) * opk - sigma * sigma)
+    return eta, 2.0 * m.atan2(sigma, 1.0 + eta + kappa), eta * sigma / opk
 
 
 def anomaly_block(kappa, sigma):
@@ -278,8 +291,10 @@ def short_ns(xi, chi, r, R, Theta, mu, alpha, c20):
     xmc = xi2 - chi2
     s2 = xi2 + chi2
     t23 = 2.0 - 3.0 * s2
-    c = m.sqrt(m.maximum(0.0, 1.0 - s2))
-    c2 = c * c
+    c2 = m.maximum(0.0, 1.0 - s2)
+    c = m.sqrt(c2)
+    c6 = 6.0 * c
+    c12 = 12.0 * c2
     opc = 1.0 + c
     opk = 1.0 + kappa
     opk2 = opk * opk
@@ -288,16 +303,20 @@ def short_ns(xi, chi, r, R, Theta, mu, alpha, c20):
     k3 = k1 + 2.0
     k3c2 = k3 * c2
     a1 = (1.0 - 3.0 * c2) * ((2.0 + kappa) / ope)
-    b1 = 4.0 * chi2 + a1
     phi3 = (3.0 - 15.0 * c2) * phi
-    dpsi = eps2 * (phi3 + 6.0 * c * phi
-                   + sigma * (2.0 + 6.0 * c - 12.0 * c2 + a1 - (2.0 + 4.0 * c) / opc * xmc)
+    s4 = 4.0 * sigma
+    # dxi = eps2 (A chi - B xi) and dchi = eps2 (C chi - D xi), where
+    # C = B + k1 (xi^2 - chi^2) and D = A + 4 sigma c^2
+    a_chi = sigma * (4.0 * chi2 + a1 - c12) + phi3
+    b_xi = k1 * chi2 - k3c2
+    dpsi = eps2 * (phi3 + c6 * phi
+                   + sigma * (2.0 + c6 - c12 + a1 - (2.0 + 4.0 * c) / opc * xmc)
                    - (1.0 + 7.0 * c + (4.0 + 12.0 * c) * kappa) / opc * xc)
-    dxi = eps2 * ((sigma * (b1 - 12.0 * c2) + phi3) * chi - (k1 * chi2 - k3c2) * xi)
-    dchi = eps2 * ((k1 * xi2 - k3c2) * chi - (sigma * (b1 - 8.0 * c2) + phi3) * xi)
+    dxi = eps2 * (a_chi * chi - b_xi * xi)
+    dchi = eps2 * ((b_xi + k1 * xmc) * chi - (a_chi + s4 * c2) * xi)
     dr = eps2 * p * (xmc + (1.0 + kappa / ope + 2.0 * eta / opk) * t23)
     dR = eps2 * (Theta / p) * (4.0 * opk2 * xc - sigma * (eta + opk2 / ope) * t23)
-    dTh = eps2 * Theta * (k3 * xmc - 4.0 * sigma * xc)
+    dTh = eps2 * Theta * (k3 * xmc - s4 * xc)
     return dpsi, dxi, dchi, dr, dR, dTh
 
 
@@ -376,7 +395,7 @@ def long_ns(xi, chi, r, R, Theta, mu, alpha, c20, c30, c=None):
     m = _NUMPY if type(xi) is ndarray else _MATH
     p, eps2, eps3 = small_params(Theta, mu, alpha, c20, c30)
     kappa = p / r - 1.0
-    sigma = p * R / Theta
+    sigma = p / Theta * R  # p / Theta is a scalar at a mean state
     xi2 = xi * xi
     chi2 = chi * chi
     if c is None:
@@ -395,26 +414,29 @@ def long_ns(xi, chi, r, R, Theta, mu, alpha, c20, c30, c=None):
     opc = 1.0 + c
     opk = 1.0 + kappa
     k2 = 2.0 + kappa
-    ss = sigma * sigma
     x2c = 2.0 * xi * chi
     cmx = chi2 - xi2
     u3 = 3.0 * chi2 - xi2
     v3 = 3.0 * xi2 - chi2
     sx = sigma * xi
     sc = sigma * chi
-    sx2c = sigma * x2c
     scmx = sigma * cmx
-    dpsi = ((-2.0 * e2g / opc) * (x2c * ((q13 + q14 * kappa) * kappa + q15 * ss)
+    # w = (kappa + i sigma)(cmx - i x2c): its real and imaginary parts are
+    # the brackets of dr and dR, and dTheta's bracket
+    # (kappa^2 - sigma^2) cmx + 2 kappa sigma x2c is Re((kappa + i sigma) w)
+    w_re = kappa * cmx + sigma * x2c
+    w_im = scmx - kappa * x2c
+    dpsi = ((-2.0 * e2g / opc) * (x2c * ((q13 + q14 * kappa) * kappa + q15 * sigma * sigma)
                                   - scmx * (q13 - q6 * kappa))
             + (eps3 / opc) * ((2.0 + 2.0 * c + kappa) * chi - c * sx))
     dxi = (-e2g * ((p1 + p2 * u3) * xi - (p3 - p4 * v3) * sc)
            + 0.5 * eps3 * (2.0 * s2 + (1.0 + c2) * kappa + k2 * cmx))
     dchi = (e2g * ((p1 + p2 * v3) * chi + (p3 - p4 * u3) * sx)
             - eps3 * (c2 * sigma + 0.5 * k2 * x2c))
-    dr = p * e2w * (sx2c + kappa * cmx) + p * eps3 * xi
-    dR = (Theta / p) * opk * opk * (e2w * (scmx - kappa * x2c) + eps3 * chi)
-    dTh = (Theta * e2w * ((kappa * kappa - ss) * cmx + 2.0 * kappa * sx2c)
-           + Theta * eps3 * (kappa * xi - sc))
+    dr = p * e2w * w_re + p * eps3 * xi
+    tp = Theta / p
+    dR = opk * opk * ((tp * e2w) * w_im + (tp * eps3) * chi)
+    dTh = Theta * e2w * (kappa * w_re - sigma * w_im) + Theta * eps3 * (kappa * xi - sc)
     return dpsi, dxi, dchi, dr, dR, dTh
 
 
@@ -462,7 +484,10 @@ def ns_to_cart(psi, xi, chi, r, R, Theta, N):
     cabs = abs(N) / Theta
     s2_shell = 1.0 - cabs * cabs
     s2_state = xi * xi + chi * chi
-    scale = m.sqrt(s2_shell / m.where(s2_state > 0.0, s2_state, 1.0))
+    # s2_state is kept at or above the smallest normal double, where
+    # s2_shell / s2_state cannot overflow: xi = chi = 0 stays 0, and
+    # components below 1e-154 are scaled by a finite factor, not projected
+    scale = m.sqrt(s2_shell / m.maximum(s2_state, DBL_MIN))
     xi = xi * scale
     chi = chi * scale
     t, tau, q = rotation_factors(xi, chi, cabs)

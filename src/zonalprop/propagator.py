@@ -219,7 +219,7 @@ def mean_elements_series(mean: MeanElements, t0: float, ts, field: GravityField,
     d = mean.delaunay
     ldot, gdot, hdot = mean_angle_rates(d.L, d.G, d.H, field, config.secular, span)
     out = np.empty((dt.shape[0], 6), dtype=float)
-    out[:, 0], out[:, 1], out[:, 2] = _kernels.mean_angles(d.ell, d.g, d.h,
-                                                           ldot, gdot, hdot, dt)
+    ell, out[:, 1], out[:, 2] = _kernels.mean_angles(d.ell, d.g, d.h, ldot, gdot, hdot, dt)
+    out[:, 0] = _kernels.wrap_pi(ell)
     out[:, 3:] = (d.L, d.G, d.H)
     return out

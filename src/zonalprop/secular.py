@@ -134,18 +134,30 @@ def propagate_mean(d: DelaunayState, rates: SecularRates, dt: float) -> Delaunay
         raise _advance_error(rate, "|dt|", abs(dt))
     ell, g, h = _kernels.mean_angles(d.ell, d.g, d.h,
                                      rates.ell_dot, rates.g_dot, rates.h_dot, dt)
-    return DelaunayState(ell=ell, g=g, h=h, L=d.L, G=d.G, H=d.H)
+    return DelaunayState(ell=_kernels.wrap_pi(ell), g=g, h=h, L=d.L, G=d.G, H=d.H)
 
 
 def mean_motion(L: float, field: GravityField) -> float:
     """Keplerian mean motion n = mu^2 / L^3; ZonalPropError unless L is
-    positive and finite."""
+    positive and finite and n is a positive finite double (L^3 neither
+    overflows nor comes too close to 0)."""
     # checked inline: mean_angle_rates runs this on the single-state path
     if not 0.0 < L < math.inf:
         raise ZonalPropError(f"L must be positive and finite, got {L}")
-    return field.mu * field.mu / L ** 3
+    try:
+        n = field.mu * field.mu / L ** 3
+    except ArithmeticError:  # L ** 3 overflows, or underflows to 0
+        n = math.nan
+    if not 0.0 < n < math.inf:
+        raise ZonalPropError(f"mean motion mu^2 / L^3 is not a positive finite double "
+                             f"for L = {L}")
+    return n
 
 
 def orbital_period(L: float, field: GravityField) -> float:
-    """Keplerian period 2 pi / n; raises as mean_motion does."""
-    return 2.0 * math.pi / mean_motion(L, field)
+    """Keplerian period 2 pi / n; raises as mean_motion does, and when the
+    period overflows."""
+    period = 2.0 * math.pi / mean_motion(L, field)
+    if period == math.inf:
+        raise ZonalPropError(f"orbital period 2 pi / n overflows for L = {L}")
+    return period

@@ -1,5 +1,6 @@
 """Shared fixtures and state generators for the test suite."""
 
+import collections
 import math
 from dataclasses import replace
 
@@ -84,3 +85,55 @@ def _warm_kernels():
     delaunay_short_series(0.3, 0.7, 52000.0, 51900.0, 45000.0, MU, EARTH.alpha, EARTH.c20)
     delaunay_long_series(0.7, 52000.0, 51900.0, 45000.0, MU, EARTH.alpha, EARTH.c20, EARTH.c30)
     yield
+
+
+class PassCounter:
+    """The NumPy passes the kernels make on arrays: every ufunc call
+    (operators, ``abs`` and unary minus included) and every array function,
+    counted by NumPy name in ``by_name``.  Copies by item assignment are not
+    counted."""
+
+    def __init__(self):
+        self.by_name = collections.Counter()
+        by_name = self.by_name
+
+        def plain(values):
+            return [v.view(np.ndarray) if isinstance(v, Counted) else v for v in values]
+
+        def counted(result):
+            if isinstance(result, tuple):
+                return tuple(counted(r) for r in result)
+            return result.view(Counted) if isinstance(result, np.ndarray) else result
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                name = ufunc.__name__
+                by_name[name if method == "__call__" else f"{name}.{method}"] += 1
+                if "out" in kwargs:
+                    kwargs["out"] = tuple(plain(kwargs["out"]))
+                return counted(getattr(ufunc, method)(*plain(inputs), **kwargs))
+
+            def __array_function__(self, func, types, args, kwargs):
+                by_name[func.__name__] += 1
+                return counted(func(*plain(args), **kwargs))
+
+        self.array_type = Counted
+
+    @property
+    def total(self):
+        return sum(self.by_name.values())
+
+    def array(self, x):
+        """``x`` as an array whose passes are counted."""
+        return np.asarray(x).view(self.array_type)
+
+
+@pytest.fixture
+def numpy_passes(monkeypatch):
+    """A ``PassCounter`` for the kernels.  ``_kernels`` takes NumPy for an
+    argument whose type is ``_kernels.ndarray``; that name is rebound to the
+    counter's ndarray subclass, so the kernels run unchanged, with every
+    pass counted, on inputs made by ``numpy_passes.array``."""
+    counter = PassCounter()
+    monkeypatch.setattr(_kernels, "ndarray", counter.array_type)
+    return counter

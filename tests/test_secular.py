@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 import sympy
 
-from zonalprop import (EARTH, DelaunayState, ZonalPropError, mean_motion, orbital_period,
-                       propagate_mean, secular_rates)
+from zonalprop import (EARTH, DelaunayState, GravityField, ZonalPropError, mean_motion,
+                       orbital_period, propagate_mean, secular_rates)
 from zonalprop.secular import (MAX_ADVANCE, mean_angle_rates, mean_hamiltonian,
                                zonal_hamiltonian)
 from exact_brackets import DPS
@@ -155,6 +156,26 @@ class TestMeanMotion:
         for fn in (mean_motion, orbital_period):
             with pytest.raises(ZonalPropError, match=f"L must be positive and finite, got {L}"):
                 fn(L, EARTH)
+
+    @pytest.mark.parametrize("L", [1e-110, 1e-100, 1e103])
+    def test_float_range_ends(self, L):
+        # L ** 3 underflowed to 0 (a bare ZeroDivisionError), gave n = inf and
+        # a period of 0.0, or overflowed (a bare OverflowError)
+        for fn in (mean_motion, orbital_period):
+            with pytest.raises(ZonalPropError, match=re.escape(f"for L = {L}") + "$"):
+                fn(L, EARTH)
+
+    def test_period_overflow(self):
+        # n is a positive double, but 2 pi / n is not
+        tiny = GravityField(mu=1e-150, alpha=EARTH.alpha, c20=EARTH.c20, c30=EARTH.c30)
+        L = 1e5
+        assert 0.0 < mean_motion(L, tiny) < 1e-300
+        with pytest.raises(ZonalPropError, match=re.escape(f"overflows for L = {L}")):
+            orbital_period(L, tiny)
+
+    def test_finite_n_unchanged(self):
+        for L in (1e-90, 1.0, 52000.0, 1e100):
+            assert mean_motion(L, EARTH) == EARTH.mu * EARTH.mu / L ** 3
 
 
 class TestPropagateMean:

@@ -196,6 +196,14 @@ class TestNonsingularCartesian:
             assert getattr(cart2, k) == pytest.approx(getattr(cart, k),
                                                       rel=1e-13, abs=1e-13)
 
+    @pytest.mark.parametrize("xi", [0.0, 1e-160])
+    def test_off_shell_projection_stays_finite(self, xi):
+        # xi^2 = 1e-320 is subnormal: s2_shell / xi^2 overflowed to inf and
+        # the rows were NaN; xi = chi = 0 stays in the plane z = 0
+        rows = _kernels.ns_to_cart(0.3, xi, 0.0, 7000.0, 0.0, 52000.0, 51999.0)
+        assert all(math.isfinite(v) for v in rows)
+        assert (rows[2] == 0.0) == (xi == 0.0)
+
     def test_rectilinear_error(self):
         cart = CartesianState(7000.0, 0.0, 0.0, 1.0, 0.0, 0.0)
         with pytest.raises(ZonalPropError):
