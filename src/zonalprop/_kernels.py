@@ -295,7 +295,10 @@ def short_ns(xi, chi, r, R, Theta, mu, alpha, c20):
     c = m.sqrt(c2)
     c6 = 6.0 * c
     c12 = 12.0 * c2
-    opc = 1.0 + c
+    # 1/(1 + c) is the one division of the c-polynomials of dpsi:
+    # (2 + 4c)/(1 + c) = 4 - 2/(1 + c), (1 + 7c)/(1 + c) = 7 - 6/(1 + c) and
+    # (4 + 12c)/(1 + c) = 12 - 8/(1 + c)
+    ioc = 1.0 / (1.0 + c)
     opk = 1.0 + kappa
     opk2 = opk * opk
     ope = 1.0 + eta
@@ -310,8 +313,8 @@ def short_ns(xi, chi, r, R, Theta, mu, alpha, c20):
     a_chi = sigma * (4.0 * chi2 + a1 - c12) + phi3
     b_xi = k1 * chi2 - k3c2
     dpsi = eps2 * (phi3 + c6 * phi
-                   + sigma * (2.0 + c6 - c12 + a1 - (2.0 + 4.0 * c) / opc * xmc)
-                   - (1.0 + 7.0 * c + (4.0 + 12.0 * c) * kappa) / opc * xc)
+                   + sigma * (2.0 + c6 - c12 + a1 - (4.0 - 2.0 * ioc) * xmc)
+                   - ((7.0 - 6.0 * ioc) + (12.0 - 8.0 * ioc) * kappa) * xc)
     dxi = eps2 * (a_chi * chi - b_xi * xi)
     dchi = eps2 * ((b_xi + k1 * xmc) * chi - (a_chi + s4 * c2) * xi)
     dr = eps2 * p * (xmc + (1.0 + kappa / ope + 2.0 * eta / opk) * t23)

@@ -312,7 +312,7 @@ def test_blocks_are_near_equal_and_bounded():
 #: spread, and the psi* chart's two sign flips the rest.  The sines are one
 #: per Halley step, at mean e 0.0015 (sso), 2e-4 (geo), 0.011 (near-eq),
 #: 0.049 (leo), 0.020 (retro) and 0.728 (gto)
-BLOCK_PASSES = {"sso": 365, "geo": 363, "near-eq": 363, "leo": 382, "retro": 384, "gto": 401}
+BLOCK_PASSES = {"sso": 364, "geo": 362, "near-eq": 362, "leo": 381, "retro": 383, "gto": 400}
 BLOCK_SINES = {"sso": 1, "geo": 1, "near-eq": 1, "leo": 2, "retro": 2, "gto": 3}
 
 
