@@ -8,13 +8,33 @@ helper call would cost more than the test on floats.  The two namespaces
 bind the same names, mostly ``math`` functions and their ufuncs; a sine and
 cosine of one angle come from ``sincos``, which is ``math``'s sin and cos on
 floats and, on arrays, the half-angle form from one vectorized tangent.
-Branches on data are written as ``where``, ``maximum`` and ``minimum``, so
-a lane of an array gets the value a float would.  Quantities that are
-constant along one mean trajectory (e, a, sin I, |c| and the long-period
-coefficients) are computed from the scalar arguments and stay scalars, so
-on arrays they are computed once per call.  Angle-valued outputs follow one
-rule: the true and eccentric anomalies are kept on matching branches so the
-equation of the center never jumps by 2*pi.
+Branches on data are written as ``where``, ``maximum``, ``imin`` and
+``imax``, so a lane of an array gets the value a float would.  Quantities
+that are constant along one mean trajectory (e, a, sin I, |c| and the
+long-period coefficients) are computed from the scalar arguments and stay
+scalars, so on arrays they are computed once per call.  Angle-valued outputs
+follow one rule: the true and eccentric anomalies are kept on matching
+branches so the equation of the center never jumps by 2*pi.
+
+On arrays a kernel writes only into arrays it allocated itself, never into
+an argument (``tests/test_array_path.py`` runs them on read-only arrays).
+Within that rule the kernels update their temporaries in place: NumPy reuses
+a temporary by itself only from 256 KiB up (``NPY_MIN_ELIDE_BYTES``), and a
+block of about 8192 epochs holds 64 KiB per array, so each arithmetic pass
+written as an expression would allocate its result.  The updates are written
+as augmented assignments (``x *= y``), which on floats compute what
+``x = x * y`` does.  Each formula keeps its operations and their order; only
+a * b = b * a, a + b = b + a and exact negations are used, such as
+c - k y = (-k) y + c for a scalar k, so arrays and floats keep their bits.
+The functions that an operator cannot write in place have twins in
+``_NUMPY`` that write their result into their argument x: ``sqrt(x)``,
+``floor(x)``, ``atan2(y, x)``, ``copysign(x, y)``, ``imin(x, y)`` and
+``imax(x, y)``.  Here, for floats, the twins are the plain ``math``
+functions and ``min`` and ``max``, so they add no Python call.
+``maximum``, ``where``, ``hypot``, ``sin`` and ``cos`` allocate their
+result on arrays.  So do the few passes that no exact rewrite puts in place,
+such as a - x for an array x: a twin for them would add a call on floats,
+where an operator adds none.
 
 The periodic-correction kernels evaluate the first-order generating-function
 brackets in closed form: the Poisson brackets of ``reference.v1`` and
@@ -100,8 +120,8 @@ EPOCH_BLOCK = 8192
 # Float twins of the NumPy functions the kernels use.  Together with the math
 # imports above they make this module the namespace for float inputs, so
 # rebinding ``sin`` etc. here (call counting) reaches every float evaluation.
-maximum = max
-minimum = min
+maximum = imax = max
+imin = min
 
 
 def where(cond, a, b):
@@ -122,25 +142,40 @@ def _sincos_half_angle(x):
     vectorized, so one tan and six arithmetic ufuncs cost less than either
     call; the result stays within 2.2e-16 of them for |x| <= 3 pi.  tan is
     odd, so sin stays exactly odd and cos exactly even, and x = +-0 gives
-    (+-0, 1).
+    (+-0, 1).  Three of the eight passes allocate: t, t^2 and 1 + t^2; the
+    others write into t (then sin x) and t^2 (then cos x).
     """
-    t = np.tan(0.5 * x)
+    t = 0.5 * x
+    np.tan(t, out=t)
     t2 = t * t
-    d = 1.0 + t2
-    return (t + t) / d, (1.0 - t2) / d
+    d = t2 + 1.0
+    t += t
+    t /= d
+    np.subtract(1.0, t2, out=t2)
+    t2 /= d
+    return t, t2
 
 
 _MATH = sys.modules[__name__]
-_NUMPY = SimpleNamespace(sin=np.sin, cos=np.cos, sincos=_sincos_half_angle,
-                         atan2=np.arctan2, sqrt=np.sqrt, hypot=np.hypot, floor=np.floor,
-                         copysign=np.copysign,
-                         maximum=np.maximum, minimum=np.minimum, where=np.where)
+_NUMPY = SimpleNamespace(
+    sin=np.sin, cos=np.cos, sincos=_sincos_half_angle, hypot=np.hypot, where=np.where,
+    maximum=np.maximum,
+    # the twins: each writes its result into its argument x
+    sqrt=lambda x: np.sqrt(x, out=x), floor=lambda x: np.floor(x, out=x),
+    atan2=lambda y, x: np.arctan2(y, x, out=x), copysign=lambda x, y: np.copysign(x, y, out=x),
+    imin=lambda x, y: np.minimum(x, y, out=x), imax=lambda x, y: np.maximum(x, y, out=x))
 
 
 def wrap_pi(x):
-    """Reduce an angle to (-pi, pi]; -0.0 gives +0.0 on floats and arrays alike."""
+    """Reduce an angle to (-pi, pi]; -0.0 gives +0.0 on floats and arrays alike:
+    x + 2 pi floor((pi - x) / (2 pi))."""
     m = _NUMPY if type(x) is ndarray else _MATH
-    return x + TWO_PI * m.floor((pi - x) / TWO_PI)
+    k = pi - x
+    k /= TWO_PI
+    k = m.floor(k)
+    k *= TWO_PI
+    k += x
+    return k
 
 
 def kepler_u(ell, e):
@@ -170,15 +205,33 @@ def kepler_u(ell, e):
     m = _NUMPY if type(ell) is ndarray else _MATH
     ell = wrap_pi(ell)
     a = abs(ell)
-    hi = m.minimum(a + e, pi)
-    w = a * (pi - a)
-    u = m.minimum(a + 16.0 * e * w / (FIVE_PI2 - 4.0 * w), hi)
+    hi = m.imin(a + e, pi)
+    w = pi - a
+    w *= a
+    u = -4.0 * w
+    u += FIVE_PI2
+    w *= 16.0 * e
+    w /= u
+    w += a
+    u = m.imin(w, hi)
     e2 = e * e
     for _ in range(KEPLER_STEPS[bisect_left(KEPLER_ECC, e)]):
-        esu = e * m.sin(u)
-        res = u - esu - a
-        d = 1.0 - m.copysign(m.sqrt(e2 - esu * esu), HALF_PI - u)
-        u = m.maximum(m.minimum(u - res * d / (d * d - 0.5 * res * esu), hi), a)
+        # u - res d / (d^2 - res esu / 2) with d = 1 - e cos(u), here as
+        # u + res nd / (nd^2 - res esu / 2) with nd = e cos(u) - 1 = -d: d > 0,
+        # so both are exact negations and the step keeps its bits
+        esu = m.sin(u)
+        esu *= e
+        res = u - esu
+        res -= a
+        nd = m.copysign(m.sqrt(e2 - esu * esu), HALF_PI - u)
+        nd -= 1.0
+        esu *= 0.5 * res
+        res *= nd
+        nd *= nd
+        nd -= esu
+        res /= nd
+        res += u
+        u = m.imax(m.imin(res, hi), a)
     return m.copysign(u, ell)
 
 
@@ -193,13 +246,21 @@ def delaunay_orbit(ell, L, G, mu):
     m = _NUMPY if type(ell) is ndarray else _MATH
     eta = G / L
     e2 = 1.0 - eta * eta
-    e = m.sqrt(e2) if e2 > 0.0 else 0.0
+    e = sqrt(e2) if e2 > 0.0 else 0.0
     u = kepler_u(ell, e)
     su, cu = m.sincos(u)
-    r = (L * L / mu) * (1.0 - e * cu)
-    R = L * e * su / r
+    r = -e * cu
+    r += 1.0
+    r *= L * L / mu
+    R = L * e * su
+    R /= r
     beta = e / (1.0 + eta)
-    f = u + 2.0 * m.atan2(beta * su, 1.0 - beta * cu)
+    su *= beta
+    cu *= -beta
+    cu += 1.0
+    f = m.atan2(su, cu)
+    f *= 2.0
+    f += u
     return r, R, f
 
 
@@ -207,7 +268,13 @@ def mean_angles(ell, g, h, ell_dot, g_dot, h_dot, dt):
     """The mean angles advanced by dt at the secular rates: g and h in
     (-pi, pi], ell not reduced, since ``kepler_u`` reduces it (a caller that
     reports ell applies ``wrap_pi``)."""
-    return ell + ell_dot * dt, wrap_pi(g + g_dot * dt), wrap_pi(h + h_dot * dt)
+    ell_t = ell_dot * dt
+    ell_t += ell
+    g_t = g_dot * dt
+    g_t += g
+    h_t = h_dot * dt
+    h_t += h
+    return ell_t, wrap_pi(g_t), wrap_pi(h_t)
 
 
 def small_params(Theta, mu, alpha, c20, c30=0.0):
@@ -217,10 +284,12 @@ def small_params(Theta, mu, alpha, c20, c30=0.0):
     which is 0 when C30 is (the caller rejects C20 = 0 with C30 != 0).  Plain
     arithmetic, so Theta may be a float or an array.
     """
-    p = Theta * Theta / mu
+    p = Theta * Theta
+    p /= mu
     ap = alpha / p
-    eps2 = 0.25 * c20 * ap * ap
     eps3 = 0.0 if c30 == 0.0 else ap * (0.5 * c30 / c20)
+    eps2 = 0.25 * c20 * ap
+    eps2 *= ap
     return p, eps2, eps3
 
 
@@ -237,8 +306,17 @@ def center_terms(kappa, sigma):
     """
     m = _NUMPY if type(kappa) is ndarray else _MATH
     opk = 1.0 + kappa
-    eta = m.sqrt((1.0 - kappa) * opk - sigma * sigma)
-    return eta, 2.0 * m.atan2(sigma, 1.0 + eta + kappa), eta * sigma / opk
+    eta = 1.0 - kappa
+    eta *= opk
+    eta -= sigma * sigma
+    eta = m.sqrt(eta)
+    f_u = eta + 1.0
+    f_u += kappa
+    f_u = m.atan2(sigma, f_u)
+    f_u *= 2.0
+    esu = eta * sigma
+    esu /= opk
+    return eta, f_u, esu
 
 
 def anomaly_block(kappa, sigma):
@@ -281,45 +359,116 @@ def short_ns(xi, chi, r, R, Theta, mu, alpha, c20):
     """
     m = _NUMPY if type(xi) is ndarray else _MATH
     p, eps2, _ = small_params(Theta, mu, alpha, c20)
-    kappa = p / r - 1.0
-    sigma = p * R / Theta
-    eta, f_u, esu = center_terms(kappa, sigma)
-    phi = f_u + esu
+    kappa = p / r
+    kappa -= 1.0
+    sigma = p * R
+    sigma /= Theta
+    eta, phi, esu = center_terms(kappa, sigma)
+    phi += esu
+    del esu
     xi2 = xi * xi
     chi2 = chi * chi
     xc = xi * chi
     xmc = xi2 - chi2
-    s2 = xi2 + chi2
-    t23 = 2.0 - 3.0 * s2
-    c2 = m.maximum(0.0, 1.0 - s2)
-    c = m.sqrt(c2)
-    c6 = 6.0 * c
+    s2 = xi2
+    s2 += chi2
+    t23 = -3.0 * s2
+    t23 += 2.0
+    # 1 - s2 is never -0.0, so max(1 - s2, 0) is max(0, 1 - s2)
+    c2 = m.imax(1.0 - s2, 0.0)
+    # the c^2 terms come first: c is taken in c2's place
     c12 = 12.0 * c2
+    k1 = 4.0 * kappa
+    k1 += 1.0
+    k3 = k1 + 2.0
+    k3c2 = k3 * c2
+    ope = eta + 1.0
+    a1 = -3.0 * c2
+    a1 += 1.0
+    a1 *= (kappa + 2.0) / ope
+    phi3 = -15.0 * c2
+    phi3 += 3.0
+    phi3 *= phi
+    s4 = 4.0 * sigma
+    s4c2 = s4 * c2
+    c = m.sqrt(c2)
     # 1/(1 + c) is the one division of the c-polynomials of dpsi:
     # (2 + 4c)/(1 + c) = 4 - 2/(1 + c), (1 + 7c)/(1 + c) = 7 - 6/(1 + c) and
     # (4 + 12c)/(1 + c) = 12 - 8/(1 + c)
-    ioc = 1.0 / (1.0 + c)
-    opk = 1.0 + kappa
-    opk2 = opk * opk
-    ope = 1.0 + eta
-    k1 = 1.0 + 4.0 * kappa
-    k3 = k1 + 2.0
-    k3c2 = k3 * c2
-    a1 = (1.0 - 3.0 * c2) * ((2.0 + kappa) / ope)
-    phi3 = (3.0 - 15.0 * c2) * phi
-    s4 = 4.0 * sigma
+    ioc = 1.0 / (c + 1.0)
+    c6 = c
+    c6 *= 6.0
+    opk2 = kappa + 1.0
+    eta2_opk = 2.0 * eta
+    eta2_opk /= opk2
+    opk2 *= opk2
     # dxi = eps2 (A chi - B xi) and dchi = eps2 (C chi - D xi), where
     # C = B + k1 (xi^2 - chi^2) and D = A + 4 sigma c^2
-    a_chi = sigma * (4.0 * chi2 + a1 - c12) + phi3
-    b_xi = k1 * chi2 - k3c2
-    dpsi = eps2 * (phi3 + c6 * phi
-                   + sigma * (2.0 + c6 - c12 + a1 - (4.0 - 2.0 * ioc) * xmc)
-                   - ((7.0 - 6.0 * ioc) + (12.0 - 8.0 * ioc) * kappa) * xc)
-    dxi = eps2 * (a_chi * chi - b_xi * xi)
-    dchi = eps2 * ((b_xi + k1 * xmc) * chi - (a_chi + s4 * c2) * xi)
-    dr = eps2 * p * (xmc + (1.0 + kappa / ope + 2.0 * eta / opk) * t23)
-    dR = eps2 * (Theta / p) * (4.0 * opk2 * xc - sigma * (eta + opk2 / ope) * t23)
-    dTh = eps2 * Theta * (k3 * xmc - s4 * xc)
+    a_chi = 4.0 * chi2
+    a_chi += a1
+    a_chi -= c12
+    a_chi *= sigma
+    a_chi += phi3
+    b_xi = chi2
+    b_xi *= k1
+    b_xi -= k3c2
+    # dpsi = eps2 (phi3 + c6 phi + sigma (2 + c6 - c12 + a1 - (4 - 2 ioc) xmc)
+    #              - ((7 - 6 ioc) + (12 - 8 ioc) kappa) xc)
+    phi *= c6
+    phi3 += phi
+    c6 += 2.0
+    c6 -= c12
+    c6 += a1
+    z = -2.0 * ioc
+    z += 4.0
+    z *= xmc
+    c6 -= z
+    c6 *= sigma
+    phi3 += c6
+    z = -6.0 * ioc
+    z += 7.0
+    ioc *= -8.0
+    ioc += 12.0
+    ioc *= kappa
+    z += ioc
+    z *= xc
+    phi3 -= z
+    phi3 *= eps2
+    dpsi = phi3
+    dxi = a_chi * chi
+    dxi -= b_xi * xi
+    dxi *= eps2
+    k1 *= xmc
+    b_xi += k1
+    b_xi *= chi
+    a_chi += s4c2
+    a_chi *= xi
+    b_xi -= a_chi
+    b_xi *= eps2
+    dchi = b_xi
+    # dr = eps2 p (xmc + (1 + kappa/ope + 2 eta/opk) t23)
+    kappa /= ope
+    kappa += 1.0
+    kappa += eta2_opk
+    kappa *= t23
+    kappa += xmc
+    kappa *= eps2 * p
+    dr = kappa
+    # dR = eps2 (Theta/p) (4 opk^2 xc - sigma (eta + opk^2/ope) t23)
+    ope = opk2 / ope
+    ope += eta
+    ope *= sigma
+    ope *= t23
+    opk2 *= 4.0
+    opk2 *= xc
+    opk2 -= ope
+    opk2 *= Theta / p * eps2
+    dR = opk2
+    k3 *= xmc
+    s4 *= xc
+    k3 -= s4
+    k3 *= eps2 * Theta
+    dTh = k3
     return dpsi, dxi, dchi, dr, dR, dTh
 
 
@@ -380,10 +529,20 @@ def p_coefficients(kappa, sigma, q):
     corrections, from the tuple ``q`` returned by ``q_polynomials``."""
     q0, _, q2, _, _, _, q7, q8, q9, q10, q11, q12, _, _, _ = q
     ss = sigma * sigma
-    return ((q2 + q7 * kappa) * kappa + q8 * ss,
-            (q0 + q9 * kappa) * kappa + q10 * ss,
-            q2 + q11 * kappa,
-            q0 + q12 * kappa)
+    p1 = q7 * kappa
+    p1 += q2
+    p1 *= kappa
+    p1 += q8 * ss
+    p2 = q9 * kappa
+    p2 += q0
+    p2 *= kappa
+    ss *= q10
+    p2 += ss
+    p3 = q11 * kappa
+    p3 += q2
+    p4 = q12 * kappa
+    p4 += q0
+    return p1, p2, p3, p4
 
 
 def long_ns(xi, chi, r, R, Theta, mu, alpha, c20, c30, c=None):
@@ -397,13 +556,15 @@ def long_ns(xi, chi, r, R, Theta, mu, alpha, c20, c30, c=None):
     """
     m = _NUMPY if type(xi) is ndarray else _MATH
     p, eps2, eps3 = small_params(Theta, mu, alpha, c20, c30)
-    kappa = p / r - 1.0
+    kappa = p / r
+    kappa -= 1.0
     sigma = p / Theta * R  # p / Theta is a scalar at a mean state
     xi2 = xi * xi
     chi2 = chi * chi
     if c is None:
         s2 = xi2 + chi2
-        c = m.sqrt(m.maximum(0.0, 1.0 - s2))
+        # 1 - s2 is never -0.0, so max(1 - s2, 0) is max(0, 1 - s2)
+        c = m.sqrt(m.imax(1.0 - s2, 0.0))
     else:
         s2 = 1.0 - c * c
     c2 = c * c
@@ -415,31 +576,94 @@ def long_ns(xi, chi, r, R, Theta, mu, alpha, c20, c30, c=None):
     e2g = eps2 / (4.0 * g * g)
     e2w = eps2 * ((1.0 - 15.0 * c2) / (4.0 * g))
     opc = 1.0 + c
-    opk = 1.0 + kappa
-    k2 = 2.0 + kappa
-    x2c = 2.0 * xi * chi
+    k2 = kappa + 2.0
+    x2c = 2.0 * xi
+    x2c *= chi
     cmx = chi2 - xi2
-    u3 = 3.0 * chi2 - xi2
-    v3 = 3.0 * xi2 - chi2
+    u3 = 3.0 * chi2
+    u3 -= xi2
+    v3 = xi2
+    v3 *= 3.0
+    v3 -= chi2
     sx = sigma * xi
     sc = sigma * chi
     scmx = sigma * cmx
     # w = (kappa + i sigma)(cmx - i x2c): its real and imaginary parts are
     # the brackets of dr and dR, and dTheta's bracket
     # (kappa^2 - sigma^2) cmx + 2 kappa sigma x2c is Re((kappa + i sigma) w)
-    w_re = kappa * cmx + sigma * x2c
+    w_re = kappa * cmx
+    w_re += sigma * x2c
     w_im = scmx - kappa * x2c
-    dpsi = ((-2.0 * e2g / opc) * (x2c * ((q13 + q14 * kappa) * kappa + q15 * sigma * sigma)
-                                  - scmx * (q13 - q6 * kappa))
-            + (eps3 / opc) * ((2.0 + 2.0 * c + kappa) * chi - c * sx))
-    dxi = (-e2g * ((p1 + p2 * u3) * xi - (p3 - p4 * v3) * sc)
-           + 0.5 * eps3 * (2.0 * s2 + (1.0 + c2) * kappa + k2 * cmx))
-    dchi = (e2g * ((p1 + p2 * v3) * chi + (p3 - p4 * u3) * sx)
-            - eps3 * (c2 * sigma + 0.5 * k2 * x2c))
-    dr = p * e2w * w_re + p * eps3 * xi
+    # dpsi = (-2 e2g / opc) (x2c ((q13 + q14 kappa) kappa + q15 sigma^2)
+    #                        - scmx (q13 - q6 kappa))
+    #        + (eps3 / opc) ((2 + 2c + kappa) chi - c sx)
+    dpsi = q14 * kappa
+    dpsi += q13
+    dpsi *= kappa
+    t = q15 * sigma
+    t *= sigma
+    dpsi += t
+    dpsi *= x2c
+    t = -q6 * kappa
+    t += q13
+    scmx *= t
+    dpsi -= scmx
+    dpsi *= -2.0 * e2g / opc
+    t = kappa + (2.0 + 2.0 * c)
+    t *= chi
+    t -= c * sx
+    t *= eps3 / opc
+    dpsi += t
+    # dxi = -e2g ((p1 + p2 u3) xi - (p3 - p4 v3) sc)
+    #       + eps3/2 (2 s2 + (1 + c2) kappa + k2 cmx)
+    dxi = p2 * u3
+    dxi += p1
+    dxi *= xi
+    t = p3 - p4 * v3
+    t *= sc
+    dxi -= t
+    dxi *= -e2g
+    t = (1.0 + c2) * kappa
+    t += 2.0 * s2
+    cmx *= k2
+    t += cmx
+    t *= 0.5 * eps3
+    dxi += t
+    # dchi = e2g ((p1 + p2 v3) chi + (p3 - p4 u3) sx) - eps3 (c2 sigma + k2 x2c / 2)
+    p2 *= v3
+    p2 += p1
+    p2 *= chi
+    p4 *= u3
+    p3 -= p4
+    p3 *= sx
+    p2 += p3
+    p2 *= e2g
+    t = c2 * sigma
+    k2 *= 0.5
+    k2 *= x2c
+    t += k2
+    t *= eps3
+    p2 -= t
+    dchi = p2
+    dr = p * e2w * w_re
+    dr += p * eps3 * xi
     tp = Theta / p
-    dR = opk * opk * ((tp * e2w) * w_im + (tp * eps3) * chi)
-    dTh = Theta * e2w * (kappa * w_re - sigma * w_im) + Theta * eps3 * (kappa * xi - sc)
+    # dR = opk^2 ((tp e2w) w_im + (tp eps3) chi)
+    dR = tp * e2w * w_im
+    dR += tp * eps3 * chi
+    opk = kappa + 1.0
+    opk *= opk
+    dR *= opk
+    # dTheta = Theta e2w (kappa w_re - sigma w_im) + Theta eps3 (kappa xi - sc)
+    w_re *= kappa
+    w_im *= sigma
+    w_re -= w_im
+    w_re *= Theta * e2w
+    kappa *= xi
+    kappa -= sc
+    kappa *= Theta * eps3
+    w_re += kappa
+    dTh = w_re
     return dpsi, dxi, dchi, dr, dR, dTh
 
 
@@ -483,35 +707,56 @@ def ns_to_cart(psi, xi, chi, r, R, Theta, N):
     with xi = chi = 0 stays there.
     """
     m = _NUMPY if type(psi) is ndarray else _MATH
+    # Theta is the caller's, or a scalar when no correction stage ran, so the
+    # clamp allocates
     Theta = m.maximum(Theta, abs(N))
     cabs = abs(N) / Theta
     s2_shell = 1.0 - cabs * cabs
-    s2_state = xi * xi + chi * chi
+    s2_state = xi * xi
+    s2_state += chi * chi
     # s2_state is kept at or above the smallest normal double, where
     # s2_shell / s2_state cannot overflow: xi = chi = 0 stays 0, and
     # components below 1e-154 are scaled by a finite factor, not projected
-    scale = m.sqrt(s2_shell / m.maximum(s2_state, DBL_MIN))
+    scale = m.sqrt(s2_shell / m.imax(s2_state, DBL_MIN))
     xi = xi * scale
-    chi = chi * scale
+    scale *= chi
+    chi = scale
     t, tau, q = rotation_factors(xi, chi, cabs)
     sp, cp = m.sincos(psi)
     qc = q * cp
-    qs = q * sp
+    qs = q
+    qs *= sp
     # the radial unit vector is (ux, uy, xi), the transverse one (-nx, -ny, chi)
-    ux = t * cp + qs
-    uy = t * sp - qc
-    nx = qc + tau * sp
-    ny = qs - tau * cp
+    ux = t * cp
+    ux += qs
+    uy = t
+    uy *= sp
+    uy -= qc
+    nx = sp
+    nx *= tau
+    nx += qc
+    cp *= tau
+    ny = qs
+    ny -= cp
     w = Theta / r
     x = r * ux
     y = r * uy
     z = r * xi
-    vx = R * ux - w * nx
-    vy = R * uy - w * ny
-    vz = R * xi + w * chi
+    vx = ux
+    vx *= R
+    nx *= w
+    vx -= nx
+    vy = uy
+    vy *= R
+    ny *= w
+    vy -= ny
+    vz = xi
+    vz *= R
+    chi *= w
+    vz += chi
     if N < 0.0:
-        y = -y
-        vy = -vy
+        y *= -1.0
+        vy *= -1.0
     return x, y, z, vx, vy, vz
 
 
@@ -557,29 +802,41 @@ def reconstruct_and_correct(ell, g, h, L, G, H, mu, alpha, c20, c30, with_long, 
     scalar.
     """
     m = _NUMPY if type(ell) is ndarray else _MATH
-    r, R, f = delaunay_orbit(ell, L, G, mu)
-    theta = f + g
+    r, R, theta = delaunay_orbit(ell, L, G, mu)
+    theta += g
     psi = theta - h if H < 0.0 else theta + h
     cth = H / G
     sm2 = 1.0 - cth * cth
-    sm = m.sqrt(sm2) if sm2 > 0.0 else 0.0
-    st, ct = m.sincos(theta)
-    # the double-prime state; each correction stage replaces it.  On arrays,
-    # what a later stage no longer reads is deleted before that stage
-    # allocates its own temporaries, for a lower peak per block: without these
-    # deletions a one-day 1 s ``propagate`` peaked 0.7 MB higher in RSS and
-    # took 925 page faults, not 757
-    xi = sm * st
-    chi = sm * ct
-    del f, theta, st, ct
+    sm = sqrt(sm2) if sm2 > 0.0 else 0.0
+    # the double-prime state; each correction stage adds its deltas to it, in
+    # place on arrays: the state's arrays are this function's own, and the
+    # kernels write into none of their arguments.  What a later stage no
+    # longer reads is deleted before that stage allocates its own
+    # temporaries, for a lower peak per block: without these deletions a
+    # one-day 1 s ``propagate`` peaked 0.7 MB higher in RSS and took 925
+    # page faults, not 757
+    xi, chi = m.sincos(theta)
+    xi *= sm
+    chi *= sm
+    del theta
     Th = G
     if with_long:
         dpsi, dxi, dchi, dr, dR, dTh = long_ns(xi, chi, r, R, Th, mu, alpha, c20, c30, abs(cth))
-        psi, xi, chi, r, R, Th = psi + dpsi, xi + dxi, chi + dchi, r + dr, R + dR, Th + dTh
+        psi += dpsi
+        xi += dxi
+        chi += dchi
+        r += dr
+        R += dR
+        Th += dTh
         del dpsi, dxi, dchi, dr, dR, dTh
     if with_short:
         dpsi, dxi, dchi, dr, dR, dTh = short_ns(xi, chi, r, R, Th, mu, alpha, c20)
-        psi, xi, chi, r, R, Th = psi + dpsi, xi + dxi, chi + dchi, r + dr, R + dR, Th + dTh
+        psi += dpsi
+        xi += dxi
+        chi += dchi
+        r += dr
+        R += dR
+        Th += dTh
         del dpsi, dxi, dchi, dr, dR, dTh
     return ns_to_cart(psi, xi, chi, r, R, Th, H)
 

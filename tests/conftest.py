@@ -90,12 +90,14 @@ def _warm_kernels():
 class PassCounter:
     """The NumPy passes the kernels make on arrays: every ufunc call
     (operators, ``abs`` and unary minus included) and every array function,
-    counted by NumPy name in ``by_name``.  Copies by item assignment are not
-    counted."""
+    counted by NumPy name in ``by_name``.  The passes given no ``out``, which
+    allocate their result, are counted again in ``allocating``.  Copies by
+    item assignment are not counted."""
 
     def __init__(self):
         self.by_name = collections.Counter()
-        by_name = self.by_name
+        self.allocating = collections.Counter()
+        by_name, allocating = self.by_name, self.allocating
 
         def plain(values):
             return [v.view(np.ndarray) if isinstance(v, Counted) else v for v in values]
@@ -108,13 +110,18 @@ class PassCounter:
         class Counted(np.ndarray):
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
                 name = ufunc.__name__
-                by_name[name if method == "__call__" else f"{name}.{method}"] += 1
+                name = name if method == "__call__" else f"{name}.{method}"
+                by_name[name] += 1
                 if "out" in kwargs:
                     kwargs["out"] = tuple(plain(kwargs["out"]))
+                else:
+                    allocating[name] += 1
                 return counted(getattr(ufunc, method)(*plain(inputs), **kwargs))
 
             def __array_function__(self, func, types, args, kwargs):
                 by_name[func.__name__] += 1
+                if kwargs.get("out") is None:
+                    allocating[func.__name__] += 1
                 return counted(func(*plain(args), **kwargs))
 
         self.array_type = Counted
@@ -122,6 +129,15 @@ class PassCounter:
     @property
     def total(self):
         return sum(self.by_name.values())
+
+    @property
+    def allocated(self):
+        """The passes that allocated their result."""
+        return sum(self.allocating.values())
+
+    def clear(self):
+        self.by_name.clear()
+        self.allocating.clear()
 
     def array(self, x):
         """``x`` as an array whose passes are counted."""
