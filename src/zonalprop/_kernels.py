@@ -287,9 +287,9 @@ def small_params(Theta, mu, alpha, c20, c30=0.0):
     p = Theta * Theta
     p /= mu
     ap = alpha / p
-    eps3 = 0.0 if c30 == 0.0 else ap * (0.5 * c30 / c20)
     eps2 = 0.25 * c20 * ap
     eps2 *= ap
+    eps3 = 0.0 if c30 == 0.0 else ap * (0.5 * c30 / c20)
     return p, eps2, eps3
 
 
@@ -398,10 +398,11 @@ def short_ns(xi, chi, r, R, Theta, mu, alpha, c20):
     ioc = 1.0 / (c + 1.0)
     c6 = c
     c6 *= 6.0
-    opk2 = kappa + 1.0
+    opk = kappa + 1.0
     eta2_opk = 2.0 * eta
-    eta2_opk /= opk2
-    opk2 *= opk2
+    eta2_opk /= opk
+    opk *= opk
+    opk2 = opk
     # dxi = eps2 (A chi - B xi) and dchi = eps2 (C chi - D xi), where
     # C = B + k1 (xi^2 - chi^2) and D = A + 4 sigma c^2
     a_chi = 4.0 * chi2
