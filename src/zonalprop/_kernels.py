@@ -60,11 +60,16 @@ it calls libm once per step: the cosine comes from the residual's own sine
 takes as many libm calls as one epoch.
 
 Formulas that other layers need too (the small parameters, the q
-polynomials, the P coefficients, the Kepler solver, the anomalies, the
-rotation factors, the point on the Kepler ellipse and the mean-angle
-advance) are defined here once, with no second name in another module:
-the other modules and the tests call them directly, so what the tests check
-is what the pipeline computes.
+polynomials the long-period kernels read, the P coefficients, the Kepler
+solver, the anomalies, the rotation factors, the point on the Kepler
+ellipse and the mean-angle advance) are defined here once, with no second
+name in another module: the other modules and the tests call them
+directly, so what the tests check is what the pipeline computes.
+
+``ephemeris_batch`` has one epoch loop on floats, for every grid shorter
+than ARRAY_MIN_EPOCHS.  A grid the propagator checked on floats comes in as
+a list or tuple with no output array, and the rows go back as 6-tuples, so
+such a request makes no NumPy call before its result.
 """
 
 import sys
@@ -496,24 +501,23 @@ def short_ns_low(xi, chi, r, R, Theta, mu, alpha, c20):
 # ---------------------------------------------------------------------------
 
 def q_polynomials(c):
-    """The inclination polynomials (q0, q1, q2, q3, q5, q6, ..., q15) at c = cos I.
+    """The inclination polynomials (q0, q2, q6, q7, ..., q15) at c = cos I.
 
-    The one source of these coefficients for every long-period form.  Plain
-    arithmetic, so c may be a float or an array.  The numbering has no q4;
-    q6 is the deflated c (11 - 30 c^2 + 75 c^4), so q5 = c q6 and polar
-    orbits (c = 0) stay regular.
+    The one source of these coefficients for the long-period kernels.  Plain
+    arithmetic, so c may be a float or an array.  The numbering has no q4,
+    and only the polynomials ``long_ns`` and ``p_coefficients`` read are
+    built: q1 feeds only the classical Delaunay series and is defined there
+    (``benchmark.q1_polynomial``), and q3 and q5 = c q6 no formula reads.
+    q6 is the deflated c (11 - 30 c^2 + 75 c^4), so polar orbits (c = 0)
+    stay regular.
     """
     c2 = c * c
     c4 = c2 * c2
     c6 = c4 * c2
     q0 = (1.0 - 15.0 * c2) * (1.0 - 5.0 * c2)
-    t56 = 11.0 - 30.0 * c2 + 75.0 * c4
     return (q0,
-            0.25 * (1.0 - 43.0 * c2 + 155.0 * c4 - 225.0 * c6),
             (1.0 - c2) * q0,
-            0.25 * (1.0 + c2 + 35.0 * c4 + 75.0 * c6),
-            c2 * t56,
-            c * t56,
+            c * (11.0 - 30.0 * c2 + 75.0 * c4),
             0.25 * (1.0 + 3.0 * c2 - 5.0 * c4 + 225.0 * c6),
             0.25 * (1.0 - 45.0 * c2 + 195.0 * c4 - 375.0 * c6),
             0.25 * (1.0 + 75.0 * c4),
@@ -528,7 +532,7 @@ def q_polynomials(c):
 def p_coefficients(kappa, sigma, q):
     """The P coefficients (p1, p2, p3, p4) of the nonsingular long-period
     corrections, from the tuple ``q`` returned by ``q_polynomials``."""
-    q0, _, q2, _, _, _, q7, q8, q9, q10, q11, q12, _, _, _ = q
+    q0, q2, _, q7, q8, q9, q10, q11, q12, _, _, _ = q
     ss = sigma * sigma
     p1 = q7 * kappa
     p1 += q2
@@ -571,7 +575,7 @@ def long_ns(xi, chi, r, R, Theta, mu, alpha, c20, c30, c=None):
     c2 = c * c
     g = 1.0 - 5.0 * c2
     q = q_polynomials(c)
-    q6, q13, q14, q15 = q[5], q[12], q[13], q[14]
+    q6, q13, q14, q15 = q[2], q[9], q[10], q[11]
     p1, p2, p3, p4 = p_coefficients(kappa, sigma, q)
     # the eps-scaled prefactors, scalars when Theta and c are
     e2g = eps2 / (4.0 * g * g)
@@ -860,13 +864,20 @@ def ephemeris_batch(ts, t0, ell0, g0, h0, L, G, H, ldot, gdot, hdot,
     A grid of ARRAY_MIN_EPOCHS epochs or more runs through the kernels on
     arrays, one per block of ``block_edges``; a shorter one runs epoch by
     epoch on floats.  Either way each row depends on its own epoch only.
+    With ``out`` None, ``ts`` is a short list or tuple of floats and the
+    rows are returned as a list of 6-tuples, with no NumPy call.
     """
-    n = ts.shape[0]
+    n = len(ts)
     if n < ARRAY_MIN_EPOCHS:
-        for i, t in enumerate(ts.tolist()):
+        rows = []
+        for t in (ts if out is None else ts.tolist()):
             ell, g, h = mean_angles(ell0, g0, h0, ldot, gdot, hdot, t - t0)
-            out[i] = reconstruct_and_correct(ell, g, h, L, G, H, mu, alpha, c20, c30,
-                                             with_long, with_short)
+            rows.append(reconstruct_and_correct(ell, g, h, L, G, H, mu, alpha, c20, c30,
+                                                with_long, with_short))
+        if out is None:
+            return rows
+        for i, row in enumerate(rows):
+            out[i] = row
         return out
     edges = block_edges(n)
     for lo, hi in zip(edges[:-1], edges[1:]):

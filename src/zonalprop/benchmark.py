@@ -146,6 +146,16 @@ def delaunay_short_series(ell, g, L, G, H, mu, alpha, c20):
     return dl, dg, dh, dLL, dGG, 0.0
 
 
+def q1_polynomial(c):
+    """The inclination polynomial q1 = (1 - 43 c^2 + 155 c^4 - 225 c^6) / 4
+    at c = cos I, which only the long-period Delaunay series reads; the
+    polynomials the nonsingular kernels read are ``_kernels.q_polynomials``."""
+    c2 = c * c
+    c4 = c2 * c2
+    c6 = c4 * c2
+    return 0.25 * (1.0 - 43.0 * c2 + 155.0 * c4 - 225.0 * c6)
+
+
 def delaunay_long_series(g, L, G, H, mu, alpha, c20, c30):
     """First-order long-period corrections to the Delaunay elements."""
     eta = G / L
@@ -158,7 +168,8 @@ def delaunay_long_series(g, L, G, H, mu, alpha, c20, c30):
     _, eps2, eps3 = _kernels.small_params(G, mu, alpha, c20, c30)
     gc = 1.0 - 5.0 * c2
     w = (1.0 - 15.0 * c2) / gc
-    _, q1, _, _, _, q6 = _kernels.q_polynomials(c)[:6]
+    q1 = q1_polynomial(c)
+    q6 = _kernels.q_polynomials(c)[2]
     qg = 375.0 * c2 * c2 * c2 - 345.0 * c2 * c2 + 85.0 * c2 - 3.0
     sg = sin(g)
     cg = cos(g)

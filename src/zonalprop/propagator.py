@@ -158,16 +158,55 @@ def _checked_grid(t0: float, ts) -> tuple[np.ndarray, float]:
     return ts, max(-lo, hi)
 
 
+def _float_grid(t0: float, ts):
+    """``_checked_grid`` on Python floats, for a list or tuple of 1 to
+    ``ARRAY_MIN_EPOCHS - 1`` items that are each exactly a float or an int:
+    (the grid as floats, the largest |t - t0|), raising what _checked_grid
+    raises.  None for every other grid, which _checked_grid then takes."""
+    if not ((type(ts) is list or type(ts) is tuple) and 0 < len(ts) < _kernels.ARRAY_MIN_EPOCHS):
+        return None
+    floats = True
+    for t in ts:
+        if type(t) is not float:
+            if type(t) is not int:
+                return None
+            floats = False
+    if not floats:
+        # float() rounds and overflows as NumPy's conversion does
+        ts = [float(t) for t in ts]
+    if not math.isfinite(t0):
+        raise ZonalPropError(f"epoch t0 must be finite, got {t0}")
+    # once an offset is NaN or inf the span stays NaN or inf
+    span = 0.0
+    for t in ts:
+        d = abs(t - t0)
+        if d > span or d != d:
+            span = d
+    if not span < math.inf:
+        if all(map(math.isfinite, ts)):
+            raise ZonalPropError(f"time offset t - t0 overflows for t0 = {t0}")
+        raise ZonalPropError("time grid must be finite")
+    return ts, span
+
+
 def _batch_args(cart0: CartesianState, t0: float, ts, field: GravityField,
                 config: PropagatorConfig):
-    """The checked grid and the arguments of ``_kernels.ephemeris_batch``
-    between t0 and out: every check of an ephemeris request runs here."""
+    """The grid checked in NumPy and the arguments of
+    ``_kernels.ephemeris_batch`` between t0 and out."""
     ts, span = _checked_grid(t0, ts)
+    return ts, _orbit_args(cart0, span, field, config)
+
+
+def _orbit_args(cart0: CartesianState, span: float, field: GravityField,
+                config: PropagatorConfig):
+    """The arguments of ``_kernels.ephemeris_batch`` between t0 and out, for
+    a checked grid whose largest |t - t0| is span: every check of an
+    ephemeris request after the grid's runs here."""
     ell, g, h, L, G, H, _ = _mean_state(cart0, field, config)
     ldot, gdot, hdot = mean_angle_rates(L, G, H, field, config.secular, span)
-    return ts, (ell, g, h, L, G, H, ldot, gdot, hdot,
-                field.mu, field.alpha, field.c20, field.c30,
-                config.long_period and field.c20 != 0.0, config.short_period)
+    return (ell, g, h, L, G, H, ldot, gdot, hdot,
+            field.mu, field.alpha, field.c20, field.c30,
+            config.long_period and field.c20 != 0.0, config.short_period)
 
 
 def ephemeris_array(cart0: CartesianState, t0: float, ts, field: GravityField,
@@ -176,8 +215,18 @@ def ephemeris_array(cart0: CartesianState, t0: float, ts, field: GravityField,
 
     Grids of ``_kernels.ARRAY_MIN_EPOCHS`` epochs or more are evaluated in
     NumPy blocks, shorter ones epoch by epoch on floats; the two agree to
-    about 1e-10 km in position.
+    about 1e-10 km in position.  A short grid given as a list or tuple whose
+    items are each exactly a Python float or int (no bool, no NumPy scalar)
+    is checked on floats too, and the request makes no NumPy call before
+    the one that builds the result.  Every other grid (an ndarray, a nested
+    list, a generator, ...) is checked in NumPy.  Both checks raise the same
+    errors, and both paths give the same rows bit for bit.
     """
+    grid = _float_grid(t0, ts)
+    if grid is not None:
+        ts, span = grid
+        args = _orbit_args(cart0, span, field, config)
+        return np.array(_kernels.ephemeris_batch(ts, t0, *args, None))
     ts, args = _batch_args(cart0, t0, ts, field, config)
     out = np.empty((ts.shape[0], 6), dtype=float)
     _kernels.ephemeris_batch(ts, t0, *args, out)

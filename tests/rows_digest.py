@@ -1,4 +1,4 @@
-"""sha256 digests of three outputs of the library, to check that a change
+"""sha256 digests of four outputs of the library, to check that a change
 leaves every row bit for bit as it was.
 
     PYTHONPATH=src python tests/rows_digest.py            # full size
@@ -11,7 +11,10 @@ Run it on two checkouts and compare the lines.  The outputs:
 ``catalog``  ``workloads.catalog(1, 3000)`` asked for at t = 0, one epoch
              per state; a rejected state contributes its error's repr;
 ``cli``      the bytes of ``zonalprop propagate --config example-config.ini``
-             for one day at a 1 s step.
+             for one day at a 1 s step;
+``mean``     ``osculating_to_mean`` of the same catalogue states: the six
+             Delaunay elements and ``conventional_split``, or a rejected
+             state's error repr.
 
 ``--small`` runs the same outputs at a 600 s dense step, 200 catalogue
 states and a 60 s CLI step.
@@ -22,13 +25,14 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import struct
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from zonalprop import EARTH, CartesianState, ZonalPropError, ephemeris_array
+from zonalprop import EARTH, CartesianState, ZonalPropError, ephemeris_array, osculating_to_mean
 from zonalprop.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,6 +75,20 @@ def catalog_digest(workloads, size):
     return h.hexdigest()
 
 
+def mean_digest(workloads, size):
+    h = hashlib.sha256()
+    states, _ = workloads.catalog(1, size)
+    for state in states.tolist():
+        try:
+            mean = osculating_to_mean(CartesianState(*state), EARTH)
+        except ZonalPropError as err:
+            h.update(repr(err).encode())
+            continue
+        d = mean.delaunay
+        h.update(struct.pack("<6d?", d.ell, d.g, d.h, d.L, d.G, d.H, mean.conventional_split))
+    return h.hexdigest()
+
+
 def cli_digest(step):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ephemeris.csv"
@@ -87,7 +105,8 @@ def digests(dense_step, catalog_size, cli_step):
     workloads = _workloads()
     return {"dense": dense_digest(workloads, dense_step),
             "catalog": catalog_digest(workloads, catalog_size),
-            "cli": cli_digest(cli_step)}
+            "cli": cli_digest(cli_step),
+            "mean": mean_digest(workloads, catalog_size)}
 
 
 def main(argv=None):

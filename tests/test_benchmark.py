@@ -84,3 +84,12 @@ class TestBenchmark:
         assert "seconds per evaluation" in text
         assert report.nonsingular_time > 0.0
         assert report.delaunay_time > 0.0
+
+
+def test_q1_of_the_delaunay_series():
+    # q1 feeds only the long-period Delaunay series, so it is defined there
+    assert benchmark.q1_polynomial(0.0) == 0.25
+    assert benchmark.q1_polynomial(1.0) == -28.0  # (1 - 43 + 155 - 225) / 4
+    assert benchmark.q1_polynomial(-1.0) == -28.0
+    assert benchmark.q1_polynomial(0.5) == pytest.approx(
+        0.25 * (1.0 - 43.0 / 4.0 + 155.0 / 16.0 - 225.0 / 64.0), abs=1e-15)

@@ -11,13 +11,14 @@ import importlib.util
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from zonalprop import (EARTH, CartesianState, GravityField, NonEllipticStateError,
                        PropagatorConfig, _kernels, ephemeris_array, mean_to_osculating,
-                       osculating_to_mean, propagate_mean, secular_rates)
+                       osculating_to_mean, propagate_mean, propagator, secular_rates)
 from test_array_path import LEO_STATE
 from conftest import elements_to_cartesian
 
@@ -25,17 +26,14 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 
 #: most Python-level calls one single-epoch request may make (sys.setprofile
 #: "call" events).  A change that puts per-call wrappers back on the float
-#: path fails here; raising the budget is a change to log.  58 = 57 + the two
-#: calls of the shared ellipticity check (before the inverse corrections and
-#: in ``ellipse_elements``) + the grid check ``mean_elements_series`` shares
-#: + one ``sincos`` each in ``delaunay_orbit``, ``reconstruct_and_correct``
-#: and ``ns_to_cart`` (63), - ``anomaly_block`` and its three ``where``
-#: calls in each of the two ``short_ns`` calls (55) + one ``center_terms``
-#: in each ``short_ns`` and in ``anomaly_block``.  The set-up
-#: ``ephemeris_blocks`` shares with ``ephemeris_array`` (``_batch_args``) is
-#: one more call, and checking the grid with a ufunc reduction instead of
-#: ``ndarray.all``, a Python wrapper, is one fewer.
-CALL_BUDGET = 58
+#: path fails here; raising the budget is a change to log.  54 = 3 for the
+#: request itself (``ephemeris_array``, its float grid check ``_float_grid``
+#: and ``_orbit_args``) + 27 for the inverse corrections (``_mean_state`` and
+#: the calls under it) + 4 for the secular rates (``mean_angle_rates``) + 20
+#: for the forward chain (``ephemeris_batch`` and the calls under it).  A
+#: one-epoch ndarray grid makes two more: ``_float_grid`` declines it, and
+#: ``_batch_args`` and ``_checked_grid`` check it in NumPy.
+CALL_BUDGET = 54
 
 
 def _catalog(seed, size):
@@ -131,6 +129,81 @@ def test_non_elliptic_state_rejected_before_the_corrections(case, stages):
                      (ephemeris_array, (cart, 0.0, np.arange(64.0), EARTH, config))):
         with pytest.raises(NonEllipticStateError, match="not elliptic"):
             fn(*args)
+
+
+def _outcome(fn):
+    """What fn() gives: its rows' shape and bytes, or its error's type and
+    message."""
+    try:
+        rows = fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return rows.dtype, rows.shape, rows.tobytes()
+
+
+#: (t0, grid) pairs: the short path's checks against those in NumPy
+GRIDS = {
+    "one float": (-3600.0, [0.0]),
+    "floats": (-3600.0, [0.0, 60.0, -7200.5]),
+    "tuple": (-3600.0, (0.0, 60.0)),
+    "ints": (-3600, [0, 60, 86400]),
+    "int and float": (-3600.0, [0, 60.5]),
+    "ints beyond 2**53": (-3600.0, [2 ** 53 + 1, 2 ** 63 - 1, 2 ** 64 + 1]),
+    "int beyond the float range": (0.0, [10 ** 400]),
+    "31 items": (-3600.0, [60.0 * k for k in range(_kernels.ARRAY_MIN_EPOCHS - 1)]),
+    "32 items": (-3600.0, [60.0 * k for k in range(_kernels.ARRAY_MIN_EPOCHS)]),
+    "NaN item": (-3600.0, [0.0, math.nan]),
+    "+inf item": (-3600.0, [math.inf]),
+    "-inf item": (-3600.0, [0.0, -math.inf]),
+    "inf before NaN": (-3600.0, [math.inf, math.nan]),
+    "offset overflows": (-1.7e308, [1.7e308]),
+    "offset overflows below": (1.7e308, [0.0, -1.7e308]),
+    "NaN t0": (math.nan, [0.0]),
+    "inf t0": (math.inf, [0.0]),
+    "-inf t0 and a NaN item": (-math.inf, [math.nan]),
+    "int t0 beyond the float range": (10 ** 400, [0.0]),
+    "nested list": (-3600.0, [[0.0]]),
+    "nested lists": (-3600.0, [[0.0, 60.0], [120.0, 180.0]]),
+    "empty list": (-3600.0, []),
+    "empty tuple": (-3600.0, ()),
+    "bool": (-3600.0, [True]),
+    "bool and float": (-3600.0, [0.0, False]),
+    "np.float64 items": (-3600.0, [np.float64(0.0), np.float64(60.0)]),
+    "float and np.float64": (-3600.0, [0.0, np.float64(60.0)]),
+    "np.float64 t0": (np.float64(-3600.0), [0.0]),
+    "string item": (-3600.0, [0.0, "60"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRIDS))
+def test_short_grid_path_matches_the_numpy_checked_path(case):
+    t0, grid = GRIDS[case]
+    for cart in (LEO_STATE, CartesianState(*LEO)):
+        listed = _outcome(lambda: ephemeris_array(cart, t0, grid, EARTH))
+        assert listed == _outcome(lambda: ephemeris_array(cart, t0, np.asarray(grid), EARTH))
+
+
+def test_short_grid_makes_no_numpy_call_before_the_rows(monkeypatch):
+    # only np.array is left to the propagator: the float-item lists and
+    # tuples run, and a one-epoch ndarray (checked in NumPy) does not
+    expected = ephemeris_array(LEO_STATE, -3600.0, np.array([0.0, 60.0]), EARTH)
+    monkeypatch.setattr(propagator, "np", SimpleNamespace(array=np.array))
+    for grid in ([0.0, 60.0], (0.0, 60.0), [0, 60]):
+        assert ephemeris_array(LEO_STATE, -3600.0, grid, EARTH).tobytes() == expected.tobytes()
+    with pytest.raises(AttributeError):
+        ephemeris_array(LEO_STATE, -3600.0, np.array([0.0, 60.0]), EARTH)
+
+
+def test_catalogue_rows_equal_on_both_grid_checks():
+    states, epochs = _catalog(5, 2000)
+    mismatches = 0
+    for state, t0 in zip(states.tolist(), epochs.tolist()):
+        cart = CartesianState(*state)
+        for grid in ([0.0], [0.0, t0 + 5400.0, t0 - 86400.0]):
+            listed = _outcome(lambda: ephemeris_array(cart, t0, grid, EARTH))
+            mismatches += listed != _outcome(
+                lambda: ephemeris_array(cart, t0, np.array(grid), EARTH))
+    assert mismatches == 0
 
 
 def test_single_state_call_budget():

@@ -72,19 +72,15 @@ class TestSmallParams:
 
 class TestInclinationPolynomials:
     def test_at_c_zero(self):
-        q0, q1, q2, q3, q5, q6, _, _, _, _, _, _, q13, _, _ = _kernels.q_polynomials(0.0)
+        q0, q2, q6, _, _, _, _, _, _, q13, _, _ = _kernels.q_polynomials(0.0)
         assert q0 == 1.0
-        assert q1 == 0.25
         assert q2 == 1.0
-        assert q3 == 0.25
-        assert q5 == 0.0
         assert q6 == 0.0
         assert q13 == 1.0
 
     def test_at_c_one(self):
-        q0, _, q2, _, q5, q6, _, _, _, _, _, _, q13, _, q15 = _kernels.q_polynomials(1.0)
+        q0, q2, q6, _, _, _, _, _, _, q13, _, q15 = _kernels.q_polynomials(1.0)
         assert q0 == 56.0
-        assert q5 == 56.0
         assert q6 == 56.0
         assert q2 == 0.0
         assert q13 == 112.0
@@ -93,19 +89,20 @@ class TestInclinationPolynomials:
     def test_critical_inclination_zeros(self):
         q = _kernels.q_polynomials(math.sqrt(0.2))
         assert abs(q[0]) < 1e-14  # q0
-        assert abs(q[2]) < 1e-14  # q2
-        assert abs(q[12]) < 1e-14  # q13
+        assert abs(q[1]) < 1e-14  # q2
+        assert abs(q[9]) < 1e-14  # q13
 
     @pytest.mark.parametrize("c", np.linspace(-1.0, 1.0, 41).tolist())
     def test_structural_identities(self, c):
         q = _kernels.q_polynomials(c)
-        q0, _, q2, _, q5, q6, _, _, _, _, _, _, q13, _, _ = q
-        s2 = 1.0 - c * c
-        assert q2 == pytest.approx(s2 * q0, abs=1e-12)
+        q0, q2, q6, _, _, _, _, _, _, q13, _, _ = q
+        c2 = c * c
+        assert q2 == pytest.approx((1.0 - c2) * q0, abs=1e-12)
         assert q13 == pytest.approx(q0 * (1.0 + c), abs=1e-12)
-        assert c * q6 == pytest.approx(q5, abs=1e-12)
-        # q0..q3 and q5..q15: no q4
-        assert len(q) == 15
+        # q6 deflates q5 = c^2 (11 - 30 c^2 + 75 c^4) by one factor c
+        assert c * q6 == pytest.approx(c2 * (11.0 - 30.0 * c2 + 75.0 * c2 * c2), abs=1e-12)
+        # q0, q2 and q6..q15: no q4, and q1, q3 and q5 are not built
+        assert len(q) == 12
         assert all(math.isfinite(v) for v in q)
 
 
@@ -115,19 +112,19 @@ class TestPCoefficients:
         p1, p2, p3, p4 = _kernels.p_coefficients(0.0, 0.0, q)
         assert p1 == 0.0
         assert p2 == 0.0
-        assert p3 == q[2]  # q2
+        assert p3 == q[1]  # q2
         assert p4 == q[0]  # q0
 
     def test_unit_kappa_equatorial(self):
         q = _kernels.q_polynomials(0.0)
         p1, _, _, p4 = _kernels.p_coefficients(1.0, 0.0, q)
-        assert p1 == pytest.approx(q[2] + q[6])  # q2 + q7
+        assert p1 == pytest.approx(q[1] + q[3])  # q2 + q7
         assert p1 == pytest.approx(1.25)
         assert p4 == pytest.approx(1.0)
 
     def test_quadratic_in_sigma(self):
         q = _kernels.q_polynomials(0.42)
-        q8, q10 = q[7], q[9]
+        q8, q10 = q[4], q[6]
         kappa, sigma = 0.2, 0.15
         p1 = _kernels.p_coefficients(kappa, sigma, q)
         p2 = _kernels.p_coefficients(kappa, 2.0 * sigma, q)

@@ -20,5 +20,5 @@ def test_rows_digest_is_repeatable():
                          capture_output=True, text=True).stdout
     printed = dict(line.split() for line in out.splitlines())
     assert printed == rows_digest.digests(**rows_digest.SMALL)
-    assert sorted(printed) == ["catalog", "cli", "dense"]
+    assert sorted(printed) == ["catalog", "cli", "dense", "mean"]
     assert all(len(digest) == 64 for digest in printed.values())

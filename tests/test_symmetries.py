@@ -3,9 +3,13 @@
 An axisymmetric field has no preferred direction about z: rotating a state
 about z by phi rotates its ephemeris by phi.  Reflecting a state in the
 equatorial plane (z -> -z, vz -> -vz) reflects its ephemeris in the field
-whose odd zonal c30 has the other sign.  The float/array agreement tests
-cannot see a slip in an angle or a chart that both paths share, since both
-run one source; the rotation can, as such a slip breaks it.  The reflection
+whose odd zonal c30 has the other sign.  The zonal Hamiltonian is even in
+the momenta, so reversing the velocity reverses time: the state (r, -v) at
+t0 + tau is the state (r, v) at t0 - tau with its velocity reversed.  The
+reversed state runs through the other chart (N changes sign).  The
+float/array agreement tests cannot see a slip in an angle or a chart that
+both paths share, since both run one source; the rotation and the time
+reversal can, as such a slip breaks them.  The reflection
 maps (xi, chi, c30) to their negatives and keeps psi, r, R, Theta and N, so
 it sees a term of the wrong parity in them, such as a dropped or doubled
 factor of xi or chi, but not the sign of a whole term: one J3 term with its
@@ -51,6 +55,11 @@ PERIGEE_ALT = (300.0, 36000.0)
 #: before the first run from the 8.5e-8 m measured on the dense orbits.  A
 #: J3 term multiplied by chi^2 instead of chi fails it
 REFLECT_REL_TOL = 1e-10
+#: bound on the time-reversal defect, relative to the largest |r| and |v|,
+#: fixed before the first run from the 8.5e-8 m measured on the dense orbits.
+#: Reversing v flips the sign of N and so the chart, so within POLAR_COS of
+#: cos I = 0 the rotation test's POLAR_REL_TOL applies
+REVERSE_REL_TOL = 1e-10
 #: EARTH with the sign of its odd zonal coefficient changed
 MIRRORED_EARTH = GravityField(EARTH.mu, EARTH.alpha, EARTH.c20, -EARTH.c30)
 
@@ -74,13 +83,22 @@ def _reflected(rows):
     return out
 
 
-def _defect(cart, move, t0, ts, field=EARTH):
+def _reversed(rows):
+    """States (..., 6) with the velocity reversed."""
+    out = np.array(rows, dtype=float)
+    out[..., 3:] *= -1.0
+    return out
+
+
+def _defect(cart, move, t0, ts, field=EARTH, moved_ts=None):
     """(position defect, velocity defect) of moving the state by ``move``, a
-    map of state rows, and propagating it in ``field``: relative to the
-    largest |r| and |v| of the ephemeris."""
+    map of state rows, and propagating it in ``field`` over ``moved_ts``
+    (default ``ts``): relative to the largest |r| and |v| of the ephemeris
+    over ``ts``."""
     direct = ephemeris_array(cart, t0, ts, EARTH)
     state = move(np.array([cart.x, cart.y, cart.z, cart.vx, cart.vy, cart.vz]))
-    moved = ephemeris_array(CartesianState(*state.tolist()), t0, ts, field)
+    moved = ephemeris_array(CartesianState(*state.tolist()), t0,
+                            ts if moved_ts is None else moved_ts, field)
     diff = np.abs(moved - move(direct))
     r = np.max(np.linalg.norm(direct[:, :3], axis=1))
     v = np.max(np.linalg.norm(direct[:, 3:], axis=1))
@@ -105,7 +123,7 @@ def _in_scope(inc_deg):
             and not (0.0 < inc_deg < 2.0 or 178.0 < inc_deg < 180.0))
 
 
-#: the states of both symmetry tests: orbit, epoch t0 and grid step [s]
+#: the states of the symmetry tests: orbit, epoch t0 and grid step [s]
 STATES = dict(alt=st.floats(*PERIGEE_ALT),
               e=st.one_of(st.just(0.0), st.floats(0.0, 0.7)),
               inc_deg=st.one_of(st.sampled_from([0.0, 90.0, 180.0]),
@@ -135,3 +153,19 @@ def test_reflection_in_the_equator_reflects_the_ephemeris(alt, e, inc_deg, ell, 
     for ts in _grids(t0, step):
         pos, vel = _defect(cart, _reflected, t0, ts, MIRRORED_EARTH)
         assert pos <= REFLECT_REL_TOL and vel <= REFLECT_REL_TOL
+
+
+@example(alt=704.0, e=0.0, inc_deg=90.0, ell=10.0, g=20.0, h=30.0, t0=0.0, step=600.0)
+@example(alt=600.0, e=0.05, inc_deg=30.0, ell=10.0, g=20.0, h=30.0, t0=0.0, step=600.0)
+@example(alt=35786.0, e=0.0, inc_deg=0.0, ell=10.0, g=20.0, h=30.0, t0=0.0, step=600.0)
+@settings(max_examples=40, deadline=None)
+@given(**STATES)
+def test_time_reversal_reverses_the_ephemeris(alt, e, inc_deg, ell, g, h, t0, step):
+    # the state (r, -v) at t0 + tau is the state (r, v) at t0 - tau with its
+    # velocity reversed
+    cart = _cart(alt, e, inc_deg, ell, g, h)
+    polar = abs(math.cos(math.radians(inc_deg))) < POLAR_COS
+    tol = POLAR_REL_TOL if polar else REVERSE_REL_TOL
+    for back, ahead in zip(_grids(t0, -step), _grids(t0, step)):
+        pos, vel = _defect(cart, _reversed, t0, back, moved_ts=ahead)
+        assert pos <= tol and vel <= tol
