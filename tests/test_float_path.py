@@ -132,8 +132,8 @@ def test_non_elliptic_state_rejected_before_the_corrections(case, stages):
 
 
 def _outcome(fn):
-    """What fn() gives: its rows' shape and bytes, or its error's type and
-    message."""
+    """What fn() gives: its rows' dtype, shape and bytes, or its error's type
+    and message."""
     try:
         rows = fn()
     except Exception as exc:
@@ -185,7 +185,7 @@ def test_short_grid_path_matches_the_numpy_checked_path(case):
 
 def test_short_grid_makes_no_numpy_call_before_the_rows(monkeypatch):
     # only np.array is left to the propagator: the float-item lists and
-    # tuples run, and a one-epoch ndarray (checked in NumPy) does not
+    # tuples run, and an ndarray grid, checked in NumPy, does not
     expected = ephemeris_array(LEO_STATE, -3600.0, np.array([0.0, 60.0]), EARTH)
     monkeypatch.setattr(propagator, "np", SimpleNamespace(array=np.array))
     for grid in ([0.0, 60.0], (0.0, 60.0), [0, 60]):

@@ -9,7 +9,9 @@ t0 + tau is the state (r, v) at t0 - tau with its velocity reversed.  The
 reversed state runs through the other chart (N changes sign).  The
 float/array agreement tests cannot see a slip in an angle or a chart that
 both paths share, since both run one source; the rotation and the time
-reversal can, as such a slip breaks them.  The reflection
+reversal can.  A wrong chart or node split breaks the rotation, and an
+offset of 1e-9 rad in the mean node of the retrograde chart alone breaks
+only the time reversal.  The reflection
 maps (xi, chi, c30) to their negatives and keeps psi, r, R, Theta and N, so
 it sees a term of the wrong parity in them, such as a dropped or doubled
 factor of xi or chi, but not the sign of a whole term: one J3 term with its
