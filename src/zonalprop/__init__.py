@@ -8,7 +8,7 @@ outside the critical band.
 The names below are the propagator's API.  The building blocks live in their
 submodules (``gravity``, ``states``, ``longperiod``, ``secular``), the
 formulas themselves in ``_kernels``, the verification machinery in
-``oracle`` and ``reference``.
+``oracle``.
 """
 
 from .errors import (ConfigError, CriticalInclinationError, EquatorialDecompositionError,

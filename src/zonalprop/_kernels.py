@@ -37,19 +37,19 @@ such as a - x for an array x: a twin for them would add a call on floats,
 where an operator adds none.
 
 The periodic-correction kernels evaluate the first-order generating-function
-brackets in closed form: the Poisson brackets of ``reference.v1`` and
-``reference.y1`` over the polar-nodal pairs, carried into the nonsingular
-set by the chain rule.  The tests take those brackets exactly, on symbols,
-and run these kernels on mpmath numbers (rebinding ``sqrt`` and ``atan2``
-here) to compare them at 50 digits.
+brackets in closed form: the Poisson brackets of the polar-nodal generating
+functions v1 and y1 (``tests/reference_forms.py``) over the polar-nodal
+pairs, carried into the nonsingular set by the chain rule.  The tests take
+those brackets exactly, on symbols, and run these kernels on mpmath numbers
+(rebinding ``sqrt`` and ``atan2`` here) to compare them at 50 digits.
 
 The module holds the pipeline, which evaluates only the full nonsingular
 forms, and nothing else: every function here runs when a state is
 converted or propagated (``tests/test_kernels_scope.py``), except the
 low-inclination kernels ``short_ns_low`` and ``long_ns_low``.  The tests
-compare the full forms with them through ``reference``; they stay here only
-because the benchmark's layer trace (``perfbench/layers.py``) names them.
-The classical Delaunay series live in ``benchmark``.
+compare the full forms with them through ``tests/reference_forms.py``; they
+stay here only because the benchmark's layer trace (``perfbench/layers.py``)
+names them.  The classical Delaunay series live in ``benchmark``.
 
 The Kepler solver takes a fixed number of Halley steps for every e < 1,
 set by e alone (``KEPLER_STEPS``): it runs on |ell|, where Kepler's
@@ -79,6 +79,8 @@ from types import SimpleNamespace
 
 import numpy as np
 from numpy import ndarray
+
+from .errors import NonEllipticStateError
 
 TWO_PI = 2.0 * pi
 HALF_PI = 0.5 * pi
@@ -335,8 +337,8 @@ def anomaly_block(kappa, sigma):
     1 + kappa >= 1 - e > 0, u = f - (f - u) stays on f's branch, and
     circular lanes (kappa, sigma zeroed) give exact zeros.  This serves the
     callers that report f, u and ell (``states.ellipse_elements``); the
-    short-period kernels and ``reference.v1`` need only eta and phi and call
-    ``center_terms`` directly.
+    short-period kernels and the tests' ``v1`` need only eta and phi and
+    call ``center_terms`` directly.
     """
     m = _NUMPY if type(kappa) is ndarray else _MATH
     e = m.hypot(kappa, sigma)
@@ -693,7 +695,7 @@ def long_ns_low(xi, chi, r, R, Theta, mu, alpha, c20, c30):
 # ---------------------------------------------------------------------------
 
 def rotation_factors(xi, chi, c):
-    """Rotation factors (t, tau, q) of the nonsingular <-> Cartesian map at
+    """Rotation factors (t, tau, q) of the nonsingular -> Cartesian map at
     |cos I| = c; regular for every c > -1, floats or arrays."""
     opc = 1.0 + c
     return 1.0 - xi * xi / opc, 1.0 - chi * chi / opc, xi * chi / opc
@@ -769,8 +771,13 @@ def cart_to_ns(x, y, z, vx, vy, vz):
     """Cartesian to nonsingular; returns (psi, xi, chi, r, R, Theta, N).
 
     The sign of N is the chart: psi = theta + nu for N >= 0, otherwise
-    psi* = theta - nu, realised by mirroring y.  Floats only: the
-    osculating-to-mean direction converts one state at a time.
+    psi* = theta - nu, realised by mirroring y.  psi comes in closed form
+    from the radial unit vector u and the transverse one w = (v - R u) r/Theta
+    of the (mirrored) state: u_y - w_x and u_x + w_y are
+    (1 + |c|) (sin psi, cos psi), so the angle needs no division and is
+    regular over the poles.  A state with r > 0 and zero angular momentum
+    raises NonEllipticStateError.  Floats only: the osculating-to-mean
+    direction converts one state at a time.
     """
     r = sqrt(x * x + y * y + z * z)
     R = (x * vx + y * vy + z * vz) / r
@@ -778,17 +785,14 @@ def cart_to_ns(x, y, z, vx, vy, vz):
     hx = y * vz - z * vy
     hy = z * vx - x * vz
     Theta = sqrt(hx * hx + hy * hy + N * N)
+    if Theta == 0.0:
+        raise NonEllipticStateError("rectilinear orbit: angular momentum vanishes")
     xi = z / r
     chi = (r * vz - z * R) / Theta
-    ym = -y if N < 0.0 else y
-    cabs = abs(N) / Theta
-    if cabs > 1.0:
-        cabs = 1.0
-    t, tau, q = rotation_factors(xi, chi, cabs)
-    den = (t * t + q * q) * r
-    sp = (x * q + ym * t) / den
-    cp = (x * t - ym * q) / den
-    psi = atan2(sp, cp)
+    if N < 0.0:
+        y = -y
+        vy = -vy
+    psi = atan2(Theta * y - r * (r * vx - R * x), Theta * x + r * (r * vy - R * y))
     return psi, xi, chi, r, R, Theta, N
 
 

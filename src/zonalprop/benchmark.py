@@ -18,7 +18,7 @@ Kepler equation for every series evaluation).  The nonsingular pass takes
 mean trajectory.
 
 The classical series are defined here, in the one module that runs them;
-``reference`` wraps them for the tests.
+the tests' reference forms (``tests/reference_forms.py``) wrap them.
 """
 
 import sys

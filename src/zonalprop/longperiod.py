@@ -2,8 +2,8 @@
 
 The long-period elimination divides by 1 - 5 cos^2 I, so the theory is
 inapplicable in a band around the critical inclinations 63.43 deg and
-116.57 deg.  The long-period corrections themselves are ``_kernels.long_ns``
-(the pipeline's) and the reference forms in ``reference``.
+116.57 deg.  The long-period corrections themselves are ``_kernels.long_ns``;
+the tests keep their reference forms in ``tests/reference_forms.py``.
 """
 
 import math

@@ -1,11 +1,10 @@
 """Independent verification machinery.
 
 Nothing here is used by the analytic pipeline itself: the zonal potential
-and energy (shells of ``secular.zonal_hamiltonian``), exact numerical
-integration of the J2+J3 equations of motion, and the Delaunay-form
-generating functions.  The test suite uses these as oracles for the
-closed-form corrections; the Poisson brackets of the generating functions
-are taken exactly, on symbols, in the tests.
+and energy (shells of ``secular.zonal_hamiltonian``) and exact numerical
+integration of the J2+J3 equations of motion.  ``zonalprop compare`` and
+``perfbench/checks.py`` measure the analytic theory against the
+integration; the test suite uses all of it as an oracle.
 """
 
 import math
@@ -13,13 +12,11 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from . import _kernels
 from .errors import ZonalPropError
-from .gravity import GravityField, check_small_params
-from .longperiod import critical_inclination_guard
+from .gravity import GravityField
 from .propagator import _checked_grid
 from .secular import zonal_hamiltonian
-from .states import CartesianState, DelaunayState, cart_to_ns_checked
+from .states import CartesianState, cart_to_ns_checked
 
 
 def zonal_potential(x: float, y: float, z: float, field: GravityField) -> float:
@@ -113,41 +110,3 @@ def _integrate_out(field: GravityField, t0: float, y0, t_eval: np.ndarray, tol: 
     if not sol.success:
         raise ZonalPropError(f"integration failed: {sol.message}")
     return sol.y.T
-
-
-def u1_delaunay(d: DelaunayState, field: GravityField) -> float:
-    """Short-period generating function in Delaunay variables.
-
-    Equals the polar-nodal form at the mapped state (the V1 = U1
-    cross-representation identity checked by the tests).
-    """
-    eta = d.G / d.L
-    e = math.sqrt(max(0.0, 1.0 - eta * eta))
-    s2 = 1.0 - (d.H / d.G) ** 2
-    check_small_params(d.G, field)
-    _, eps2, _ = _kernels.small_params(d.G, field.mu, field.alpha, field.c20)
-    u = _kernels.kepler_u(d.ell, e)
-    f = 2.0 * math.atan2(math.sqrt(1.0 + e) * math.sin(0.5 * u),
-                         math.sqrt(1.0 - e) * math.cos(0.5 * u))
-    phi = (f - u) + e * math.sin(u)
-    return 0.5 * d.G * eps2 * (
-        (4.0 - 6.0 * s2) * (phi + e * math.sin(f))
-        + 3.0 * e * s2 * math.sin(f + 2.0 * d.g)
-        + 3.0 * s2 * math.sin(2.0 * f + 2.0 * d.g)
-        + e * s2 * math.sin(3.0 * f + 2.0 * d.g))
-
-
-def x1_delaunay(d: DelaunayState, field: GravityField) -> float:
-    """Long-period generating function in Delaunay variables."""
-    c = d.H / d.G
-    critical_inclination_guard(c)
-    eta = d.G / d.L
-    e = math.sqrt(max(0.0, 1.0 - eta * eta))
-    s2 = 1.0 - c * c
-    s = math.sqrt(s2)
-    check_small_params(d.G, field)
-    _, eps2, eps3 = _kernels.small_params(d.G, field.mu, field.alpha, field.c20, field.c30)
-    w = (14.0 - 15.0 * s2) / (4.0 - 5.0 * s2)
-    return d.G * (-eps2 * w * 0.125 * s2 * e * e * math.sin(2.0 * d.g)
-                  + eps3 * s * e * math.cos(d.g))
-

@@ -205,11 +205,6 @@ def cart_to_ns_checked(cart: CartesianState):
             raise ZonalPropError("position norm must be positive")
     except OverflowError:
         raise ZonalPropError("position norm overflows a float") from None
-    hx = y * vz - z * vy
-    hy = z * vx - x * vz
-    hz = x * vy - y * vx
-    if hx * hx + hy * hy + hz * hz <= 0.0:
-        raise NonEllipticStateError("rectilinear orbit: angular momentum vanishes")
     ns = _kernels.cart_to_ns(x, y, z, vx, vy, vz)
     _check_nonsingular(ns[1], ns[2], ns[3], ns[5])
     return ns

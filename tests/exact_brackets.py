@@ -1,11 +1,12 @@
 """Exact Poisson brackets of the generating functions, for checking the
 correction kernels without a step size.
 
-The generating functions are ``reference.v1_core`` (short period) and
-``reference.y1_core`` (long period) themselves, evaluated on sympy symbols:
-their only functions are ``reference``'s ``sin``, ``cos`` and ``sqrt`` and,
-through ``_kernels.center_terms``, ``_kernels``' ``sqrt`` and ``atan2``, and
-those names are rebound to sympy's while the expression is built.  The
+The generating functions are ``reference_forms.v1_core`` (short period) and
+``reference_forms.y1_core`` (long period) themselves, evaluated on sympy
+symbols: their only functions are ``reference_forms``' ``sin``, ``cos`` and
+``sqrt`` and, through ``_kernels.center_terms``, ``_kernels``' ``sqrt`` and
+``atan2``, and those names are rebound to sympy's while the expression is
+built.  The
 brackets {q, V} over the polar-nodal pairs come from exact differentiation,
 dq = +dV/dp and dp = -dV/dq, and the chain rule carries them into the
 nonsingular set psi = theta +- nu, xi = s sin(theta), chi = s cos(theta),
@@ -22,7 +23,8 @@ from contextlib import contextmanager
 import mpmath
 import sympy
 
-from zonalprop import _kernels, reference
+import reference_forms
+from zonalprop import _kernels
 
 #: decimal digits of the mpmath evaluations
 DPS = 50
@@ -48,15 +50,15 @@ def rebound(module, **functions):
 @functools.cache
 def generating_function(stage):
     """V1 ("short") or Y1 ("long") as a sympy expression in POLAR and FIELD,
-    built by running ``reference``'s own core on symbols."""
+    built by running ``reference_forms``' own core on symbols."""
     r, theta, _, R, Theta, N = POLAR
     mu, alpha, c20, c30 = FIELD
-    with rebound(reference, sin=sympy.sin, cos=sympy.cos, sqrt=sympy.sqrt), \
+    with rebound(reference_forms, sin=sympy.sin, cos=sympy.cos, sqrt=sympy.sqrt), \
             rebound(_kernels, sqrt=sympy.sqrt, atan2=sympy.atan2):
         if stage == "short":
-            v = reference.v1_core(r, theta, R, Theta, N, mu, alpha, c20)
+            v = reference_forms.v1_core(r, theta, R, Theta, N, mu, alpha, c20)
         else:
-            v = reference.y1_core(r, theta, R, Theta, N, mu, alpha, c20, c30)
+            v = reference_forms.y1_core(r, theta, R, Theta, N, mu, alpha, c20, c30)
     # the source's float literals are dyadic; as rationals they stay exact
     return v.xreplace({x: sympy.Rational(x) for x in v.atoms(sympy.Float)})
 

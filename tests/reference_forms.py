@@ -1,5 +1,5 @@
-"""Reference formulations of the periodic corrections: test references; the
-pipeline never imports this module.
+"""Reference formulations of the first-order theory, for the tests only: the
+package never imports this module.
 
 The pipeline evaluates one formulation, the full nonsingular forms in
 ``_kernels.short_ns`` and ``_kernels.long_ns``.  The functions here state the
@@ -13,14 +13,19 @@ forms against them:
   s = sqrt(1 - N^2/Theta^2).  Each is a validating shell around an
   arithmetic core (``v1_core``, ``y1_core``) whose only functions are this
   module's ``sin``, ``cos`` and ``sqrt`` and ``_kernels``' ``sqrt`` and
-  ``atan2``; the tests evaluate the same core on symbols, take the brackets
-  by exact differentiation and compare the kernels with them at 50 digits;
+  ``atan2``; ``exact_brackets`` evaluates the same core on symbols, takes
+  the brackets by exact differentiation and compares the kernels with them
+  at 50 digits;
 * the full nonsingular and O(sin^2 I) low-inclination per-stage deltas;
 * the classical Delaunay-element series: the first-order corrections as
   trigonometric series in k*f + 2*m*g, singular for circular orbits.  They
-  are defined in ``benchmark``, which counts them against the nonsingular
-  pass; the shells here unpack the states, and the long-period one checks
-  the guard.
+  are defined in ``zonalprop.benchmark``, which counts them against the
+  nonsingular pass; the shells here unpack the states, and the long-period
+  one checks the guard;
+* the Delaunay-form generating functions u1 (short period) and x1 (long
+  period), equal to v1 and y1 at the mapped state (the cross-representation
+  identities); the tests take their Poisson brackets by finite differences
+  against the Delaunay series.
 
 Each ``*_corrections_*`` function returns the kernel's 6-tuple of deltas
 (dpsi, dxi, dchi, dr, dR, dTheta); N is carried unchanged.  The deltas are
@@ -28,13 +33,14 @@ added at the mean state (direct map) or subtracted at the osculating state
 (inverse map).
 """
 
+import math
 from math import cos, sin, sqrt
 
-from . import _kernels
-from .benchmark import delaunay_long_series, delaunay_short_series
-from .gravity import GravityField, check_small_params
-from .longperiod import critical_inclination_guard
-from .states import DelaunayState, NonsingularState, PolarNodalState, elliptic_projections
+from zonalprop import _kernels
+from zonalprop.benchmark import delaunay_long_series, delaunay_short_series
+from zonalprop.gravity import GravityField, check_small_params
+from zonalprop.longperiod import critical_inclination_guard
+from zonalprop.states import DelaunayState, NonsingularState, PolarNodalState, elliptic_projections
 
 
 def _core_args(pn: PolarNodalState) -> tuple:
@@ -51,7 +57,7 @@ def v1(pn: PolarNodalState, field: GravityField) -> float:
     """Short-period generating function in polar-nodal variables.
 
     Cross-representation identity: equals the Delaunay-form generating
-    function at the mapped state (see oracle.u1_delaunay).
+    function at the mapped state (see u1_delaunay).
     """
     elliptic_projections(pn.r, pn.R, pn.Theta, field.mu)
     check_small_params(pn.Theta, field)
@@ -162,3 +168,44 @@ def mean_to_osculating_delaunay(d: DelaunayState, field: GravityField) -> Delaun
     ds = delaunay_short_period(prime, field)
     return DelaunayState(ell=prime.ell + ds[0], g=prime.g + ds[1], h=prime.h + ds[2],
                          L=prime.L + ds[3], G=prime.G + ds[4], H=prime.H + ds[5])
+
+
+# ---------------------------------------------------------------------------
+# Delaunay-form generating functions
+# ---------------------------------------------------------------------------
+
+def u1_delaunay(d: DelaunayState, field: GravityField) -> float:
+    """Short-period generating function in Delaunay variables.
+
+    Equals the polar-nodal form at the mapped state (the V1 = U1
+    cross-representation identity checked by the tests).
+    """
+    eta = d.G / d.L
+    e = math.sqrt(max(0.0, 1.0 - eta * eta))
+    s2 = 1.0 - (d.H / d.G) ** 2
+    check_small_params(d.G, field)
+    _, eps2, _ = _kernels.small_params(d.G, field.mu, field.alpha, field.c20)
+    u = _kernels.kepler_u(d.ell, e)
+    f = 2.0 * math.atan2(math.sqrt(1.0 + e) * math.sin(0.5 * u),
+                         math.sqrt(1.0 - e) * math.cos(0.5 * u))
+    phi = (f - u) + e * math.sin(u)
+    return 0.5 * d.G * eps2 * (
+        (4.0 - 6.0 * s2) * (phi + e * math.sin(f))
+        + 3.0 * e * s2 * math.sin(f + 2.0 * d.g)
+        + 3.0 * s2 * math.sin(2.0 * f + 2.0 * d.g)
+        + e * s2 * math.sin(3.0 * f + 2.0 * d.g))
+
+
+def x1_delaunay(d: DelaunayState, field: GravityField) -> float:
+    """Long-period generating function in Delaunay variables."""
+    c = d.H / d.G
+    critical_inclination_guard(c)
+    eta = d.G / d.L
+    e = math.sqrt(max(0.0, 1.0 - eta * eta))
+    s2 = 1.0 - c * c
+    s = math.sqrt(s2)
+    check_small_params(d.G, field)
+    _, eps2, eps3 = _kernels.small_params(d.G, field.mu, field.alpha, field.c20, field.c30)
+    w = (14.0 - 15.0 * s2) / (4.0 - 5.0 * s2)
+    return d.G * (-eps2 * w * 0.125 * s2 * e * e * math.sin(2.0 * d.g)
+                  + eps3 * s * e * math.cos(d.g))

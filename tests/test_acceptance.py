@@ -12,17 +12,16 @@ from zonalprop import (EARTH, CriticalInclinationError, DelaunayState, Nonsingul
                        _kernels, nonsingular_to_cartesian, osculating_to_mean,
                        secular_rates)
 from zonalprop.benchmark import format_report, run_benchmark
-from zonalprop.oracle import integrate_grid, u1_delaunay, x1_delaunay
+from zonalprop.oracle import integrate_grid
 from zonalprop.propagator import ephemeris_array
-from zonalprop.reference import (long_corrections_low_inclination,
-                                 long_corrections_nonsingular,
-                                 short_corrections_low_inclination,
-                                 short_corrections_nonsingular, v1, y1)
 from zonalprop.secular import orbital_period
 from zonalprop.states import delaunay_to_polar, polar_to_delaunay, polar_to_nonsingular
 from conftest import (angle_diff, cart_distance, elements_to_cartesian, elements_to_polar,
                       field_small_params, loglog_slope, random_polar_states)
 from exact_brackets import POLAR, brackets, generating_function, worst_gap
+from reference_forms import (long_corrections_low_inclination, long_corrections_nonsingular,
+                             short_corrections_low_inclination, short_corrections_nonsingular,
+                             u1_delaunay, v1, x1_delaunay, y1)
 
 MU = EARTH.mu
 LEO = dict(a=7000.0, e=0.05, inc=math.radians(30.0))

@@ -106,6 +106,16 @@ class TestPropagate:
         assert lines[0] == "t,ell,g,h,L,G,H"
         assert len(lines) == 1 + 4
 
+    def test_state_over_a_pole(self, tmp_path):
+        # x = y = 0: a polar orbit at its highest latitude
+        out = tmp_path / "pole.csv"
+        assert main(["propagate", "--x", "0", "--y", "0", "--z", "7000", "--vx", "7.5",
+                     "--vy", "0", "--vz", "0", "--duration", "600", "--step", "300",
+                     "--ephemeris", str(out)]) == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(math.isfinite(v) for row in rows for v in row)
+
     @pytest.mark.parametrize("formulation", ["nonsingular", "low-inclination",
                                              "polar-nodal"])
     def test_formulation_selection(self, tmp_path, formulation):
@@ -784,12 +794,12 @@ def _python(args, check=False, timeout=None, cwd=None, env=None):
 
 
 def test_cli_import_leaves_scipy_out():
-    # only compare needs the reference integrator, only benchmark the
-    # benchmark, and no command runs the reference formulations: the CLI
-    # starts without any of them.  sympy and mpmath are test dependencies only
+    # only compare needs the reference integrator and only benchmark the
+    # benchmark: the CLI starts without either.  sympy and mpmath are test
+    # dependencies only
     import zonalprop
-    loaded = ("[m for m in ('scipy.integrate', 'zonalprop.reference', "
-              "'zonalprop.benchmark', 'sympy', 'mpmath') if m in sys.modules]")
+    loaded = ("[m for m in ('scipy.integrate', 'zonalprop.benchmark', 'sympy', 'mpmath') "
+              "if m in sys.modules]")
     probe = f"import sys, zonalprop; print({loaded}); import zonalprop.cli; print({loaded})"
     out = _python(["-c", probe], check=True)
     assert out.stdout.split() == ["[]", "[]"]

@@ -26,14 +26,15 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 
 #: most Python-level calls one single-epoch request may make (sys.setprofile
 #: "call" events).  A change that puts per-call wrappers back on the float
-#: path fails here; raising the budget is a change to log.  54 = 3 for the
+#: path fails here; raising the budget is a change to log.  53 = 3 for the
 #: request itself (``ephemeris_array``, its float grid check ``_float_grid``
-#: and ``_orbit_args``) + 27 for the inverse corrections (``_mean_state`` and
-#: the calls under it) + 4 for the secular rates (``mean_angle_rates``) + 20
-#: for the forward chain (``ephemeris_batch`` and the calls under it).  A
-#: one-epoch ndarray grid makes two more: ``_float_grid`` declines it, and
-#: ``_batch_args`` and ``_checked_grid`` check it in NumPy.
-CALL_BUDGET = 54
+#: and ``_orbit_args``) + 26 for the inverse corrections (``_mean_state`` and
+#: the calls under it; ``cart_to_ns`` calls nothing) + 4 for the secular
+#: rates (``mean_angle_rates``) + 20 for the forward chain
+#: (``ephemeris_batch`` and the calls under it).  A one-epoch ndarray grid
+#: makes two more: ``_float_grid`` declines it, and ``_batch_args`` and
+#: ``_checked_grid`` check it in NumPy.
+CALL_BUDGET = 53
 
 
 def _catalog(seed, size):

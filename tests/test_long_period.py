@@ -5,13 +5,12 @@ import pytest
 
 from zonalprop import (EARTH, CriticalInclinationError, NonsingularState, ZonalPropError,
                        critical_inclination_guard)
-from zonalprop.oracle import x1_delaunay
-from zonalprop.reference import (long_corrections_low_inclination,
-                                 long_corrections_nonsingular, y1)
 from zonalprop.states import PolarNodalState, polar_to_delaunay, polar_to_nonsingular
 from conftest import (add_deltas, elements_to_polar, field_small_params, loglog_slope,
                       random_polar_states)
 from exact_brackets import POLAR, brackets, exact_deltas, generating_function, worst_gap
+from reference_forms import (long_corrections_low_inclination, long_corrections_nonsingular,
+                             x1_delaunay, y1)
 
 MU = EARTH.mu
 FIELD = EARTH

@@ -7,11 +7,12 @@ import sympy
 
 from zonalprop import (EARTH, CartesianState, DelaunayState, ZonalPropError,
                        nonsingular_to_cartesian)
-from zonalprop.oracle import (integrate, integrate_grid, u1_delaunay, x1_delaunay,
-                              zonal_acceleration, zonal_energy, zonal_potential)
+from zonalprop.oracle import (integrate, integrate_grid, zonal_acceleration, zonal_energy,
+                              zonal_potential)
 from zonalprop.secular import orbital_period, zonal_hamiltonian
 from zonalprop.states import polar_to_nonsingular
 from conftest import cart_distance, elements_to_cartesian, elements_to_polar, field_small_params
+from reference_forms import u1_delaunay, x1_delaunay
 
 MU = EARTH.mu
 

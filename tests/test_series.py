@@ -8,9 +8,8 @@ from dataclasses import replace
 import pytest
 
 from zonalprop import EARTH, DelaunayState
-from zonalprop.oracle import u1_delaunay, x1_delaunay
-from zonalprop.reference import (delaunay_long_period, delaunay_short_period,
-                                 mean_to_osculating_delaunay)
+from reference_forms import (delaunay_long_period, delaunay_short_period,
+                             mean_to_osculating_delaunay, u1_delaunay, x1_delaunay)
 
 MU = EARTH.mu
 NAMES = ("ell", "g", "h", "L", "G", "H")

@@ -1,13 +1,14 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 
+import numpy as np
 import pytest
 
 from zonalprop import (EARTH, CartesianState, DelaunayState,
                        EquatorialDecompositionError, NonsingularState, ZonalPropError,
-                       _kernels, cartesian_to_nonsingular, nonsingular_to_cartesian,
-                       osculating_to_mean)
+                       _kernels, cartesian_to_nonsingular, ephemeris_array,
+                       nonsingular_to_cartesian, osculating_to_mean)
 from zonalprop.states import (PolarNodalState, _check_delaunay, delaunay_to_polar,
                               nonsingular_to_polar, polar_to_delaunay, polar_to_nonsingular)
 from conftest import angle_diff
@@ -218,6 +219,64 @@ class TestNonsingularCartesian:
                         lambda c: osculating_to_mean(c, EARTH)):
             with pytest.raises(ZonalPropError, match=f"state component {name} must be finite"):
                 convert(cart)
+
+
+#: states directly over a pole (x = y = 0), where xi = +-1 and c = 0 make the
+#: rotation factors t and q both vanish: polar orbits at their highest or
+#: lowest latitude, moving along x or y
+OVER_A_POLE = [(0.0, 0.0, 7000.0, 7.5, 0.0, 0.0), (0.0, 0.0, -7000.0, 7.5, 0.0, 0.0),
+               (0.0, 0.0, 7000.0, 0.0, 7.5, 0.0), (0.0, 0.0, -7000.0, 0.0, -7.2, 0.3)]
+
+
+def _theta_plus_nu(state):
+    """theta + nu from the node line n and the orbit normal h."""
+    r, v = np.array(state[:3]), np.array(state[3:])
+    h = np.cross(r, v)
+    nu = math.atan2(h[0], -h[1])
+    n = np.array([math.cos(nu), math.sin(nu), 0.0])
+    theta = math.atan2(np.cross(h, n) @ r / np.linalg.norm(h), n @ r)
+    return theta + nu
+
+
+class TestOverAPole:
+    @pytest.mark.parametrize("state", OVER_A_POLE)
+    def test_psi_is_theta_plus_nu(self, state):
+        ns = cartesian_to_nonsingular(CartesianState(*state))
+        assert ns.N == 0.0
+        assert angle_diff(ns.psi, _theta_plus_nu(state)) < 1e-15
+        assert abs(ns.xi) == 1.0
+        back = nonsingular_to_cartesian(ns)
+        for k, v in zip(("x", "y", "z", "vx", "vy", "vz"), state):
+            assert getattr(back, k) == pytest.approx(v, rel=1e-14, abs=1e-12)
+
+    @pytest.mark.parametrize("state", OVER_A_POLE)
+    def test_requests_answer(self, state):
+        cart = CartesianState(*state)
+        mean = osculating_to_mean(cart, EARTH)
+        assert all(math.isfinite(v) for v in astuple(mean.delaunay))
+        for grid in ([0.0, 600.0], np.arange(0.0, 64 * 60.0, 60.0)):
+            rows = ephemeris_array(cart, 0.0, grid, EARTH)
+            assert np.all(np.isfinite(rows))
+            # the first-order round trip at t0 lands within metres of the input
+            assert np.linalg.norm(rows[0, :3] - state[:3]) < 0.05
+
+    def test_psi_near_a_pole_to_rounding(self):
+        # states within 1e-5 rad of a pole, half of them on near-polar orbits
+        # and half at any inclination, in both charts; a form that divides by
+        # t^2 + q^2, which vanishes over the pole, loses up to 7.5e-10 rad here
+        rng = random.Random(17)
+        worst = 0.0
+        for _ in range(4000):
+            theta = math.copysign(0.5 * math.pi, rng.uniform(-1.0, 1.0)) + rng.uniform(-1e-5, 1e-5)
+            inc = rng.choice((0.5 * math.pi + rng.uniform(-1e-5, 1e-5), rng.uniform(0.0, math.pi)))
+            nu = rng.uniform(-math.pi, math.pi)
+            s, c = math.sin(inc), math.cos(inc)
+            Theta = 52000.0
+            psi = math.remainder(theta + nu if c >= 0.0 else theta - nu, 2.0 * math.pi)
+            state = _kernels.ns_to_cart(psi, s * math.sin(theta), s * math.cos(theta), 7000.0,
+                                        rng.uniform(-1.0, 1.0), Theta, Theta * c)
+            worst = max(worst, angle_diff(_kernels.cart_to_ns(*state)[0], psi))
+        assert worst < 1e-14
 
 
 class TestDelaunayPolar:
