@@ -74,13 +74,13 @@ such a request makes no NumPy call before its result.
 
 import sys
 from bisect import bisect_left
-from math import atan2, copysign, cos, floor, hypot, pi, sin, sqrt
+from math import atan2, copysign, cos, floor, hypot, inf, pi, sin, sqrt
 from types import SimpleNamespace
 
 import numpy as np
 from numpy import ndarray
 
-from .errors import NonEllipticStateError
+from .errors import NonEllipticStateError, ZonalPropError
 
 TWO_PI = 2.0 * pi
 HALF_PI = 0.5 * pi
@@ -775,11 +775,16 @@ def cart_to_ns(x, y, z, vx, vy, vz):
     from the radial unit vector u and the transverse one w = (v - R u) r/Theta
     of the (mirrored) state: u_y - w_x and u_x + w_y are
     (1 + |c|) (sin psi, cos psi), so the angle needs no division and is
-    regular over the poles.  A state with r > 0 and zero angular momentum
-    raises NonEllipticStateError.  Floats only: the osculating-to-mean
-    direction converts one state at a time.
+    regular over the poles.  ZonalPropError unless 0 < r**2 < inf (a sum of
+    finite squares may overflow), then NonEllipticStateError for zero angular
+    momentum; the caller checks that the components are finite.  Floats only:
+    the osculating-to-mean direction converts one state at a time.
     """
-    r = sqrt(x * x + y * y + z * z)
+    r2 = x * x + y * y + z * z
+    if not 0.0 < r2 < inf:
+        raise ZonalPropError("position norm overflows a float" if r2 == inf
+                             else "position norm must be positive")
+    r = sqrt(r2)
     R = (x * vx + y * vy + z * vz) / r
     N = x * vy - y * vx
     hx = y * vz - z * vy

@@ -256,16 +256,16 @@ def _two_product(a, b):
 
 
 def _scaled_significand(a, k):
-    """a * 10**(16 - k) rounded half-even to an integer, exactly, and the step
-    that moves k towards a's decimal exponent: -1, 0 or +1, by whether the
-    exact product lies below, in or above [10**16, 10**17)."""
+    """a * 10**(16 - k) rounded half-even to an integer n, exactly, and the
+    step that moves k towards a's decimal exponent: -1, 0 or +1, by whether n
+    lies below, in or above [10**16, 10**17).  n lies where the exact product
+    does: no double in [1e-4, 1e16) lies within 8.3e-17 (relative) below a
+    power of ten, so the product never comes within 0.5 below either edge."""
     p, e = _two_product(a, _POW10[16 - k])
-    # in range p >= 10**16 > 2**53 is an even integer, so rounding p + e
-    # half-even rounds e half-even
+    # from p >= 2**53 on p is an even integer, so rounding p + e half-even
+    # rounds e half-even; a smaller p leaves n below 10**16 however it rounds
     n = p.astype(np.int64) + np.rint(e).astype(np.int64)
-    below = (p < 1e16) | ((p == 1e16) & (e < 0.0))
-    above = (p > 1e17) | ((p == 1e17) & (e >= 0.0))
-    return n, above.astype(np.int64) - below
+    return n, (n >= 10 ** 17).astype(np.int64) - (n < 10 ** 16)
 
 
 def _significands(a):
@@ -280,9 +280,8 @@ def _significands(a):
         k[redo] += step
         n[redo], step = _scaled_significand(a[redo], k[redo])
         redo, step = redo[step != 0], step[step != 0]
-    # n < 10**17: rounding never carries into the next decade, because no
-    # double below a power of ten in this range lies within 5e-18 of it
-    # (the closest, below 0.1, is 8.3e-17 away)
+    # each step moves k towards the decade of the exact product, which n
+    # shares, so the loop ends with 10**16 <= n < 10**17
     return n, k
 
 
@@ -319,9 +318,9 @@ def _format_block(values, seps) -> str:
     ipart = np.floor(work).astype(np.int64)
     m = 16 - k
     rest = big - ipart * _POW10_INT[m]
-    cut = np.maximum(m - 3, 0)
-    head = rest // _POW10_INT[cut]
-    tail = (rest - head * _POW10_INT[cut]) * _POW10_INT[20 - np.maximum(m, 3)]
+    cut = _POW10_INT[np.maximum(m - 3, 0)]
+    head = rest // cut
+    tail = (rest - head * cut) * _POW10_INT[20 - np.maximum(m, 3)]
     head *= _POW10_INT[np.maximum(3 - m, 0)]
 
     # table codes of the 11 words, one row per word
@@ -329,8 +328,9 @@ def _format_block(values, seps) -> str:
     codes[0] = 0
     _split4(ipart, codes[1:5])
     np.add(head, 10_000, out=codes[5])
-    _split4(tail // 10, codes[6:10])
-    np.add(tail % 10, 11_000, out=codes[10])
+    tens = tail // 10
+    _split4(tens, codes[6:10])
+    np.add(tail - 10 * tens, 11_000, out=codes[10])
     # gathered word row by word row, then transposed: 2-3 times faster than
     # gathering through the transposed codes
     canvas = np.ascontiguousarray(_WORDS[codes].T).view(np.uint8)

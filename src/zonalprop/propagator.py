@@ -189,14 +189,6 @@ def _float_grid(t0: float, ts):
     return ts, span
 
 
-def _batch_args(cart0: CartesianState, t0: float, ts, field: GravityField,
-                config: PropagatorConfig):
-    """The grid checked in NumPy and the arguments of
-    ``_kernels.ephemeris_batch`` between t0 and out."""
-    ts, span = _checked_grid(t0, ts)
-    return ts, _orbit_args(cart0, span, field, config)
-
-
 def _orbit_args(cart0: CartesianState, span: float, field: GravityField,
                 config: PropagatorConfig):
     """The arguments of ``_kernels.ephemeris_batch`` between t0 and out, for
@@ -219,15 +211,17 @@ def ephemeris_array(cart0: CartesianState, t0: float, ts, field: GravityField,
     items are each exactly a Python float or int (no bool, no NumPy scalar)
     is checked on floats too, and the request makes no NumPy call before
     the one that builds the result.  Every other grid (an ndarray, a nested
-    list, a generator, ...) is checked in NumPy.  Both checks raise the same
-    errors, and both paths give the same rows bit for bit.
+    list, a generator, ...) is checked in NumPy (``_checked_grid``).  Both
+    checks raise the same errors, and each is followed by the one orbit check
+    (``_orbit_args``); both paths give the same rows bit for bit.
     """
     grid = _float_grid(t0, ts)
     if grid is not None:
         ts, span = grid
         args = _orbit_args(cart0, span, field, config)
         return np.array(_kernels.ephemeris_batch(ts, t0, *args, None))
-    ts, args = _batch_args(cart0, t0, ts, field, config)
+    ts, span = _checked_grid(t0, ts)
+    args = _orbit_args(cart0, span, field, config)
     out = np.empty((ts.shape[0], 6), dtype=float)
     _kernels.ephemeris_batch(ts, t0, *args, out)
     return out
@@ -238,14 +232,15 @@ def ephemeris_blocks(cart0: CartesianState, t0: float, ts, field: GravityField,
     """ephemeris_array one block at a time: an iterator of (t, states) pairs,
     t a view of the grid and states its (len(t), 6) rows.
 
-    The grid, the state and the orbit are checked when this is called, so
-    every error is raised before the first block is asked for.  The blocks
-    are those of ``_kernels.block_edges``, and the rows are the bits
-    ephemeris_array gives.  states is one buffer refilled for every block:
-    copy it to keep it past the next step.
+    The grid (in NumPy, ``_checked_grid``), the state and the orbit
+    (``_orbit_args``) are checked when this is called, as ephemeris_array
+    checks an ndarray grid, so every error is raised before the first block
+    is asked for.  The blocks are those of ``_kernels.block_edges``, and the
+    rows are the bits ephemeris_array gives.  states is one buffer refilled
+    for every block: copy it to keep it past the next step.
     """
-    ts, args = _batch_args(cart0, t0, ts, field, config)
-    return _blocks(ts, t0, args)
+    ts, span = _checked_grid(t0, ts)
+    return _blocks(ts, t0, _orbit_args(cart0, span, field, config))
 
 
 def _blocks(ts, t0, args):

@@ -190,21 +190,16 @@ def cart_to_ns_checked(cart: CartesianState):
     (psi, xi, chi, r, R, Theta, N) that cartesian_to_nonsingular
     wraps, with the same checks and errors.
 
-    Raises for non-finite components, a zero position, rectilinear states
-    (vanishing angular momentum) and results that break the NonsingularState
-    invariants.
+    Raises, in this order, for non-finite components (here), a position
+    whose squared norm is 0 or overflows and rectilinear states (vanishing
+    angular momentum), both in ``cart_to_ns``, which forms the norm, and
+    results that break the NonsingularState invariants.
     """
     x, y, z, vx, vy, vz = cart.x, cart.y, cart.z, cart.vx, cart.vy, cart.vz
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
             and math.isfinite(vx) and math.isfinite(vy) and math.isfinite(vz)):
         check_finite("state component", ("x", "y", "z", "vx", "vy", "vz"),
                      (x, y, z, vx, vy, vz))
-    # ``**`` and not ``*``: a float power that overflows raises OverflowError
-    try:
-        if x ** 2 + y ** 2 + z ** 2 <= 0.0:
-            raise ZonalPropError("position norm must be positive")
-    except OverflowError:
-        raise ZonalPropError("position norm overflows a float") from None
     ns = _kernels.cart_to_ns(x, y, z, vx, vy, vz)
     _check_nonsingular(ns[1], ns[2], ns[3], ns[5])
     return ns

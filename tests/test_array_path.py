@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from zonalprop import (EARTH, CartesianState, PropagatorConfig, ZonalPropError, _kernels,
                        ephemeris_array)
-from zonalprop.propagator import _batch_args, ephemeris_blocks
+from zonalprop.propagator import _checked_grid, _orbit_args, ephemeris_blocks
 from conftest import elements_to_cartesian
 
 POS_TOL_KM = 1e-9
@@ -335,7 +335,8 @@ def test_dense_grid_budget(monkeypatch, numpy_passes):
     monkeypatch.setattr(_kernels, "reconstruct_and_correct", counted)
 
     def counted_batch(cart, ts):
-        grid, args = _batch_args(cart, 0.0, ts, EARTH, PropagatorConfig())
+        grid, span = _checked_grid(0.0, ts)
+        args = _orbit_args(cart, span, EARTH, PropagatorConfig())
         rows = np.empty((grid.size, 6))
         numpy_passes.clear()
         _kernels.ephemeris_batch(numpy_passes.array(grid), 0.0, *args, rows)

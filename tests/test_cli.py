@@ -17,7 +17,7 @@ from zonalprop import EARTH, ConfigError, _kernels, cli, ephemeris_array, oscula
 from zonalprop._kernels import EPOCH_BLOCK
 from zonalprop.cli import _write_ephemeris, _write_table, main
 from zonalprop.propagator import mean_elements_series
-from conftest import elements_to_cartesian
+from conftest import PassCounter, elements_to_cartesian
 from test_array_path import STREAM_SIZES
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "example-config.ini"
@@ -355,6 +355,58 @@ def test_writer_exact_on_its_hard_cases():
     _write_table(fh, (ts, errs), " ")
     want = "".join(_old_row(row, " ") for row in np.column_stack([ts, errs]))
     assert _first_difference(fh.getvalue(), want) is None
+
+
+def test_writer_decade_step_both_ways():
+    """``_scaled_significand`` given a decimal exponent k one too large steps
+    -1, given one too small steps +1, exact powers of ten included, and the
+    stepped k gives the significand ``%.16e`` prints, as ``_significands``
+    gives it."""
+    powers = 10.0 ** np.arange(-4, 16)
+    a = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                        3.0 * powers, [1e16 - 2.0]])
+    a = a[a >= 1e-4]
+    printed = ["%.16e" % v for v in a.tolist()]
+    N = np.array([int(text[0] + text[2:18]) for text in printed])
+    k = np.array([int(text[19:]) for text in printed])
+    got_n, got_k = cli._significands(a)
+    assert np.array_equal(got_n, N) and np.array_equal(got_k, k)
+    for off, step in ((1, -1), (-1, 1)):
+        _, steps = cli._scaled_significand(a, k + off)
+        assert np.all(steps == step), off
+        n, steps = cli._scaled_significand(a, k + off + steps)
+        assert np.all(steps == 0) and np.array_equal(n, N), off
+
+
+#: NumPy passes of ``_format_block`` on the first 512-row chunk of the
+#: one-day 1 s ephemeris of example-config.ini, counted by ``PassCounter``
+#: with the module's tables counted too (indexing and ``astype`` are not
+#: counted).  An added pass fails here; raising the budget is a change to log
+FORMAT_PASSES = 85
+
+
+def test_writer_pass_budget(tmp_path, monkeypatch):
+    chunks = []
+    format_block = cli._format_block
+
+    def first(values, seps):
+        if not chunks:
+            chunks.append((values.copy(), seps.copy()))
+        return format_block(values, seps)
+
+    monkeypatch.setattr(cli, "_format_block", first)
+    assert main(["propagate", "--config", str(EXAMPLE_CONFIG), "--duration", "86400",
+                 "--step", "1", "--ephemeris", str(tmp_path / "e.csv")]) == 0
+    monkeypatch.undo()
+    values, seps = chunks[0]
+    assert values.size == cli._WRITE_ROWS * 7
+    expected = format_block(values, seps)
+    passes = PassCounter()
+    for name, table in vars(cli).items():
+        if type(table) is np.ndarray:
+            monkeypatch.setattr(cli, name, passes.array(table))
+    assert format_block(passes.array(values), seps) == expected
+    assert passes.total <= FORMAT_PASSES
 
 
 def _mean_critical_flags(offset):

@@ -17,8 +17,12 @@ import numpy as np
 import pytest
 
 from zonalprop import (EARTH, CartesianState, GravityField, NonEllipticStateError,
-                       PropagatorConfig, _kernels, ephemeris_array, mean_to_osculating,
-                       osculating_to_mean, propagate_mean, propagator, secular_rates)
+                       PropagatorConfig, ZonalPropError, _kernels, cartesian_to_nonsingular,
+                       ephemeris_array, mean_to_osculating, osculating_to_mean,
+                       propagate_mean, propagator, secular_rates)
+from zonalprop.cli import main as cli_main
+from zonalprop.oracle import zonal_energy
+from zonalprop.states import cart_to_ns_checked
 from test_array_path import LEO_STATE
 from conftest import elements_to_cartesian
 
@@ -32,8 +36,8 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 #: the calls under it; ``cart_to_ns`` calls nothing) + 4 for the secular
 #: rates (``mean_angle_rates``) + 20 for the forward chain
 #: (``ephemeris_batch`` and the calls under it).  A one-epoch ndarray grid
-#: makes two more: ``_float_grid`` declines it, and ``_batch_args`` and
-#: ``_checked_grid`` check it in NumPy.
+#: makes one more: ``_float_grid`` declines it, and ``_checked_grid`` checks
+#: it in NumPy.
 CALL_BUDGET = 53
 
 
@@ -106,6 +110,25 @@ def test_rejections_match_osculating_to_mean(case):
     expected = _raised(osculating_to_mean, cart, field)
     assert _raised(ephemeris_array, cart, 0.0, [0.0], field) == expected
     assert _raised(ephemeris_array, cart, 0.0, np.arange(64.0), field) == expected
+
+
+def test_norm_that_overflows_only_in_the_sum_is_rejected(tmp_path, capsys):
+    # each square is finite and their sum is not: the check is on the sum,
+    # before r = inf could reach the angles or the energy test
+    cart = CartesianState(1.2e154, 1.2e154, 0.0, 1.0, 0.0, 0.0)
+    expected = (ZonalPropError, "position norm overflows a float")
+    for fn, args in ((cart_to_ns_checked, (cart,)), (cartesian_to_nonsingular, (cart,)),
+                     (zonal_energy, (cart, EARTH)), (osculating_to_mean, (cart, EARTH)),
+                     (ephemeris_array, (cart, 0.0, [0.0], EARTH)),
+                     (ephemeris_array, (cart, 0.0, np.array([0.0]), EARTH)),
+                     (ephemeris_array, (cart, 0.0, np.arange(64.0), EARTH))):
+        assert _raised(fn, *args) == expected, fn.__name__
+    out = tmp_path / "x.csv"
+    rc = cli_main(["propagate", "--x", "1.2e154", "--y", "1.2e154", "--z", "0", "--vx", "1",
+                   "--vy", "0", "--vz", "0", "--duration", "0", "--ephemeris", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: position norm overflows a float\n"
+    assert not out.exists()
 
 
 _ESCAPE = math.sqrt(2.0 * EARTH.mu / 7000.0)  # km/s at r = 7000 km
