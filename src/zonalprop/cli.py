@@ -12,6 +12,7 @@ included) and unknown configuration sections or keys included.
 import argparse
 import configparser
 import math
+import os
 import sys
 
 import numpy as np
@@ -180,37 +181,36 @@ def _time_grid(epoch: float, duration: float, step: float) -> np.ndarray:
 # CSV text: ``%.17g`` per value, formatted in NumPy blocks
 # ---------------------------------------------------------------------------
 
-#: rows formatted per block.  Measured with getrusage on the one-day 1 s
-#: ephemeris (seven columns), streamed, after a warm-up run: 757 page faults
-#: and 34.2 MB peak RSS at 512 rows, against 770 and 34.3 MB at 1024 and
-#: 1 295 and 36.4 MB at 2048, where each block's temporaries are larger; the
-#: CPU time of those three was within run-to-run noise (0.21-0.26 s over
-#: three runs each).  At 256 rows the fixed cost of the NumPy calls per block
-#: made it 10% slower
+#: rows formatted per block.  Measured with getrusage on a fresh one-day 1 s
+#: propagate (seven columns), after a warm-up run: 6 313 page faults and
+#: 33.6 MB peak RSS at 512 rows, against 6 310 and 33.6 MB at 1024 and 6 774
+#: and 35.3 MB at 2048, where each block's temporaries are larger.  The writer
+#: alone took 0.95 and 0.91 of its 512-row time at 1024 and 2048 rows, within
+#: run-to-run noise (medians of five runs).  At 256 rows the fixed cost of the
+#: NumPy calls per block made it 10% slower
 _WRITE_ROWS = 512
 
-#: bytes per value on the canvas, 11 four-byte words: room for the sign, 16
-#: integer digits ending at byte 19, '.' at byte 20, 20 fraction digits and
-#: the separator
-_SLOT = 44
-_POINT = 20
+#: bytes per value on the canvas, 12 four-byte words: '-0.0', then '000' and
+#: the first significand digit D0 at byte 7, D1..D16 at bytes 8-23, '   .'
+#: with the point at byte 27, D1..D16 again at bytes 28-43, and the
+#: separator at byte 44
+_SLOT = 48
+_SEP = 44
 
 #: Veltkamp's splitter for doubles, 2**27 + 1
 _SPLIT = 134217729.0
 
-#: 10**s as exact doubles (exact up to s = 22), and as int64 capped at 10**17
-#: where only a zero multiplies the capped entries
+#: 10**s as exact doubles (exact up to s = 22)
 _POW10 = np.array([float(10 ** s) for s in range(23)])
-_POW10_INT = np.array([10 ** min(s, 17) for s in range(23)], dtype=np.int64)
 
 
 def _digit_words():
-    """Four-byte words indexed by a group's table code, and the place of each
-    word's last non-zero digit (negative for an all-zero group).
+    """Four-byte words indexed by table code, and the place (1-4) of each
+    4-digit group's last non-zero digit (negative for an all-zero group).
 
-    Codes 0..9999 are the digits of a 4-digit group, 10000..10999 are '.'
-    followed by a 3-digit group, 11000..11009 are one digit and three pad
-    bytes.  Built by broadcasting, which is fast enough to run at import.
+    Codes 0..9999 are the digits of a 4-digit group, 10000 is '-0.0' and
+    10001 is '   .'.  Built by broadcasting, which is fast enough to run at
+    import.
     """
     ascii = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     digits = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
@@ -223,23 +223,39 @@ def _digit_words():
     last[:, 1:] = 2
     last[:, :, 1:] = 3
     last[:, :, :, 1:] = 4
-    digits, last = digits.reshape(10_000, 4), last.ravel()
-    dot3 = digits[:1000].copy()
-    dot3[:, 0] = ord(".")
-    one = np.full((10, 4), ord(" "), dtype=np.uint8)
-    one[:, 0] = ascii
-    words = np.concatenate([digits, dot3, one]).view(np.uint32).ravel()
-    ones = np.where(ascii > ord("0"), 1, -64)
-    return words, np.concatenate([last, last[:1000] - 1, ones]).astype(np.int8)
+    words = np.concatenate([digits.reshape(10_000, 4),
+                            np.frombuffer(b"-0.0   .", dtype=np.uint8).reshape(2, 4)])
+    return words.view(np.uint32).ravel(), last.ravel()
+
+
+#: the layouts of fixed notation: decade k in -4..15, the place 0..16 of the
+#: last non-zero significand digit, and the sign
+_FIXED_LAYOUTS = 20 * 17 * 2
+
+
+def _column_masks():
+    """The canvas bytes each value prints, one row per layout, the separator
+    byte in every row.
+
+    Row ((k + 4) * 17 + last) * 2 + neg prints a value of decade k whose
+    last non-zero significand digit is D_last, negative if neg: D0..Dk, then
+    '.' and D(k+1)..D_last if last > k; or, for k < 0, '0.', -k - 1 zeros
+    and D0..D_last.  Row _FIXED_LAYOUTS + m prints an m-byte ``%`` text.
+    """
+    k, last, neg, col = np.ogrid[-4:16, :17, :2, :_SLOT]
+    digits = (col >= 7) & (col <= 7 + np.where(k < 0, last, k))
+    fraction = (k >= 0) & (last > k) & ((col == 27) | (col >= 28 + k) & (col <= 27 + last))
+    zeros = (k < 0) & (col >= 1) & (col <= 1 - k)
+    fixed = digits | fraction | zeros | (col == 0) & (neg == 1) | (col == _SEP)
+    text = (col.ravel() < np.arange(_SEP + 1)[:, None]) | (col.ravel() == _SEP)
+    return np.concatenate([fixed.reshape(_FIXED_LAYOUTS, _SLOT), text])
 
 
 _WORDS, _LAST_DIGIT = _digit_words()
-#: place in the fraction of the digit before each fraction word's first digit
-_FRACTION_PLACE = np.array([0, 3, 7, 11, 15, 19], dtype=np.int8)[:, None]
-#: row start * _SLOT + end holds the mask of the canvas bytes start..end
-_RUN_MASK = ((np.arange(_SLOT)[None, None, :] >= np.arange(_SLOT)[:, None, None])
-             & (np.arange(_SLOT)[None, None, :] <= np.arange(_SLOT)[None, :, None])
-             ).reshape(_SLOT * _SLOT, _SLOT)
+_MASKS = _column_masks()
+#: place of the digit before each significand group's first digit: D0 is
+#: the last of its group '000D0'
+_GROUP_PLACE = np.array([-4, 0, 4, 8, 12], dtype=np.int8)[:, None]
 
 
 def _two_product(a, b):
@@ -303,57 +319,36 @@ def _format_block(values, seps) -> str:
     out in NumPy; every other value (exponent form, nan, inf) is formatted by
     ``%`` into its own slot.
     """
-    n = values.size
     a = np.abs(values)
     fixed = (a >= 1e-4) & (a < 1e16)
     zero = a == 0.0
-    work = np.where(fixed, a, 1.0)  # 1.0 stands in for zero and the values % formats
-    big, k = _significands(work)
+    big, k = _significands(np.where(fixed, a, 1.0))  # 1.0 stands in for 0 and for %
     if zero.any():
-        big[zero], k[zero], work[zero] = 0, 0, 0.0
+        big[zero], k[zero] = 0, 0
         fixed |= zero
-    # digits before the point: a's integer part, which 17-digit rounding never
-    # changes; the m = 16 - k digits after it, left-aligned in 20 places, split
-    # into head (3 digits) and tail (17 digits)
-    ipart = np.floor(work).astype(np.int64)
-    m = 16 - k
-    rest = big - ipart * _POW10_INT[m]
-    cut = _POW10_INT[np.maximum(m - 3, 0)]
-    head = rest // cut
-    tail = (rest - head * cut) * _POW10_INT[20 - np.maximum(m, 3)]
-    head *= _POW10_INT[np.maximum(3 - m, 0)]
 
-    # table codes of the 11 words, one row per word
-    codes = np.empty((11, n), dtype=np.int64)
-    codes[0] = 0
-    _split4(ipart, codes[1:5])
-    np.add(head, 10_000, out=codes[5])
-    tens = tail // 10
-    _split4(tens, codes[6:10])
-    np.add(tail - 10 * tens, 11_000, out=codes[10])
+    # table codes of the 12 words, one row per word: D0 and D1..D16 of big,
+    # D1..D16 written twice
+    codes = np.empty((12, values.size), dtype=np.int64)
+    codes[0], codes[6], codes[11] = 10_000, 10_001, 0
+    np.floor_divide(big, 10 ** 16, out=codes[1])
+    _split4(big - codes[1] * 10 ** 16, codes[2:6])
+    codes[7:11] = codes[2:6]
     # gathered word row by word row, then transposed: 2-3 times faster than
     # gathering through the transposed codes
     canvas = np.ascontiguousarray(_WORDS[codes].T).view(np.uint8)
-    # fraction digits to print: up to the last non-zero one
-    fraction = np.max(_LAST_DIGIT[codes[5:]] + _FRACTION_PLACE, axis=0)
-
-    start = _POINT - 1 - np.maximum(k, 0)
-    end = np.where(fraction > 0, _POINT + 1 + fraction, _POINT)
-    neg = np.signbit(values) & fixed
-    start -= neg
-    base = np.arange(0, n * _SLOT, _SLOT)
-    flat = canvas.reshape(-1)
-    flat[(base + start)[neg]] = ord("-")
+    last = np.max(_LAST_DIGIT[codes[1:6]] + _GROUP_PLACE, axis=0)
+    np.maximum(last, 0, out=last)  # 0 prints D0 alone
+    row = ((k + 4) * 17 + last) * 2 + np.signbit(values)
 
     other = np.flatnonzero(~fixed)
     if other.size:
         text = ((f"%-{_SLOT}.17g" * other.size) % tuple(values[other].tolist())).encode()
         slots = np.frombuffer(text, dtype=np.uint8).reshape(other.size, _SLOT)
         canvas[other] = slots
-        start[other] = 0
-        end[other] = np.count_nonzero(slots != ord(" "), axis=1)
-    flat[base + end] = seps
-    return canvas[np.take(_RUN_MASK, start * _SLOT + end, axis=0)].tobytes().decode("ascii")
+        row[other] = _FIXED_LAYOUTS + np.count_nonzero(slots != ord(" "), axis=1)
+    canvas[:, _SEP] = seps
+    return canvas[np.take(_MASKS, row, axis=0)].tobytes().decode("ascii")
 
 
 def _write_table(fh, columns, sep: str) -> None:
@@ -390,6 +385,10 @@ def _write_ephemeris(path: str, blocks, header: str = "t,x,y,z,X,Y,Z") -> None:
 def _cmd_propagate(s) -> int:
     field, state, config = _orbit(s)
     ts = _time_grid(s.epoch, s.duration, s.step)
+    paths = (s.ephemeris, s.mean_elements)
+    if s.mean_elements and (os.path.realpath(s.ephemeris) == os.path.realpath(s.mean_elements)
+                            or all(map(os.path.exists, paths)) and os.path.samefile(*paths)):
+        raise ConfigError(f"the ephemeris and the mean elements name one file, {s.ephemeris}")
     # every check runs here, before a file is created
     _write_ephemeris(s.ephemeris, ephemeris_blocks(state, s.epoch, ts, field, config))
     if s.mean_elements:

@@ -91,13 +91,17 @@ class PassCounter:
     """The NumPy passes the kernels make on arrays: every ufunc call
     (operators, ``abs`` and unary minus included) and every array function,
     counted by NumPy name in ``by_name``.  The passes given no ``out``, which
-    allocate their result, are counted again in ``allocating``.  Copies by
-    item assignment are not counted."""
+    allocate their result, are counted again in ``allocating``.  Gathers and
+    scatters, indexing or item assignment with an array index, and
+    ``astype`` are counted apart in ``gathers`` ("getitem", "setitem",
+    "astype"), so ``total`` keeps counting the ufuncs and array functions
+    only."""
 
     def __init__(self):
         self.by_name = collections.Counter()
         self.allocating = collections.Counter()
-        by_name, allocating = self.by_name, self.allocating
+        self.gathers = collections.Counter()
+        by_name, allocating, gathers = self.by_name, self.allocating, self.gathers
 
         def plain(values):
             return [v.view(np.ndarray) if isinstance(v, Counted) else v for v in values]
@@ -107,7 +111,25 @@ class PassCounter:
                 return tuple(counted(r) for r in result)
             return result.view(Counted) if isinstance(result, np.ndarray) else result
 
+        def fancy(index):
+            parts = index if isinstance(index, tuple) else (index,)
+            return any(isinstance(part, (np.ndarray, list)) for part in parts)
+
         class Counted(np.ndarray):
+            def __getitem__(self, index):
+                if fancy(index):
+                    gathers["getitem"] += 1
+                return super().__getitem__(index)
+
+            def __setitem__(self, index, value):
+                if fancy(index):
+                    gathers["setitem"] += 1
+                super().__setitem__(index, value)
+
+            def astype(self, *args, **kwargs):
+                gathers["astype"] += 1
+                return super().astype(*args, **kwargs)
+
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
                 name = ufunc.__name__
                 name = name if method == "__call__" else f"{name}.{method}"
@@ -138,6 +160,7 @@ class PassCounter:
     def clear(self):
         self.by_name.clear()
         self.allocating.clear()
+        self.gathers.clear()
 
     def array(self, x):
         """``x`` as an array whose passes are counted."""
