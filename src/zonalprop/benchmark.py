@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import atan2, cos, sin, sqrt
 
 from . import _kernels
-from .gravity import GravityField
+from .gravity import GravityField, check_small_params
 from .longperiod import CRITICAL_TOL, critical_inclination_guard
 from .states import DelaunayState, delaunay_to_polar, polar_to_nonsingular
 
@@ -225,8 +225,9 @@ def run_benchmark(d: DelaunayState, field: GravityField, iterations: int = 2000,
     """Count and time both correction paths at the mean state ``d``.
 
     Both paths evaluate the long-period stage, whatever the field, so the
-    critical-inclination guard runs at ``critical_tol``.
+    critical-inclination guard runs at ``critical_tol``, after check_small_params.
     """
+    check_small_params(d.G, field)
     critical_inclination_guard(d.H / d.G, critical_tol)
     mu, alpha, c20, c30 = field.mu, field.alpha, field.c20, field.c30
     ns = polar_to_nonsingular(delaunay_to_polar(d, mu))

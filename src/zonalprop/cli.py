@@ -149,7 +149,7 @@ def _orbit(s):
         if getattr(s, key) is None:
             raise ConfigError(f"initial state component {key!r} is missing")
     state = CartesianState(s.x, s.y, s.z, s.vx, s.vy, s.vz)
-    # benchmark does not read [run] secular: its mean state leaves the rates out
+    # benchmark does not read [run] secular: it reads the mean elements only
     config = PropagatorConfig(short_period=s.short_period, long_period=s.long_period,
                               secular=getattr(s, "secular", True),
                               critical_tol=s.critical_tol)
@@ -396,7 +396,7 @@ def _cmd_propagate(s) -> int:
         edges = block_edges(len(ts))
         grid = (ts[lo:hi] for lo, hi in zip(edges[:-1], edges[1:]))
         _write_ephemeris(s.mean_elements,
-                         ((t, mean_elements_series(mean, s.epoch, t, field, config))
+                         ((t, mean_elements_series(mean, s.epoch, t))
                           for t in grid), header="t,ell,g,h,L,G,H")
     print(f"wrote {len(ts)} ephemeris rows to {s.ephemeris}")
     return 0

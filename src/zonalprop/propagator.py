@@ -26,7 +26,7 @@ from . import _kernels
 from .errors import ConfigError, ZonalPropError
 from .gravity import GravityField, check_small_params
 from .longperiod import CRITICAL_TOL, critical_inclination_guard
-from .secular import mean_angle_rates
+from .secular import SecularRates, check_advance, mean_angle_rates
 from .states import (CartesianState, DelaunayState, cart_to_ns_checked, ellipse_elements,
                      elliptic_projections)
 
@@ -56,9 +56,10 @@ DEFAULT_CONFIG = PropagatorConfig()
 
 @dataclass(frozen=True)
 class MeanElements:
-    """Double-prime mean elements plus reproducibility metadata."""
+    """Double-prime mean elements, their secular rates and reproducibility metadata."""
 
     delaunay: DelaunayState
+    rates: SecularRates  # fixed with the elements; every propagation of them reads these
     conventional_split: bool  # equatorial/circular angle split was conventional
     #: the one correction formulation the pipeline evaluates: a constant, not
     #: a field, kept readable because perfbench/run.py prints it per orbit
@@ -80,14 +81,19 @@ def osculating_to_mean(cart: CartesianState, field: GravityField,
     mean inclination lies inside the critical band: the mean one is the
     ratio mean_to_osculating checks.  With c20 = 0 (and so c30 = 0) every
     long-period term vanishes, so the stage and its guard do not run.
+    Raises mean_motion's ZonalPropError when mu^2 / L^3 of the mean state is
+    not a positive finite double, as ephemeris_array does for that state.
     """
-    ell, g, h, L, G, H, conventional = _mean_state(cart, field, config)
+    ell, g, h, L, G, H, ldot, gdot, hdot, conventional = _mean_state(cart, field, config, 0.0)
     return MeanElements(delaunay=DelaunayState(ell=ell, g=g, h=h, L=L, G=G, H=H),
+                        rates=SecularRates(ell_dot=ldot, g_dot=gdot, h_dot=hdot),
                         conventional_split=conventional)
 
 
-def _mean_state(cart: CartesianState, field: GravityField, config: PropagatorConfig):
-    """osculating_to_mean on floats: (ell, g, h, L, G, H, conventional_split)."""
+def _mean_state(cart: CartesianState, field: GravityField, config: PropagatorConfig, span: float):
+    """osculating_to_mean on floats: (ell, g, h, L, G, H, ell_dot, g_dot,
+    h_dot, conventional_split).  The one place that picks the rates:
+    mean_angle_rates under config.secular, checked for an advance over span."""
     psi, xi, chi, r, R, Theta, N = cart_to_ns_checked(cart)
     mu, alpha, c20, c30 = field.mu, field.alpha, field.c20, field.c30
     elliptic_projections(r, R, Theta, mu)
@@ -109,7 +115,8 @@ def _mean_state(cart: CartesianState, field: GravityField, config: PropagatorCon
     ell, g, h, L, G, H, circular = ellipse_elements(r, theta, h, R, Theta, N, mu)
     if with_long:
         critical_inclination_guard(abs(H / G), config.critical_tol)
-    return ell, g, h, L, G, H, circular or equatorial
+    ldot, gdot, hdot = mean_angle_rates(L, G, H, field, config.secular, span)
+    return ell, g, h, L, G, H, ldot, gdot, hdot, circular or equatorial
 
 
 def mean_to_osculating(d: DelaunayState, field: GravityField,
@@ -194,8 +201,7 @@ def _orbit_args(cart0: CartesianState, span: float, field: GravityField,
     """The arguments of ``_kernels.ephemeris_batch`` between t0 and out, for
     a checked grid whose largest |t - t0| is span: every check of an
     ephemeris request after the grid's runs here."""
-    ell, g, h, L, G, H, _ = _mean_state(cart0, field, config)
-    ldot, gdot, hdot = mean_angle_rates(L, G, H, field, config.secular, span)
+    ell, g, h, L, G, H, ldot, gdot, hdot, _ = _mean_state(cart0, field, config, span)
     return (ell, g, h, L, G, H, ldot, gdot, hdot,
             field.mu, field.alpha, field.c20, field.c30,
             config.long_period and field.c20 != 0.0, config.short_period)
@@ -252,18 +258,20 @@ def _blocks(ts, t0, args):
         yield ts[lo:hi], states
 
 
-def mean_elements_series(mean: MeanElements, t0: float, ts, field: GravityField,
-                         config: PropagatorConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Mean Delaunay elements at the grid times, as an (n, 6) array.
+def mean_elements_series(mean: MeanElements, t0: float, ts) -> np.ndarray:
+    """Mean Delaunay elements at the grid times, advanced at ``mean.rates``,
+    as an (n, 6) array.
 
-    The grid and the epoch are checked as ephemeris_array checks them.
+    The grid and the epoch are checked as ephemeris_array checks them, and
+    the rates and the advance as propagate_mean checks them.
     """
     ts, span = _checked_grid(t0, ts)
+    d, r = mean.delaunay, mean.rates
+    check_advance("mean_elements_series:", r, "|t - t0|", span)
     dt = ts - t0
-    d = mean.delaunay
-    ldot, gdot, hdot = mean_angle_rates(d.L, d.G, d.H, field, config.secular, span)
     out = np.empty((dt.shape[0], 6), dtype=float)
-    ell, out[:, 1], out[:, 2] = _kernels.mean_angles(d.ell, d.g, d.h, ldot, gdot, hdot, dt)
+    ell, out[:, 1], out[:, 2] = _kernels.mean_angles(d.ell, d.g, d.h,
+                                                     r.ell_dot, r.g_dot, r.h_dot, dt)
     out[:, 0] = _kernels.wrap_pi(ell)
     out[:, 3:] = (d.L, d.G, d.H)
     return out

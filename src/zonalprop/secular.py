@@ -107,18 +107,22 @@ def mean_angle_rates(L: float, G: float, H: float, field: GravityField,
         h_dot = n * c * (6.0 * eps2 + 0.75 * eps2 * eps2 * b_s2)
     else:
         ell_dot, g_dot, h_dot = n, 0.0, 0.0
-    # checked inline, with builtins: a helper would add a Python call to the
-    # single-state path
-    rate = max(abs(ell_dot), abs(g_dot), abs(h_dot))
-    if rate * span >= MAX_ADVANCE:
-        raise _advance_error(rate, "|t - t0|", span)
+    # check_advance inline (a call would cost the single-state path); called only to raise
+    if max(abs(ell_dot), abs(g_dot), abs(h_dot)) * span >= MAX_ADVANCE:
+        check_advance("mean_angle_rates:", SecularRates(ell_dot, g_dot, h_dot), "|t - t0|", span)
     return ell_dot, g_dot, h_dot
 
 
-def _advance_error(rate: float, name: str, span: float) -> ZonalPropError:
-    return ZonalPropError(f"mean angle advance {rate * span:.6g} rad ({rate:.6g} rad/s over "
-                          f"{name} = {span:.6g} s) is not below 2**52 rad: the angle would "
-                          "keep no digits")
+def check_advance(kind: str, rates: SecularRates, name: str, span: float) -> None:
+    """ZonalPropError, prefixed ``kind``, when a rate is not finite, or when
+    some rate times span (named ``name``) reaches MAX_ADVANCE."""
+    values = (rates.ell_dot, rates.g_dot, rates.h_dot)
+    check_finite(kind, ("rates.ell_dot", "rates.g_dot", "rates.h_dot"), values)
+    rate = max(map(abs, values))
+    if rate * span >= MAX_ADVANCE:
+        raise ZonalPropError(f"mean angle advance {rate * span:.6g} rad ({rate:.6g} rad/s "
+                             f"over {name} = {span:.6g} s) is not below 2**52 rad: the angle "
+                             "would keep no digits")
 
 
 def propagate_mean(d: DelaunayState, rates: SecularRates, dt: float) -> DelaunayState:
@@ -127,11 +131,8 @@ def propagate_mean(d: DelaunayState, rates: SecularRates, dt: float) -> Delaunay
     Raises ZonalPropError, naming it, when dt or a rate is not finite, or
     when some rate times |dt| reaches MAX_ADVANCE.
     """
-    check_finite("propagate_mean:", ("dt", "rates.ell_dot", "rates.g_dot", "rates.h_dot"),
-                 (dt, rates.ell_dot, rates.g_dot, rates.h_dot))
-    rate = max(abs(rates.ell_dot), abs(rates.g_dot), abs(rates.h_dot))
-    if rate * abs(dt) >= MAX_ADVANCE:
-        raise _advance_error(rate, "|dt|", abs(dt))
+    check_finite("propagate_mean:", ("dt",), (dt,))
+    check_advance("propagate_mean:", rates, "|dt|", abs(dt))
     ell, g, h = _kernels.mean_angles(d.ell, d.g, d.h,
                                      rates.ell_dot, rates.g_dot, rates.h_dot, dt)
     return DelaunayState(ell=_kernels.wrap_pi(ell), g=g, h=h, L=d.L, G=d.G, H=d.H)

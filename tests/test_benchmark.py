@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from zonalprop import EARTH, CartesianState, DelaunayState, _kernels, benchmark, osculating_to_mean
+from zonalprop import (EARTH, CartesianState, DelaunayState, GravityField, ZonalPropError,
+                       _kernels, benchmark, osculating_to_mean)
 from zonalprop.benchmark import format_report, run_benchmark
 
 MU = EARTH.mu
@@ -37,6 +38,13 @@ def pass_counts(d):
 
 
 class TestBenchmark:
+    def test_undefined_eps3_raises_the_pipeline_error(self):
+        # c20 = 0 with c30 != 0 raised a bare ZeroDivisionError from
+        # small_params; the check the pipeline runs now comes first
+        field = GravityField(mu=EARTH.mu, alpha=EARTH.alpha, c20=0.0, c30=1e-6)
+        with pytest.raises(ZonalPropError, match="eps3 is undefined for c20 = 0 with c30 != 0"):
+            run_benchmark(_mean_state(), field, iterations=0)
+
     def test_counts_deterministic(self):
         d = _mean_state()
         r1 = run_benchmark(d, EARTH, iterations=0)

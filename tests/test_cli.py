@@ -154,7 +154,7 @@ def test_streamed_files_equal_whole_array_files(tmp_path, n):
     whole, mean_whole = tmp_path / "we.csv", tmp_path / "wm.csv"
     _write_ephemeris(str(whole), [(ts, ephemeris_array(state, 12.5, ts, EARTH))])
     mean = osculating_to_mean(state, EARTH)
-    _write_ephemeris(str(mean_whole), [(ts, mean_elements_series(mean, 12.5, ts, EARTH))],
+    _write_ephemeris(str(mean_whole), [(ts, mean_elements_series(mean, 12.5, ts))],
                      header="t,ell,g,h,L,G,H")
     assert out.read_bytes() == whole.read_bytes()
     assert mean_out.read_bytes() == mean_whole.read_bytes()

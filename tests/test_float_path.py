@@ -10,6 +10,7 @@ symmetries of the theory it must keep.
 import importlib.util
 import math
 import sys
+from dataclasses import astuple
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,6 +23,7 @@ from zonalprop import (EARTH, CartesianState, GravityField, NonEllipticStateErro
                        propagate_mean, propagator, secular_rates)
 from zonalprop.cli import main as cli_main
 from zonalprop.oracle import zonal_energy
+from zonalprop.secular import mean_motion
 from zonalprop.states import cart_to_ns_checked
 from test_array_path import LEO_STATE
 from conftest import elements_to_cartesian
@@ -32,9 +34,10 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 #: "call" events).  A change that puts per-call wrappers back on the float
 #: path fails here; raising the budget is a change to log.  53 = 3 for the
 #: request itself (``ephemeris_array``, its float grid check ``_float_grid``
-#: and ``_orbit_args``) + 26 for the inverse corrections (``_mean_state`` and
-#: the calls under it; ``cart_to_ns`` calls nothing) + 4 for the secular
-#: rates (``mean_angle_rates``) + 20 for the forward chain
+#: and ``_orbit_args``) + 30 for the mean state (``_mean_state`` and the
+#: calls under it: 26 for the inverse corrections, ``cart_to_ns`` calling
+#: nothing, and 4 for the secular rates, ``mean_angle_rates`` and the calls
+#: under it) + 20 for the forward chain
 #: (``ephemeris_batch`` and the calls under it).  A one-epoch ndarray grid
 #: makes one more: ``_float_grid`` declines it, and ``_checked_grid`` checks
 #: it in NumPy.
@@ -70,10 +73,26 @@ def test_one_epoch_equals_the_public_composition():
     for state, t0 in zip(states.tolist(), epochs.tolist()):
         cart = CartesianState(*state)
         row = ephemeris_array(cart, t0, [t], EARTH)[0]
-        d = osculating_to_mean(cart, EARTH).delaunay
-        moved = propagate_mean(d, secular_rates(d.L, d.G, d.H, EARTH), t - t0)
+        mean = osculating_to_mean(cart, EARTH)
+        moved = propagate_mean(mean.delaunay, mean.rates, t - t0)
         osc = mean_to_osculating(moved, EARTH)
         mismatches += tuple(row.tolist()) != (osc.x, osc.y, osc.z, osc.vx, osc.vy, osc.vz)
+    assert mismatches == 0
+
+
+@pytest.mark.parametrize("secular", [True, False], ids=["secular", "keplerian"])
+def test_mean_rates_follow_the_one_rate_rule(secular):
+    # the rates are fixed when the mean state is formed: those of its actions,
+    # or the Keplerian (n, 0, 0) with secular off
+    states, _ = _catalog(1, 2000)
+    config = PropagatorConfig(secular=secular)
+    mismatches = 0
+    for state in states.tolist():
+        mean = osculating_to_mean(CartesianState(*state), EARTH, config)
+        d = mean.delaunay
+        expected = (astuple(secular_rates(d.L, d.G, d.H, EARTH)) if secular
+                    else (mean_motion(d.L, EARTH), 0.0, 0.0))
+        mismatches += [x.hex() for x in astuple(mean.rates)] != [x.hex() for x in expected]
     assert mismatches == 0
 
 

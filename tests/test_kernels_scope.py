@@ -51,7 +51,7 @@ def test_every_kernel_runs_in_the_pipeline_or_is_a_boundary():
         (mean_to_osculating, (mean.delaunay, EARTH)),
         (ephemeris_array, (LEO_STATE, 0.0, [60.0], EARTH)),
         (ephemeris_array, (LEO_STATE, 0.0, 60.0 * np.arange(_kernels.ARRAY_MIN_EPOCHS), EARTH)),
-        (mean_elements_series, (mean, 0.0, [60.0], EARTH)),
+        (mean_elements_series, (mean, 0.0, [60.0])),
     ))
     defined = {name: fn for name, fn in vars(_kernels).items()
                if inspect.isfunction(fn) and fn.__module__ == _kernels.__name__}

@@ -53,3 +53,28 @@ def test_the_entry_point_is_cli():
 
 def test_every_module_is_reachable_from_the_package_or_the_cli():
     assert sorted(MODULES - reachable()) == []
+
+
+def callers(name):
+    """(module, enclosing function) of every call of ``name`` in the package."""
+    found = []
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            found.append((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for module in sorted(MODULES):
+        visit(ast.parse((PACKAGE / f"{module}.py").read_text()), module, None)
+    return sorted(found)
+
+
+def test_the_rate_rule_is_applied_in_one_place():
+    # the mean state fixes its rates when it is formed; every propagation
+    # reads them from there, and secular_rates is the public formula
+    assert callers("mean_angle_rates") == [("propagator", "_mean_state"),
+                                           ("secular", "secular_rates")]

@@ -229,7 +229,7 @@ class TestEphemeris:
         mean = osculating_to_mean(cart, EARTH)
         T = orbital_period(mean.delaunay.L, EARTH)
         from zonalprop.propagator import mean_elements_series
-        rows = mean_elements_series(mean, 0.0, [0.0, T, 2.0 * T], EARTH)
+        rows = mean_elements_series(mean, 0.0, [0.0, T, 2.0 * T])
         d1 = [angle_diff(rows[1][i], rows[0][i]) for i in range(3)]
         d2 = [angle_diff(rows[2][i], rows[1][i]) for i in range(3)]
         for a, b in zip(d1, d2):
@@ -302,7 +302,7 @@ class TestEphemeris:
             ref[i, 3] = d.L
             ref[i, 4] = d.G
             ref[i, 5] = d.H
-        assert np.array_equal(mean_elements_series(mean, t0, ts, EARTH), ref)
+        assert np.array_equal(mean_elements_series(mean, t0, ts), ref)
 
     def test_mean_elements_series_keplerian_with_secular_off(self):
         # the ephemeris and the mean elements take their rates from one rule
@@ -312,7 +312,7 @@ class TestEphemeris:
         mean = osculating_to_mean(cart, EARTH, ALL_OFF)
         d = mean.delaunay
         ts = np.array([0.0, 600.0, 1200.0])
-        rows = mean_elements_series(mean, 0.0, ts, EARTH, ALL_OFF)
+        rows = mean_elements_series(mean, 0.0, ts)
         assert np.array_equal(rows[:, 0], _kernels.wrap_pi(d.ell + mean_motion(d.L, EARTH) * ts))
         assert np.all(rows[:, 1] == _kernels.wrap_pi(d.g))
         assert np.all(rows[:, 2] == _kernels.wrap_pi(d.h))
@@ -329,11 +329,12 @@ class TestEphemeris:
         cart = elements_to_cartesian(7000.0, 0.05, math.radians(30.0), 0.3, 0.7, 1.1)
         mean = osculating_to_mean(cart, EARTH)
         errors = []
-        for fn, start in ((ephemeris_array, cart), (mean_elements_series, mean)):
+        for fn, args in ((ephemeris_array, (cart, t0, ts, EARTH)),
+                         (mean_elements_series, (mean, t0, ts))):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ZonalPropError) as exc:
-                    fn(start, t0, ts, EARTH)
+                    fn(*args)
             errors.append((type(exc.value), str(exc.value)))
         assert errors == [(ZonalPropError, message)] * 2
 
@@ -347,13 +348,25 @@ class TestEphemeris:
         cart = elements_to_cartesian(7000.0, 0.05, math.radians(30.0), 0.3, 0.7, 1.1)
         mean = osculating_to_mean(cart, EARTH)
         ts = np.full(n, 1e308)
-        for fn, start in ((ephemeris_array, cart), (ephemeris_blocks, cart),
-                          (mean_elements_series, mean)):
+        for fn, args in ((ephemeris_array, (cart, -1e308, ts, EARTH)),
+                         (ephemeris_blocks, (cart, -1e308, ts, EARTH)),
+                         (mean_elements_series, (mean, -1e308, ts))):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ZonalPropError) as exc:
-                    fn(start, -1e308, ts, EARTH)
+                    fn(*args)
             assert str(exc.value) == "time offset t - t0 overflows for t0 = -1e+308"
+
+    def test_mean_elements_series_rejects_a_non_finite_rate(self):
+        # the rates are read from the mean state: one built by hand with a
+        # NaN rate gave NaN angles, where propagate_mean raises
+        from zonalprop.propagator import mean_elements_series
+        cart = elements_to_cartesian(7000.0, 0.05, math.radians(30.0), 0.3, 0.7, 1.1)
+        mean = osculating_to_mean(cart, EARTH)
+        bad = replace(mean, rates=replace(mean.rates, g_dot=math.nan))
+        with pytest.raises(ZonalPropError,
+                           match="^mean_elements_series: rates.g_dot must be finite, got nan$"):
+            mean_elements_series(bad, 0.0, [0.0, 60.0])
 
     @pytest.mark.parametrize("n", [1, 40], ids=["float-path", "array-path"])
     @pytest.mark.parametrize("secular", [True, False], ids=["secular", "keplerian"])
@@ -361,24 +374,25 @@ class TestEphemeris:
         # past 2**52 rad a mean angle keeps no digits: the float path returned
         # the t0 state at t = 1e300, and mean_elements_series rounding residue
         from zonalprop.propagator import ephemeris_blocks, mean_elements_series
-        from zonalprop.secular import MAX_ADVANCE, mean_angle_rates
+        from zonalprop.secular import MAX_ADVANCE
         cart = CartesianState(7000.0, 0.0, 0.0, 0.0, 7.5, 1.0)
         config = PropagatorConfig(secular=secular)
         mean = osculating_to_mean(cart, EARTH, config)
-        d = mean.delaunay
-        rate = max(map(abs, mean_angle_rates(d.L, d.G, d.H, EARTH, secular)))
+        r = mean.rates
+        rate = max(abs(r.ell_dot), abs(r.g_dot), abs(r.h_dot))
         limit = MAX_ADVANCE / rate * (1.0 + 1e-15)  # a hair above: quotient rounding
         for offset in (1e300, -1e300, limit, -limit):
             ts = np.full(n, 5.0 + offset)
-            for fn, start in ((ephemeris_array, cart), (ephemeris_blocks, cart),
-                              (mean_elements_series, mean)):
+            for fn, args in ((ephemeris_array, (cart, 5.0, ts, EARTH, config)),
+                             (ephemeris_blocks, (cart, 5.0, ts, EARTH, config)),
+                             (mean_elements_series, (mean, 5.0, ts))):
                 with pytest.raises(ZonalPropError, match=r"advance .* is not below 2\*\*52 rad"):
-                    fn(start, 5.0, ts, EARTH, config)
+                    fn(*args)
         # just below the limit, and a thousand years, still propagate
         for offset in (0.999 * limit, 1000 * 365.25 * 86400.0):
             ts = np.full(n, 5.0 - offset)
             assert np.all(np.isfinite(ephemeris_array(cart, 5.0, ts, EARTH, config)))
-            assert np.all(np.abs(mean_elements_series(mean, 5.0, ts, EARTH, config)[:, :3])
+            assert np.all(np.abs(mean_elements_series(mean, 5.0, ts)[:, :3])
                           <= math.pi)
 
 
