@@ -805,15 +805,15 @@ def cart_to_ns(x, y, z, vx, vy, vz):
 # mean-to-osculating pipeline
 # ---------------------------------------------------------------------------
 
-def reconstruct_and_correct(ell, g, h, L, G, H, mu, alpha, c20, c30, with_long, with_short):
+def reconstruct_and_correct(ell, g, h, L, G, H, mu, alpha, c20, c30, with_long):
     """Mean Delaunay elements -> osculating Cartesian state.
 
-    Kepler solve, direct long-period correction at the double-prime state,
-    direct short-period correction at the prime state, both in the full
-    nonsingular forms, then the rotation-free Cartesian map, in the psi*
-    chart when H < 0.  The angles (ell, g, h) may be arrays over epochs of
-    one mean trajectory; everything computed from (L, G, H) alone stays a
-    scalar.
+    Kepler solve, direct long-period correction at the double-prime state
+    (with ``with_long``), direct short-period correction at the prime state,
+    both in the full nonsingular forms, then the rotation-free Cartesian
+    map, in the psi* chart when H < 0.  The angles (ell, g, h) may be arrays
+    over epochs of one mean trajectory; everything computed from (L, G, H)
+    alone stays a scalar.
     """
     m = _NUMPY if type(ell) is ndarray else _MATH
     r, R, theta = delaunay_orbit(ell, L, G, mu)
@@ -843,15 +843,14 @@ def reconstruct_and_correct(ell, g, h, L, G, H, mu, alpha, c20, c30, with_long, 
         R += dR
         Th += dTh
         del dpsi, dxi, dchi, dr, dR, dTh
-    if with_short:
-        dpsi, dxi, dchi, dr, dR, dTh = short_ns(xi, chi, r, R, Th, mu, alpha, c20)
-        psi += dpsi
-        xi += dxi
-        chi += dchi
-        r += dr
-        R += dR
-        Th += dTh
-        del dpsi, dxi, dchi, dr, dR, dTh
+    dpsi, dxi, dchi, dr, dR, dTh = short_ns(xi, chi, r, R, Th, mu, alpha, c20)
+    psi += dpsi
+    xi += dxi
+    chi += dchi
+    r += dr
+    R += dR
+    Th += dTh
+    del dpsi, dxi, dchi, dr, dR, dTh
     return ns_to_cart(psi, xi, chi, r, R, Th, H)
 
 
@@ -867,7 +866,7 @@ def block_edges(n):
 
 
 def ephemeris_batch(ts, t0, ell0, g0, h0, L, G, H, ldot, gdot, hdot,
-                    mu, alpha, c20, c30, with_long, with_short, out):
+                    mu, alpha, c20, c30, with_long, out):
     """Fill ``out[i, :]`` with the osculating Cartesian state at ``ts[i]``.
 
     A grid of ARRAY_MIN_EPOCHS epochs or more runs through the kernels on
@@ -882,7 +881,7 @@ def ephemeris_batch(ts, t0, ell0, g0, h0, L, G, H, ldot, gdot, hdot,
         for t in (ts if out is None else ts.tolist()):
             ell, g, h = mean_angles(ell0, g0, h0, ldot, gdot, hdot, t - t0)
             rows.append(reconstruct_and_correct(ell, g, h, L, G, H, mu, alpha, c20, c30,
-                                                with_long, with_short))
+                                                with_long))
         if out is None:
             return rows
         for i, row in enumerate(rows):
@@ -892,8 +891,7 @@ def ephemeris_batch(ts, t0, ell0, g0, h0, L, G, H, ldot, gdot, hdot,
     for lo, hi in zip(edges[:-1], edges[1:]):
         rows = slice(lo, hi)
         ell, g, h = mean_angles(ell0, g0, h0, ldot, gdot, hdot, ts[rows] - t0)
-        state = reconstruct_and_correct(ell, g, h, L, G, H, mu, alpha, c20, c30,
-                                        with_long, with_short)
+        state = reconstruct_and_correct(ell, g, h, L, G, H, mu, alpha, c20, c30, with_long)
         for k in range(6):
             out[rows, k] = state[k]
         del state  # before the next block allocates its own

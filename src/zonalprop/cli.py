@@ -61,9 +61,7 @@ CONFIG_KEYS = {
     ("run", "duration"): (float, _read_by(0.0, _GRID)),
     ("run", "step"): (float, _read_by(60.0, _GRID)),
     ("run", "model"): (MODELS, _read_by("j2j3")),
-    ("run", "short-period"): (bool, _read_by(True)),
     ("run", "long-period"): (bool, _read_by(True)),
-    ("run", "secular"): (bool, _read_by(True, _GRID)),
     ("run", "critical-tol"): (float, _read_by(CRITICAL_TOL)),
     ("run", "integrator-tol"): (float, _read_by(1e-12, ("compare",))),
     ("compare", "j2-multipliers"): (str, _read_by("1,0.5,0.25,0.125", ("compare",))),
@@ -130,7 +128,7 @@ def _get(cp, section, key, override, default, cast):
 
 
 def _settings(cp, args) -> argparse.Namespace:
-    """The settings ``args.command`` reads, by flag name (``short_period``):
+    """The settings ``args.command`` reads, by flag name (``long_period``):
     the flag if it was given, else the INI value, else the default."""
     values = {}
     for (section, key), (cast, defaults) in CONFIG_KEYS.items():
@@ -149,10 +147,7 @@ def _orbit(s):
         if getattr(s, key) is None:
             raise ConfigError(f"initial state component {key!r} is missing")
     state = CartesianState(s.x, s.y, s.z, s.vx, s.vy, s.vz)
-    # benchmark does not read [run] secular: it reads the mean elements only
-    config = PropagatorConfig(short_period=s.short_period, long_period=s.long_period,
-                              secular=getattr(s, "secular", True),
-                              critical_tol=s.critical_tol)
+    config = PropagatorConfig(long_period=s.long_period, critical_tol=s.critical_tol)
     return field.restricted(s.model), state, config
 
 

@@ -13,7 +13,10 @@ equatorial or circular the Delaunay angle split below is conventional
 (f = 0 at e = 0, theta = 0 at s = 0) but every reconstructed output depends
 only on the well-defined combinations, e.g. the mean longitude psi - phi.
 The only excluded regime is the critical-inclination band of the
-long-period stage, which runs when it is on and c20 != 0.
+long-period stage, which runs when it is on and c20 != 0.  The two-body
+propagator is the same pipeline on a field with c20 = c30 = 0
+(``GravityField.restricted("two-body")``), where every correction and the
+perturbation of every secular rate are exactly zero.
 """
 
 import math
@@ -27,23 +30,21 @@ from .errors import ConfigError, ZonalPropError
 from .gravity import GravityField, check_small_params
 from .longperiod import CRITICAL_TOL, critical_inclination_guard
 from .secular import SecularRates, check_advance, mean_angle_rates
-from .states import (CartesianState, DelaunayState, cart_to_ns_checked, ellipse_elements,
-                     elliptic_projections)
+from .states import (CartesianState, DelaunayState, cart_to_ns_checked, check_finite,
+                     ellipse_elements, elliptic_projections)
 
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """Pipeline switches and the critical-inclination tolerance.
+    """The long-period switch and the critical-inclination tolerance.
 
-    The periodic-correction stages and the perturbed secular terms can be
-    toggled individually for diagnosis; with everything off the pipeline is
-    an exact two-body propagator.  critical_tol must be finite and positive:
+    The theory is the secular rates plus both periodic corrections.  Only
+    the long-period stage can be switched off: inside the critical band it
+    is the one way to an answer.  critical_tol must be finite and positive:
     0, a negative number or NaN would switch the guard off.
     """
 
-    short_period: bool = True
     long_period: bool = True
-    secular: bool = True
     critical_tol: float = CRITICAL_TOL
 
     def __post_init__(self):
@@ -82,7 +83,9 @@ def osculating_to_mean(cart: CartesianState, field: GravityField,
     ratio mean_to_osculating checks.  With c20 = 0 (and so c30 = 0) every
     long-period term vanishes, so the stage and its guard do not run.
     Raises mean_motion's ZonalPropError when mu^2 / L^3 of the mean state is
-    not a positive finite double, as ephemeris_array does for that state.
+    not a positive finite double, as ephemeris_array does for that state, and
+    ZonalPropError, naming it, when the corrections overflow into a mean
+    state whose 1/a is not finite or into a rate that is not.
     """
     ell, g, h, L, G, H, ldot, gdot, hdot, conventional = _mean_state(cart, field, config, 0.0)
     return MeanElements(delaunay=DelaunayState(ell=ell, g=g, h=h, L=L, G=G, H=H),
@@ -93,7 +96,7 @@ def osculating_to_mean(cart: CartesianState, field: GravityField,
 def _mean_state(cart: CartesianState, field: GravityField, config: PropagatorConfig, span: float):
     """osculating_to_mean on floats: (ell, g, h, L, G, H, ell_dot, g_dot,
     h_dot, conventional_split).  The one place that picks the rates:
-    mean_angle_rates under config.secular, checked for an advance over span."""
+    mean_angle_rates, checked for an advance over span."""
     psi, xi, chi, r, R, Theta, N = cart_to_ns_checked(cart)
     mu, alpha, c20, c30 = field.mu, field.alpha, field.c20, field.c30
     elliptic_projections(r, R, Theta, mu)
@@ -102,9 +105,8 @@ def _mean_state(cart: CartesianState, field: GravityField, config: PropagatorCon
     if with_long:
         critical_inclination_guard(math.sqrt(max(0.0, 1.0 - (xi * xi + chi * chi))),
                                    config.critical_tol)
-    if config.short_period:
-        dpsi, dxi, dchi, dr, dR, dTh = _kernels.short_ns(xi, chi, r, R, Theta, mu, alpha, c20)
-        psi, xi, chi, r, R, Theta = psi - dpsi, xi - dxi, chi - dchi, r - dr, R - dR, Theta - dTh
+    dpsi, dxi, dchi, dr, dR, dTh = _kernels.short_ns(xi, chi, r, R, Theta, mu, alpha, c20)
+    psi, xi, chi, r, R, Theta = psi - dpsi, xi - dxi, chi - dchi, r - dr, R - dR, Theta - dTh
     if with_long:
         dpsi, dxi, dchi, dr, dR, dTh = _kernels.long_ns(xi, chi, r, R, Theta,
                                                         mu, alpha, c20, c30)
@@ -115,21 +117,22 @@ def _mean_state(cart: CartesianState, field: GravityField, config: PropagatorCon
     ell, g, h, L, G, H, circular = ellipse_elements(r, theta, h, R, Theta, N, mu)
     if with_long:
         critical_inclination_guard(abs(H / G), config.critical_tol)
-    ldot, gdot, hdot = mean_angle_rates(L, G, H, field, config.secular, span)
+    ldot, gdot, hdot = mean_angle_rates(L, G, H, field, span)
     return ell, g, h, L, G, H, ldot, gdot, hdot, circular or equatorial
 
 
 def mean_to_osculating(d: DelaunayState, field: GravityField,
                        config: PropagatorConfig = DEFAULT_CONFIG) -> CartesianState:
     """Rebuild the osculating Cartesian state from double-prime elements; the
-    long-period stage and its guard run as in osculating_to_mean."""
+    long-period stage and its guard run as in osculating_to_mean.  Raises
+    ZonalPropError, naming it, for a state component that is not finite."""
     check_small_params(d.G, field)
     with_long = config.long_period and field.c20 != 0.0
     if with_long:
         critical_inclination_guard(abs(d.H / d.G), config.critical_tol)
     out = _kernels.reconstruct_and_correct(
-        d.ell, d.g, d.h, d.L, d.G, d.H, field.mu, field.alpha, field.c20, field.c30,
-        with_long, config.short_period)
+        d.ell, d.g, d.h, d.L, d.G, d.H, field.mu, field.alpha, field.c20, field.c30, with_long)
+    check_finite("mean_to_osculating: state component", ("x", "y", "z", "vx", "vy", "vz"), out)
     return CartesianState(*out)
 
 
@@ -148,9 +151,11 @@ def _checked_grid(t0: float, ts) -> tuple[np.ndarray, float]:
     """The time grid as a contiguous float array and the largest |t - t0| on
     it; ZonalPropError unless the grid is one-dimensional, the epoch t0 and
     the grid are finite and no offset t - t0 overflows."""
-    ts = np.ascontiguousarray(ts, dtype=float)
+    # ascontiguousarray would make a scalar a one-element grid
+    ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
         raise ZonalPropError("time grid must be one-dimensional")
+    ts = np.ascontiguousarray(ts)
     if not math.isfinite(t0):
         raise ZonalPropError(f"epoch t0 must be finite, got {t0}")
     # the offsets t - t0 are finite exactly when the extreme ones are (a NaN
@@ -203,8 +208,7 @@ def _orbit_args(cart0: CartesianState, span: float, field: GravityField,
     ephemeris request after the grid's runs here."""
     ell, g, h, L, G, H, ldot, gdot, hdot, _ = _mean_state(cart0, field, config, span)
     return (ell, g, h, L, G, H, ldot, gdot, hdot,
-            field.mu, field.alpha, field.c20, field.c30,
-            config.long_period and field.c20 != 0.0, config.short_period)
+            field.mu, field.alpha, field.c20, field.c30, config.long_period and field.c20 != 0.0)
 
 
 def ephemeris_array(cart0: CartesianState, t0: float, ts, field: GravityField,

@@ -74,8 +74,9 @@ def mean_hamiltonian(L: float, G: float, H: float, field: GravityField) -> float
 def secular_rates(L: float, G: float, H: float, field: GravityField) -> SecularRates:
     """Analytic partials of the mean Hamiltonian wrt (L, G, H).
 
-    Raises ZonalPropError, naming it, for an action that is not finite, and
-    unless 0 < G <= L and |H| <= G, as for a DelaunayState.
+    Raises ZonalPropError, naming it, for an action that is not finite,
+    unless 0 < G <= L and |H| <= G, as for a DelaunayState, and for a rate
+    that is not finite (at tiny actions eps2 overflows).
     """
     check_finite("secular_rates:", ("L", "G", "H"), (L, G, H))
     _check_delaunay(L, G, H)
@@ -84,31 +85,32 @@ def secular_rates(L: float, G: float, H: float, field: GravityField) -> SecularR
 
 
 def mean_angle_rates(L: float, G: float, H: float, field: GravityField,
-                     secular: bool = True, span: float = 0.0) -> tuple[float, float, float]:
-    """(ell_dot, g_dot, h_dot): the secular_rates formula, as a tuple; with
-    ``secular`` off, the Keplerian rates (n, 0, 0).  Every propagation takes
-    its rates from here, so the ephemeris and the mean elements agree.
+                     span: float = 0.0) -> tuple[float, float, float]:
+    """(ell_dot, g_dot, h_dot): the secular_rates formula, as a tuple.  Every
+    propagation takes its rates from here, so the ephemeris and the mean
+    elements agree.
 
     ``span`` is the largest |t - t0| the rates will advance the angles over;
-    raises ZonalPropError when some rate times span reaches MAX_ADVANCE.
+    raises ZonalPropError, naming it, when a rate is not finite, and when
+    some rate times span reaches MAX_ADVANCE.
     """
     n = mean_motion(L, field)
-    if secular:
-        eta = G / L
-        c = H / G
-        c2 = c * c
-        s2 = 1.0 - c2
-        _, eps2, _ = _kernels.small_params(G, field.mu, field.alpha, field.c20)
-        b, b_eta, b_s2 = _bracket_terms(eta, s2)
-        ell_dot = n * (1.0 - 1.5 * eps2 * eta * (4.0 - 6.0 * s2)
-                       + 0.375 * eps2 * eps2 * eta * (3.0 * b + eta * b_eta))
-        g_dot = (-3.0 * n * eps2 * (4.0 - 5.0 * s2)
-                 - 0.375 * n * eps2 * eps2 * (-7.0 * b + eta * b_eta + 2.0 * c2 * b_s2))
-        h_dot = n * c * (6.0 * eps2 + 0.75 * eps2 * eps2 * b_s2)
-    else:
-        ell_dot, g_dot, h_dot = n, 0.0, 0.0
-    # check_advance inline (a call would cost the single-state path); called only to raise
-    if max(abs(ell_dot), abs(g_dot), abs(h_dot)) * span >= MAX_ADVANCE:
+    eta = G / L
+    c = H / G
+    c2 = c * c
+    s2 = 1.0 - c2
+    _, eps2, _ = _kernels.small_params(G, field.mu, field.alpha, field.c20)
+    b, b_eta, b_s2 = _bracket_terms(eta, s2)
+    ell_dot = n * (1.0 - 1.5 * eps2 * eta * (4.0 - 6.0 * s2)
+                   + 0.375 * eps2 * eps2 * eta * (3.0 * b + eta * b_eta))
+    g_dot = (-3.0 * n * eps2 * (4.0 - 5.0 * s2)
+             - 0.375 * n * eps2 * eps2 * (-7.0 * b + eta * b_eta + 2.0 * c2 * b_s2))
+    h_dot = n * c * (6.0 * eps2 + 0.75 * eps2 * eps2 * b_s2)
+    # check_advance inline (a call would cost the single-state path), called
+    # only to raise.  The sum of the rates' sizes is at least the largest
+    # one, and NaN when a rate is NaN or an inf rate meets span = 0: the
+    # negated test sends those to check_advance too
+    if not (abs(ell_dot) + abs(g_dot) + abs(h_dot)) * span < MAX_ADVANCE:
         check_advance("mean_angle_rates:", SecularRates(ell_dot, g_dot, h_dot), "|t - t0|", span)
     return ell_dot, g_dot, h_dot
 

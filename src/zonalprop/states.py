@@ -244,16 +244,20 @@ def elliptic_projections(r: float, R: float, Theta: float, mu: float):
     check.
 
     Raises NonEllipticStateError for non-negative energy or e >= 1, so
-    nothing downstream takes sqrt(1 - e^2) of a hyperbola.
+    nothing downstream takes sqrt(1 - e^2) of a hyperbola, and
+    ZonalPropError, naming it, for a 1/a that is not finite.  Both tests
+    fail for NaN.
     """
     ainv = 2.0 / r - (R * R + (Theta / r) ** 2) / mu
-    if ainv <= 0.0:
-        raise NonEllipticStateError("state is not elliptic (non-negative energy)")
+    if not 0.0 < ainv < math.inf:
+        if ainv <= 0.0:
+            raise NonEllipticStateError("state is not elliptic (non-negative energy)")
+        raise ZonalPropError(f"inverse semi-major axis 1/a must be finite, got {ainv}")
     p = Theta * Theta / mu
     kappa = p / r - 1.0
     sigma = p * R / Theta
     e = math.hypot(kappa, sigma)
-    if e >= 1.0:
+    if not e < 1.0:
         raise NonEllipticStateError(f"state is not elliptic (e = {e})")
     return ainv, kappa, sigma, e
 

@@ -88,7 +88,7 @@ def test_exact_mean_states_through_the_kernel(H_sign):
     ell = np.linspace(-math.pi, math.pi, 50)
     g = 0.3 + 0.01 * ell
     h = 1.1 - 0.02 * ell
-    args = (L, G, H, EARTH.mu, EARTH.alpha, EARTH.c20, EARTH.c30, True, True)
+    args = (L, G, H, EARTH.mu, EARTH.alpha, EARTH.c20, EARTH.c30, True)
     batch = np.array(_kernels.reconstruct_and_correct(ell, g, h, *args)).T
     ref = np.array([_kernels.reconstruct_and_correct(a, b, c, *args)
                     for a, b, c in zip(ell.tolist(), g.tolist(), h.tolist())])
@@ -228,7 +228,7 @@ def test_every_formulation():
     _assert_agree(cart, 0.0, _grid(), PropagatorConfig())
 
 
-@pytest.mark.parametrize("off", ["long_period", "short_period", "secular"])
+@pytest.mark.parametrize("off", ["long_period"])
 def test_each_stage_switched_off(off):
     cart = _cart(7400.0, 0.2, 45.0, 70.0, 50.0, 80.0)
     _assert_agree(cart, 0.0, _grid(), PropagatorConfig(**{off: False}))
@@ -399,9 +399,9 @@ def test_kernels_write_into_no_argument():
         for N in (0.8 * G, -0.8 * G):
             _kernels.ns_to_cart(f, xi, chi, r, R, Th, N)
     for H in (0.8 * G, -0.8 * G):
-        for stages in ((True, True), (False, False)):
+        for with_long in (True, False):
             _kernels.reconstruct_and_correct(ell, ell, ell, L, G, H, mu, alpha, c20, c30,
-                                             *stages)
+                                             with_long)
     grid = _read_only(173.0 * np.arange(n))
     ephemeris_array(LEO_STATE, 0.0, grid, EARTH)
     for _ in ephemeris_blocks(LEO_STATE, 0.0, grid, EARTH):

@@ -447,7 +447,7 @@ def _mean_critical_flags(offset):
     G = L * math.sqrt(1.0 - 0.05 ** 2)
     H = G * math.sqrt((1.0 - offset) / 5.0)
     state = _kernels.reconstruct_and_correct(0.0, 0.0, 0.0, L, G, H, EARTH.mu,
-                                             EARTH.alpha, EARTH.c20, EARTH.c30, False, True)
+                                             EARTH.alpha, EARTH.c20, EARTH.c30, False)
     return [f"--{k}={v!r}" for k, v in zip(("x", "y", "z", "vx", "vy", "vz"), state)]
 
 
@@ -658,7 +658,11 @@ class TestExitCodes:
         ("compare", "--ephemeris"), ("compare", "--mean-elements"),
         ("benchmark", "--epoch"), ("benchmark", "--duration"), ("benchmark", "--step"),
         ("benchmark", "--integrator-tol"), ("benchmark", "--ephemeris"),
-        ("benchmark", "--mean-elements"), ("benchmark", "--no-secular"),
+        ("benchmark", "--mean-elements"),
+        # removed switches, which no subcommand reads
+        ("propagate", "--no-secular"), ("propagate", "--short-period"),
+        ("compare", "--no-secular"), ("compare", "--short-period"),
+        ("benchmark", "--no-secular"), ("benchmark", "--short-period"),
     ])
     def test_flag_the_command_does_not_read_exit_1(self, tmp_path, capsys, monkeypatch,
                                                    command, flag):
@@ -700,16 +704,20 @@ class TestExitCodes:
         assert exc.value.code == 0
 
     @pytest.mark.parametrize("extra, name", [
-        ("short_period = false\n", "short_period"),     # misspelt short-period
+        ("short_period = false\n", "short_period"),     # a removed key, misspelt
         ("formulation = nonsingular\n", "formulation"),  # removed options
         ("low-inc-threshold = 1e-3\n", "low-inc-threshold"),
+        # removed switches: the short-period stage and the secular terms are
+        # always on, and a two-body run takes model = two-body
+        ("short-period = true\n", "unknown key(s) short-period in [run]"),
+        ("secular = true\n", "unknown key(s) secular in [run]"),
         ("[output]\nephemris = x.csv\n", "ephemris"),
         ("[runs]\nduration = 60\n", "[runs]"),
-        ("short-period = ture\n", "[run] short-period = 'ture'"),  # not a boolean
+        ("long-period = ture\n", "[run] long-period = 'ture'"),  # not a boolean
         ("long-period = 2\n", "[run] long-period = '2'"),
-        ("secular = enabled\n", "[run] secular = 'enabled'"),
-    ], ids=["short_period", "formulation", "low-inc-threshold", "ephemris", "runs",
-            "boolean-ture", "boolean-2", "boolean-enabled"])
+        ("long-period = enabled\n", "[run] long-period = 'enabled'"),
+    ], ids=["short_period", "formulation", "low-inc-threshold", "short-period", "secular",
+            "ephemris", "runs", "boolean-ture", "boolean-2", "boolean-enabled"])
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, extra, name):
         cfg = _write_config(tmp_path / "run.ini", extra=extra)
         out = tmp_path / "x.csv"
@@ -722,10 +730,11 @@ class TestExitCodes:
         ("off", False), ("no", False), ("0", False), ("On", True), ("YES", True),
     ])
     def test_config_booleans(self, tmp_path, raw, expected):
-        cfg = _write_config(tmp_path / "run.ini", extra=f"short-period = {raw}\n")
+        cfg = _write_config(tmp_path / "run.ini", extra=f"long-period = {raw}\n")
         args = cli._parser().parse_args(["propagate", "--config", str(cfg)])
         settings = cli._settings(cli._read_config(args.config), args)
-        assert settings.short_period is expected
+        assert settings.long_period is expected
+
 
     @pytest.mark.parametrize("command, line, raw, message", [
         ("propagate", "mu = 398600.4418", "mu = 398600.44l8",

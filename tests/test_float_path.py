@@ -80,19 +80,20 @@ def test_one_epoch_equals_the_public_composition():
     assert mismatches == 0
 
 
-@pytest.mark.parametrize("secular", [True, False], ids=["secular", "keplerian"])
-def test_mean_rates_follow_the_one_rate_rule(secular):
+@pytest.mark.parametrize("field", [EARTH, EARTH.restricted("two-body")],
+                         ids=["secular", "keplerian"])
+def test_mean_rates_follow_the_one_rate_rule(field):
     # the rates are fixed when the mean state is formed: those of its actions,
-    # or the Keplerian (n, 0, 0) with secular off
+    # which in the two-body field are the Keplerian (n, 0, 0)
     states, _ = _catalog(1, 2000)
-    config = PropagatorConfig(secular=secular)
     mismatches = 0
     for state in states.tolist():
-        mean = osculating_to_mean(CartesianState(*state), EARTH, config)
+        mean = osculating_to_mean(CartesianState(*state), field)
         d = mean.delaunay
-        expected = (astuple(secular_rates(d.L, d.G, d.H, EARTH)) if secular
-                    else (mean_motion(d.L, EARTH), 0.0, 0.0))
+        expected = astuple(secular_rates(d.L, d.G, d.H, field))
         mismatches += [x.hex() for x in astuple(mean.rates)] != [x.hex() for x in expected]
+        if field.c20 == 0.0:
+            mismatches += astuple(mean.rates) != (mean_motion(d.L, field), 0.0, 0.0)
     assert mismatches == 0
 
 
@@ -102,8 +103,7 @@ def _mean_critical_state():
     G = L * math.sqrt(1.0 - 0.05 ** 2)
     H = G * math.sqrt((1.0 - 8e-4) / 5.0)
     return CartesianState(*_kernels.reconstruct_and_correct(
-        0.0, 0.0, 0.0, L, G, H, EARTH.mu, EARTH.alpha, EARTH.c20, EARTH.c30,
-        False, True))
+        0.0, 0.0, 0.0, L, G, H, EARTH.mu, EARTH.alpha, EARTH.c20, EARTH.c30, False))
 
 
 LEO = (7000.0, 0.0, 0.0, 0.0, 6.0, 4.5)
@@ -156,20 +156,21 @@ NON_ELLIPTIC = {
     "1.0001 escape speed": CartesianState(7000.0, 0.0, 0.0, 0.0, 0.8 * 1.0001 * _ESCAPE,
                                           0.6 * 1.0001 * _ESCAPE),
 }
-STAGES = {"both stages": PropagatorConfig(),
-          "short period only": PropagatorConfig(long_period=False),
-          "long period only": PropagatorConfig(short_period=False),
-          "no stage": PropagatorConfig(short_period=False, long_period=False)}
+#: (field, configuration): no stage is the two-body field, where every
+#: correction is zero
+STAGES = {"both stages": (EARTH, PropagatorConfig()),
+          "short period only": (EARTH, PropagatorConfig(long_period=False)),
+          "no stage": (EARTH.restricted("two-body"), PropagatorConfig())}
 
 
 @pytest.mark.parametrize("stages", sorted(STAGES))
 @pytest.mark.parametrize("case", sorted(NON_ELLIPTIC))
 def test_non_elliptic_state_rejected_before_the_corrections(case, stages):
     # the inverse kernels take sqrt(1 - e^2): the check has to come first
-    cart, config = NON_ELLIPTIC[case], STAGES[stages]
-    for fn, args in ((osculating_to_mean, (cart, EARTH, config)),
-                     (ephemeris_array, (cart, 0.0, [0.0], EARTH, config)),
-                     (ephemeris_array, (cart, 0.0, np.arange(64.0), EARTH, config))):
+    cart, (field, config) = NON_ELLIPTIC[case], STAGES[stages]
+    for fn, args in ((osculating_to_mean, (cart, field, config)),
+                     (ephemeris_array, (cart, 0.0, [0.0], field, config)),
+                     (ephemeris_array, (cart, 0.0, np.arange(64.0), field, config))):
         with pytest.raises(NonEllipticStateError, match="not elliptic"):
             fn(*args)
 

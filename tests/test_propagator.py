@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonalprop import (EARTH, CartesianState, ConfigError, CriticalInclinationError,
-                       DelaunayState, PropagatorConfig, ZonalPropError, _kernels,
+                       DelaunayState, GravityField, PropagatorConfig, ZonalPropError, _kernels,
                        cartesian_to_nonsingular, ephemeris, ephemeris_array,
                        mean_to_osculating, osculating_to_mean, secular_rates)
 from zonalprop.oracle import integrate_grid
@@ -18,7 +18,7 @@ from conftest import (angle_diff, cart_distance, elements_to_cartesian, elements
                       loglog_slope)
 
 MU = EARTH.mu
-ALL_OFF = PropagatorConfig(short_period=False, long_period=False, secular=False)
+TWO_BODY = EARTH.restricted("two-body")
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
@@ -107,18 +107,35 @@ class TestOsculatingToMean:
     def test_two_body_field_has_no_critical_band(self, inc_deg):
         # with c20 = 0 (and so c30 = 0) every long-period term vanishes, so
         # neither the stage nor its guard runs; it used to reject the orbit
-        two_body = EARTH.restricted("two-body")
         cart = elements_to_cartesian(7000.0, 0.05, math.radians(inc_deg), 0.3, 0.7, 1.1)
+        n = math.sqrt(MU / 7000.0 ** 3)
         for ts in ([0.0, 600.0], 60.0 * np.arange(_kernels.ARRAY_MIN_EPOCHS)):
-            rows = ephemeris_array(cart, 0.0, ts, two_body)
-            kepler = ephemeris_array(cart, 0.0, ts, two_body, ALL_OFF)
-            assert np.max(np.abs(rows - kepler)) <= 1e-9
-        mean = osculating_to_mean(cart, two_body)
-        assert cart_distance(mean_to_osculating(mean.delaunay, two_body), cart) <= 1e-9
+            rows = ephemeris_array(cart, 0.0, ts, TWO_BODY)
+            kepler = [elements_to_cartesian(7000.0, 0.05, math.radians(inc_deg),
+                                            0.3 + n * t, 0.7, 1.1) for t in ts]
+            assert max(cart_distance(CartesianState(*row), conic)
+                       for row, conic in zip(rows.tolist(), kepler)) <= 1e-9
+        mean = osculating_to_mean(cart, TWO_BODY)
+        assert cart_distance(mean_to_osculating(mean.delaunay, TWO_BODY), cart) <= 1e-9
         for fn, args in ((osculating_to_mean, (cart,)), (mean_to_osculating, (mean.delaunay,)),
                          (ephemeris_array, (cart, 0.0, [0.0]))):
             with pytest.raises(CriticalInclinationError):
                 fn(*args, EARTH.restricted("j2"))
+
+    @pytest.mark.parametrize("cart, field", [
+        (CartesianState(6e-81, 8e-81, 0.0, 0.0, 0.0, math.sqrt(MU / 1e-80)), EARTH),
+        (CartesianState(7000.0, 0.0, 0.0, 0.0, 7.5, 1.0),
+         GravityField(mu=398600.0, alpha=1e300, c20=-1e-3, c30=0.0)),
+    ], ids=["r-1e-80", "alpha-1e300"])
+    def test_non_finite_mean_state_raises(self, cart, field):
+        # the corrections overflow to a NaN mean state, which passed the
+        # ellipticity tests and raised ValueError from wrap_pi
+        for fn, args in ((osculating_to_mean, (cart, field)),
+                         (ephemeris_array, (cart, 0.0, [0.0], field)),
+                         (ephemeris_array, (cart, 0.0, np.arange(64.0), field))):
+            with pytest.raises(ZonalPropError,
+                               match=r"^inverse semi-major axis 1/a must be finite, got nan$"):
+                fn(*args)
 
     @pytest.mark.parametrize("side, angles", [
         (1.0, (0.0, 0.0, 0.0)), (1.0, (2.0, 0.4, 1.1)), (-1.0, (0.3, 0.7, 1.1)),
@@ -134,7 +151,7 @@ class TestOsculatingToMean:
         G = L * math.sqrt(1.0 - 0.05 ** 2)
         H = -G * c if retro else G * c
         cart = CartesianState(*_kernels.reconstruct_and_correct(
-            *angles, L, G, H, MU, EARTH.alpha, EARTH.c20, EARTH.c30, False, True))
+            *angles, L, G, H, MU, EARTH.alpha, EARTH.c20, EARTH.c30, False))
         osc_c = cartesian_to_nonsingular(cart).cos_inclination_abs
         assert abs(1.0 - 5.0 * osc_c * osc_c) >= 1e-3  # the osculating check passes
         with pytest.raises(CriticalInclinationError):
@@ -158,21 +175,12 @@ class TestMeanToOsculating:
         expected = elements_to_cartesian(8000.0, 0.3, math.radians(50.0), 0.9, 0.4, 0.2)
         assert cart_distance(cart, expected) < 1e-9
 
-    def test_stages_toggle_to_keplerian(self):
-        pn = elements_to_polar(8000.0, 0.3, math.radians(50.0), 0.9, 0.4, 0.2)
-        d = polar_to_delaunay(pn, MU)
-        cfg = PropagatorConfig(short_period=False, long_period=False)
-        cart = mean_to_osculating(d, EARTH, cfg)
-        expected = elements_to_cartesian(8000.0, 0.3, math.radians(50.0), 0.9, 0.4, 0.2)
-        assert cart_distance(cart, expected) < 1e-9
-
     def test_single_stage_toggles_differ(self):
+        # the long-period stage is the one that can be switched off
         pn = elements_to_polar(8000.0, 0.3, math.radians(50.0), 0.9, 0.4, 0.2)
         d = polar_to_delaunay(pn, MU)
         full = mean_to_osculating(d, EARTH)
-        no_short = mean_to_osculating(d, EARTH, PropagatorConfig(short_period=False))
         no_long = mean_to_osculating(d, EARTH, PropagatorConfig(long_period=False))
-        assert cart_distance(full, no_short) > 1e-4
         assert cart_distance(full, no_long) > 1e-6
 
     def test_circular_mean_state_finite(self):
@@ -190,6 +198,13 @@ class TestMeanToOsculating:
         d = DelaunayState(ell=0.4, g=0.2, h=0.9, L=L, G=0.99 * L, H=0.5 * L)
         with pytest.raises(ZonalPropError, match=f"Delaunay element {name} must be finite"):
             mean_to_osculating(replace(d, **{name: value}), EARTH)
+
+    def test_non_finite_result_raises(self):
+        # tiny actions overflow the corrections: six NaNs came back
+        d = DelaunayState(ell=0.0, g=0.0, h=0.0, L=1e-60, G=1e-60, H=5e-61)
+        message = "^mean_to_osculating: state component x must be finite, got nan$"
+        with pytest.raises(ZonalPropError, match=message):
+            mean_to_osculating(d, EARTH)
 
     def test_retrograde_chart(self):
         pn = elements_to_polar(7500.0, 0.1, math.radians(175.0), 0.5, 0.7, 0.9)
@@ -247,10 +262,11 @@ class TestEphemeris:
             assert np.max(np.abs(n_out - n0)) / abs(n0) < 1e-11
 
     def test_all_off_matches_two_body_oracle(self):
+        # the two-body field turns every correction and secular term off
         cart = elements_to_cartesian(7000.0, 0.05, math.radians(30.0), 0.3, 0.7, 1.1)
         ts = np.linspace(0.0, 12000.0, 13)
-        ana = ephemeris_array(cart, 0.0, ts, EARTH, ALL_OFF)
-        num = integrate_grid(cart, 0.0, ts, EARTH.restricted("two-body"), tol=1e-13)
+        ana = ephemeris_array(cart, 0.0, ts, TWO_BODY)
+        num = integrate_grid(cart, 0.0, ts, TWO_BODY, tol=1e-13)
         err = np.sqrt(np.sum((ana[:, :3] - num[:, :3]) ** 2, axis=1))
         assert err.max() < 1e-7
 
@@ -305,11 +321,12 @@ class TestEphemeris:
         assert np.array_equal(mean_elements_series(mean, t0, ts), ref)
 
     def test_mean_elements_series_keplerian_with_secular_off(self):
-        # the ephemeris and the mean elements take their rates from one rule
+        # the ephemeris and the mean elements take their rates from one rule,
+        # which in the two-body field has no secular term: (n, 0, 0)
         from zonalprop.propagator import mean_elements_series
         from zonalprop.secular import mean_motion
         cart = elements_to_cartesian(7000.0, 0.05, math.radians(30.0), 0.3, 0.7, 1.1)
-        mean = osculating_to_mean(cart, EARTH, ALL_OFF)
+        mean = osculating_to_mean(cart, TWO_BODY)
         d = mean.delaunay
         ts = np.array([0.0, 600.0, 1200.0])
         rows = mean_elements_series(mean, 0.0, ts)
@@ -321,10 +338,11 @@ class TestEphemeris:
         (math.nan, [0.0, 60.0], "epoch t0 must be finite, got nan"),
         (0.0, [0.0, math.inf], "time grid must be finite"),
         (0.0, [[0.0, 60.0], [120.0, 180.0]], "time grid must be one-dimensional"),
-    ], ids=["nan-epoch", "inf-grid", "2d-grid"])
+        (0.0, 5.0, "time grid must be one-dimensional"),
+    ], ids=["nan-epoch", "inf-grid", "2d-grid", "scalar-grid"])
     def test_mean_elements_series_checks_the_grid_as_ephemeris_array(self, t0, ts, message):
         # it used to return NaN rows (with a RuntimeWarning for the NaN epoch)
-        # or fail inside NumPy's broadcasting
+        # or fail inside NumPy's broadcasting; a scalar grid gave one row
         from zonalprop.propagator import mean_elements_series
         cart = elements_to_cartesian(7000.0, 0.05, math.radians(30.0), 0.3, 0.7, 1.1)
         mean = osculating_to_mean(cart, EARTH)
@@ -369,29 +387,28 @@ class TestEphemeris:
             mean_elements_series(bad, 0.0, [0.0, 60.0])
 
     @pytest.mark.parametrize("n", [1, 40], ids=["float-path", "array-path"])
-    @pytest.mark.parametrize("secular", [True, False], ids=["secular", "keplerian"])
-    def test_advance_past_2_52_rad_raises(self, n, secular):
+    @pytest.mark.parametrize("field", [EARTH, TWO_BODY], ids=["secular", "keplerian"])
+    def test_advance_past_2_52_rad_raises(self, n, field):
         # past 2**52 rad a mean angle keeps no digits: the float path returned
         # the t0 state at t = 1e300, and mean_elements_series rounding residue
         from zonalprop.propagator import ephemeris_blocks, mean_elements_series
         from zonalprop.secular import MAX_ADVANCE
         cart = CartesianState(7000.0, 0.0, 0.0, 0.0, 7.5, 1.0)
-        config = PropagatorConfig(secular=secular)
-        mean = osculating_to_mean(cart, EARTH, config)
+        mean = osculating_to_mean(cart, field)
         r = mean.rates
         rate = max(abs(r.ell_dot), abs(r.g_dot), abs(r.h_dot))
         limit = MAX_ADVANCE / rate * (1.0 + 1e-15)  # a hair above: quotient rounding
         for offset in (1e300, -1e300, limit, -limit):
             ts = np.full(n, 5.0 + offset)
-            for fn, args in ((ephemeris_array, (cart, 5.0, ts, EARTH, config)),
-                             (ephemeris_blocks, (cart, 5.0, ts, EARTH, config)),
+            for fn, args in ((ephemeris_array, (cart, 5.0, ts, field)),
+                             (ephemeris_blocks, (cart, 5.0, ts, field)),
                              (mean_elements_series, (mean, 5.0, ts))):
                 with pytest.raises(ZonalPropError, match=r"advance .* is not below 2\*\*52 rad"):
                     fn(*args)
         # just below the limit, and a thousand years, still propagate
         for offset in (0.999 * limit, 1000 * 365.25 * 86400.0):
             ts = np.full(n, 5.0 - offset)
-            assert np.all(np.isfinite(ephemeris_array(cart, 5.0, ts, EARTH, config)))
+            assert np.all(np.isfinite(ephemeris_array(cart, 5.0, ts, field)))
             assert np.all(np.abs(mean_elements_series(mean, 5.0, ts)[:, :3])
                           <= math.pi)
 

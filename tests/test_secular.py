@@ -147,6 +147,14 @@ class TestSecularRates:
         with pytest.raises(ZonalPropError, match=message):
             secular_rates(*actions, EARTH)
 
+    @pytest.mark.parametrize("L, rate", [(1e-60, "ell_dot must be finite, got inf"),
+                                         (1e-80, "ell_dot must be finite, got nan")])
+    def test_non_finite_rate_raises(self, L, rate):
+        # actions a DelaunayState accepts, whose eps2 = c20 (alpha/p)^2 / 4
+        # overflows while n stays finite: the rates came back as inf or NaN
+        with pytest.raises(ZonalPropError, match=f"rates.{rate}$"):
+            secular_rates(L, L, 0.5 * L, EARTH)
+
 
 class TestMeanMotion:
     @pytest.mark.parametrize("L", [0.0, -5.0, math.nan, math.inf])

@@ -10,7 +10,8 @@ from zonalprop import (EARTH, CartesianState, DelaunayState,
                        _kernels, cartesian_to_nonsingular, ephemeris_array,
                        nonsingular_to_cartesian, osculating_to_mean)
 from zonalprop.states import (PolarNodalState, _check_delaunay, delaunay_to_polar,
-                              nonsingular_to_polar, polar_to_delaunay, polar_to_nonsingular)
+                              elliptic_projections, nonsingular_to_polar, polar_to_delaunay,
+                              polar_to_nonsingular)
 from conftest import angle_diff
 
 MU = EARTH.mu
@@ -61,6 +62,15 @@ class TestValidation:
         d = _random_delaunay(random.Random(11))
         with pytest.raises(ZonalPropError, match=f"Delaunay element {name} must be finite"):
             replace(d, **{name: value})
+
+    @pytest.mark.parametrize("r, R, Theta", [(7000.0, math.nan, 52000.0),
+                                             (math.nan, 0.0, 52000.0),
+                                             (1e-320, 0.0, 1e-300)],
+                             ids=["R-nan", "r-nan", "r-subnormal"])
+    def test_elliptic_projections_reject_a_non_finite_inverse_axis(self, r, R, Theta):
+        # a NaN 1/a passed the energy test, and so did an infinite one
+        with pytest.raises(ZonalPropError, match=r"^inverse semi-major axis 1/a must be finite"):
+            elliptic_projections(r, R, Theta, MU)
 
     def test_delaunay_invariant_rejects_nan_H(self):
         # the |H| <= G comparison is False for NaN, so it is written negated
