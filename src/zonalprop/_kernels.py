@@ -80,7 +80,7 @@ from types import SimpleNamespace
 import numpy as np
 from numpy import ndarray
 
-from .errors import NonEllipticStateError, ZonalPropError
+from .errors import NonEllipticStateError, position_norm_error
 
 TWO_PI = 2.0 * pi
 HALF_PI = 0.5 * pi
@@ -89,13 +89,24 @@ DBL_MIN = sys.float_info.min
 
 # The heap policy for every caller, here where the block temporaries are
 # allocated.  glibc's rule (M_MMAP_THRESHOLD, "dynamic mmap threshold"):
-# freeing a mapped block raises the mmap threshold to its size and the trim
-# threshold to twice it.  Freeing this 3 MiB buffer so keeps the 3-4 MB an
-# ephemeris block frees on the heap for the next block, which may otherwise
-# fault it in again (0 page faults per dense six-orbit pass, against about
-# 7 300 in each of four start-up layouts tried).  Other C libraries ignore it; a caller's
-# MALLOC_TRIM_THRESHOLD_ or MALLOC_MMAP_THRESHOLD_ turns the rule off and wins.
-np.empty(3 << 20, dtype=np.uint8)
+# freeing a mapped block of at most 32 MiB raises the mmap threshold to its
+# size and the trim threshold to twice it.  Freeing this 16 MiB buffer so
+# keeps on the heap both the 3-4 MB an ephemeris block frees for the next
+# block and the results a caller drops while it holds others, which glibc
+# would otherwise give back and fault in again.  Worst page faults of four
+# dense passes (one day at 5 s) in four start-up layouts, while the caller
+# keeps its first pass and its previous one, by seed:
+#
+#   orbits per pass   3 MiB   4 MiB   8 MiB   16 MiB   24 MiB   32 MiB
+#         6           1 503       0       0        0        0    6 960
+#        24           4 744   4 136   4 136        0        0   27 075
+#        48               -       -       -    8 186        0        -
+#
+# At 32 MiB glibc no longer adapts and trims at 128 KiB.  Untouched, the
+# buffer adds nothing to the peak resident set.  Other C libraries ignore
+# it; a caller's MALLOC_TRIM_THRESHOLD_ or MALLOC_MMAP_THRESHOLD_ turns the
+# rule off and wins.
+np.empty(16 << 20, dtype=np.uint8)
 
 #: bound [rad] on the Kepler residual |u - e sin(u) - ell| of ``kepler_u``
 KEPLER_TOL = 5e-15
@@ -120,7 +131,7 @@ ARRAY_MIN_EPOCHS = 32
 #: about this size (see ``block_edges``), never more than 1.5 times it.  A
 #: block makes 390-440 NumPy calls, each with a fixed cost of 0.5-1 us, so
 #: larger blocks pay that cost less often.  The temporaries a block frees,
-#: 2.9 MB at 8192 epochs and 4.3 MB at 12 287, stay under the 6 MiB trim
+#: 2.9 MB at 8192 epochs and 4.3 MB at 12 287, stay under the 32 MiB trim
 #: threshold set above, so the next block reuses them without page faults
 EPOCH_BLOCK = 8192
 
@@ -782,8 +793,7 @@ def cart_to_ns(x, y, z, vx, vy, vz):
     """
     r2 = x * x + y * y + z * z
     if not 0.0 < r2 < inf:
-        raise ZonalPropError("position norm overflows a float" if r2 == inf
-                             else "position norm must be positive")
+        raise position_norm_error(r2)
     r = sqrt(r2)
     R = (x * vx + y * vy + z * vz) / r
     N = x * vy - y * vx

@@ -23,3 +23,10 @@ class EquatorialDecompositionError(ZonalPropError):
 
 class ConfigError(ZonalPropError):
     """Invalid or inconsistent run configuration."""
+
+
+def position_norm_error(r2: float) -> ZonalPropError:
+    """The error for a squared position norm r2 that is not a positive
+    finite double: it overflows a float, or it is 0 (or NaN)."""
+    return ZonalPropError("position norm overflows a float" if r2 == float("inf")
+                          else "position norm must be positive")

@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import ZonalPropError
+from .errors import ZonalPropError, position_norm_error
 from .gravity import GravityField
 from .propagator import _checked_grid
 from .secular import zonal_hamiltonian
@@ -20,33 +20,44 @@ from .states import CartesianState, cart_to_ns_checked
 
 
 def zonal_potential(x: float, y: float, z: float, field: GravityField) -> float:
-    """Potential energy per unit mass, central term plus degree 2 and 3 zonals."""
-    r = math.sqrt(x * x + y * y + z * z)
+    """Potential energy per unit mass, central term plus degree 2 and 3
+    zonals; ZonalPropError, as ``_kernels.cart_to_ns`` raises it, when the
+    squared position norm is 0 or overflows."""
+    r2 = x * x + y * y + z * z
+    if not 0.0 < r2 < math.inf:
+        raise position_norm_error(r2)
+    r = math.sqrt(r2)
     return zonal_hamiltonian(r, 0.0, 0.0, z / r, field.mu, field.alpha, field.c20, field.c30)
 
 
 def zonal_acceleration(cart: CartesianState, field: GravityField) -> np.ndarray:
-    """Closed-form gradient of the zonal potential (central term included)."""
-    x, y, z = cart.x, cart.y, cart.z
+    """Closed-form gradient of the zonal potential (central term included);
+    raises as ``zonal_potential`` does."""
+    return np.array(_acceleration(cart.x, cart.y, cart.z,
+                                  field.mu, field.alpha, field.c20, field.c30))
+
+
+def _acceleration(x: float, y: float, z: float, mu: float, alpha: float, c20: float,
+                  c30: float) -> tuple[float, float, float]:
+    """``zonal_acceleration`` on floats: the tuple (ax, ay, az)."""
     r2 = x * x + y * y + z * z
-    if r2 <= 0.0:
-        raise ZonalPropError("position norm must be positive")
+    if not 0.0 < r2 < math.inf:
+        raise position_norm_error(r2)
     r = math.sqrt(r2)
     r5 = r2 * r2 * r
-    mu = field.mu
-    a2 = field.alpha * field.alpha
+    a2 = alpha * alpha
     z2_r2 = z * z / r2
     # degree 2
-    c2 = 1.5 * mu * a2 * field.c20 / r5
+    c2 = 1.5 * mu * a2 * c20 / r5
     ax = -mu * x / (r2 * r) + c2 * x * (1.0 - 5.0 * z2_r2)
     ay = -mu * y / (r2 * r) + c2 * y * (1.0 - 5.0 * z2_r2)
     az = -mu * z / (r2 * r) + c2 * z * (3.0 - 5.0 * z2_r2)
     # degree 3
-    c3 = 2.5 * mu * a2 * field.alpha * field.c30 / (r5 * r2)
+    c3 = 2.5 * mu * a2 * alpha * c30 / (r5 * r2)
     ax += -c3 * x * z * (7.0 * z2_r2 - 3.0)
     ay += -c3 * y * z * (7.0 * z2_r2 - 3.0)
     az += c3 * (6.0 * z * z - 7.0 * z2_r2 * z * z - 0.6 * r2)
-    return np.array([ax, ay, az])
+    return ax, ay, az
 
 
 def zonal_energy(cart: CartesianState, field: GravityField) -> float:
@@ -57,9 +68,12 @@ def zonal_energy(cart: CartesianState, field: GravityField) -> float:
 
 
 def _rhs(field: GravityField):
-    def f(t, y):
-        acc = zonal_acceleration(CartesianState(*y), field)
-        return (y[3], y[4], y[5], acc[0], acc[1], acc[2])
+    """The equations of motion as solve_ivp calls them, on the state's floats."""
+    mu, alpha, c20, c30 = field.mu, field.alpha, field.c20, field.c30
+
+    def f(t, state):
+        x, y, z, vx, vy, vz = state.tolist()
+        return (vx, vy, vz, *_acceleration(x, y, z, mu, alpha, c20, c30))
     return f
 
 

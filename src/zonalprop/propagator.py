@@ -40,14 +40,17 @@ class PropagatorConfig:
 
     The theory is the secular rates plus both periodic corrections.  Only
     the long-period stage can be switched off: inside the critical band it
-    is the one way to an answer.  critical_tol must be finite and positive:
-    0, a negative number or NaN would switch the guard off.
+    is the one way to an answer.  long_period must be a bool (Python's or
+    NumPy's): a string such as "false" is true.  critical_tol must be finite
+    and positive: 0, a negative number or NaN would switch the guard off.
     """
 
     long_period: bool = True
     critical_tol: float = CRITICAL_TOL
 
     def __post_init__(self):
+        if not isinstance(self.long_period, (bool, np.bool_)):
+            raise ConfigError(f"long_period must be a bool, got {self.long_period!r}")
         if not (math.isfinite(self.critical_tol) and self.critical_tol > 0.0):
             raise ConfigError(f"critical_tol must be finite and > 0, got {self.critical_tol}")
 

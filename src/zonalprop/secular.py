@@ -80,19 +80,20 @@ def secular_rates(L: float, G: float, H: float, field: GravityField) -> SecularR
     """
     check_finite("secular_rates:", ("L", "G", "H"), (L, G, H))
     _check_delaunay(L, G, H)
-    ell_dot, g_dot, h_dot = mean_angle_rates(L, G, H, field)
+    ell_dot, g_dot, h_dot = mean_angle_rates(L, G, H, field, kind="secular_rates:")
     return SecularRates(ell_dot=ell_dot, g_dot=g_dot, h_dot=h_dot)
 
 
 def mean_angle_rates(L: float, G: float, H: float, field: GravityField,
-                     span: float = 0.0) -> tuple[float, float, float]:
+                     span: float = 0.0, kind: str = "mean_angle_rates:"
+                     ) -> tuple[float, float, float]:
     """(ell_dot, g_dot, h_dot): the secular_rates formula, as a tuple.  Every
     propagation takes its rates from here, so the ephemeris and the mean
     elements agree.
 
     ``span`` is the largest |t - t0| the rates will advance the angles over;
     raises ZonalPropError, naming it, when a rate is not finite, and when
-    some rate times span reaches MAX_ADVANCE.
+    some rate times span reaches MAX_ADVANCE; the message starts ``kind``.
     """
     n = mean_motion(L, field)
     eta = G / L
@@ -111,7 +112,7 @@ def mean_angle_rates(L: float, G: float, H: float, field: GravityField,
     # one, and NaN when a rate is NaN or an inf rate meets span = 0: the
     # negated test sends those to check_advance too
     if not (abs(ell_dot) + abs(g_dot) + abs(h_dot)) * span < MAX_ADVANCE:
-        check_advance("mean_angle_rates:", SecularRates(ell_dot, g_dot, h_dot), "|t - t0|", span)
+        check_advance(kind, SecularRates(ell_dot, g_dot, h_dot), "|t - t0|", span)
     return ell_dot, g_dot, h_dot
 
 

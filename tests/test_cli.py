@@ -212,6 +212,15 @@ sys.stderr.write(str(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 HEAP_LAYOUTS = ((1, 0), (2, 1), (17, 7), (42, 13))
 
 
+def _faults_in_layout(tmp_path, name_length, extra_env, probe):
+    """The page-fault count ``probe`` writes to stderr, run in a fresh
+    interpreter in the start-up layout (name_length, extra_env)."""
+    cwd = tmp_path / ("d" * name_length)
+    cwd.mkdir()
+    env = {f"ZONALPROP_TEST_PAD{i}": "1" for i in range(extra_env)}
+    return int(_python(["-c", probe], check=True, cwd=cwd, env=env).stderr)
+
+
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                     reason="the dynamic mmap threshold is a glibc rule")
 @pytest.mark.parametrize("name_length, extra_env", HEAP_LAYOUTS)
@@ -221,8 +230,6 @@ def test_dense_passes_do_not_fault_the_heap_in_again(tmp_path, name_length, extr
     allocation in ``_kernels``, glibc gave a block's temporaries back and the
     next block faulted them in again in three of these layouts, 2 300-2 600
     faults per pass; with it, 0 in each."""
-    cwd = tmp_path / ("d" * name_length)
-    cwd.mkdir()
     probe = f"""
 import resource, sys
 sys.path.insert(0, {str(PERFBENCH)!r})
@@ -241,9 +248,45 @@ for _ in range(2):
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 sys.stderr.write(str(max(faults)))
 """
-    env = {f"ZONALPROP_TEST_PAD{i}": "1" for i in range(extra_env)}
-    faults = int(_python(["-c", probe], check=True, cwd=cwd, env=env).stderr)
-    assert faults < 300
+    assert _faults_in_layout(tmp_path, name_length, extra_env, probe) < 300
+
+
+#: (name_length, extra_env, orbits per pass) of the keep-results probe: the
+#: six dense orbits in every start-up layout, and four copies of them in one
+KEEP_CASES = [(*layout, 6) for layout in HEAP_LAYOUTS] + [(*HEAP_LAYOUTS[-1], 24)]
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the dynamic mmap threshold is a glibc rule")
+@pytest.mark.parametrize("name_length, extra_env, orbits", KEEP_CASES)
+def test_dense_passes_that_keep_results_do_not_fault_the_heap_in_again(
+        tmp_path, name_length, extra_env, orbits):
+    """Page faults of dense passes, as above, by a caller that keeps its
+    first pass and its previous one while it asks for the next (the
+    orbit-set-dense workload does).  With a 3 MiB buffer in ``_kernels``,
+    glibc trimmed the dropped pass at its 6 MiB threshold and the next pass
+    faulted it in again: about 1 500 faults every other pass at six orbits
+    and 4 700 at 24, in every layout; with 16 MiB, 0."""
+    probe = f"""
+import resource, sys
+sys.path.insert(0, {str(PERFBENCH)!r})
+import workloads
+import zonalprop as zp
+ts = workloads.dense_grid()
+carts = [zp.CartesianState(*s) for s in workloads.orbit_set().values()] * {orbits // 6}
+def one_pass():
+    return [zp.ephemeris_array(c, 0.0, ts, zp.EARTH) for c in carts]
+first = one_pass()
+kept = one_pass()
+kept = one_pass()
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    kept = one_pass()
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+sys.stderr.write(str(max(faults)))
+"""
+    assert _faults_in_layout(tmp_path, name_length, extra_env, probe) < 300
 
 
 def _old_row(values, sep=","):

@@ -10,7 +10,7 @@ from zonalprop import (EARTH, CartesianState, DelaunayState, ZonalPropError,
 from zonalprop.oracle import (integrate, integrate_grid, zonal_acceleration, zonal_energy,
                               zonal_potential)
 from zonalprop.secular import orbital_period, zonal_hamiltonian
-from zonalprop.states import polar_to_nonsingular
+from zonalprop.states import cart_to_ns_checked, polar_to_nonsingular
 from conftest import cart_distance, elements_to_cartesian, elements_to_polar, field_small_params
 from reference_forms import u1_delaunay, x1_delaunay
 
@@ -54,6 +54,21 @@ class TestZonalAcceleration:
                 dn[i] -= h
                 fd = -(zonal_potential(*up, EARTH) - zonal_potential(*dn, EARTH)) / (2 * h)
                 assert acc[i] == pytest.approx(fd, rel=1e-8, abs=1e-14)
+
+    @pytest.mark.parametrize("pos, message", [
+        ((0.0, 0.0, 0.0), "position norm must be positive"),
+        ((1e200, 1e200, 0.0), "position norm overflows a float"),
+        ((1.2e154, 1.2e154, 0.0), "position norm overflows a float"),
+    ], ids=["zero", "overflow", "overflow-in-the-sum"])
+    def test_norm_checked_as_the_conversion_checks_it(self, pos, message):
+        # at 1e200 the acceleration came back as [0, 0, nan] and the
+        # potential as 0.0; at the origin the potential raised a bare
+        # ZeroDivisionError
+        cart = CartesianState(*pos, 0.0, 0.0, 0.0)
+        for fn, args in ((zonal_acceleration, (cart, EARTH)), (zonal_potential, (*pos, EARTH)),
+                         (cart_to_ns_checked, (cart,))):
+            with pytest.raises(ZonalPropError, match=f"^{message}$"):
+                fn(*args)
 
 
 class TestIntegrate:

@@ -29,6 +29,24 @@ def test_critical_tol_must_be_finite_and_positive(tol):
     assert PropagatorConfig(critical_tol=1e-4).critical_tol == 1e-4
 
 
+@pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+def test_long_period_must_be_a_bool(value):
+    # "false" and "no" are true, so they ran the long-period stage, and inside
+    # the critical band that raised CriticalInclinationError where False answers
+    with pytest.raises(ConfigError, match=f"^long_period must be a bool, got {value!r}$"):
+        PropagatorConfig(long_period=value)
+
+
+def test_long_period_takes_numpy_bools():
+    cart = elements_to_cartesian(7000.0, 0.05, math.radians(63.4349), 0.3, 4.71, 1.1)
+    ts = np.arange(0.0, 3000.0, 600.0)
+    with pytest.raises(CriticalInclinationError):
+        ephemeris_array(cart, 0.0, ts, EARTH, PropagatorConfig(long_period=np.True_))
+    rows = ephemeris_array(cart, 0.0, ts, EARTH, PropagatorConfig(long_period=np.False_))
+    assert np.array_equal(rows, ephemeris_array(cart, 0.0, ts, EARTH,
+                                                PropagatorConfig(long_period=False)))
+
+
 class TestOsculatingToMean:
     def test_two_body_equals_direct_conversion(self):
         f = EARTH.restricted("two-body")

@@ -151,8 +151,10 @@ class TestSecularRates:
                                          (1e-80, "ell_dot must be finite, got nan")])
     def test_non_finite_rate_raises(self, L, rate):
         # actions a DelaunayState accepts, whose eps2 = c20 (alpha/p)^2 / 4
-        # overflows while n stays finite: the rates came back as inf or NaN
-        with pytest.raises(ZonalPropError, match=f"rates.{rate}$"):
+        # overflows while n stays finite: the rates came back as inf or NaN.
+        # The error names secular_rates, as its other errors do, not the
+        # internal mean_angle_rates
+        with pytest.raises(ZonalPropError, match=f"^secular_rates: rates.{rate}$"):
             secular_rates(L, L, 0.5 * L, EARTH)
 
 
