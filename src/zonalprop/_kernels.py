@@ -51,25 +51,12 @@ compare the full forms with them through ``tests/reference_forms.py``; they
 stay here only because the benchmark's layer trace (``perfbench/layers.py``)
 names them.  The classical Delaunay series live in ``benchmark``.
 
-The Kepler solver takes a fixed number of Halley steps for every e < 1,
-set by e alone (``KEPLER_STEPS``): it runs on |ell|, where Kepler's
-function is increasing and convex, from a start that calls no libm
-function, with each update clamped to an interval that holds the root, and
-it calls libm once per step: the cosine comes from the residual's own sine
-(``kepler_u``).  No lane decides on its own residual, so a block of epochs
-takes as many libm calls as one epoch.
-
 Formulas that other layers need too (the small parameters, the q
 polynomials the long-period kernels read, the P coefficients, the Kepler
 solver, the anomalies, the rotation factors, the point on the Kepler
 ellipse and the mean-angle advance) are defined here once, with no second
 name in another module: the other modules and the tests call them
 directly, so what the tests check is what the pipeline computes.
-
-``ephemeris_batch`` has one epoch loop on floats, for every grid shorter
-than ARRAY_MIN_EPOCHS.  A grid the propagator checked on floats comes in as
-a list or tuple with no output array, and the rows go back as 6-tuples, so
-such a request makes no NumPy call before its result.
 """
 
 import sys
@@ -93,19 +80,12 @@ DBL_MIN = sys.float_info.min
 # size and the trim threshold to twice it.  Freeing this 16 MiB buffer so
 # keeps on the heap both the 3-4 MB an ephemeris block frees for the next
 # block and the results a caller drops while it holds others, which glibc
-# would otherwise give back and fault in again.  Worst page faults of four
-# dense passes (one day at 5 s) in four start-up layouts, while the caller
-# keeps its first pass and its previous one, by seed:
-#
-#   orbits per pass   3 MiB   4 MiB   8 MiB   16 MiB   24 MiB   32 MiB
-#         6           1 503       0       0        0        0    6 960
-#        24           4 744   4 136   4 136        0        0   27 075
-#        48               -       -       -    8 186        0        -
-#
-# At 32 MiB glibc no longer adapts and trims at 128 KiB.  Untouched, the
-# buffer adds nothing to the peak resident set.  Other C libraries ignore
-# it; a caller's MALLOC_TRIM_THRESHOLD_ or MALLOC_MMAP_THRESHOLD_ turns the
-# rule off and wins.
+# would otherwise give back and fault in again.  README tabulates the page
+# faults by buffer size: 16 MiB is the smallest that faults none while a
+# caller keeps 24 orbits, and at 32 MiB glibc no longer adapts and trims at
+# 128 KiB.  Untouched, the buffer adds nothing to the peak resident set.
+# Other C libraries ignore it; a caller's MALLOC_TRIM_THRESHOLD_ or
+# MALLOC_MMAP_THRESHOLD_ turns the rule off and wins.
 np.empty(16 << 20, dtype=np.uint8)
 
 #: bound [rad] on the Kepler residual |u - e sin(u) - ell| of ``kepler_u``
@@ -367,15 +347,15 @@ def anomaly_block(kappa, sigma):
 # short-period corrections (J2 generating function)
 # ---------------------------------------------------------------------------
 
-def short_ns(xi, chi, r, R, Theta, mu, alpha, c20):
+def short_ns(xi, chi, r, R, Theta, N, mu, alpha, c20):
     """Nonsingular short-period deltas (dpsi, dxi, dchi, dr, dR, dTheta).
 
-    c is recovered as +sqrt(1 - xi^2 - chi^2); for N < 0 (the psi* chart)
-    the state components are already the mirrored (|c|) ones.  eta and the
+    c = |cos I| is read off the carried integral, |N| / max(Theta, |N|), and
+    sin^2 I off the state, xi^2 + chi^2; for N < 0 (the psi* chart) the
+    state components are already the mirrored (|c|) ones.  eta and the
     equation of the center phi come from ``center_terms``, which needs no
     circular split, so no other anomaly is computed.
     """
-    m = _NUMPY if type(xi) is ndarray else _MATH
     p, eps2, _ = small_params(Theta, mu, alpha, c20)
     kappa = p / r
     kappa -= 1.0
@@ -388,13 +368,15 @@ def short_ns(xi, chi, r, R, Theta, mu, alpha, c20):
     chi2 = chi * chi
     xc = xi * chi
     xmc = xi2 - chi2
-    s2 = xi2
-    s2 += chi2
-    t23 = -3.0 * s2
+    t23 = xi2
+    t23 += chi2
+    t23 *= -3.0
     t23 += 2.0
-    # 1 - s2 is never -0.0, so max(1 - s2, 0) is max(0, 1 - s2)
-    c2 = m.imax(1.0 - s2, 0.0)
-    # the c^2 terms come first: c is taken in c2's place
+    # |N| / max(Theta, |N|) as min(|N| / Theta, 1), clamped in place; Theta is
+    # a scalar when no long-period stage ran, so c's namespace clamps it
+    c = abs(N) / Theta
+    c = (_NUMPY if type(c) is ndarray else _MATH).imin(c, 1.0)
+    c2 = c * c
     c12 = 12.0 * c2
     k1 = 4.0 * kappa
     k1 += 1.0
@@ -409,7 +391,6 @@ def short_ns(xi, chi, r, R, Theta, mu, alpha, c20):
     phi3 *= phi
     s4 = 4.0 * sigma
     s4c2 = s4 * c2
-    c = m.sqrt(c2)
     # 1/(1 + c) is the one division of the c-polynomials of dpsi:
     # (2 + 4c)/(1 + c) = 4 - 2/(1 + c), (1 + 7c)/(1 + c) = 7 - 6/(1 + c) and
     # (4 + 12c)/(1 + c) = 12 - 8/(1 + c)
@@ -563,29 +544,25 @@ def p_coefficients(kappa, sigma, q):
     return p1, p2, p3, p4
 
 
-def long_ns(xi, chi, r, R, Theta, mu, alpha, c20, c30, c=None):
+def long_ns(xi, chi, r, R, Theta, N, mu, alpha, c20, c30):
     """Nonsingular long-period deltas (dpsi, dxi, dchi, dr, dR, dTheta).
 
     Regular down to the equator; the only exclusion is the critical
-    inclination (enforced by the caller).  ``c`` = |cos I| is recovered as
-    +sqrt(1 - xi^2 - chi^2) unless given; at a mean state it is |H|/G, and
-    with ``c`` and ``Theta`` scalars every inclination coefficient below is
-    a scalar too.
+    inclination (enforced by the caller).  c = |cos I| is read off the
+    carried integral, |N| / max(Theta, |N|), as in ``short_ns``, and sin^2 I
+    as 1 - c^2.  At a mean state Theta and N are the scalars G and H, so c
+    and every inclination coefficient below are scalars too.
     """
-    m = _NUMPY if type(xi) is ndarray else _MATH
     p, eps2, eps3 = small_params(Theta, mu, alpha, c20, c30)
     kappa = p / r
     kappa -= 1.0
     sigma = p / Theta * R  # p / Theta is a scalar at a mean state
     xi2 = xi * xi
     chi2 = chi * chi
-    if c is None:
-        s2 = xi2 + chi2
-        # 1 - s2 is never -0.0, so max(1 - s2, 0) is max(0, 1 - s2)
-        c = m.sqrt(m.imax(1.0 - s2, 0.0))
-    else:
-        s2 = 1.0 - c * c
+    c = abs(N) / Theta
+    c = (_NUMPY if type(c) is ndarray else _MATH).imin(c, 1.0)
     c2 = c * c
+    s2 = 1.0 - c2
     g = 1.0 - 5.0 * c2
     q = q_polynomials(c)
     q6, q13, q14, q15 = q[2], q[9], q[10], q[11]
@@ -845,7 +822,7 @@ def reconstruct_and_correct(ell, g, h, L, G, H, mu, alpha, c20, c30, with_long):
     del theta
     Th = G
     if with_long:
-        dpsi, dxi, dchi, dr, dR, dTh = long_ns(xi, chi, r, R, Th, mu, alpha, c20, c30, abs(cth))
+        dpsi, dxi, dchi, dr, dR, dTh = long_ns(xi, chi, r, R, Th, H, mu, alpha, c20, c30)
         psi += dpsi
         xi += dxi
         chi += dchi
@@ -853,7 +830,7 @@ def reconstruct_and_correct(ell, g, h, L, G, H, mu, alpha, c20, c30, with_long):
         R += dR
         Th += dTh
         del dpsi, dxi, dchi, dr, dR, dTh
-    dpsi, dxi, dchi, dr, dR, dTh = short_ns(xi, chi, r, R, Th, mu, alpha, c20)
+    dpsi, dxi, dchi, dr, dR, dTh = short_ns(xi, chi, r, R, Th, H, mu, alpha, c20)
     psi += dpsi
     xi += dxi
     chi += dchi

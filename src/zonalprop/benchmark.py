@@ -13,9 +13,9 @@ One "evaluation" is a full periodic-correction pass for one state, as the
 pipeline runs it at one epoch: the long-period then short-period stage,
 including each path's own anomaly handling (the nonsingular path evaluates
 the equation of the center in closed form; the Delaunay path must solve the
-Kepler equation for every series evaluation).  The nonsingular pass takes
-|cos I| = |H|/G as given, like the pipeline, where it is constant along the
-mean trajectory.
+Kepler equation for every series evaluation).  The nonsingular pass reads
+|cos I| off the carried integral, |H|/G, like the pipeline, where it is
+constant along the mean trajectory.
 
 The classical series are defined here, in the one module that runs them;
 the tests' reference forms (``tests/reference_forms.py``) wrap them.
@@ -184,11 +184,11 @@ def delaunay_long_series(g, L, G, H, mu, alpha, c20, c30):
     return dl, dg, dh, 0.0, dGG, 0.0
 
 
-def _ns_path(xi, chi, r, R, Theta, c, mu, alpha, c20, c30):
-    dl = _kernels.long_ns(xi, chi, r, R, Theta, mu, alpha, c20, c30, c)
+def _ns_path(xi, chi, r, R, Theta, N, mu, alpha, c20, c30):
+    dl = _kernels.long_ns(xi, chi, r, R, Theta, N, mu, alpha, c20, c30)
     xi1, chi1 = xi + dl[1], chi + dl[2]
     r1, R1, Th1 = r + dl[3], R + dl[4], Theta + dl[5]
-    return _kernels.short_ns(xi1, chi1, r1, R1, Th1, mu, alpha, c20)
+    return _kernels.short_ns(xi1, chi1, r1, R1, Th1, N, mu, alpha, c20)
 
 
 def _delaunay_path(ell, g, L, G, H, mu, alpha, c20, c30):
@@ -231,7 +231,7 @@ def run_benchmark(d: DelaunayState, field: GravityField, iterations: int = 2000,
     critical_inclination_guard(d.H / d.G, critical_tol)
     mu, alpha, c20, c30 = field.mu, field.alpha, field.c20, field.c30
     ns = polar_to_nonsingular(delaunay_to_polar(d, mu))
-    ns_args = (ns.xi, ns.chi, ns.r, ns.R, ns.Theta, abs(d.H / d.G), mu, alpha, c20, c30)
+    ns_args = (ns.xi, ns.chi, ns.r, ns.R, ns.Theta, d.H, mu, alpha, c20, c30)
     del_args = (d.ell, d.g, d.L, d.G, d.H, mu, alpha, c20, c30)
 
     c_ns = _count_calls(_ns_path, *ns_args)

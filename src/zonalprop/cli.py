@@ -11,6 +11,7 @@ included) and unknown configuration sections or keys included.
 
 import argparse
 import configparser
+import contextlib
 import math
 import os
 import sys
@@ -363,14 +364,13 @@ def _write_table(fh, columns, sep: str) -> None:
         fh.write(_format_block(block.astype(float, copy=False).ravel(), seps[:block.size]))
 
 
-def _write_ephemeris(path: str, blocks, header: str = "t,x,y,z,X,Y,Z") -> None:
-    """CSV of rows against time, from (t, rows) blocks written in turn:
-    Cartesian states by default, or mean elements with the header
-    ``t,ell,g,h,L,G,H``.  Each block is written before the next is asked for."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for ts, rows in blocks:
-            _write_table(fh, (ts, rows), ",")
+def _write_ephemeris(fh, blocks, header: str = "t,x,y,z,X,Y,Z") -> None:
+    """CSV of rows against time into ``fh``, from (t, rows) blocks written in
+    turn, each before the next is asked for: Cartesian states by default, or
+    mean elements with the header ``t,ell,g,h,L,G,H``."""
+    fh.write(header + "\n")
+    for ts, rows in blocks:
+        _write_table(fh, (ts, rows), ",")
 
 
 # ---------------------------------------------------------------------------
@@ -380,19 +380,29 @@ def _write_ephemeris(path: str, blocks, header: str = "t,x,y,z,X,Y,Z") -> None:
 def _cmd_propagate(s) -> int:
     field, state, config = _orbit(s)
     ts = _time_grid(s.epoch, s.duration, s.step)
-    paths = (s.ephemeris, s.mean_elements)
+    paths = (s.ephemeris, s.mean_elements) if s.mean_elements else (s.ephemeris,)
     if s.mean_elements and (os.path.realpath(s.ephemeris) == os.path.realpath(s.mean_elements)
                             or all(map(os.path.exists, paths)) and os.path.samefile(*paths)):
         raise ConfigError(f"the ephemeris and the mean elements name one file, {s.ephemeris}")
-    # every check runs here, before a file is created
-    _write_ephemeris(s.ephemeris, ephemeris_blocks(state, s.epoch, ts, field, config))
-    if s.mean_elements:
-        mean = osculating_to_mean(state, field, config)
-        edges = block_edges(len(ts))
-        grid = (ts[lo:hi] for lo, hi in zip(edges[:-1], edges[1:]))
-        _write_ephemeris(s.mean_elements,
-                         ((t, mean_elements_series(mean, s.epoch, t))
-                          for t in grid), header="t,ell,g,h,L,G,H")
+    # every check runs here, before a file is created or a row is written
+    blocks = ephemeris_blocks(state, s.epoch, ts, field, config)
+    mean = osculating_to_mean(state, field, config) if s.mean_elements else None
+    new = [os.path.realpath(path) for path in paths if not os.path.exists(path)]
+    with contextlib.ExitStack() as stack:
+        try:
+            files = [stack.enter_context(open(path, "w")) for path in paths]
+        except OSError:
+            # all outputs open or none: remove the files this run made
+            stack.close()
+            for path in filter(os.path.exists, new):
+                os.remove(path)
+            raise
+        _write_ephemeris(files[0], blocks)
+        if mean is not None:
+            edges = block_edges(len(ts))
+            grid = (ts[lo:hi] for lo, hi in zip(edges[:-1], edges[1:]))
+            _write_ephemeris(files[1], ((t, mean_elements_series(mean, s.epoch, t))
+                                        for t in grid), header="t,ell,g,h,L,G,H")
     print(f"wrote {len(ts)} ephemeris rows to {s.ephemeris}")
     return 0
 

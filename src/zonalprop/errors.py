@@ -1,4 +1,6 @@
-"""Exception types raised by the library."""
+"""Exception types raised by the library, and the type rule of its numbers."""
+
+import numpy as np
 
 
 class ZonalPropError(Exception):
@@ -23,6 +25,11 @@ class EquatorialDecompositionError(ZonalPropError):
 
 class ConfigError(ZonalPropError):
     """Invalid or inconsistent run configuration."""
+
+
+def is_real(x) -> bool:
+    """Whether x is a number the library takes: a Python or NumPy int or float, not a bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
 def position_norm_error(r2: float) -> ZonalPropError:

@@ -3,9 +3,10 @@ parameters exist; the small parameters themselves, like every other formula
 of the theory, are computed in ``_kernels`` (``_kernels.small_params``)."""
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
-from .errors import ZonalPropError
+from .errors import ZonalPropError, is_real
 
 
 @dataclass(frozen=True)
@@ -24,9 +25,13 @@ class GravityField:
     c30: float
 
     def __post_init__(self):
-        if not (self.mu > 0.0 and math.isfinite(self.mu)):
+        for name, value in vars(self).items():
+            if not is_real(value):
+                raise ZonalPropError(f"{name} must be a real number, got {value!r}")
+        # an int above the largest double is no finite double either
+        if not 0.0 < self.mu <= sys.float_info.max:
             raise ZonalPropError(f"mu must be positive and finite, got {self.mu}")
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
+        if not 0.0 < self.alpha <= sys.float_info.max:
             raise ZonalPropError(f"alpha must be positive and finite, got {self.alpha}")
         if not (abs(self.c20) < 1.0 and abs(self.c30) < 1.0):
             raise ZonalPropError("zonal coefficients must satisfy |c| < 1")

@@ -8,7 +8,7 @@ the tests keep their reference forms in ``tests/reference_forms.py``.
 
 import math
 
-from .errors import CriticalInclinationError, ZonalPropError
+from .errors import CriticalInclinationError, ZonalPropError, is_real
 
 #: default half-width of the excluded band in |1 - 5 cos^2 I|
 CRITICAL_TOL = 1e-3
@@ -19,13 +19,14 @@ def critical_inclination_guard(c: float, tol: float = CRITICAL_TOL) -> None:
 
     c^2 = 1/5 covers both the direct (63.43 deg) and retrograde (116.57 deg)
     critical inclinations.  This signals an inapplicable theory, not a
-    numerical fault.  A non-finite c raises ZonalPropError, and so does a
-    tol that is not finite and positive, which would switch the guard off.
+    numerical fault.  ZonalPropError for a c or tol that is not a finite
+    ``is_real`` number, or a tol <= 0, which would switch the guard off.
     """
-    if not math.isfinite(c):
-        raise ZonalPropError(f"cos I must be finite, got {c}")
-    if not 0.0 < tol < math.inf:
-        raise ZonalPropError(f"critical-inclination tol must be finite and > 0, got {tol}")
+    if not (isinstance(c, float) or is_real(c)) or not -math.inf < c < math.inf:
+        raise ZonalPropError(f"cos I must be finite (a real number), got {c!r}")
+    if not (isinstance(tol, float) or is_real(tol)) or not 0.0 < tol < math.inf:
+        raise ZonalPropError(
+            f"critical-inclination tol must be finite and > 0 (a real number), got {tol!r}")
     if abs(1.0 - 5.0 * c * c) < tol:
         inc = math.degrees(math.acos(max(-1.0, min(1.0, c))))
         raise CriticalInclinationError(

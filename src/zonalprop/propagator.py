@@ -26,7 +26,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, ZonalPropError
+from .errors import ConfigError, ZonalPropError, is_real
 from .gravity import GravityField, check_small_params
 from .longperiod import CRITICAL_TOL, critical_inclination_guard
 from .secular import SecularRates, check_advance, mean_angle_rates
@@ -41,8 +41,8 @@ class PropagatorConfig:
     The theory is the secular rates plus both periodic corrections.  Only
     the long-period stage can be switched off: inside the critical band it
     is the one way to an answer.  long_period must be a bool (Python's or
-    NumPy's): a string such as "false" is true.  critical_tol must be finite
-    and positive: 0, a negative number or NaN would switch the guard off.
+    NumPy's): a string such as "false" is true.  critical_tol must be a finite
+    positive ``is_real``: 0, a negative number or NaN would switch the guard off.
     """
 
     long_period: bool = True
@@ -51,8 +51,9 @@ class PropagatorConfig:
     def __post_init__(self):
         if not isinstance(self.long_period, (bool, np.bool_)):
             raise ConfigError(f"long_period must be a bool, got {self.long_period!r}")
-        if not (math.isfinite(self.critical_tol) and self.critical_tol > 0.0):
-            raise ConfigError(f"critical_tol must be finite and > 0, got {self.critical_tol}")
+        if not is_real(self.critical_tol) or not 0.0 < self.critical_tol < math.inf:
+            raise ConfigError("critical_tol must be finite and > 0 (a real number), "
+                              f"got {self.critical_tol!r}")
 
 
 DEFAULT_CONFIG = PropagatorConfig()
@@ -106,12 +107,11 @@ def _mean_state(cart: CartesianState, field: GravityField, config: PropagatorCon
     check_small_params(Theta, field)
     with_long = config.long_period and c20 != 0.0
     if with_long:
-        critical_inclination_guard(math.sqrt(max(0.0, 1.0 - (xi * xi + chi * chi))),
-                                   config.critical_tol)
-    dpsi, dxi, dchi, dr, dR, dTh = _kernels.short_ns(xi, chi, r, R, Theta, mu, alpha, c20)
+        critical_inclination_guard(abs(N) / Theta, config.critical_tol)
+    dpsi, dxi, dchi, dr, dR, dTh = _kernels.short_ns(xi, chi, r, R, Theta, N, mu, alpha, c20)
     psi, xi, chi, r, R, Theta = psi - dpsi, xi - dxi, chi - dchi, r - dr, R - dR, Theta - dTh
     if with_long:
-        dpsi, dxi, dchi, dr, dR, dTh = _kernels.long_ns(xi, chi, r, R, Theta,
+        dpsi, dxi, dchi, dr, dR, dTh = _kernels.long_ns(xi, chi, r, R, Theta, N,
                                                         mu, alpha, c20, c30)
         psi, xi, chi, r, R, Theta = psi - dpsi, xi - dxi, chi - dchi, r - dr, R - dR, Theta - dTh
     equatorial = math.hypot(xi, chi) <= _kernels.EQUATORIAL_SIN

@@ -96,7 +96,7 @@ class NonsingularState:
 
     @property
     def cos_inclination_abs(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.s2))
+        return abs(self.N) / max(self.Theta, abs(self.N))
 
 
 @dataclass(frozen=True)

@@ -105,26 +105,25 @@ def exact_deltas(stage, pn, field):
         return [dtheta - dnu if pn.N < 0.0 else dtheta + dnu, *rest]
 
 
-def kernel_deltas(stage, pn, field, given_c=False):
+def kernel_deltas(stage, pn, field):
     """``_kernels.short_ns`` or ``long_ns`` run on mpf at ``pn``'s nonsingular
-    state; ``given_c`` passes c = |N|/Theta to ``long_ns``."""
+    state, which carries ``pn``'s N."""
     (r, theta, _, R, Theta, N), (mu, alpha, c20, c30) = _mp_args(pn, field)
     with mpmath.workdps(DPS), rebound(_kernels, sqrt=mpmath.sqrt, atan2=mpmath.atan2):
         s = mpmath.sqrt(1 - (N / Theta) ** 2)
         xi, chi = s * mpmath.sin(theta), s * mpmath.cos(theta)
         if stage == "short":
-            return list(_kernels.short_ns(xi, chi, r, R, Theta, mu, alpha, c20))
-        c = abs(N) / Theta if given_c else None
-        return list(_kernels.long_ns(xi, chi, r, R, Theta, mu, alpha, c20, c30, c))
+            return list(_kernels.short_ns(xi, chi, r, R, Theta, N, mu, alpha, c20))
+        return list(_kernels.long_ns(xi, chi, r, R, Theta, N, mu, alpha, c20, c30))
 
 
-def worst_gap(stage, states, field, given_c=False):
+def worst_gap(stage, states, field):
     """max over ``states`` of max_i |kernel_i - exact_i| / max_j |exact_j|,
     with the deltas made dimensionless by (1, 1, 1, r, Theta/r, Theta)."""
     worst = mpmath.mpf(0)
     for pn in states:
         exact = exact_deltas(stage, pn, field)
-        got = kernel_deltas(stage, pn, field, given_c)
+        got = kernel_deltas(stage, pn, field)
         with mpmath.workdps(DPS):
             scale = (1, 1, 1, pn.r, mpmath.mpf(pn.Theta) / pn.r, pn.Theta)
             gaps = [abs(a - b) / k for a, b, k in zip(got, exact, scale)]

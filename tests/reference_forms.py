@@ -84,10 +84,10 @@ def short_corrections_nonsingular(ns: NonsingularState, field: GravityField) -> 
     """Full nonsingular short-period deltas (dpsi, dxi, dchi, dr, dR, dTheta).
 
     In the retrograde chart the components are already the mirrored ones, so
-    the same formulas (with c = +sqrt(1 - s^2)) apply to both charts.
+    the same formulas (with c = |N|/Theta) apply to both charts.
     """
     elliptic_projections(ns.r, ns.R, ns.Theta, field.mu)
-    return _kernels.short_ns(ns.xi, ns.chi, ns.r, ns.R, ns.Theta,
+    return _kernels.short_ns(ns.xi, ns.chi, ns.r, ns.R, ns.Theta, ns.N,
                              field.mu, field.alpha, field.c20)
 
 
@@ -130,7 +130,7 @@ def long_corrections_nonsingular(ns: NonsingularState, field: GravityField) -> t
     critical_inclination_guard(ns.cos_inclination_abs)
     check_small_params(ns.Theta, field)
     elliptic_projections(ns.r, ns.R, ns.Theta, field.mu)
-    return _kernels.long_ns(ns.xi, ns.chi, ns.r, ns.R, ns.Theta,
+    return _kernels.long_ns(ns.xi, ns.chi, ns.r, ns.R, ns.Theta, ns.N,
                             field.mu, field.alpha, field.c20, field.c30)
 
 

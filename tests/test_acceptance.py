@@ -79,12 +79,11 @@ def test_criterion_01_round_trips():
 
 
 def _exact_check(failures, states):
-    """Each stage's kernel (long_ns with c recovered and with c given)
-    against the exact chain-rule image of the brackets of v1 or y1."""
-    for stage, given_c in (("short", False), ("long", False), ("long", True)):
-        gap = worst_gap(stage, states, EARTH, given_c)
-        _check(failures, gap <= EXACT_TOL,
-               f"{stage} (c given: {given_c}): gap {float(gap):.2e} > {EXACT_TOL}")
+    """Each stage's kernel against the exact chain-rule image of the
+    brackets of v1 or y1."""
+    for stage in ("short", "long"):
+        gap = worst_gap(stage, states, EARTH)
+        _check(failures, gap <= EXACT_TOL, f"{stage}: gap {float(gap):.2e} > {EXACT_TOL}")
 
 
 def _seeded_states(rng, i_range_deg):

@@ -393,10 +393,9 @@ def test_kernels_write_into_no_argument():
     _kernels.p_coefficients(kappa, sigma, _kernels.q_polynomials(0.8))
     _kernels.rotation_factors(xi, chi, 0.8)
     for Th in (G, Theta):
-        _kernels.short_ns(xi, chi, r, R, Th, mu, alpha, c20)
-        _kernels.long_ns(xi, chi, r, R, Th, mu, alpha, c20, c30)
-        _kernels.long_ns(xi, chi, r, R, Th, mu, alpha, c20, c30, 0.8)
         for N in (0.8 * G, -0.8 * G):
+            _kernels.short_ns(xi, chi, r, R, Th, N, mu, alpha, c20)
+            _kernels.long_ns(xi, chi, r, R, Th, N, mu, alpha, c20, c30)
             _kernels.ns_to_cart(f, xi, chi, r, R, Th, N)
     for H in (0.8 * G, -0.8 * G):
         for with_long in (True, False):

@@ -24,6 +24,12 @@ EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "example-config.ini"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def _write_csv(path, blocks, **kwargs):
+    """``_write_ephemeris`` into a new file at ``path``."""
+    with open(path, "w") as fh:
+        _write_ephemeris(fh, blocks, **kwargs)
+
+
 def _write_config(path, inc_deg=30.0, duration=1800.0, step=600.0, model="j2j3", extra=""):
     cart = elements_to_cartesian(7000.0, 0.05, math.radians(inc_deg), 0.3, 0.7, 1.1)
     path.write_text(f"""
@@ -135,8 +141,8 @@ class TestPropagate:
         assert main(["propagate", "--config", str(cfg), "--ephemeris", str(out)]) == 0
         row = [float(v) for v in out.read_text().splitlines()[1].split(",")]
         golden = [0.0,
-                  -2862.0317444048746, 5299.026377768118, 2860.360601431336,
-                  -6.269010181608034, -4.356572551214095, 2.0847309218156367]
+                  -2862.031744488148, 5299.026377826569, 2860.3606012402684,
+                  -6.269010181427048, -4.356572551294399, 2.0847309221916843]
         assert row == pytest.approx(golden, rel=1e-12, abs=1e-12)
 
 
@@ -152,10 +158,10 @@ def test_streamed_files_equal_whole_array_files(tmp_path, n):
     state = elements_to_cartesian(7000.0, 0.05, math.radians(30.0), 0.3, 0.7, 1.1)
     ts = 12.5 + 1.0 * np.arange(n)
     whole, mean_whole = tmp_path / "we.csv", tmp_path / "wm.csv"
-    _write_ephemeris(str(whole), [(ts, ephemeris_array(state, 12.5, ts, EARTH))])
+    _write_csv(whole, [(ts, ephemeris_array(state, 12.5, ts, EARTH))])
     mean = osculating_to_mean(state, EARTH)
-    _write_ephemeris(str(mean_whole), [(ts, mean_elements_series(mean, 12.5, ts))],
-                     header="t,ell,g,h,L,G,H")
+    _write_csv(mean_whole, [(ts, mean_elements_series(mean, 12.5, ts))],
+               header="t,ell,g,h,L,G,H")
     assert out.read_bytes() == whole.read_bytes()
     assert mean_out.read_bytes() == mean_whole.read_bytes()
 
@@ -311,7 +317,7 @@ class TestWriter:
         rows = np.array([row for _, row in table])
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "e.csv")
-            _write_ephemeris(path, [(ts, rows)])
+            _write_csv(path, [(ts, rows)])
             with open(path) as fh:
                 text = fh.read()
         expected = "t,x,y,z,X,Y,Z\n" + "".join(
@@ -324,7 +330,7 @@ class TestWriter:
         ts = 0.1 * np.arange(n) - 7.0
         rows = rng.standard_normal((n, 6)) * 10.0 ** rng.integers(-300, 300, (n, 6))
         path = tmp_path / "e.csv"
-        _write_ephemeris(str(path), [(ts, rows)])
+        _write_csv(path, [(ts, rows)])
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + n
         back = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -336,8 +342,8 @@ class TestWriter:
         assert main(["propagate", "--config", str(EXAMPLE_CONFIG),
                      "--ephemeris", str(out)]) == 0
         assert out.read_text().splitlines()[1] == (
-            "0,-2862.0317444048751,5299.0263777681175,2860.3606014313364,"
-            "-6.2690101816080332,-4.3565725512140956,2.0847309218156367")
+            "0,-2862.031744488148,5299.026377826568,2860.3606012402688,"
+            "-6.2690101814270482,-4.3565725512944002,2.0847309221916839")
 
     def test_compare_table_matches_per_row_form(self):
         # the compare report's t / position / velocity error table, over one
@@ -535,6 +541,26 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         if out.exists():
             assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("unopenable", ["ephemeris", "mean-elements"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_an_output_that_cannot_be_opened_leaves_no_file(self, tmp_path, capsys,
+                                                           unopenable, existing):
+        # both outputs are opened before a row is written; a file the run
+        # created is removed again, and one that was there stays (emptied if
+        # it was opened before the one that failed)
+        cfg = _write_config(tmp_path / "run.ini")
+        paths = {"ephemeris": tmp_path / "e.csv", "mean-elements": tmp_path / "m.csv"}
+        paths[unopenable] = tmp_path / "nonexistent" / "x.csv"
+        if existing:
+            for path in paths.values():
+                if path.parent == tmp_path:
+                    path.write_text("kept\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(["propagate", "--config", str(cfg),
+                     *[f"--{k}={v}" for k, v in paths.items()]]) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_missing_state_exit_1(self, tmp_path):
         cfg = tmp_path / "bad.ini"

@@ -19,6 +19,27 @@ class TestGravityField:
         with pytest.raises(ZonalPropError):
             GravityField(mu=MU, alpha=6378.0, c20=1.5, c30=0.0)
 
+    @pytest.mark.parametrize("name", ["mu", "alpha", "c20", "c30"])
+    @pytest.mark.parametrize("value", [True, np.False_, "3", None])
+    def test_constants_must_be_real_numbers(self, name, value):
+        # True was taken as mu = 1; a str or None raised a bare TypeError
+        values = dict(mu=MU, alpha=6378.0, c20=-1e-3, c30=0.0)
+        values[name] = value
+        with pytest.raises(ZonalPropError, match=f"^{name} must be a real number, got "):
+            GravityField(**values)
+
+    @pytest.mark.parametrize("name", ["mu", "alpha"])
+    def test_an_int_beyond_the_doubles_is_not_finite(self, name):
+        # math.isfinite raised a bare OverflowError on it
+        values = dict(mu=MU, alpha=6378.0, c20=-1e-3, c30=0.0)
+        values[name] = 10 ** 400
+        with pytest.raises(ZonalPropError, match=f"^{name} must be positive and finite"):
+            GravityField(**values)
+
+    def test_constants_take_python_and_numpy_reals(self):
+        f = GravityField(mu=np.float64(MU), alpha=6378, c20=np.float32(-1e-3), c30=np.int64(0))
+        assert (f.mu, f.alpha, f.c20, f.c30) == (MU, 6378.0, np.float32(-1e-3), 0.0)
+
     def test_j_coefficients(self):
         assert EARTH.j2 == -EARTH.c20
         assert EARTH.j3 == -EARTH.c30

@@ -3,7 +3,8 @@
 Every function the module defines must run during one pass of the pipeline
 or be a boundary the benchmark traces (``perfbench/layers.py``, loaded by
 path, as ``test_perfbench_layers.py`` loads it).  A reference form that only
-the tests or the benchmark call belongs in another module.
+the tests or the benchmark call belongs in another module.  cos I has one
+source, the carried integral: the kernels that read it take Theta and N.
 """
 
 import importlib.util
@@ -59,3 +60,17 @@ def test_every_kernel_runs_in_the_pipeline_or_is_a_boundary():
     boundaries = _kernel_boundaries()
     assert [name for name, fn in sorted(defined.items())
             if fn.__code__ not in called and name not in boundaries] == []
+
+
+def test_cos_inclination_comes_from_theta_and_n():
+    # the correction kernels and the Cartesian map read |cos I| as
+    # |N| / max(Theta, |N|); none takes it, or recovers it, on its own
+    params = {name: list(inspect.signature(getattr(_kernels, name)).parameters)
+              for name in ("short_ns", "long_ns", "ns_to_cart")}
+    for name, names in params.items():
+        assert names.index("N") == names.index("Theta") + 1, name
+    kernels = [name for name, fn in vars(_kernels).items()
+               if inspect.isfunction(fn) and name.startswith(("short_", "long_"))]
+    assert {"short_ns", "long_ns", "short_ns_low", "long_ns_low"} <= set(kernels)
+    assert [name for name in kernels
+            if "c" in inspect.signature(getattr(_kernels, name)).parameters] == []

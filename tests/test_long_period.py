@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from zonalprop import (EARTH, CriticalInclinationError, NonsingularState, ZonalPropError,
@@ -38,6 +39,25 @@ class TestGuard:
     def test_non_finite_rejected(self, c):
         with pytest.raises(ZonalPropError, match="cos I must be finite"):
             critical_inclination_guard(c)
+
+    @pytest.mark.parametrize("c", [True, "0.4", None])
+    def test_c_must_be_a_real_number(self, c):
+        # True passed as c = 1, and a str raised a bare TypeError
+        with pytest.raises(ZonalPropError, match=r"^cos I must be finite \(a real number\), got "):
+            critical_inclination_guard(c)
+
+    @pytest.mark.parametrize("tol", [True, "0.1", None])
+    def test_tol_must_be_a_real_number(self, tol):
+        # True was a band of 1, reported as "< True"
+        with pytest.raises(ZonalPropError,
+                           match=r"^critical-inclination tol must be finite and > 0 "
+                                 r"\(a real number\), got "):
+            critical_inclination_guard(0.447, tol)
+
+    def test_numpy_reals_taken(self):
+        critical_inclination_guard(np.float64(0.3), np.float64(1e-3))
+        with pytest.raises(CriticalInclinationError):
+            critical_inclination_guard(np.float32(math.sqrt(0.2)), np.int64(1))
 
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-3, math.inf])
     def test_tol_checked(self, tol):
@@ -92,12 +112,10 @@ class TestLongPolar:
         assert dr == pytest.approx(expected, rel=1e-9)
 
     def test_poisson_bracket_oracle(self):
-        # long_ns, with c recovered or given, is the chain-rule image of the
-        # exact brackets of y1
+        # long_ns is the chain-rule image of the exact brackets of y1
         states = random_polar_states(25, random.Random(43), e_range=(0.0, 0.95),
                                      i_range_deg=(0.5, 89.5))
         assert worst_gap("long", states, FIELD) <= 1e-40
-        assert worst_gap("long", states, FIELD, given_c=True) <= 1e-40
 
     def test_critical_rejected(self):
         pn = elements_to_polar(8000.0, 0.2, math.radians(116.565), 0.4, 0.2, 0.1)
@@ -143,7 +161,6 @@ class TestLongNonsingular:
                   + [elements_to_polar(7500.0, 0.3, inc, 0.4, 0.2, 0.1)
                      for inc in (1e-6, 1e-4, math.pi - 1e-6)])
         assert worst_gap("long", states, FIELD) <= 1e-40
-        assert worst_gap("long", states, FIELD, given_c=True) <= 1e-40
 
     def test_critical_rejected(self):
         pn = elements_to_polar(8000.0, 0.2, math.radians(63.4349), 0.4, 0.2, 0.1)

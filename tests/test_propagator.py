@@ -29,6 +29,20 @@ def test_critical_tol_must_be_finite_and_positive(tol):
     assert PropagatorConfig(critical_tol=1e-4).critical_tol == 1e-4
 
 
+@pytest.mark.parametrize("tol", ["0.1", None, True, False, np.True_, [1e-3]])
+def test_critical_tol_must_be_a_real_number(tol):
+    # a str and None raised a bare TypeError from math.isfinite, and True was
+    # stored as a band of 1
+    with pytest.raises(ConfigError,
+                       match=r"^critical_tol must be finite and > 0 \(a real number\), got "):
+        PropagatorConfig(critical_tol=tol)
+
+
+@pytest.mark.parametrize("tol", [np.float64(1e-4), np.float32(1e-4), 1, np.int64(1)])
+def test_critical_tol_takes_python_and_numpy_reals(tol):
+    assert PropagatorConfig(critical_tol=tol).critical_tol == tol
+
+
 @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
 def test_long_period_must_be_a_bool(value):
     # "false" and "no" are true, so they ran the long-period stage, and inside

@@ -18,15 +18,17 @@ factor of xi or chi, but not the sign of a whole term: one J3 term with its
 sign flipped still reflects.
 
 The theory keeps the rotation to about 2e-11 of |r| for most states; the
-bounds below sit above the worst cases seeded sweeps found.  Near the pole
-the inverse corrections take cos I as sqrt(1 - xi^2 - chi^2), which is
-rounding noise there, and at i = 90 deg the sign of N = x vy - y vx, which
-picks the chart, is noise too; circular retrograde orbits split g and ell
-from a mean e of about 1e-5.  Inclinations strictly between 0 and 2 deg (or
-178 and 180 deg) are left out, as the benchmark's catalogue leaves them out:
-there the mean actions themselves depend on rounding (ROADMAP item 2), and
-the rotated ephemeris drifts away from the rotated one over the day (3.2e-7
-of |r| at i = 1e-5 deg, e = 0.67).  Exactly equatorial states are in.
+bounds below sit above the worst cases seeded sweeps found.  The
+corrections read cos I as |N|/Theta, which keeps its digits at the pole, so
+the polar corner (|cos I| < 1e-8, the chart clear of rounding) has its own
+tight bound.  At i = 90 deg itself the sign of N = x vy - y vx, which picks
+the chart, is rounding noise, and the two charts' mean nodes differ;
+circular retrograde orbits split g and ell from a mean e of about 1e-5.
+Inclinations strictly between 0 and 2 deg (or 178 and 180 deg) are left
+out, as the benchmark's catalogue leaves them out: there the mean actions
+themselves depend on rounding (ROADMAP item 2), and the rotated ephemeris
+drifts away from the rotated one over the day (3.2e-7 of |r| at
+i = 1e-5 deg, e = 0.67).  Exactly equatorial states are in.
 The reflection holds to rounding: 1.9e-14 of |r| at most over 3000 seeded
 states of the same domain, polar ones included.
 """
@@ -47,7 +49,8 @@ from conftest import elements_to_cartesian
 #: i = 163.6 deg), so it is 1e-8
 REL_TOL = 1e-8
 #: the bound near the pole, |cos I| < POLAR_COS: 1.2e-8 measured over 6000
-#: polar states of this domain (1e-7 once perigees sink inside the Earth)
+#: polar states of this domain (1e-7 once perigees sink inside the Earth).
+#: It stays while rounding picks the chart at cos I = 0
 POLAR_REL_TOL = 1e-7
 POLAR_COS = 1e-6
 #: perigee altitudes [km] of the states, those of the benchmark's catalogue
@@ -62,6 +65,17 @@ REFLECT_REL_TOL = 1e-10
 #: Reversing v flips the sign of N and so the chart, so within POLAR_COS of
 #: cos I = 0 the rotation test's POLAR_REL_TOL applies
 REVERSE_REL_TOL = 1e-10
+#: the polar corner: offsets [deg] of the inclination from 90 deg, so that
+#: 1.7e-11 < |cos I| < 1.7e-9.  Below POLAR_COS, but the sign of N, and so
+#: the chart, stays clear of rounding there
+POLAR_CORNER_DEG = (1e-9, 1e-7)
+#: bound on the rotation defect in the polar corner, relative to the largest
+#: |r| and |v|.  Fixed before the first run of the kernels that read cos I as
+#: |N|/Theta: below the 1.15e-11 of the test's own states with cos I taken
+#: as sqrt(1 - xi^2 - chi^2), the rounding noise of 1 - (xi^2 + chi^2) near
+#: the pole, and above the 2.9e-13 measured with |N|/Theta over 1500 such
+#: states; these states read 1.2e-13 with it
+POLAR_CORNER_REL_TOL = 2e-12
 #: EARTH with the sign of its odd zonal coefficient changed
 MIRRORED_EARTH = GravityField(EARTH.mu, EARTH.alpha, EARTH.c20, -EARTH.c30)
 
@@ -144,6 +158,34 @@ def test_rotation_about_z_rotates_the_ephemeris(alt, e, inc_deg, ell, g, h, phi,
     for ts in _grids(t0, step):
         pos, vel = _defect(cart, lambda rows: _rotated(rows, phi), t0, ts)
         assert pos <= tol and vel <= tol
+
+
+def _polar_corner_states(n, seed):
+    """n seeded rows (state, phi, t0) of the polar corner: perigee altitudes
+    over PERIGEE_ALT, e up to 0.7, any angles."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        offset = rng.uniform(*POLAR_CORNER_DEG) * rng.choice((-1.0, 1.0))
+        alt, e = rng.uniform(*PERIGEE_ALT), rng.uniform(0.0, 0.7)
+        ell, g, h = rng.uniform(-180.0, 180.0, 3)
+        rows.append((_cart(alt, e, 90.0 + offset, ell, g, h), rng.uniform(-math.pi, math.pi),
+                     rng.uniform(-1e5, 1e5)))
+    return rows
+
+
+def test_rotation_about_z_in_the_polar_corner():
+    # one day at 2400 s on the array path and one epoch on the float path;
+    # the chart is the same before and after the rotation, so what is left
+    # is how the corrections read cos I
+    worst = 0.0
+    for cart, phi, t0 in _polar_corner_states(300, 14):
+        N = cart.x * cart.vy - cart.y * cart.vx
+        assert 0.0 < abs(N) < POLAR_COS * np.linalg.norm(np.cross(
+            [cart.x, cart.y, cart.z], [cart.vx, cart.vy, cart.vz]))
+        for ts in _grids(t0, 2400.0):
+            worst = max(worst, *_defect(cart, lambda rows: _rotated(rows, phi), t0, ts))
+    assert worst <= POLAR_CORNER_REL_TOL
 
 
 @example(alt=704.0, e=0.0, inc_deg=90.0, ell=10.0, g=20.0, h=30.0, t0=0.0, step=600.0)
