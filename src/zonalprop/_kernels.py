@@ -856,24 +856,17 @@ def ephemeris_batch(ts, t0, ell0, g0, h0, L, G, H, ldot, gdot, hdot,
                     mu, alpha, c20, c30, with_long, out):
     """Fill ``out[i, :]`` with the osculating Cartesian state at ``ts[i]``.
 
-    A grid of ARRAY_MIN_EPOCHS epochs or more runs through the kernels on
-    arrays, one per block of ``block_edges``; a shorter one runs epoch by
-    epoch on floats.  Either way each row depends on its own epoch only.
-    With ``out`` None, ``ts`` is a short list or tuple of floats and the
-    rows are returned as a list of 6-tuples, with no NumPy call.
+    A grid of ARRAY_MIN_EPOCHS epochs or more, an ndarray, runs through the
+    kernels on arrays, one per block of ``block_edges``; a shorter one runs
+    epoch by epoch on floats, a list or tuple as given and an ndarray through
+    ``tolist()``.  Either way each row depends on its own epoch only.
     """
     n = len(ts)
     if n < ARRAY_MIN_EPOCHS:
-        rows = []
-        for t in (ts if out is None else ts.tolist()):
+        for i, t in enumerate(ts.tolist() if isinstance(ts, ndarray) else ts):
             ell, g, h = mean_angles(ell0, g0, h0, ldot, gdot, hdot, t - t0)
-            rows.append(reconstruct_and_correct(ell, g, h, L, G, H, mu, alpha, c20, c30,
-                                                with_long))
-        if out is None:
-            return rows
-        for i, row in enumerate(rows):
-            out[i] = row
-        return out
+            out[i] = reconstruct_and_correct(ell, g, h, L, G, H, mu, alpha, c20, c30, with_long)
+        return
     edges = block_edges(n)
     for lo, hi in zip(edges[:-1], edges[1:]):
         rows = slice(lo, hi)
@@ -882,4 +875,3 @@ def ephemeris_batch(ts, t0, ell0, g0, h0, L, G, H, ldot, gdot, hdot,
         for k in range(6):
             out[rows, k] = state[k]
         del state  # before the next block allocates its own
-    return out

@@ -14,6 +14,7 @@ import configparser
 import contextlib
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -377,6 +378,11 @@ def _write_ephemeris(fh, blocks, header: str = "t,x,y,z,X,Y,Z") -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _open_untruncated(path, flags):
+    """The opener of mode "w" without its truncation."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _cmd_propagate(s) -> int:
     field, state, config = _orbit(s)
     ts = _time_grid(s.epoch, s.duration, s.step)
@@ -390,13 +396,19 @@ def _cmd_propagate(s) -> int:
     new = [os.path.realpath(path) for path in paths if not os.path.exists(path)]
     with contextlib.ExitStack() as stack:
         try:
-            files = [stack.enter_context(open(path, "w")) for path in paths]
+            files = [stack.enter_context(open(path, "w", opener=_open_untruncated))
+                     for path in paths]
         except OSError:
             # all outputs open or none: remove the files this run made
             stack.close()
             for path in filter(os.path.exists, new):
                 os.remove(path)
             raise
+        # all are open: only now is a file that was there emptied, as mode
+        # "w" empties it (a device or a pipe is not)
+        for fh in files:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
         _write_ephemeris(files[0], blocks)
         if mean is not None:
             edges = block_edges(len(ts))

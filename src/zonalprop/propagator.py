@@ -91,16 +91,18 @@ def osculating_to_mean(cart: CartesianState, field: GravityField,
     ZonalPropError, naming it, when the corrections overflow into a mean
     state whose 1/a is not finite or into a rate that is not.
     """
-    ell, g, h, L, G, H, ldot, gdot, hdot, conventional = _mean_state(cart, field, config, 0.0)
+    args, conventional = _mean_state(cart, field, config, 0.0)
+    ell, g, h, L, G, H, ldot, gdot, hdot = args[:9]
     return MeanElements(delaunay=DelaunayState(ell=ell, g=g, h=h, L=L, G=G, H=H),
                         rates=SecularRates(ell_dot=ldot, g_dot=gdot, h_dot=hdot),
                         conventional_split=conventional)
 
 
 def _mean_state(cart: CartesianState, field: GravityField, config: PropagatorConfig, span: float):
-    """osculating_to_mean on floats: (ell, g, h, L, G, H, ell_dot, g_dot,
-    h_dot, conventional_split).  The one place that picks the rates:
-    mean_angle_rates, checked for an advance over span."""
+    """osculating_to_mean on floats, and every check of an ephemeris request
+    after the grid's: (the arguments of ``_kernels.ephemeris_batch`` between
+    t0 and out, conventional_split).  The one place that picks the rates
+    (mean_angle_rates, checked for an advance over span) and with_long."""
     psi, xi, chi, r, R, Theta, N = cart_to_ns_checked(cart)
     mu, alpha, c20, c30 = field.mu, field.alpha, field.c20, field.c30
     elliptic_projections(r, R, Theta, mu)
@@ -121,20 +123,27 @@ def _mean_state(cart: CartesianState, field: GravityField, config: PropagatorCon
     if with_long:
         critical_inclination_guard(abs(H / G), config.critical_tol)
     ldot, gdot, hdot = mean_angle_rates(L, G, H, field, span)
-    return ell, g, h, L, G, H, ldot, gdot, hdot, circular or equatorial
+    return ((ell, g, h, L, G, H, ldot, gdot, hdot, mu, alpha, c20, c30, with_long),
+            circular or equatorial)
 
 
 def mean_to_osculating(d: DelaunayState, field: GravityField,
                        config: PropagatorConfig = DEFAULT_CONFIG) -> CartesianState:
     """Rebuild the osculating Cartesian state from double-prime elements; the
     long-period stage and its guard run as in osculating_to_mean.  Raises
-    ZonalPropError, naming it, for a state component that is not finite."""
+    ZonalPropError, naming it, for a state component that is not finite, and
+    for actions so far out of range that the chain divides by an underflowed
+    0 or takes the sqrt of a negative number."""
     check_small_params(d.G, field)
     with_long = config.long_period and field.c20 != 0.0
     if with_long:
         critical_inclination_guard(abs(d.H / d.G), config.critical_tol)
-    out = _kernels.reconstruct_and_correct(
-        d.ell, d.g, d.h, d.L, d.G, d.H, field.mu, field.alpha, field.c20, field.c30, with_long)
+    try:
+        out = _kernels.reconstruct_and_correct(d.ell, d.g, d.h, d.L, d.G, d.H, field.mu,
+                                               field.alpha, field.c20, field.c30, with_long)
+    except (ArithmeticError, ValueError) as exc:
+        raise ZonalPropError(f"mean_to_osculating: the corrections fail at L = {d.L}, "
+                             f"G = {d.G}, H = {d.H} ({exc})") from exc
     check_finite("mean_to_osculating: state component", ("x", "y", "z", "vx", "vy", "vz"), out)
     return CartesianState(*out)
 
@@ -175,20 +184,14 @@ def _checked_grid(t0: float, ts) -> tuple[np.ndarray, float]:
 
 def _float_grid(t0: float, ts):
     """``_checked_grid`` on Python floats, for a list or tuple of 1 to
-    ``ARRAY_MIN_EPOCHS - 1`` items that are each exactly a float or an int:
-    (the grid as floats, the largest |t - t0|), raising what _checked_grid
-    raises.  None for every other grid, which _checked_grid then takes."""
+    ``ARRAY_MIN_EPOCHS - 1`` items that are each exactly a float: (the grid
+    as given, the largest |t - t0|), raising what _checked_grid raises.
+    None for every other grid, which _checked_grid then takes."""
     if not ((type(ts) is list or type(ts) is tuple) and 0 < len(ts) < _kernels.ARRAY_MIN_EPOCHS):
         return None
-    floats = True
     for t in ts:
         if type(t) is not float:
-            if type(t) is not int:
-                return None
-            floats = False
-    if not floats:
-        # float() rounds and overflows as NumPy's conversion does
-        ts = [float(t) for t in ts]
+            return None
     if not math.isfinite(t0):
         raise ZonalPropError(f"epoch t0 must be finite, got {t0}")
     # once an offset is NaN or inf the span stays NaN or inf
@@ -204,38 +207,21 @@ def _float_grid(t0: float, ts):
     return ts, span
 
 
-def _orbit_args(cart0: CartesianState, span: float, field: GravityField,
-                config: PropagatorConfig):
-    """The arguments of ``_kernels.ephemeris_batch`` between t0 and out, for
-    a checked grid whose largest |t - t0| is span: every check of an
-    ephemeris request after the grid's runs here."""
-    ell, g, h, L, G, H, ldot, gdot, hdot, _ = _mean_state(cart0, field, config, span)
-    return (ell, g, h, L, G, H, ldot, gdot, hdot,
-            field.mu, field.alpha, field.c20, field.c30, config.long_period and field.c20 != 0.0)
-
-
 def ephemeris_array(cart0: CartesianState, t0: float, ts, field: GravityField,
                     config: PropagatorConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Same as ephemeris, returning an (n, 6) float array.
 
     Grids of ``_kernels.ARRAY_MIN_EPOCHS`` epochs or more are evaluated in
     NumPy blocks, shorter ones epoch by epoch on floats; the two agree to
-    about 1e-10 km in position.  A short grid given as a list or tuple whose
-    items are each exactly a Python float or int (no bool, no NumPy scalar)
-    is checked on floats too, and the request makes no NumPy call before
-    the one that builds the result.  Every other grid (an ndarray, a nested
-    list, a generator, ...) is checked in NumPy (``_checked_grid``).  Both
-    checks raise the same errors, and each is followed by the one orbit check
-    (``_orbit_args``); both paths give the same rows bit for bit.
+    about 1e-10 km in position.  A short list or tuple of Python floats (no
+    int, no bool, no NumPy scalar) is checked on floats (``_float_grid``),
+    with no NumPy call before the ``np.empty`` that holds the result; every
+    other grid in NumPy (``_checked_grid``).  Both checks raise the same
+    errors and give the same rows; the orbit check (``_mean_state``) follows.
     """
-    grid = _float_grid(t0, ts)
-    if grid is not None:
-        ts, span = grid
-        args = _orbit_args(cart0, span, field, config)
-        return np.array(_kernels.ephemeris_batch(ts, t0, *args, None))
-    ts, span = _checked_grid(t0, ts)
-    args = _orbit_args(cart0, span, field, config)
-    out = np.empty((ts.shape[0], 6), dtype=float)
+    ts, span = _float_grid(t0, ts) or _checked_grid(t0, ts)
+    args, _ = _mean_state(cart0, field, config, span)
+    out = np.empty((len(ts), 6))
     _kernels.ephemeris_batch(ts, t0, *args, out)
     return out
 
@@ -246,14 +232,14 @@ def ephemeris_blocks(cart0: CartesianState, t0: float, ts, field: GravityField,
     t a view of the grid and states its (len(t), 6) rows.
 
     The grid (in NumPy, ``_checked_grid``), the state and the orbit
-    (``_orbit_args``) are checked when this is called, as ephemeris_array
+    (``_mean_state``) are checked when this is called, as ephemeris_array
     checks an ndarray grid, so every error is raised before the first block
     is asked for.  The blocks are those of ``_kernels.block_edges``, and the
     rows are the bits ephemeris_array gives.  states is one buffer refilled
     for every block: copy it to keep it past the next step.
     """
     ts, span = _checked_grid(t0, ts)
-    return _blocks(ts, t0, _orbit_args(cart0, span, field, config))
+    return _blocks(ts, t0, _mean_state(cart0, field, config, span)[0])
 
 
 def _blocks(ts, t0, args):

@@ -53,12 +53,13 @@ def zonal_hamiltonian(r, R, Theta, xi, mu, alpha, c20, c30):
     """Energy of the zonal problem in the variables of ``_kernels.cart_to_ns``
     (xi = z/r): (R^2 + Theta^2/r^2)/2 - (mu/r)(1 + (alpha/r)^2 c20 P2(xi) +
     (alpha/r)^3 c30 P3(xi)).  Plain arithmetic and no check, so it runs on
-    floats, NumPy arrays and sympy symbols alike."""
+    floats, NumPy arrays and sympy symbols alike; products, not a float **,
+    so a float overflow gives inf and not OverflowError."""
     ar = alpha / r
     p2 = (3 * xi * xi - 1) / 2
     p3 = (5 * xi * xi - 3) * xi / 2
     return ((R * R + Theta * Theta / (r * r)) / 2
-            - (mu / r) * (1 + ar * ar * c20 * p2 + ar ** 3 * c30 * p3))
+            - (mu / r) * (1 + ar * ar * c20 * p2 + ar * ar * ar * c30 * p3))
 
 
 def mean_hamiltonian(L: float, G: float, H: float, field: GravityField) -> float:

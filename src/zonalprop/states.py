@@ -248,7 +248,13 @@ def elliptic_projections(r: float, R: float, Theta: float, mu: float):
     ZonalPropError, naming it, for a 1/a that is not finite.  Both tests
     fail for NaN.
     """
-    ainv = 2.0 / r - (R * R + (Theta / r) ** 2) / mu
+    # a float ** raises OverflowError where a product gives inf, but the
+    # product would round L unlike pow in 3 of 3000 catalogue states
+    try:
+        w2 = (Theta / r) ** 2
+    except OverflowError:
+        w2 = math.inf
+    ainv = 2.0 / r - (R * R + w2) / mu
     if not 0.0 < ainv < math.inf:
         if ainv <= 0.0:
             raise NonEllipticStateError("state is not elliptic (non-negative energy)")

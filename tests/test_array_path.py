@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from zonalprop import (EARTH, CartesianState, PropagatorConfig, ZonalPropError, _kernels,
                        ephemeris_array)
-from zonalprop.propagator import _checked_grid, _orbit_args, ephemeris_blocks
+from zonalprop.propagator import _checked_grid, _mean_state, ephemeris_blocks
 from conftest import elements_to_cartesian
 
 POS_TOL_KM = 1e-9
@@ -336,7 +336,7 @@ def test_dense_grid_budget(monkeypatch, numpy_passes):
 
     def counted_batch(cart, ts):
         grid, span = _checked_grid(0.0, ts)
-        args = _orbit_args(cart, span, EARTH, PropagatorConfig())
+        args, _ = _mean_state(cart, EARTH, PropagatorConfig(), span)
         rows = np.empty((grid.size, 6))
         numpy_passes.clear()
         _kernels.ephemeris_batch(numpy_passes.array(grid), 0.0, *args, rows)

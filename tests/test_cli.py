@@ -562,6 +562,26 @@ class TestExitCodes:
         assert "No such file or directory" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
+    def test_an_existing_output_is_kept_when_another_cannot_be_opened(self, tmp_path):
+        # the ephemeris was opened with mode "w", so emptied, before the
+        # mean-elements open failed
+        cfg = _write_config(tmp_path / "run.ini")
+        keep = tmp_path / "keep.csv"
+        keep.write_text("keep me\n")
+        assert main(["propagate", "--config", str(cfg), "--ephemeris", str(keep),
+                     "--mean-elements", str(tmp_path / "nonexistent" / "m.csv")]) == 1
+        assert keep.read_text() == "keep me\n"
+
+    def test_an_existing_output_is_overwritten(self, tmp_path):
+        # a longer old file leaves no tail behind the new rows, and a device
+        # takes the rows without being truncated
+        cfg = _write_config(tmp_path / "run.ini")
+        fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+        old.write_text("x" * 100000)
+        for path in (fresh, old, os.devnull):
+            assert main(["propagate", "--config", str(cfg), "--ephemeris", str(path)]) == 0
+        assert old.read_bytes() == fresh.read_bytes()
+
     def test_missing_state_exit_1(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[gravity]\nmu = 398600.4418\n")

@@ -32,16 +32,15 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 
 #: most Python-level calls one single-epoch request may make (sys.setprofile
 #: "call" events).  A change that puts per-call wrappers back on the float
-#: path fails here; raising the budget is a change to log.  53 = 3 for the
-#: request itself (``ephemeris_array``, its float grid check ``_float_grid``
-#: and ``_orbit_args``) + 30 for the mean state (``_mean_state`` and the
-#: calls under it: 26 for the inverse corrections, ``cart_to_ns`` calling
-#: nothing, and 4 for the secular rates, ``mean_angle_rates`` and the calls
-#: under it) + 20 for the forward chain
-#: (``ephemeris_batch`` and the calls under it).  A one-epoch ndarray grid
-#: makes one more: ``_float_grid`` declines it, and ``_checked_grid`` checks
-#: it in NumPy.
-CALL_BUDGET = 53
+#: path fails here; raising the budget is a change to log.  52 = 2 for the
+#: request itself (``ephemeris_array`` and its float grid check
+#: ``_float_grid``) + 30 for the mean state (``_mean_state`` and the calls
+#: under it: 26 for the inverse corrections, ``cart_to_ns`` calling nothing,
+#: and 4 for the secular rates, ``mean_angle_rates`` and the calls under it)
+#: + 20 for the forward chain (``ephemeris_batch`` and the calls under it).
+#: A one-epoch ndarray grid makes one more: ``_float_grid`` declines it, and
+#: ``_checked_grid`` checks it in NumPy.
+CALL_BUDGET = 52
 
 
 def _catalog(seed, size):
@@ -228,14 +227,15 @@ def test_short_grid_path_matches_the_numpy_checked_path(case):
 
 
 def test_short_grid_makes_no_numpy_call_before_the_rows(monkeypatch):
-    # only np.array is left to the propagator: the float-item lists and
-    # tuples run, and an ndarray grid, checked in NumPy, does not
+    # only np.empty is left to the propagator: the float-item lists and
+    # tuples run, and an ndarray or int-item grid, checked in NumPy, does not
     expected = ephemeris_array(LEO_STATE, -3600.0, np.array([0.0, 60.0]), EARTH)
-    monkeypatch.setattr(propagator, "np", SimpleNamespace(array=np.array))
-    for grid in ([0.0, 60.0], (0.0, 60.0), [0, 60]):
+    monkeypatch.setattr(propagator, "np", SimpleNamespace(empty=np.empty))
+    for grid in ([0.0, 60.0], (0.0, 60.0)):
         assert ephemeris_array(LEO_STATE, -3600.0, grid, EARTH).tobytes() == expected.tobytes()
-    with pytest.raises(AttributeError):
-        ephemeris_array(LEO_STATE, -3600.0, np.array([0.0, 60.0]), EARTH)
+    for grid in (np.array([0.0, 60.0]), [0, 60]):
+        with pytest.raises(AttributeError):
+            ephemeris_array(LEO_STATE, -3600.0, grid, EARTH)
 
 
 def test_catalogue_rows_equal_on_both_grid_checks():

@@ -71,6 +71,14 @@ class TestZonalAcceleration:
                 fn(*args)
 
 
+    def test_potential_that_overflows_is_minus_inf(self):
+        # (alpha / r)^3 overflows at r = 1e-120 km: a float ** raised a bare
+        # OverflowError; the product gives inf, and the energy -inf
+        pos = (6e-121, 0.0, 8e-121)
+        assert zonal_potential(*pos, EARTH) == -math.inf
+        assert zonal_energy(CartesianState(*pos, 0.0, 1.0, 0.0), EARTH) == -math.inf
+
+
 class TestIntegrate:
     def test_two_body_closed_orbit(self):
         f = EARTH.restricted("two-body")

@@ -1,3 +1,4 @@
+import collections
 import math
 import warnings
 from dataclasses import replace
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonalprop import (EARTH, CartesianState, ConfigError, CriticalInclinationError,
-                       DelaunayState, GravityField, PropagatorConfig, ZonalPropError, _kernels,
+                       DelaunayState, GravityField, NonEllipticStateError, PropagatorConfig,
+                       ZonalPropError, _kernels,
                        cartesian_to_nonsingular, ephemeris, ephemeris_array,
                        mean_to_osculating, osculating_to_mean, secular_rates)
 from zonalprop.oracle import integrate_grid
@@ -59,6 +61,45 @@ def test_long_period_takes_numpy_bools():
     rows = ephemeris_array(cart, 0.0, ts, EARTH, PropagatorConfig(long_period=np.False_))
     assert np.array_equal(rows, ephemeris_array(cart, 0.0, ts, EARTH,
                                                 PropagatorConfig(long_period=False)))
+
+
+def test_seeded_sweep_raises_only_library_errors():
+    # Cartesian components +-10^U(-300, 300) and actions L = 10^U(-300, 300),
+    # G <= L, |H| <= G: every input gets an answer or a ZonalPropError, where
+    # a float **, a division by an underflowed 0 and a sqrt of a negative
+    # number raised bare OverflowError, ZeroDivisionError and ValueError
+    rng = np.random.default_rng(35)
+    fields = (EARTH, TWO_BODY, GravityField(1.0, 1.0, EARTH.c20, EARTH.c30))
+    escaped = collections.Counter()
+    for k in range(3000):
+        field = fields[k % 3]
+        signs = rng.choice((-1.0, 1.0), 6)
+        cart = CartesianState(*(signs * 10.0 ** rng.uniform(-300.0, 300.0, 6)).tolist())
+        L = 10.0 ** rng.uniform(-300.0, 300.0)
+        G = L * rng.uniform(0.0, 1.0)
+        d = DelaunayState(*rng.uniform(-math.pi, math.pi, 3).tolist(), L, G,
+                          G * rng.uniform(-1.0, 1.0))
+        for fn, args in ((osculating_to_mean, (cart, field)),
+                         (ephemeris_array, (cart, 0.0, [3600.0], field)),
+                         (mean_to_osculating, (d, field))):
+            try:
+                fn(*args)
+            except ZonalPropError:
+                pass
+            except Exception as exc:
+                escaped[fn.__name__, type(exc).__name__] += 1
+    assert not escaped
+
+
+def test_overflowing_angular_term_is_not_elliptic():
+    # (Theta / r)^2 overflows: a float ** raised a bare OverflowError
+    cart = CartesianState(5.801281133743743e-114, -1.3833108150950634e-127,
+                          -2.620806152360825e-131, -4.14910061201973e+206,
+                          9.955982716826011e+164, 1.1067918098607446e+262)
+    for fn, args in ((osculating_to_mean, (cart, EARTH)),
+                     (ephemeris_array, (cart, 0.0, [0.0], EARTH))):
+        with pytest.raises(NonEllipticStateError, match="non-negative energy"):
+            fn(*args)
 
 
 class TestOsculatingToMean:
@@ -235,6 +276,18 @@ class TestMeanToOsculating:
         # tiny actions overflow the corrections: six NaNs came back
         d = DelaunayState(ell=0.0, g=0.0, h=0.0, L=1e-60, G=1e-60, H=5e-61)
         message = "^mean_to_osculating: state component x must be finite, got nan$"
+        with pytest.raises(ZonalPropError, match=message):
+            mean_to_osculating(d, EARTH)
+
+    @pytest.mark.parametrize("d, fault", [
+        (DelaunayState(0.0, 0.0, 0.0, 1e-300, 1e-300, 0.0), "float division by zero"),
+        (DelaunayState(0.0, 0.0, 0.0, 1e-47, 2e-48, 1e-48), "math domain error"),
+    ], ids=["L2-over-mu-underflows", "sqrt-of-a-negative"])
+    def test_out_of_range_actions_raise_a_library_error(self, d, fault):
+        # L^2 / mu underflowed to 0 and delaunay_orbit divided by r; at the
+        # other state center_terms took the sqrt of a negative number: a bare
+        # ZeroDivisionError and ValueError escaped
+        message = rf"^mean_to_osculating: the corrections fail at L = .*\({fault}\)$"
         with pytest.raises(ZonalPropError, match=message):
             mean_to_osculating(d, EARTH)
 

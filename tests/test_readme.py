@@ -58,3 +58,12 @@ def test_api_count_matches_all():
     quoted = re.search(r"\((\d+) names in `__all__`\)", text)
     assert quoted, "the README's API count moved"
     assert int(quoted[1]) == len(zonalprop.__all__)
+
+
+def test_call_count_matches_the_budget():
+    # the single-state request's Python-level calls, as README states them
+    from test_float_path import CALL_BUDGET
+    text = " ".join((ROOT / "README.md").read_text().split())
+    quoted = re.search(r"One such request makes (\d+) Python-level calls", text)
+    assert quoted, "the README's call count moved"
+    assert int(quoted[1]) == CALL_BUDGET
