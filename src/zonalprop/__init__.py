@@ -11,8 +11,7 @@ formulas themselves in ``_kernels``, the verification machinery in
 ``oracle``.
 """
 
-from .errors import (ConfigError, CriticalInclinationError, EquatorialDecompositionError,
-                     NonEllipticStateError, ZonalPropError)
+from .errors import ConfigError, CriticalInclinationError, NonEllipticStateError, ZonalPropError
 from .gravity import EARTH, GravityField
 from .longperiod import critical_inclination_guard
 from .propagator import (MeanElements, PropagatorConfig, ephemeris,
@@ -25,8 +24,7 @@ from .states import (CartesianState, DelaunayState, NonsingularState,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "CriticalInclinationError",
-    "EquatorialDecompositionError", "NonEllipticStateError", "ZonalPropError",
+    "ConfigError", "CriticalInclinationError", "NonEllipticStateError", "ZonalPropError",
     "EARTH", "GravityField",
     "CartesianState", "DelaunayState", "NonsingularState",
     "cartesian_to_nonsingular", "nonsingular_to_cartesian",

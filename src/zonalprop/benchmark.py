@@ -30,7 +30,8 @@ from math import atan2, cos, sin, sqrt
 from . import _kernels
 from .gravity import GravityField, check_small_params
 from .longperiod import CRITICAL_TOL, critical_inclination_guard
-from .states import DelaunayState, delaunay_to_polar, polar_to_nonsingular
+from .propagator import mean_to_osculating
+from .states import DelaunayState, cartesian_to_nonsingular
 
 #: the math bindings counted, by kind
 _KINDS = {"sin": "trig", "cos": "trig", "atan2": "trig", "sqrt": "sqrt", "hypot": "sqrt"}
@@ -230,7 +231,9 @@ def run_benchmark(d: DelaunayState, field: GravityField, iterations: int = 2000,
     check_small_params(d.G, field)
     critical_inclination_guard(d.H / d.G, critical_tol)
     mu, alpha, c20, c30 = field.mu, field.alpha, field.c20, field.c30
-    ns = polar_to_nonsingular(delaunay_to_polar(d, mu))
+    # the nonsingular state of d: the pipeline's own map, whose every
+    # correction is exactly zero on the two-body field
+    ns = cartesian_to_nonsingular(mean_to_osculating(d, field.restricted("two-body")))
     ns_args = (ns.xi, ns.chi, ns.r, ns.R, ns.Theta, d.H, mu, alpha, c20, c30)
     del_args = (d.ell, d.g, d.L, d.G, d.H, mu, alpha, c20, c30)
 

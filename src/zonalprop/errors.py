@@ -19,10 +19,6 @@ class CriticalInclinationError(ZonalPropError):
     """
 
 
-class EquatorialDecompositionError(ZonalPropError):
-    """Node and argument of latitude are individually undefined (sin I ~ 0)."""
-
-
 class ConfigError(ZonalPropError):
     """Invalid or inconsistent run configuration."""
 

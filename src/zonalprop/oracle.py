@@ -1,10 +1,12 @@
 """Independent verification machinery.
 
-Nothing here is used by the analytic pipeline itself: the zonal potential
-and energy (shells of ``secular.zonal_hamiltonian``) and exact numerical
-integration of the J2+J3 equations of motion.  ``zonalprop compare`` and
+Nothing here is used by the analytic pipeline itself: exact numerical
+integration of the J2+J3 equations of motion (``integrate_grid``, driven by
+the one closed-form ``zonal_acceleration``), and the zonal potential and
+energy (shells of ``secular.zonal_hamiltonian``) that the tests check the
+integration and the acceleration against.  ``zonalprop compare`` and
 ``perfbench/checks.py`` measure the analytic theory against the
-integration; the test suite uses all of it as an oracle.
+integration.
 """
 
 import math
@@ -30,16 +32,10 @@ def zonal_potential(x: float, y: float, z: float, field: GravityField) -> float:
     return zonal_hamiltonian(r, 0.0, 0.0, z / r, field.mu, field.alpha, field.c20, field.c30)
 
 
-def zonal_acceleration(cart: CartesianState, field: GravityField) -> np.ndarray:
-    """Closed-form gradient of the zonal potential (central term included);
-    raises as ``zonal_potential`` does."""
-    return np.array(_acceleration(cart.x, cart.y, cart.z,
-                                  field.mu, field.alpha, field.c20, field.c30))
-
-
-def _acceleration(x: float, y: float, z: float, mu: float, alpha: float, c20: float,
-                  c30: float) -> tuple[float, float, float]:
-    """``zonal_acceleration`` on floats: the tuple (ax, ay, az)."""
+def zonal_acceleration(x: float, y: float, z: float, mu: float, alpha: float, c20: float,
+                       c30: float) -> tuple[float, float, float]:
+    """Closed-form gradient (ax, ay, az) of the zonal potential, central term
+    included, at (x, y, z), on floats; raises as ``zonal_potential`` does."""
     r2 = x * x + y * y + z * z
     if not 0.0 < r2 < math.inf:
         raise position_norm_error(r2)
@@ -73,7 +69,7 @@ def _rhs(field: GravityField):
 
     def f(t, state):
         x, y, z, vx, vy, vz = state.tolist()
-        return (vx, vy, vz, *_acceleration(x, y, z, mu, alpha, c20, c30))
+        return (vx, vy, vz, *zonal_acceleration(x, y, z, mu, alpha, c20, c30))
     return f
 
 
@@ -82,24 +78,18 @@ def _rhs(field: GravityField):
 TOL_RANGE = (100.0 * np.finfo(float).eps, 1e-6)
 
 
-def integrate(cart0: CartesianState, t0: float, t1: float, field: GravityField,
-              tol: float = 1e-12) -> CartesianState:
-    """``integrate_grid`` at the one time t1; at tol = 1e-12 the exact zonal
-    energy drifts by less than 1e-10 relative over 100 orbits."""
-    return CartesianState(*integrate_grid(cart0, t0, [t1], field, tol)[0].tolist())
-
-
 def integrate_grid(cart0: CartesianState, t0: float, ts, field: GravityField,
                    tol: float = 1e-12) -> np.ndarray:
     """Reference trajectory sampled at the grid times; (n, 6) array.
 
     Adaptive 8th-order explicit Runge-Kutta (DOP853) with local error
     control at ``tol``, which must lie in ``TOL_RANGE`` (ZonalPropError
-    otherwise, NaN and infinity included).  The grid may hold times on
-    either side of t0, in any order and repeated: each side is integrated
-    outwards from t0 through its distinct times in order, and the rows come
-    back in the order of ``ts``.  A non-finite time or t0 raises
-    ZonalPropError.
+    otherwise, NaN and infinity included); at tol = 1e-12 the exact zonal
+    energy drifts by less than 1e-10 relative over 100 orbits.  The grid
+    may hold times on either side of t0, in any order and repeated: each
+    side is integrated outwards from t0 through its distinct times in order,
+    and the rows come back in the order of ``ts``.  A non-finite time or t0
+    raises ZonalPropError.
     """
     lo, hi = TOL_RANGE
     if not lo <= tol <= hi:

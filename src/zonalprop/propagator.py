@@ -164,11 +164,18 @@ def _checked_grid(t0: float, ts) -> tuple[np.ndarray, float]:
     it; ZonalPropError unless the grid is one-dimensional, the epoch t0 and
     the grid are finite and no offset t - t0 overflows."""
     # ascontiguousarray would make a scalar a one-element grid
-    ts = np.asarray(ts, dtype=float)
+    try:
+        ts = np.asarray(ts, dtype=float)
+    except OverflowError:  # an int too large for a float
+        raise ZonalPropError("time grid must be finite") from None
     if ts.ndim != 1:
         raise ZonalPropError("time grid must be one-dimensional")
     ts = np.ascontiguousarray(ts)
-    if not math.isfinite(t0):
+    try:
+        finite = math.isfinite(t0)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
         raise ZonalPropError(f"epoch t0 must be finite, got {t0}")
     # the offsets t - t0 are finite exactly when the extreme ones are (a NaN
     # t makes both NaN): two reductions and no temporary the size of the
@@ -192,7 +199,11 @@ def _float_grid(t0: float, ts):
     for t in ts:
         if type(t) is not float:
             return None
-    if not math.isfinite(t0):
+    try:
+        finite = math.isfinite(t0)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
         raise ZonalPropError(f"epoch t0 must be finite, got {t0}")
     # once an offset is NaN or inf the span stays NaN or inf
     span = 0.0

@@ -1,5 +1,6 @@
-"""State representations and the exact transformations among Cartesian,
-polar-nodal, nonsingular, and Delaunay sets.
+"""State representations and the exact transformations the pipeline runs:
+Cartesian <-> nonsingular, and the osculating ellipse through a nonsingular
+state -> Delaunay elements.
 
 The nonsingular set (psi, xi, chi, r, R, Theta) carries the polar component
 of the angular momentum N as a constant of motion.  Two charts cover all
@@ -7,13 +8,17 @@ inclinations, and the sign of N picks one: psi = theta + nu for N >= 0 and
 psi* = theta - nu for N < 0, realised internally by mirroring the y axis.
 Each chart is regular on its own side of N = 0, so the chart is never
 stored or chosen: it is read off N wherever it is used.
+
+The paper derives the nonsingular corrections from the polar-nodal chart
+(r, theta, nu, R, Theta, N), but the pipeline never evaluates in it: the
+chart and its maps are test references, in ``tests/reference_forms.py``.
 """
 
 import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .errors import EquatorialDecompositionError, NonEllipticStateError, ZonalPropError
+from .errors import NonEllipticStateError, ZonalPropError
 
 _SLACK = 1e-9
 
@@ -34,34 +39,6 @@ class CartesianState:
 
     def velocity(self) -> tuple[float, float, float]:
         return (self.vx, self.vy, self.vz)
-
-
-@dataclass(frozen=True)
-class PolarNodalState:
-    """Canonical polar-nodal (Hill/Whittaker) variables (r, theta, nu, R, Theta, N)."""
-
-    r: float
-    theta: float
-    nu: float
-    R: float
-    Theta: float
-    N: float
-
-    def __post_init__(self):
-        if not (self.r > 0.0 and self.Theta > 0.0):
-            raise ZonalPropError(f"need r > 0 and Theta > 0, got r={self.r}, Theta={self.Theta}")
-        if abs(self.N) > self.Theta * (1.0 + _SLACK):
-            raise ZonalPropError(f"|N| = {abs(self.N)} exceeds Theta = {self.Theta}")
-
-    @property
-    def cos_inclination(self) -> float:
-        c = self.N / self.Theta
-        return max(-1.0, min(1.0, c))
-
-    @property
-    def sin_inclination(self) -> float:
-        c = self.cos_inclination
-        return math.sqrt(max(0.0, 1.0 - c * c))
 
 
 @dataclass(frozen=True)
@@ -117,9 +94,14 @@ class DelaunayState:
 
 
 def check_finite(kind: str, names, values) -> None:
-    """Raise ZonalPropError naming the first of ``values`` that is not finite."""
+    """Raise ZonalPropError naming the first of ``values`` that is not finite:
+    NaN, an infinity, or a Python int beyond the doubles."""
     for name, value in zip(names, values):
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
             raise ZonalPropError(f"{kind} {name} must be finite, got {value}")
 
 
@@ -137,36 +119,6 @@ def _check_delaunay(L, G, H) -> None:
         raise ZonalPropError(f"need 0 < G <= L, got G={G}, L={L}")
     if not abs(H) <= G * (1.0 + _SLACK):
         raise ZonalPropError(f"|H| = {abs(H)} exceeds G = {G}")
-
-
-# ---------------------------------------------------------------------------
-# polar-nodal <-> nonsingular
-# ---------------------------------------------------------------------------
-
-def polar_to_nonsingular(pn: PolarNodalState) -> NonsingularState:
-    """Exact map to the nonsingular set; chart picked by the sign of N."""
-    s = pn.sin_inclination
-    psi = pn.theta - pn.nu if pn.N < 0.0 else pn.theta + pn.nu
-    return NonsingularState(
-        psi=_kernels.wrap_pi(psi),
-        xi=s * math.sin(pn.theta),
-        chi=s * math.cos(pn.theta),
-        r=pn.r, R=pn.R, Theta=pn.Theta, N=pn.N,
-    )
-
-
-def nonsingular_to_polar(ns: NonsingularState) -> PolarNodalState:
-    """Inverse map; fails when sin(I) <= ``_kernels.EQUATORIAL_SIN`` (theta,
-    nu undefined there)."""
-    s = math.hypot(ns.xi, ns.chi)
-    if s <= _kernels.EQUATORIAL_SIN:
-        raise EquatorialDecompositionError(
-            "node and argument of latitude are undefined for an equatorial "
-            "orbit; convert through Cartesian coordinates instead")
-    theta = math.atan2(ns.xi, ns.chi)
-    nu = theta - ns.psi if ns.retrograde else ns.psi - theta
-    return PolarNodalState(r=ns.r, theta=theta, nu=_kernels.wrap_pi(nu),
-                           R=ns.R, Theta=ns.Theta, N=ns.N)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +148,12 @@ def cart_to_ns_checked(cart: CartesianState):
     results that break the NonsingularState invariants.
     """
     x, y, z, vx, vy, vz = cart.x, cart.y, cart.z, cart.vx, cart.vy, cart.vz
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
-            and math.isfinite(vx) and math.isfinite(vy) and math.isfinite(vz)):
+    try:
+        finite = (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
+                  and math.isfinite(vx) and math.isfinite(vy) and math.isfinite(vz))
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
         check_finite("state component", ("x", "y", "z", "vx", "vy", "vz"),
                      (x, y, z, vx, vy, vz))
     ns = _kernels.cart_to_ns(x, y, z, vx, vy, vz)
@@ -216,26 +172,8 @@ def cartesian_to_nonsingular(cart: CartesianState) -> NonsingularState:
 
 
 # ---------------------------------------------------------------------------
-# Delaunay <-> polar-nodal
+# the osculating ellipse -> Delaunay
 # ---------------------------------------------------------------------------
-
-def delaunay_to_polar(d: DelaunayState, mu: float) -> PolarNodalState:
-    """Kepler solve for u, then r, R, theta = f + g, nu = h."""
-    r, R, f = _kernels.delaunay_orbit(d.ell, d.L, d.G, mu)
-    return PolarNodalState(r=r, theta=_kernels.wrap_pi(f + d.g), nu=_kernels.wrap_pi(d.h),
-                           R=R, Theta=d.G, N=d.H)
-
-
-def polar_to_delaunay(pn: PolarNodalState, mu: float) -> DelaunayState:
-    """Inverse map via the eccentricity-vector projections.
-
-    For circular (equatorial) states the anomaly (node) split is the
-    standard convention f = 0 (h = nu), leaving the sums f + g and g + h
-    well defined.
-    """
-    ell, g, h, L, G, H, _ = ellipse_elements(pn.r, pn.theta, pn.nu, pn.R, pn.Theta, pn.N, mu)
-    return DelaunayState(ell=ell, g=g, h=h, L=L, G=G, H=H)
-
 
 def elliptic_projections(r: float, R: float, Theta: float, mu: float):
     """(ainv, kappa, sigma, e): the inverse semi-major axis and the

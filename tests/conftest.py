@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from zonalprop import EARTH, CartesianState, DelaunayState, _kernels, nonsingular_to_cartesian
-from zonalprop.states import PolarNodalState, delaunay_to_polar, polar_to_nonsingular
+from reference_forms import PolarNodalState, delaunay_to_polar, polar_to_nonsingular
 
 MU = EARTH.mu
 

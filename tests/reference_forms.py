@@ -6,6 +6,11 @@ The pipeline evaluates one formulation, the full nonsingular forms in
 same first-order theory in other ways, so the tests can check the pipeline's
 forms against them:
 
+* the polar-nodal chart (r, theta, nu, R, Theta, N) the paper derives its
+  corrections from, and its exact maps to the nonsingular and Delaunay
+  sets.  The pipeline never evaluates in it; the maps wrap the pipeline's
+  own ``_kernels.delaunay_orbit``, ``_kernels.wrap_pi`` and
+  ``states.ellipse_elements``;
 * the polar-nodal generating functions v1 (short period) and y1 (long
   period).  The periodic corrections are their Poisson brackets, carried
   into the nonsingular set by the chain rule
@@ -34,13 +39,96 @@ added at the mean state (direct map) or subtracted at the osculating state
 """
 
 import math
+from dataclasses import dataclass
 from math import cos, sin, sqrt
 
 from zonalprop import _kernels
 from zonalprop.benchmark import delaunay_long_series, delaunay_short_series
 from zonalprop.gravity import GravityField, check_small_params
 from zonalprop.longperiod import critical_inclination_guard
-from zonalprop.states import DelaunayState, NonsingularState, PolarNodalState, elliptic_projections
+from zonalprop.errors import ZonalPropError
+from zonalprop.states import (_SLACK, DelaunayState, NonsingularState, ellipse_elements,
+                              elliptic_projections)
+
+
+# ---------------------------------------------------------------------------
+# the polar-nodal chart
+# ---------------------------------------------------------------------------
+
+class EquatorialDecompositionError(ZonalPropError):
+    """Node and argument of latitude are individually undefined (sin I ~ 0)."""
+
+
+@dataclass(frozen=True)
+class PolarNodalState:
+    """Canonical polar-nodal (Hill/Whittaker) variables (r, theta, nu, R, Theta, N)."""
+
+    r: float
+    theta: float
+    nu: float
+    R: float
+    Theta: float
+    N: float
+
+    def __post_init__(self):
+        if not (self.r > 0.0 and self.Theta > 0.0):
+            raise ZonalPropError(f"need r > 0 and Theta > 0, got r={self.r}, Theta={self.Theta}")
+        if abs(self.N) > self.Theta * (1.0 + _SLACK):
+            raise ZonalPropError(f"|N| = {abs(self.N)} exceeds Theta = {self.Theta}")
+
+    @property
+    def cos_inclination(self) -> float:
+        c = self.N / self.Theta
+        return max(-1.0, min(1.0, c))
+
+    @property
+    def sin_inclination(self) -> float:
+        c = self.cos_inclination
+        return math.sqrt(max(0.0, 1.0 - c * c))
+
+
+def polar_to_nonsingular(pn: PolarNodalState) -> NonsingularState:
+    """Exact map to the nonsingular set; chart picked by the sign of N."""
+    s = pn.sin_inclination
+    psi = pn.theta - pn.nu if pn.N < 0.0 else pn.theta + pn.nu
+    return NonsingularState(
+        psi=_kernels.wrap_pi(psi),
+        xi=s * math.sin(pn.theta),
+        chi=s * math.cos(pn.theta),
+        r=pn.r, R=pn.R, Theta=pn.Theta, N=pn.N,
+    )
+
+
+def nonsingular_to_polar(ns: NonsingularState) -> PolarNodalState:
+    """Inverse map; fails when sin(I) <= ``_kernels.EQUATORIAL_SIN`` (theta,
+    nu undefined there)."""
+    s = math.hypot(ns.xi, ns.chi)
+    if s <= _kernels.EQUATORIAL_SIN:
+        raise EquatorialDecompositionError(
+            "node and argument of latitude are undefined for an equatorial "
+            "orbit; convert through Cartesian coordinates instead")
+    theta = math.atan2(ns.xi, ns.chi)
+    nu = theta - ns.psi if ns.retrograde else ns.psi - theta
+    return PolarNodalState(r=ns.r, theta=theta, nu=_kernels.wrap_pi(nu),
+                           R=ns.R, Theta=ns.Theta, N=ns.N)
+
+
+def delaunay_to_polar(d: DelaunayState, mu: float) -> PolarNodalState:
+    """Kepler solve for u, then r, R, theta = f + g, nu = h."""
+    r, R, f = _kernels.delaunay_orbit(d.ell, d.L, d.G, mu)
+    return PolarNodalState(r=r, theta=_kernels.wrap_pi(f + d.g), nu=_kernels.wrap_pi(d.h),
+                           R=R, Theta=d.G, N=d.H)
+
+
+def polar_to_delaunay(pn: PolarNodalState, mu: float) -> DelaunayState:
+    """Inverse map via the eccentricity-vector projections.
+
+    For circular (equatorial) states the anomaly (node) split is the
+    standard convention f = 0 (h = nu), leaving the sums f + g and g + h
+    well defined.
+    """
+    ell, g, h, L, G, H, _ = ellipse_elements(pn.r, pn.theta, pn.nu, pn.R, pn.Theta, pn.N, mu)
+    return DelaunayState(ell=ell, g=g, h=h, L=L, G=G, H=H)
 
 
 def _core_args(pn: PolarNodalState) -> tuple:

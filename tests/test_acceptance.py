@@ -15,11 +15,11 @@ from zonalprop.benchmark import format_report, run_benchmark
 from zonalprop.oracle import integrate_grid
 from zonalprop.propagator import ephemeris_array
 from zonalprop.secular import orbital_period
-from zonalprop.states import delaunay_to_polar, polar_to_delaunay, polar_to_nonsingular
 from conftest import (angle_diff, cart_distance, elements_to_cartesian, elements_to_polar,
                       field_small_params, loglog_slope, random_polar_states)
 from exact_brackets import POLAR, brackets, generating_function, worst_gap
-from reference_forms import (long_corrections_low_inclination, long_corrections_nonsingular,
+from reference_forms import (delaunay_to_polar, long_corrections_low_inclination,
+                             long_corrections_nonsingular, polar_to_delaunay, polar_to_nonsingular,
                              short_corrections_low_inclination, short_corrections_nonsingular,
                              u1_delaunay, v1, x1_delaunay, y1)
 

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -101,3 +102,51 @@ def test_q1_of_the_delaunay_series():
     assert benchmark.q1_polynomial(-1.0) == -28.0
     assert benchmark.q1_polynomial(0.5) == pytest.approx(
         0.25 * (1.0 - 43.0 / 4.0 + 155.0 / 16.0 - 225.0 / 64.0), abs=1e-15)
+
+
+def _chart_test_states():
+    """Seeded mean states, plus i = 0, 90 and 180 deg exactly at e 0 and 0.99."""
+    rng = random.Random(36)
+    states = []
+    for _ in range(300):
+        a, e = rng.uniform(6800.0, 42000.0), rng.uniform(0.0, 0.95)
+        L = math.sqrt(MU * a)
+        G = L * math.sqrt(1.0 - e * e)
+        H = G * math.cos(math.radians(rng.uniform(0.0, 180.0)))
+        states.append(DelaunayState(*(rng.uniform(-math.pi, math.pi) for _ in range(3)), L, G, H))
+    for e in (0.0, 0.99):
+        L = math.sqrt(MU * 8000.0)
+        G = L * math.sqrt(1.0 - e * e)
+        for H in (G, 0.0, -G):
+            states += [DelaunayState(ell, 0.4, 1.0, L, G, H) for ell in (0.0, 2.0, math.pi)]
+    return states
+
+
+def test_benchmark_input_equals_the_polar_nodal_chart(monkeypatch):
+    # the benchmark forms its nonsingular input with the pipeline's own maps
+    # on the two-body field, where every correction is exactly zero; the
+    # chart it replaced agrees in every component the pass reads.  xi and chi
+    # are compared absolutely, r and Theta relative to themselves and R
+    # relative to sqrt(mu / r).  The worst gap measured is 4.6e-16 on these
+    # states and 4.7e-16 over 3 000 states of perfbench's catalogue
+    from reference_forms import delaunay_to_polar, polar_to_nonsingular
+    from zonalprop import cartesian_to_nonsingular, mean_to_osculating
+    two_body = EARTH.restricted("two-body")
+    worst = 0.0
+    for d in _chart_test_states():
+        ns = cartesian_to_nonsingular(mean_to_osculating(d, two_body))
+        chart = polar_to_nonsingular(delaunay_to_polar(d, MU))
+        gaps = (abs(ns.xi - chart.xi), abs(ns.chi - chart.chi),
+                abs(ns.r - chart.r) / chart.r, abs(ns.Theta - chart.Theta) / chart.Theta,
+                abs(ns.R - chart.R) / math.sqrt(MU / chart.r))
+        worst = max(worst, *gaps)
+    assert worst < 1e-13
+
+    # and it is that input the benchmark passes to the counted pass
+    seen = []
+    monkeypatch.setattr(benchmark, "_ns_path", lambda *args: seen.append(args))
+    d = _mean_state()
+    run_benchmark(d, EARTH, iterations=0)
+    ns = cartesian_to_nonsingular(mean_to_osculating(d, two_body))
+    assert seen == [(ns.xi, ns.chi, ns.r, ns.R, ns.Theta, d.H,
+                     EARTH.mu, EARTH.alpha, EARTH.c20, EARTH.c30)]

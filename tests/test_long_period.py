@@ -6,11 +6,11 @@ import pytest
 
 from zonalprop import (EARTH, CriticalInclinationError, NonsingularState, ZonalPropError,
                        critical_inclination_guard)
-from zonalprop.states import PolarNodalState, polar_to_delaunay, polar_to_nonsingular
 from conftest import (add_deltas, elements_to_polar, field_small_params, loglog_slope,
                       random_polar_states)
 from exact_brackets import POLAR, brackets, exact_deltas, generating_function, worst_gap
-from reference_forms import (long_corrections_low_inclination, long_corrections_nonsingular,
+from reference_forms import (PolarNodalState, long_corrections_low_inclination,
+                             long_corrections_nonsingular, polar_to_delaunay, polar_to_nonsingular,
                              x1_delaunay, y1)
 
 MU = EARTH.mu

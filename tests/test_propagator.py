@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonalprop import (EARTH, CartesianState, ConfigError, CriticalInclinationError,
-                       DelaunayState, GravityField, NonEllipticStateError, PropagatorConfig,
-                       ZonalPropError, _kernels,
+                       DelaunayState, GravityField, NonEllipticStateError, NonsingularState,
+                       PropagatorConfig, ZonalPropError, _kernels,
                        cartesian_to_nonsingular, ephemeris, ephemeris_array,
                        mean_to_osculating, osculating_to_mean, secular_rates)
 from zonalprop.oracle import integrate_grid
 from zonalprop.secular import orbital_period
-from zonalprop.states import polar_to_delaunay
 from conftest import (angle_diff, cart_distance, elements_to_cartesian, elements_to_polar,
                       loglog_slope)
+from reference_forms import polar_to_delaunay
 
 MU = EARTH.mu
 TWO_BODY = EARTH.restricted("two-body")
@@ -635,3 +635,39 @@ class TestDegenerateOrbits:
             errs.append(float(np.sqrt(np.mean(
                 np.sum((ana[:, :3] - num[:, :3]) ** 2, axis=1)))))
         assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.15)
+
+
+#: a Python int beyond the doubles: math.isfinite and np.asarray(..., float)
+#: raise OverflowError for it, where a float would be inf
+HUGE = 10 ** 400
+_LEO = elements_to_cartesian(7000.0, 0.05, math.radians(30.0), 0.3, 0.7, 1.1)
+_LONG_GRID = 60.0 * np.arange(_kernels.ARRAY_MIN_EPOCHS)
+
+
+def _propagate_mean_huge_dt():
+    from zonalprop import propagate_mean
+    mean = osculating_to_mean(_LEO, EARTH)
+    return propagate_mean(mean.delaunay, mean.rates, HUGE)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ephemeris_array(_LEO, HUGE, [0.0], EARTH), "epoch t0 must be finite, got 1000"),
+    (lambda: ephemeris_array(_LEO, HUGE, _LONG_GRID, EARTH), "epoch t0 must be finite, got 1000"),
+    (lambda: ephemeris_array(_LEO, 0.0, [HUGE], EARTH), "time grid must be finite$"),
+    (lambda: ephemeris_array(_LEO, 0.0, [*_LONG_GRID.tolist(), HUGE], EARTH),
+     "time grid must be finite$"),
+    (lambda: ephemeris(_LEO, 0.0, [HUGE], EARTH), "time grid must be finite$"),
+    (_propagate_mean_huge_dt, "propagate_mean: dt must be finite, got 1000"),
+    (lambda: DelaunayState(HUGE, 0.0, 0.0, 52000.0, 51000.0, 0.0),
+     "Delaunay element ell must be finite, got 1000"),
+    (lambda: NonsingularState(HUGE, 0.0, 0.0, 7000.0, 0.0, 52000.0, 0.0),
+     "nonsingular component psi must be finite, got 1000"),
+    (lambda: osculating_to_mean(CartesianState(HUGE, 0.0, 0.0, 0.0, 7.5, 0.0), EARTH),
+     "state component x must be finite, got 1000"),
+], ids=["short-grid-epoch", "long-grid-epoch", "short-grid-time", "long-grid-time",
+        "ephemeris", "propagate_mean", "delaunay-state", "nonsingular-state",
+        "osculating_to_mean"])
+def test_int_beyond_the_doubles_is_not_finite(call, message):
+    # each raised a bare OverflowError, not ZonalPropError
+    with pytest.raises(ZonalPropError, match="^" + message):
+        call()

@@ -67,3 +67,26 @@ def test_call_count_matches_the_budget():
     quoted = re.search(r"One such request makes (\d+) Python-level calls", text)
     assert quoted, "the README's call count moved"
     assert int(quoted[1]) == CALL_BUDGET
+
+
+def test_cited_names_exist():
+    # a name README cites as `module.name` (or `zonalprop.module.name`) for a
+    # package module must still be there: a move that leaves README behind
+    # fails here.  File names such as `benchmark.txt` are not citations
+    import importlib
+    modules = {p.stem for p in (ROOT / "src" / "zonalprop").glob("*.py")} - {"__init__"}
+    files = {"csv", "ini", "json", "md", "py", "txt"}
+    text = (ROOT / "README.md").read_text()
+    cited = set(re.findall(r"`(?:zonalprop\.)?(\w+)\.([\w.]+)`", text))
+    cited = [(module, path) for module, path in sorted(cited)
+             if module in modules and path not in files]
+    assert cited, "README cites no package name"
+
+    def resolves(module, path):
+        obj = importlib.import_module(f"zonalprop.{module}")
+        for attr in path.split("."):
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    assert [f"{module}.{path}" for module, path in cited if not resolves(module, path)] == []

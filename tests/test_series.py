@@ -8,8 +8,9 @@ from dataclasses import replace
 import pytest
 
 from zonalprop import EARTH, DelaunayState
-from reference_forms import (delaunay_long_period, delaunay_short_period,
-                             mean_to_osculating_delaunay, u1_delaunay, x1_delaunay)
+from reference_forms import (delaunay_long_period, delaunay_short_period, delaunay_to_polar,
+                             mean_to_osculating_delaunay, polar_to_nonsingular, u1_delaunay,
+                             x1_delaunay)
 
 MU = EARTH.mu
 NAMES = ("ell", "g", "h", "L", "G", "H")
@@ -85,7 +86,6 @@ class TestComposedTransformation:
         # order: the disagreement shrinks as lambda^2 under J2 inflation
         import numpy as np
         from zonalprop import mean_to_osculating, nonsingular_to_cartesian
-        from zonalprop.states import delaunay_to_polar, polar_to_nonsingular
         from conftest import cart_distance, loglog_slope
 
         def disagreement(d, field):

@@ -5,11 +5,11 @@ from dataclasses import replace
 import pytest
 
 from zonalprop import EARTH, NonsingularState
-from zonalprop.states import PolarNodalState, polar_to_delaunay, polar_to_nonsingular
 from conftest import (add_deltas, elements_to_polar, field_small_params, loglog_slope,
                       random_polar_states)
 from exact_brackets import POLAR, brackets, exact_deltas, generating_function, worst_gap
-from reference_forms import (short_corrections_low_inclination, short_corrections_nonsingular,
+from reference_forms import (PolarNodalState, polar_to_delaunay, polar_to_nonsingular,
+                             short_corrections_low_inclination, short_corrections_nonsingular,
                              u1_delaunay, v1)
 
 MU = EARTH.mu

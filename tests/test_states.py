@@ -5,14 +5,13 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from zonalprop import (EARTH, CartesianState, DelaunayState,
-                       EquatorialDecompositionError, NonsingularState, ZonalPropError,
+from zonalprop import (EARTH, CartesianState, DelaunayState, NonsingularState, ZonalPropError,
                        _kernels, cartesian_to_nonsingular, ephemeris_array,
                        nonsingular_to_cartesian, osculating_to_mean)
-from zonalprop.states import (PolarNodalState, _check_delaunay, delaunay_to_polar,
-                              elliptic_projections, nonsingular_to_polar, polar_to_delaunay,
-                              polar_to_nonsingular)
+from zonalprop.states import _check_delaunay, elliptic_projections
 from conftest import angle_diff
+from reference_forms import (EquatorialDecompositionError, PolarNodalState, delaunay_to_polar,
+                             nonsingular_to_polar, polar_to_delaunay, polar_to_nonsingular)
 
 MU = EARTH.mu
 
