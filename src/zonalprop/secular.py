@@ -54,14 +54,17 @@ def zonal_hamiltonian(r, R, Theta, xi, mu, alpha, c20, c30):
     (xi = z/r): (R^2 + Theta^2/r^2)/2 - (mu/r)(1 + (alpha/r)^2 c20 P2(xi) +
     (alpha/r)^3 c30 P3(xi)).  Plain arithmetic and no check, so it runs on
     floats, NumPy arrays and sympy symbols alike; products, not a float **,
-    so a float overflow gives inf and not OverflowError.  The J3 product
-    meets P3 before any power of alpha/r, so on the equator (P3 = 0) it is 0
-    wherever alpha/r is finite, not inf * 0: the J2 term's -inf stands."""
+    so a float overflow gives inf and not OverflowError.  The zonal sum is
+    nested, ar (ar (c20 P2 + ar c30 P3)) with ar = alpha/r, so each
+    coefficient meets its P before any power of ar: wherever ar is finite a
+    zero term (c20 = c30 = 0, or P3 = 0 on the equator) adds exactly 0, not
+    inf * 0, and the two terms are summed before they can overflow, so the
+    larger one's sign stands and not inf - inf."""
     ar = alpha / r
     p2 = (3 * xi * xi - 1) / 2
     p3 = (5 * xi * xi - 3) * xi / 2
     return ((R * R + Theta * Theta / (r * r)) / 2
-            - (mu / r) * (1 + ar * ar * c20 * p2 + ar * (ar * (ar * p3)) * c30))
+            - (mu / r) * (1 + ar * (ar * (c20 * p2 + ar * (c30 * p3)))))
 
 
 def mean_hamiltonian(L: float, G: float, H: float, field: GravityField) -> float:

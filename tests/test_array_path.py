@@ -3,8 +3,9 @@
 Grids of ``ARRAY_MIN_EPOCHS`` epochs or more run through the kernels on
 arrays; the reference is the same grid asked for one epoch at a time, which
 runs the kernels on floats.  The two differ only by the last-bit rounding
-of NumPy's ufuncs and the half-angle ``sincos`` against ``math``; the
-tolerances below are fixed before measuring and sit far above that.
+of NumPy's ufuncs and the half-angle ``sincos`` and ``esincos`` against
+``math``; the tolerances below are fixed before measuring and sit far above
+that.
 """
 
 import collections
@@ -115,13 +116,25 @@ def _kepler_grid():
     return np.concatenate([half, -half])
 
 
+def _assert_kepler_roots(ell, u, ref, e):
+    """Residual below KEPLER_TOL on the array roots u and the float roots
+    ref, and the two within KEPLER_TOL of each other scaled by the slope
+    1 - e cos u of Kepler's equation: each path's Halley steps read its own
+    e sin u (a half-angle tangent on arrays, ``math.sin`` on floats), so the
+    roots part by about a rounding of the residual over that slope, which
+    grows as e -> 1 and u -> 0."""
+    a = _kernels.wrap_pi(ell)
+    assert np.max(np.abs(u - e * np.sin(u) - a)) < _kernels.KEPLER_TOL, e
+    assert np.max(np.abs(ref - e * np.sin(ref) - a)) < _kernels.KEPLER_TOL, e
+    assert np.max(np.abs(u - ref) * (1.0 - e * np.cos(u))) <= _kernels.KEPLER_TOL, e
+
+
 @pytest.mark.parametrize("e", KEPLER_ECCENTRICITIES)
 def test_kepler_solver_converges_on_both_paths(e):
     ell = _kepler_grid()
     u = _kernels.kepler_u(ell, e)
-    assert np.max(np.abs(u - e * np.sin(u) - _kernels.wrap_pi(ell))) < _kernels.KEPLER_TOL
     ref = np.array([_kernels.kepler_u(x, e) for x in ell.tolist()])
-    assert np.array_equal(u.view(np.int64), ref.view(np.int64))
+    _assert_kepler_roots(ell, u, ref, e)
 
 
 @pytest.mark.parametrize("e", KEPLER_ECCENTRICITIES)
@@ -145,19 +158,20 @@ def _kepler_sweep_anomalies():
     return np.concatenate([half, -half])
 
 
-def _assert_kepler_converges(ell, e, parity_stride):
+def _assert_kepler_converges(ell, e, float_stride):
     u = _kernels.kepler_u(ell, e)
     res = np.abs(u - e * np.sin(u) - _kernels.wrap_pi(ell))
     assert np.max(res) < _kernels.KEPLER_TOL, e
-    sub = ell[::parity_stride]
+    sub = ell[::float_stride]
     ref = np.array([_kernels.kepler_u(x, e) for x in sub.tolist()])
-    assert np.array_equal(u[::parity_stride].view(np.int64), ref.view(np.int64)), e
+    _assert_kepler_roots(sub, u[::float_stride], ref, e)
 
 
 def test_kepler_step_table_edges():
     """Every edge of the step table and its nextafter neighbours (the last
     step count of a band and the first of the next): residual below
-    KEPLER_TOL and float/array parity on all 10**4 anomalies."""
+    KEPLER_TOL on both paths, and the float and array roots within
+    KEPLER_TOL of each other scaled by the slope, on all 10**4 anomalies."""
     ell = _kepler_sweep_anomalies()
     edges = np.array(_kernels.KEPLER_ECC)
     eccs = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
@@ -170,7 +184,8 @@ def test_kepler_step_table_edges():
 def test_kepler_sweep_toward_one():
     """200 e log-spaced in 1 - e from 1 to 2**-53 (e = 0 to the largest
     double below 1): residual below KEPLER_TOL on all 10**4 anomalies, and
-    float/array parity on every 20th one (the float solves take 1-11 us)."""
+    on both paths with the roots compared scaled by the slope on every 20th
+    one (the float solves take 1-11 us)."""
     ell = _kepler_sweep_anomalies()
     eccs = 1.0 - np.logspace(0.0, -53.0 * math.log10(2.0), 200)
     assert eccs[0] == 0.0 and eccs[-1] == 1.0 - 2.0 ** -53 and np.all(eccs < 1.0)
@@ -178,48 +193,41 @@ def test_kepler_sweep_toward_one():
         _assert_kepler_converges(ell, e, 20)
 
 
-def test_kepler_sin_budget_at_high_eccentricity(monkeypatch):
-    """At e = 0.999 a solve takes the step table's 6 Halley steps, one sine
-    each, and no sine for the start or to confirm the root."""
-    calls = collections.Counter()
-    sin = _kernels._NUMPY.sin
-
-    def counted(x):
-        calls["sin"] += 1
-        return sin(x)
-
-    monkeypatch.setattr(_kernels._NUMPY, "sin", counted)
-    ell = np.linspace(-math.pi, math.pi, 240001)
+def test_kepler_sin_budget_at_high_eccentricity(numpy_passes):
+    """At e = 0.999 a solve takes the step table's 6 Halley steps, one
+    tangent each, and no sine, for the start, the steps or to confirm the
+    root."""
+    ell = numpy_passes.array(np.linspace(-math.pi, math.pi, 240001))
     u = _kernels.kepler_u(ell, 0.999)
-    assert np.max(np.abs(u - 0.999 * sin(u) - _kernels.wrap_pi(ell))) < _kernels.KEPLER_TOL
-    assert calls["sin"] <= 6
+    assert (numpy_passes.by_name["sin"], numpy_passes.by_name["tan"]) == (0, 6)
+    assert np.max(np.abs(u - 0.999 * np.sin(u) - _kernels.wrap_pi(ell))) < _kernels.KEPLER_TOL
 
 
-def test_kepler_calls_libm_once_per_step(monkeypatch):
+def test_kepler_calls_libm_once_per_step(monkeypatch, numpy_passes):
     """At e = 0.7281 (the benchmark's eccentric orbit): three Halley steps,
-    one sine each, and no cosine; the clamped loop before took 5 sines
-    (start, three steps, a confirming one), Newton 7 sines and 5 cosines.
-    A float solve at e = 0.0015 (the benchmark's SSO) makes one counted
-    sine, the single step's."""
-    calls = collections.Counter()
+    one tangent each, and no sine or cosine (the step before took one
+    ``np.sin``, which NumPy runs on scalar libm, and one square root; the
+    clamped loop before that 5 sines, Newton 7 sines and 5 cosines).  A
+    float solve at e = 0.0015 (the benchmark's SSO) makes one counted sine
+    and one counted cosine, the single step's."""
+    ell = numpy_passes.array(np.linspace(-math.pi, math.pi, 240001))
+    u = _kernels.kepler_u(ell, 0.7281)
+    calls = numpy_passes.by_name
+    assert (calls["sin"], calls["cos"], calls["tan"], calls["sqrt"]) == (0, 0, 3, 0)
+    assert np.max(np.abs(u - 0.7281 * np.sin(u) - _kernels.wrap_pi(ell))) < _kernels.KEPLER_TOL
+
+    floats = collections.Counter()
 
     def counted(name, fn):
         def wrapped(x):
-            calls[name] += 1
+            floats[name] += 1
             return fn(x)
         return wrapped
 
-    for name in ("sin", "cos"):
-        monkeypatch.setattr(_kernels._NUMPY, name, counted(name, getattr(np, name)))
-    ell = np.linspace(-math.pi, math.pi, 240001)
-    u = _kernels.kepler_u(ell, 0.7281)
-    assert np.max(np.abs(u - 0.7281 * np.sin(u) - _kernels.wrap_pi(ell))) < _kernels.KEPLER_TOL
-    assert calls["cos"] == 0
-    assert calls["sin"] <= 3
-    for name in ("sin", "cos"):
-        monkeypatch.setattr(_kernels, name, counted("float " + name, getattr(math, name)))
+    for name in ("sin", "cos", "sqrt"):
+        monkeypatch.setattr(_kernels, name, counted(name, getattr(math, name)))
     _kernels.kepler_u(0.7, 0.0015)
-    assert (calls["float sin"], calls["float cos"]) == (1, 0)
+    assert (floats["sin"], floats["cos"], floats["sqrt"]) == (1, 1, 0)
 
 
 def test_every_formulation():
@@ -305,26 +313,32 @@ def test_blocks_are_near_equal_and_bounded():
         assert sizes.max() <= 1.5 * _kernels.EPOCH_BLOCK
 
 
-#: NumPy passes and ``np.sin`` calls of one 8640-epoch block (one day at
-#: 10 s) of each benchmark orbit, counted by the ``numpy_passes`` fixture.
-#: The passes are this code's own counts (the clamped Kepler loop before
-#: took 389, 387, 387, 411, 413 and 435); the Kepler steps make most of the
-#: spread, and the psi* chart's two sign flips the rest.  The sines are one
+#: NumPy passes, ``np.sin`` and ``np.tan`` calls of one 8640-epoch block
+#: (one day at 10 s) of each benchmark orbit, counted by the ``numpy_passes``
+#: fixture.  The passes are this code's own counts (a Halley step with an
+#: ``np.sin`` took 364, 362, 362, 381, 383 and 400, the clamped Kepler loop
+#: before it 389, 387, 387, 411, 413 and 435); the Kepler steps make most of
+#: the spread, and the psi* chart's two sign flips the rest.  No pass is a
+#: sine, since NumPy's float64 sin runs on scalar libm.  The tangents are one
 #: per Halley step, at mean e 0.0015 (sso), 2e-4 (geo), 0.011 (near-eq),
-#: 0.049 (leo), 0.020 (retro) and 0.728 (gto)
-BLOCK_PASSES = {"sso": 364, "geo": 362, "near-eq": 362, "leo": 381, "retro": 383, "gto": 400}
-BLOCK_SINES = {"sso": 1, "geo": 1, "near-eq": 1, "leo": 2, "retro": 2, "gto": 3}
+#: 0.049 (leo), 0.020 (retro) and 0.728 (gto), and three for the sin/cos
+#: pairs of the anomalies, the latitude and the Cartesian map
+BLOCK_PASSES = {"sso": 360, "geo": 358, "near-eq": 358, "leo": 376, "retro": 378, "gto": 394}
+BLOCK_SINES = {"sso": 0, "geo": 0, "near-eq": 0, "leo": 0, "retro": 0, "gto": 0}
+BLOCK_TANS = {"sso": 4, "geo": 4, "near-eq": 4, "leo": 5, "retro": 5, "gto": 6}
 #: the passes of BLOCK_PASSES that allocate their result, this code's own
 #: counts: the kernels update their own temporaries in place (every pass
-#: allocated before, 381 of 381 on leo).  Each Halley step allocates 6
-BLOCK_ALLOCATING = {"sso": 130, "geo": 130, "near-eq": 130, "leo": 136, "retro": 136, "gto": 142}
+#: allocated before, 381 of 381 on leo).  Each Halley step allocates 4, and
+#: each half-angle sin/cos pair 2 (130, 130, 130, 136, 136 and 142 before)
+BLOCK_ALLOCATING = {"sso": 125, "geo": 125, "near-eq": 125, "leo": 129, "retro": 129, "gto": 133}
 
 
 def test_dense_grid_budget(monkeypatch, numpy_passes):
     """One day at 5 s, the benchmark's dense grid: two balanced blocks, and
     the short-period stage takes eta and phi without the hypot and atan2 of
     the circular split.  One block of each benchmark orbit stays within its
-    pass and sine budget, and gives the rows ``ephemeris_array`` gives."""
+    pass, sine and tangent budget, and gives the rows ``ephemeris_array``
+    gives."""
     blocks = collections.Counter()
     reconstruct = _kernels.reconstruct_and_correct
 
@@ -357,6 +371,7 @@ def test_dense_grid_budget(monkeypatch, numpy_passes):
         assert numpy_passes.total <= BLOCK_PASSES[name], name
         assert numpy_passes.allocated <= BLOCK_ALLOCATING[name], name
         assert numpy_passes.by_name["sin"] <= BLOCK_SINES[name], name
+        assert numpy_passes.by_name["tan"] <= BLOCK_TANS[name], name
     monkeypatch.undo()
     for name, cart in carts.items():
         assert np.array_equal(rows[name], ephemeris_array(cart, 0.0, block, EARTH)), name
@@ -417,16 +432,33 @@ def _sincos_sweep(n):
                            edges])
 
 
-def test_sincos_array_form_is_close_odd_and_even():
-    x = _sincos_sweep(10 ** 6)
-    s, c = _kernels._NUMPY.sincos(x)
-    assert np.max(np.abs(s - np.sin(x))) <= 4.5e-16
-    assert np.max(np.abs(c - np.cos(x))) <= 4.5e-16
-    s_neg, c_neg = _kernels._NUMPY.sincos(-x)
+#: eccentricities of the ``esincos`` checks: 0, the benchmark's, and up to
+#: the largest double below 1
+ESINCOS_ECCENTRICITIES = [0.0, 0.0015, 0.7281, 0.999, 1.0 - 2.0 ** -53]
+
+
+def _assert_close_odd_and_even(x, pair, ref_s, ref_c, zero_c, c_scale=1.0):
+    s, c = pair(x)
+    assert np.max(np.abs(s - ref_s)) <= 4.5e-16
+    assert np.max(np.abs(c - ref_c)) <= 4.5e-16 * c_scale
+    s_neg, c_neg = pair(-x)
     assert np.array_equal(s_neg, -s) and np.array_equal(np.signbit(s_neg), ~np.signbit(s))
     assert np.array_equal(c_neg, c) and np.array_equal(np.signbit(c_neg), np.signbit(c))
-    assert np.array_equal(np.signbit(_kernels._NUMPY.sincos(np.array([0.0, -0.0]))[0]),
-                          [False, True])
+    s0, c0 = pair(np.array([0.0, -0.0]))
+    assert np.array_equal(s0, [0.0, 0.0]) and np.array_equal(np.signbit(s0), [False, True])
+    assert np.max(np.abs(c0 - zero_c)) <= 4.5e-16
+
+
+def test_sincos_array_form_is_close_odd_and_even():
+    x = _sincos_sweep(10 ** 6)
+    _assert_close_odd_and_even(x, _kernels._NUMPY.sincos, np.sin(x), np.cos(x), 1.0)
+    assert np.array_equal(_kernels._NUMPY.sincos(np.array([0.0, -0.0]))[1], [1.0, 1.0])
+    # e cos x - 1 reaches -(1 + e), so its bound scales by 1 + e: the
+    # rounding of 1 + e and of 2e / (1 + t^2) near |q| = e is an ulp of 2,
+    # not of 1 (5.6e-16 at e = 0.999, near x = -5.32)
+    for e in ESINCOS_ECCENTRICITIES:
+        _assert_close_odd_and_even(x, lambda v: _kernels._NUMPY.esincos(v, e),
+                                   e * np.sin(x), e * np.cos(x) - 1.0, e - 1.0, 1.0 + e)
 
 
 def test_sincos_float_form_is_math():
@@ -434,6 +466,10 @@ def test_sincos_float_form_is_math():
         s, c = _kernels.sincos(x)
         assert (s, c) == (math.sin(x), math.cos(x))
         assert math.copysign(1.0, s) == math.copysign(1.0, math.sin(x))
+        for e in ESINCOS_ECCENTRICITIES:
+            es, ec = _kernels.esincos(x, e)
+            assert (es, ec) == (e * math.sin(x), e * math.cos(x) - 1.0)
+            assert math.copysign(1.0, es) == math.copysign(1.0, e * math.sin(x))
 
 
 def test_kepler_residuals_on_array_input():

@@ -342,8 +342,8 @@ class TestWriter:
         assert main(["propagate", "--config", str(EXAMPLE_CONFIG),
                      "--ephemeris", str(out)]) == 0
         assert out.read_text().splitlines()[1] == (
-            "0,-2862.031744488148,5299.026377826568,2860.3606012402688,"
-            "-6.2690101814270482,-4.3565725512944002,2.0847309221916839")
+            "0,-2862.0317444881475,5299.026377826568,2860.3606012402684,"
+            "-6.26901018142705,-4.3565725512943994,2.0847309221916834")
 
     def test_compare_table_matches_per_row_form(self):
         # the compare report's t / position / velocity error table, over one

@@ -80,10 +80,19 @@ class TestZonalAcceleration:
         # (alpha / r)^3 overflows at r = 1e-120 km: a float ** raised a bare
         # OverflowError; the product gives inf, and the energy -inf
         # on the equator P3 = 0, and the J3 term was inf * 0 = NaN once
-        # (alpha / r)^3 overflowed (1e-120 km) or (alpha / r)^2 did (1e-160 km)
-        for pos in ((6e-121, 0.0, 8e-121), (1e-120, 0.0, 0.0), (1e-160, 0.0, 0.0)):
+        # (alpha / r)^3 overflowed (1e-120 km) or (alpha / r)^2 did (1e-160 km).
+        # Off the equator at 1e-155 km the J2 term (-inf) and the J3 term
+        # (+inf) met as inf - inf = NaN; the J3 term outgrows J2 there
+        for pos in ((6e-121, 0.0, 8e-121), (1e-120, 0.0, 0.0), (1e-160, 0.0, 0.0),
+                    (0.6e-155, 0.0, 0.8e-155)):
             assert zonal_potential(*pos, EARTH) == -math.inf
             assert zonal_energy(CartesianState(*pos, 0.0, 1.0, 0.0), EARTH) == -math.inf
+        # in the two-body field the zero coefficients add exactly 0, not
+        # c20 * inf = NaN: the potential is -mu/r, which is finite (r is the
+        # norm the potential forms, from a subnormal r^2)
+        r = math.sqrt(1e-155 * 1e-155)
+        two_body = EARTH.restricted("two-body")
+        assert zonal_potential(1e-155, 0.0, 0.0, two_body) == -EARTH.mu / r > -math.inf
 
 
 class TestIntegrate:
