@@ -4,11 +4,13 @@ Each forward kernel (the mean-to-osculating chain) runs on Python floats
 through ``math`` and on NumPy arrays through NumPy: it takes its functions
 from ``_NUMPY`` when its first argument is an ndarray and from this module
 (``_MATH``) otherwise.  That test is written out in each kernel because a
-helper call would cost more than the test on floats.  The two namespaces
-bind the same names, mostly ``math`` functions and their ufuncs; a sine and
-cosine of one angle come from ``sincos``, and the pair (e sin u, e cos u - 1)
-a Kepler step reads from ``esincos``: ``math``'s sin and cos on floats and,
-on arrays, the half-angle form from one vectorized tangent.
+helper call would cost more than the test on floats.  ``_NUMPY`` binds
+exactly the names the kernels read from a namespace, and this module binds
+each of them too, mostly ``math`` functions and their ufuncs
+(``tests/test_kernels_scope.py`` checks both).  A sine and cosine of one
+angle come from ``sincos``, and the pair (e sin u, e cos u - 1) a Kepler
+step reads from ``esincos``: ``math``'s sin and cos on floats and, on
+arrays, the half-angle form from one vectorized tangent.
 Branches on data are written as ``where``, ``maximum``, ``imin`` and
 ``imax``, so a lane of an array gets the value a float would.  Quantities
 that are constant along one mean trajectory (e, a, sin I, |c| and the
@@ -32,10 +34,10 @@ The functions that an operator cannot write in place have twins in
 ``floor(x)``, ``atan2(y, x)``, ``copysign(x, y)``, ``imin(x, y)`` and
 ``imax(x, y)``.  Here, for floats, the twins are the plain ``math``
 functions and ``min`` and ``max``, so they add no Python call.
-``maximum``, ``where``, ``hypot``, ``sin`` and ``cos`` allocate their
-result on arrays.  So do the few passes that no exact rewrite puts in place,
-such as a - x for an array x: a twin for them would add a call on floats,
-where an operator adds none.
+``maximum``, ``where`` and ``hypot`` allocate their result on arrays.  So
+do the few passes that no exact rewrite puts in place, such as a - x for an
+array x: a twin for them would add a call on floats, where an operator adds
+none.
 
 The periodic-correction kernels evaluate the first-order generating-function
 brackets in closed form: the Poisson brackets of the polar-nodal generating
@@ -172,7 +174,7 @@ def _sincos_half_angle(x):
 
 _MATH = sys.modules[__name__]
 _NUMPY = SimpleNamespace(
-    sin=np.sin, cos=np.cos, sincos=_sincos_half_angle,
+    sincos=_sincos_half_angle,
     esincos=lambda u, e: _half_angle(u, e, 1.0 + e),
     hypot=np.hypot, where=np.where, maximum=np.maximum,
     # the twins: each writes its result into its argument x

@@ -1,12 +1,12 @@
 """Independent verification machinery.
 
-Nothing here is used by the analytic pipeline itself: exact numerical
-integration of the J2+J3 equations of motion (``integrate_grid``, driven by
-the one closed-form ``zonal_acceleration``), and the zonal potential and
-energy (shells of ``secular.zonal_hamiltonian``) that the tests check the
-integration and the acceleration against.  ``zonalprop compare`` and
-``perfbench/checks.py`` measure the analytic theory against the
-integration.
+Nothing here is used by the analytic pipeline itself: this is the exact
+numerical integration of the J2+J3 equations of motion (``integrate_grid``),
+driven by the one closed-form ``zonal_acceleration``.  ``zonalprop compare``
+and ``perfbench/checks.py`` measure the analytic theory against it.  The
+tests check the acceleration and the integration against the zonal
+potential and energy, shells of ``secular.zonal_hamiltonian`` in
+``tests/reference_forms.py``.
 """
 
 import math
@@ -17,25 +17,15 @@ from scipy.integrate import solve_ivp
 from .errors import ZonalPropError, position_norm_error
 from .gravity import GravityField
 from .propagator import _checked_grid
-from .secular import zonal_hamiltonian
-from .states import CartesianState, cart_to_ns_checked
-
-
-def zonal_potential(x: float, y: float, z: float, field: GravityField) -> float:
-    """Potential energy per unit mass, central term plus degree 2 and 3
-    zonals; ZonalPropError, as ``_kernels.cart_to_ns`` raises it, when the
-    squared position norm is 0 or overflows."""
-    r2 = x * x + y * y + z * z
-    if not 0.0 < r2 < math.inf:
-        raise position_norm_error(r2)
-    r = math.sqrt(r2)
-    return zonal_hamiltonian(r, 0.0, 0.0, z / r, field.mu, field.alpha, field.c20, field.c30)
+from .states import CartesianState
 
 
 def zonal_acceleration(x: float, y: float, z: float, mu: float, alpha: float, c20: float,
                        c30: float) -> tuple[float, float, float]:
     """Closed-form gradient (ax, ay, az) of the zonal potential, central term
-    included, at (x, y, z), on floats; raises as ``zonal_potential`` does."""
+    included, at (x, y, z), on floats; ZonalPropError, as
+    ``_kernels.cart_to_ns`` raises it, when the squared position norm is 0 or
+    overflows."""
     r2 = x * x + y * y + z * z
     if not 0.0 < r2 < math.inf:
         raise position_norm_error(r2)
@@ -54,13 +44,6 @@ def zonal_acceleration(x: float, y: float, z: float, mu: float, alpha: float, c2
     ay += -c3 * y * z * (7.0 * z2_r2 - 3.0)
     az += c3 * (6.0 * z * z - 7.0 * z2_r2 * z * z - 0.6 * r2)
     return ax, ay, az
-
-
-def zonal_energy(cart: CartesianState, field: GravityField) -> float:
-    """Exact conserved energy v^2/2 + U of the zonal problem; raises as
-    ``states.cart_to_ns_checked`` does (a rectilinear state included)."""
-    _, xi, _, r, R, Theta, _ = cart_to_ns_checked(cart)
-    return zonal_hamiltonian(r, R, Theta, xi, field.mu, field.alpha, field.c20, field.c30)
 
 
 def _rhs(field: GravityField):

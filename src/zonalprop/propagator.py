@@ -190,32 +190,23 @@ def _checked_grid(t0: float, ts) -> tuple[np.ndarray, float]:
 
 
 def _float_grid(t0: float, ts):
-    """``_checked_grid`` on Python floats, for a list or tuple of 1 to
-    ``ARRAY_MIN_EPOCHS - 1`` items that are each exactly a float: (the grid
-    as given, the largest |t - t0|), raising what _checked_grid raises.
-    None for every other grid, which _checked_grid then takes."""
-    if not ((type(ts) is list or type(ts) is tuple) and 0 < len(ts) < _kernels.ARRAY_MIN_EPOCHS):
+    """The grids ``_checked_grid`` would accept, taken on Python floats: a
+    float t0 and a list or tuple of 1 to ``ARRAY_MIN_EPOCHS - 1`` items that
+    are each exactly a float, with every offset t - t0 finite.  (The grid as
+    given, the largest |t - t0|) for those, None for every other grid, which
+    _checked_grid then takes and, where it must, rejects."""
+    if not (type(t0) is float and (type(ts) is list or type(ts) is tuple)
+            and 0 < len(ts) < _kernels.ARRAY_MIN_EPOCHS):
         return None
-    for t in ts:
-        if type(t) is not float:
-            return None
-    try:
-        finite = math.isfinite(t0)
-    except OverflowError:  # an int too large for a float
-        finite = False
-    if not finite:
-        raise ZonalPropError(f"epoch t0 must be finite, got {t0}")
     # once an offset is NaN or inf the span stays NaN or inf
     span = 0.0
     for t in ts:
+        if type(t) is not float:
+            return None
         d = abs(t - t0)
         if d > span or d != d:
             span = d
-    if not span < math.inf:
-        if all(map(math.isfinite, ts)):
-            raise ZonalPropError(f"time offset t - t0 overflows for t0 = {t0}")
-        raise ZonalPropError("time grid must be finite")
-    return ts, span
+    return (ts, span) if span < math.inf else None
 
 
 def ephemeris_array(cart0: CartesianState, t0: float, ts, field: GravityField,
@@ -224,11 +215,12 @@ def ephemeris_array(cart0: CartesianState, t0: float, ts, field: GravityField,
 
     Grids of ``_kernels.ARRAY_MIN_EPOCHS`` epochs or more are evaluated in
     NumPy blocks, shorter ones epoch by epoch on floats; the two agree to
-    about 1e-10 km in position.  A short list or tuple of Python floats (no
-    int, no bool, no NumPy scalar) is checked on floats (``_float_grid``),
-    with no NumPy call before the ``np.empty`` that holds the result; every
-    other grid in NumPy (``_checked_grid``).  Both checks raise the same
-    errors and give the same rows; the orbit check (``_mean_state``) follows.
+    about 1e-10 km in position.  A float t0 and a short list or tuple of
+    Python floats (no int, no bool, no NumPy scalar) with finite offsets are
+    taken on floats (``_float_grid``), with no NumPy call before the
+    ``np.empty`` that holds the result; every other grid is checked in NumPy
+    (``_checked_grid``), which alone raises the grid errors.  Both give the
+    same rows; the orbit check (``_mean_state``) follows.
     """
     ts, span = _float_grid(t0, ts) or _checked_grid(t0, ts)
     args, _ = _mean_state(cart0, field, config, span)

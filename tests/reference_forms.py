@@ -30,7 +30,10 @@ forms against them:
 * the Delaunay-form generating functions u1 (short period) and x1 (long
   period), equal to v1 and y1 at the mapped state (the cross-representation
   identities); the tests take their Poisson brackets by finite differences
-  against the Delaunay series.
+  against the Delaunay series;
+* the zonal potential and the exact energy of the J2+J3 problem, shells of
+  ``secular.zonal_hamiltonian``, that the tests check ``oracle``'s
+  acceleration and integration against.
 
 Each ``*_corrections_*`` function returns the kernel's 6-tuple of deltas
 (dpsi, dxi, dchi, dr, dR, dTheta); N is carried unchanged.  The deltas are
@@ -46,9 +49,10 @@ from zonalprop import _kernels
 from zonalprop.benchmark import delaunay_long_series, delaunay_short_series
 from zonalprop.gravity import GravityField, check_small_params
 from zonalprop.longperiod import critical_inclination_guard
-from zonalprop.errors import ZonalPropError
-from zonalprop.states import (_SLACK, DelaunayState, NonsingularState, ellipse_elements,
-                              elliptic_projections)
+from zonalprop.errors import ZonalPropError, position_norm_error
+from zonalprop.secular import zonal_hamiltonian
+from zonalprop.states import (_SLACK, CartesianState, DelaunayState, NonsingularState,
+                              cart_to_ns_checked, ellipse_elements, elliptic_projections)
 
 
 # ---------------------------------------------------------------------------
@@ -297,3 +301,25 @@ def x1_delaunay(d: DelaunayState, field: GravityField) -> float:
     w = (14.0 - 15.0 * s2) / (4.0 - 5.0 * s2)
     return d.G * (-eps2 * w * 0.125 * s2 * e * e * math.sin(2.0 * d.g)
                   + eps3 * s * e * math.cos(d.g))
+
+
+# ---------------------------------------------------------------------------
+# the zonal potential and energy the oracle is checked against
+# ---------------------------------------------------------------------------
+
+def zonal_potential(x: float, y: float, z: float, field: GravityField) -> float:
+    """Potential energy per unit mass, central term plus degree 2 and 3
+    zonals; ZonalPropError, as ``_kernels.cart_to_ns`` raises it, when the
+    squared position norm is 0 or overflows."""
+    r2 = x * x + y * y + z * z
+    if not 0.0 < r2 < math.inf:
+        raise position_norm_error(r2)
+    r = math.sqrt(r2)
+    return zonal_hamiltonian(r, 0.0, 0.0, z / r, field.mu, field.alpha, field.c20, field.c30)
+
+
+def zonal_energy(cart: CartesianState, field: GravityField) -> float:
+    """Exact conserved energy v^2/2 + U of the zonal problem; raises as
+    ``states.cart_to_ns_checked`` does (a rectilinear state included)."""
+    _, xi, _, r, R, Theta, _ = cart_to_ns_checked(cart)
+    return zonal_hamiltonian(r, R, Theta, xi, field.mu, field.alpha, field.c20, field.c30)

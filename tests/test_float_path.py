@@ -22,11 +22,11 @@ from zonalprop import (EARTH, CartesianState, GravityField, NonEllipticStateErro
                        ephemeris_array, mean_to_osculating, osculating_to_mean,
                        propagate_mean, propagator, secular_rates)
 from zonalprop.cli import main as cli_main
-from zonalprop.oracle import zonal_energy
 from zonalprop.secular import mean_motion
 from zonalprop.states import cart_to_ns_checked
 from test_array_path import LEO_STATE
 from conftest import elements_to_cartesian
+from reference_forms import zonal_energy
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 

@@ -7,6 +7,7 @@ the tests or the benchmark call belongs in another module.  cos I has one
 source, the carried integral: the kernels that read it take Theta and N.
 """
 
+import ast
 import importlib.util
 import inspect
 import sys
@@ -74,3 +75,26 @@ def test_cos_inclination_comes_from_theta_and_n():
     assert {"short_ns", "long_ns", "short_ns_low", "long_ns_low"} <= set(kernels)
     assert [name for name in kernels
             if "c" in inspect.signature(getattr(_kernels, name)).parameters] == []
+
+
+def _namespace_reads():
+    """The names the kernels read from a namespace: ``m.<name>`` and
+    ``(_NUMPY if ... else _MATH).<name>``, found in ``_kernels``' source."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(_kernels.__file__).read_text())):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.IfExp):
+            owner = owner.body
+        if isinstance(owner, ast.Name) and owner.id in ("m", "_NUMPY"):
+            names.add(node.attr)
+    return names
+
+
+def test_the_numpy_namespace_holds_what_the_kernels_read():
+    # a name no kernel reads has no place in _NUMPY, and every name it
+    # holds has a float twin here for the float path
+    reads = _namespace_reads()
+    assert sorted(vars(_kernels._NUMPY)) == sorted(reads)
+    assert [name for name in sorted(reads) if not hasattr(_kernels._MATH, name)] == []

@@ -7,11 +7,12 @@ import sympy
 
 from zonalprop import (EARTH, CartesianState, DelaunayState, ZonalPropError,
                        nonsingular_to_cartesian)
-from zonalprop.oracle import integrate_grid, zonal_acceleration, zonal_energy, zonal_potential
+from zonalprop.oracle import integrate_grid, zonal_acceleration
 from zonalprop.secular import orbital_period, zonal_hamiltonian
 from zonalprop.states import cart_to_ns_checked
 from conftest import cart_distance, elements_to_cartesian, elements_to_polar, field_small_params
-from reference_forms import polar_to_nonsingular, u1_delaunay, x1_delaunay
+from reference_forms import (polar_to_nonsingular, u1_delaunay, x1_delaunay, zonal_energy,
+                             zonal_potential)
 
 MU = EARTH.mu
 

@@ -106,9 +106,6 @@ ALLOWED = {
     ("secular", "mean_hamiltonian"): "the mean energy, for the energy-consistent mean state",
     ("secular", "zonal_hamiltonian"): "the osculating energy, for the energy-consistent "
                                       "mean state",
-    ("oracle", "zonal_potential"): "the exact potential the tests check the acceleration "
-                                   "against",
-    ("oracle", "zonal_energy"): "the exact energy the tests check the integration against",
 }
 
 #: the longest the traced pass may take [s]
